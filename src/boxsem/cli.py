@@ -4,7 +4,9 @@ Checks surface modules, interprets them in a chosen model, and runs
 the law, universe, and coalgebra reports over models described by JSON
 files.  Exit codes: 0 for a clean pass, 1 for a failed check with
 witnesses on stdout, 2 for malformed input, 3 when an enumeration
-would exceed the configured ceiling (override with BOXSEM_CEILING).
+would exceed the configured ceiling (override with BOXSEM_CEILING) or a
+check stopped at it; a check stopped at the ceiling prints PARTIAL,
+never PASS.
 """
 
 from __future__ import annotations
@@ -124,14 +126,19 @@ def _load_category(name: str, spec: dict) -> FinCat:
 
 
 def _load_presheaf(cat: FinCat, spec: dict) -> Presheaf:
-    sizes = {o: int(n) for o, n in spec["sizes"].items()}
-    action = {f: tuple(v) for f, v in spec.get("actions", {}).items()}
-    for o in cat.objects:
-        i = cat.id(o)
-        if i not in action:
-            action[i] = tuple(range(sizes.get(o, 0)))
-    p = Presheaf(cat, sizes, action)
-    errs = p.validate()
+    try:
+        sizes = {o: int(n) for o, n in spec["sizes"].items()}
+        action = {f: tuple(v) for f, v in spec.get("actions", {}).items()}
+        for o in cat.objects:
+            i = cat.id(o)
+            if i not in action:
+                action[i] = tuple(range(sizes.get(o, 0)))
+        p = Presheaf(cat, sizes, action)
+        errs = p.validate()
+    except KeyError as e:
+        raise BadInput(f"presheaf block malformed: missing {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        raise BadInput(f"presheaf block malformed: {e}")
     if errs:
         raise BadInput("presheaf does not validate: " + "; ".join(errs[:4]))
     return p
@@ -188,7 +195,10 @@ def load_model(path: str) -> ModelBundle:
         raise BadInput(f"{found}: missing the category block")
     name = os.path.splitext(os.path.basename(found))[0]
     cat = _load_category(name, spec["category"])
-    bound = int(spec.get("bound", 1))
+    try:
+        bound = int(spec.get("bound", 1))
+    except (TypeError, ValueError):
+        raise BadInput(f"{found}: bound must be an integer, got {spec['bound']!r}")
     presheaves = {pname: _load_presheaf(cat, pspec)
                   for pname, pspec in spec.get("presheaves", {}).items()}
     site = _load_site(cat, spec["site"]) if "site" in spec else None
@@ -207,8 +217,9 @@ def _emit(report: dict, out: str | None):
             json.dump(report, fh, indent=2, sort_keys=True, default=str)
 
 
-def _status(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
+def _status(ok: bool, truncated: bool = False) -> str:
+    """A check cut short by the ceiling is PARTIAL, never PASS."""
+    return "PARTIAL" if ok and truncated else "PASS" if ok else "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +367,8 @@ def cmd_model_universe(args) -> int:
         cc_ok = cc["bijective"] and cc["natural"]
         print(f"{_status(cc_ok)} codes agree with bounded types, naturally")
         rc = realignment_check(u, bound, max_cases=ceiling)
-        print(f"{_status(rc['ok'])} realignment along monos"
+        truncated = rc.get("truncated", False)
+        print(f"{_status(rc['ok'], truncated)} realignment along monos"
               f" ({rc.get('cases', '?')} cases)")
     except EnumerationCeiling as e:
         print(f"ceiling: {e}", file=sys.stderr)
@@ -372,9 +384,13 @@ def cmd_model_universe(args) -> int:
                              "natural": cc["natural"]},
               "realignment": {"ok": rc["ok"], "cases": rc.get("cases")},
               "ok": tc_ok and cc_ok and rc["ok"]}
+    if truncated:
+        report["truncated"] = True
     _emit(report, args.out)
-    print(f"{_status(report['ok'])} universe report for {bundle.name!r}")
-    return EXIT_OK if report["ok"] else EXIT_FAIL
+    print(f"{_status(report['ok'], truncated)} universe report for {bundle.name!r}")
+    if not report["ok"]:
+        return EXIT_FAIL
+    return EXIT_CEILING if truncated else EXIT_OK
 
 
 def cmd_model_coalgebras(args) -> int:

@@ -23,21 +23,18 @@ no structure is trusted without being run through its validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .fincat import FinCat, Functor
-from .presheaf import (KanAdjunction, Omega, Presheaf, PresheafMap,
-                       characteristic_map, compose_maps, enumerate_families,
-                       hom_maps, identity_map, iso_maps, product, pullback,
-                       sub_presheaf, subobject_classifier, subobject_of_char,
-                       subpresheaves, terminal_presheaf)
-from .natmodel import (BoundExceeded, Comprehension, ModelError, NaturalModel,
-                       Pi, Sigma, TermOverContext, TypeMap, TypeOverContext,
-                       TypeProduct, Universe, all_display_maps_into,
-                       all_presheaves, all_types_over, apply_type_map,
-                       comprehension, compose_type_maps, exp_ev, exp_transpose,
-                       hs_universe, identity_type_map, is_display, pi_type,
+from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
+                       characteristic_map, compose_maps, hom_maps, identity_map,
+                       iso_maps, product, pullback, sub_presheaf,
+                       subobject_classifier, subobject_of_char, subpresheaves,
+                       terminal_presheaf)
+from .natmodel import (BoundExceeded, NaturalModel, Pi, Sigma, TermOverContext,
+                       TypeMap, TypeOverContext, TypeProduct, Universe,
+                       all_display_maps_into, all_presheaves, all_types_over,
+                       apply_type_map, comprehension, compose_type_maps, exp_ev,
+                       exp_transpose, hs_universe, identity_type_map, is_display,
                        sigma_type, sub_type, subst_term, subst_type,
                        subst_type_map, terms_of, type_exponential, type_maps,
                        type_product, type_terminal)
@@ -224,23 +221,20 @@ def identity_comonad(model: NaturalModel) -> IdentityComonad:
 @dataclass
 class _BoxData:
     """Carrier of ``box(P)`` at each object, with the family tables that
-    realize its elements."""
+    realize its elements: the Kan extension's table at ``u(X)``."""
 
     presheaf: Presheaf
-    slots: Mapping[str, tuple[tuple[str, str], ...]]
-    families: Mapping[str, tuple[tuple[int, ...], ...]]
-    index: Mapping[str, Mapping[tuple[int, ...], int]]
+    tables: Mapping[str, FamilyTable]
 
 
 @dataclass
 class _TpData:
-    """Family tables behind ``tp_box(A)``, one block per context element
-    of the boxed context."""
+    """Family tables behind ``tp_box(A)``, one per context element of the
+    boxed context; each has the slots of the box table it sits over."""
 
     type: TypeOverContext
     box: _BoxData
-    families: Mapping[tuple[str, int], tuple[tuple[int, ...], ...]]
-    index: Mapping[tuple[str, int], Mapping[tuple[int, ...], int]]
+    tables: Mapping[tuple[str, int], FamilyTable]
 
 
 @dataclass
@@ -249,7 +243,7 @@ class _CodeBoxData:
     needed to build code morphisms out of it."""
 
     map: PresheafMap
-    families: Mapping[tuple[str, int, str], tuple[tuple[int, ...], ...]]
+    tables: Mapping[tuple[str, int, str], FamilyTable]
 
 
 class AdjunctionComonad(NaturalModelComonad):
@@ -278,11 +272,8 @@ class AdjunctionComonad(NaturalModelComonad):
         if bd is None:
             r = self.adj.ran(p)
             om = self.adj.u.obj_map
-            d = self.model.base
-            slots = {x: r.slots[om[x]] for x in d.objects}
-            fams = {x: r.families[om[x]] for x in d.objects}
-            index = {x: {f: k for k, f in enumerate(fams[x])} for x in d.objects}
-            bd = _BoxData(self.adj.restrict(r.presheaf), slots, fams, index)
+            bd = _BoxData(self.adj.restrict(r.presheaf),
+                          {x: r.tables[om[x]] for x in self.model.base.objects})
             self._boxes[p] = bd
         return bd
 
@@ -298,20 +289,18 @@ class AdjunctionComonad(NaturalModelComonad):
     def comult(self, p):
         bd = self.box_data(p)
         bb = self.box_data(bd.presheaf)
-        d, c = self.model.base, self.adj.big
+        c = self.adj.big
         comp = {}
-        for x in d.objects:
-            sl = bd.slots[x]
-            pos = {s: k for k, s in enumerate(sl)}
-            vals = []
-            for fam in bd.families[x]:
-                outer = []
-                for (j, f) in sl:
-                    inner = tuple(fam[pos[(j2, c.compose(f, f2))]]
-                                  for (j2, f2) in bd.slots[j])
-                    outer.append(bd.index[j][inner])
-                vals.append(bb.index[x][tuple(outer)])
-            comp[x] = tuple(vals)
+        for x in self.model.base.objects:
+            t = bd.tables[x]
+            # slot (j, f) of the doubled family is the family at j that
+            # reads slot (j2, f.f2) of the original one at its slot (j2, f2)
+            inner = [(bd.tables[j].family_pos,
+                      t.select((j2, c.compose(f, f2)) for (j2, f2) in bd.tables[j].slots))
+                     for (j, f) in t.slots]
+            pos = bb.tables[x].family_pos
+            comp[x] = tuple(pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in inner)]
+                            for fam in t.families)
         return PresheafMap(bd.presheaf, bb.presheaf, comp)
 
     # type and term action ----------------------------------------------------
@@ -321,36 +310,27 @@ class AdjunctionComonad(NaturalModelComonad):
             return td
         bd = self.box_data(a.context)
         d, c, u = self.model.base, self.adj.big, self.adj.u
-        fams: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
-        fiber = {}
+        tables: dict[tuple[str, int], FamilyTable] = {}
         for x in d.objects:
-            sl = bd.slots[x]
-            pos = {s: k for k, s in enumerate(sl)}
-            for pi, phi in enumerate(bd.families[x]):
-                sizes = [a.fiber[(j, phi[k])] for k, (j, _) in enumerate(sl)]
-                rules = []
-                for k, (j, f) in enumerate(sl):
-                    for m in d.morphisms:
-                        if d.dst[m] != j or d.is_identity(m):
-                            continue
-                        k2 = pos[(d.src[m], c.compose(f, u.mor_map[m]))]
-                        rules.append((k, k2, a.restriction[(m, phi[k])]))
-                fams[(x, pi)] = tuple(enumerate_families(len(sl), sizes, rules))
-                fiber[(x, pi)] = len(fams[(x, pi)])
-        index = {k: {f: n for n, f in enumerate(v)} for k, v in fams.items()}
+            t = bd.tables[x]
+            steps = [(k, (j, f), (d.src[m], c.compose(f, u.mor_map[m])), m)
+                     for k, (j, f) in enumerate(t.slots) for m in d.morphisms
+                     if d.dst[m] == j and not d.is_identity(m)]
+            for pi, phi in enumerate(t.families):
+                sizes = [a.fiber[(j, v)] for (j, _), v in zip(t.slots, phi)]
+                rules = [(s1, s2, a.restriction[(m, phi[k])]) for (k, s1, s2, m) in steps]
+                tables[(x, pi)] = FamilyTable(t.slots, sizes, rules)
         bg = bd.presheaf
         restriction = {}
         for m in d.morphisms:
             x2, x = d.src[m], d.dst[m]
             um = u.mor_map[m]
-            pos = {s: k for k, s in enumerate(bd.slots[x])}
-            sel = [pos[(j, c.compose(um, f2))] for (j, f2) in bd.slots[x2]]
+            keys = [(j, c.compose(um, f2)) for (j, f2) in bd.tables[x2].slots]
             for pi in bg.elements(x):
-                pi2 = bg.act(m, pi)
-                restriction[(m, pi)] = tuple(
-                    index[(x2, pi2)][tuple(fam[k] for k in sel)]
-                    for fam in fams[(x, pi)])
-        td = _TpData(TypeOverContext(bg, fiber, restriction), bd, fams, index)
+                restriction[(m, pi)] = tables[(x, pi)].restriction(
+                    tables[(x2, bg.act(m, pi))], keys)
+        fiber = {k: len(t.families) for k, t in tables.items()}
+        td = _TpData(TypeOverContext(bg, fiber, restriction), bd, tables)
         self._tps[a] = td
         return td
 
@@ -362,13 +342,12 @@ class AdjunctionComonad(NaturalModelComonad):
         bd = ta.box
         comp = {}
         for x in self.model.base.objects:
-            for pi, phi in enumerate(bd.families[x]):
-                vals = []
-                for fam in ta.families[(x, pi)]:
-                    out = tuple(m.component[(j, phi[k])][fam[k]]
-                                for k, (j, _) in enumerate(bd.slots[x]))
-                    vals.append(tb.index[(x, pi)][out])
-                comp[(x, pi)] = tuple(vals)
+            t = bd.tables[x]
+            for pi, phi in enumerate(t.families):
+                cols = [m.component[(j, v)] for (j, _), v in zip(t.slots, phi)]
+                pos = tb.tables[(x, pi)].family_pos
+                comp[(x, pi)] = tuple(pos[tuple(col[w] for col, w in zip(cols, fam))]
+                                      for fam in ta.tables[(x, pi)].families)
         return TypeMap(ta.type, tb.type, comp)
 
     def tm_box(self, t):
@@ -376,9 +355,10 @@ class AdjunctionComonad(NaturalModelComonad):
         bd = td.box
         pick = {}
         for x in self.model.base.objects:
-            for pi, phi in enumerate(bd.families[x]):
-                fam = tuple(t.pick[(j, phi[k])] for k, (j, _) in enumerate(bd.slots[x]))
-                pick[(x, pi)] = td.index[(x, pi)][fam]
+            tx = bd.tables[x]
+            for pi, phi in enumerate(tx.families):
+                fam = tuple(t.pick[(j, v)] for (j, _), v in zip(tx.slots, phi))
+                pick[(x, pi)] = td.tables[(x, pi)].family_pos[fam]
         return TermOverContext(td.type, pick)
 
     def tp_counit(self, a):
@@ -387,9 +367,9 @@ class AdjunctionComonad(NaturalModelComonad):
         c, u = self.adj.big, self.adj.u
         comp = {}
         for x in self.model.base.objects:
-            k_id = bd.slots[x].index((x, c.id(u.obj_map[x])))
-            for pi in range(len(bd.families[x])):
-                comp[(x, pi)] = tuple(fam[k_id] for fam in td.families[(x, pi)])
+            k_id = bd.tables[x].slot_pos[(x, c.id(u.obj_map[x]))]
+            for pi in range(len(bd.tables[x].families)):
+                comp[(x, pi)] = tuple(fam[k_id] for fam in td.tables[(x, pi)].families)
         return TypeMap(td.type, subst_type(a, self.counit(a.context)), comp)
 
     def tp_comult(self, a):
@@ -400,20 +380,16 @@ class AdjunctionComonad(NaturalModelComonad):
         c = self.adj.big
         comp = {}
         for x in self.model.base.objects:
-            sl = bd.slots[x]
-            pos = {s: k for k, s in enumerate(sl)}
-            for pi, phi in enumerate(bd.families[x]):
-                psi = dlt.apply(x, pi)
-                sels = []
-                for (j, f) in sl:
-                    sel = [pos[(j2, c.compose(f, f2))] for (j2, f2) in bd.slots[j]]
-                    sels.append((j, sel, bd.index[j][tuple(phi[k] for k in sel)]))
-                vals = []
-                for fam in td.families[(x, pi)]:
-                    outer = tuple(td.index[(j, pj)][tuple(fam[k] for k in sel)]
-                                  for (j, sel, pj) in sels)
-                    vals.append(td2.index[(x, psi)][outer])
-                comp[(x, pi)] = tuple(vals)
+            t = bd.tables[x]
+            sels = [(j, t.select((j2, c.compose(f, f2)) for (j2, f2) in bd.tables[j].slots))
+                    for (j, f) in t.slots]
+            for pi, phi in enumerate(t.families):
+                blocks = [(td.tables[(j, bd.tables[j].family_pos[tuple(phi[k] for k in sel)])]
+                           .family_pos, sel) for (j, sel) in sels]
+                pos = td2.tables[(x, dlt.apply(x, pi))].family_pos
+                comp[(x, pi)] = tuple(
+                    pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in blocks)]
+                    for fam in td.tables[(x, pi)].families)
         return TypeMap(td.type, subst_type(td2.type, dlt), comp)
 
     def tau(self, a):
@@ -424,15 +400,16 @@ class AdjunctionComonad(NaturalModelComonad):
         ext2 = comprehension(td.type)
         comp = {}
         for x in self.model.base.objects:
+            t = bde.tables[x]
             vals = []
-            for fam in bde.families[x]:
+            for fam in t.families:
                 gs, xs = [], []
-                for k, (j, _) in enumerate(bde.slots[x]):
-                    g, aa = ca.decode(j, fam[k])
+                for (j, _), v in zip(t.slots, fam):
+                    g, aa = ca.decode(j, v)
                     gs.append(g)
                     xs.append(aa)
-                pi = bd.index[x][tuple(gs)]
-                vals.append(ext2.encode(x, pi, td.index[(x, pi)][tuple(xs)]))
+                pi = bd.tables[x].family_pos[tuple(gs)]
+                vals.append(ext2.encode(x, pi, td.tables[(x, pi)].family_pos[tuple(xs)]))
             comp[x] = tuple(vals)
         return PresheafMap(bde.presheaf, ext2.presheaf, comp)
 
@@ -443,49 +420,40 @@ class AdjunctionComonad(NaturalModelComonad):
             return cached
         d, c, uf = self.model.base, self.adj.big, self.adj.u
         bd = self.box_data(u.presheaf)
-        fams: dict[tuple[str, int, str], tuple[tuple[int, ...], ...]] = {}
+        tables: dict[tuple[str, int, str], FamilyTable] = {}
         comp = {}
         for x in d.objects:
             slx = u.slices[x].cat
-            pos = {s: k for k, s in enumerate(bd.slots[x])}
+            t = bd.tables[x]
             vals = []
-            for pi, phi in enumerate(bd.families[x]):
+            for pi, phi in enumerate(t.families):
                 sizes_z, action_z = {}, {}
                 for gname in slx.objects:
-                    y = d.src[gname]
                     ug = uf.mor_map[gname]
-                    sl_y = bd.slots[y]
-                    pos_y = {s: k for k, s in enumerate(sl_y)}
-                    slot_codes = [u.codes[j][phi[pos[(j, c.compose(ug, f2))]]]
+                    sl_y = bd.tables[d.src[gname]].slots
+                    slot_codes = [u.codes[j][phi[t.slot_pos[(j, c.compose(ug, f2))]]]
                                   for (j, f2) in sl_y]
                     szs = [cp.sizes[d.id(j)] for cp, (j, _) in zip(slot_codes, sl_y)]
-                    rules = []
-                    for k, (j, f2) in enumerate(sl_y):
-                        for m in d.morphisms:
-                            if d.dst[m] != j or d.is_identity(m):
-                                continue
-                            k2 = pos_y[(d.src[m], c.compose(f2, uf.mor_map[m]))]
-                            rules.append((k, k2, slot_codes[k].action[f"{m}@{d.id(j)}"]))
-                    block = tuple(enumerate_families(len(sl_y), szs, rules))
-                    if len(block) > self.model.bound:
+                    rules = [((j, f2), (d.src[m], c.compose(f2, uf.mor_map[m])),
+                              cp.action[f"{m}@{d.id(j)}"])
+                             for cp, (j, f2) in zip(slot_codes, sl_y) for m in d.morphisms
+                             if d.dst[m] == j and not d.is_identity(m)]
+                    block = FamilyTable(sl_y, szs, rules)
+                    if len(block.families) > self.model.bound:
                         raise BoundExceeded(
-                            f"boxed code at ({x!r}, {gname!r}) has {len(block)} "
+                            f"boxed code at ({x!r}, {gname!r}) has {len(block.families)} "
                             f"points, over the display bound {self.model.bound}")
-                    fams[(x, pi, gname)] = block
-                    sizes_z[gname] = len(block)
+                    tables[(x, pi, gname)] = block
+                    sizes_z[gname] = len(block.families)
                 for mname in slx.morphisms:
                     hpart, gpart = mname.split("@", 1)
-                    y2 = d.src[hpart]
                     uh = uf.mor_map[hpart]
-                    src_obj = d.compose(gpart, hpart)
-                    pos_y = {s: k for k, s in enumerate(bd.slots[d.src[gpart]])}
-                    sel = [pos_y[(j2, c.compose(uh, f3))] for (j2, f3) in bd.slots[y2]]
-                    action_z[mname] = tuple(
-                        fams[(x, pi, src_obj)].index(tuple(fam[k] for k in sel))
-                        for fam in fams[(x, pi, gpart)])
+                    action_z[mname] = tables[(x, pi, gpart)].restriction(
+                        tables[(x, pi, d.compose(gpart, hpart))],
+                        [(j2, c.compose(uh, f3)) for (j2, f3) in bd.tables[d.src[hpart]].slots])
                 vals.append(u.code_index(x, Presheaf(slx, sizes_z, action_z)))
             comp[x] = tuple(vals)
-        out = _CodeBoxData(PresheafMap(bd.presheaf, u.presheaf, comp), fams)
+        out = _CodeBoxData(PresheafMap(bd.presheaf, u.presheaf, comp), tables)
         self._codes[u.presheaf] = out
         return out
 
@@ -501,27 +469,22 @@ class AdjunctionComonad(NaturalModelComonad):
         comp = {}
         for x in d.objects:
             slx = u.slices[x].cat
-            sl = bd0.slots[x]
-            pos = {s: k for k, s in enumerate(sl)}
+            t = bd0.tables[x]
             vals = []
-            for fam_m in bd1.families[x]:
-                data = [uc.mor_data(j, fam_m[k]) for k, (j, _) in enumerate(sl)]
-                phi1 = tuple(t[0] for t in data)
-                phi2 = tuple(t[1] for t in data)
-                p1, p2 = bd0.index[x][phi1], bd0.index[x][phi2]
+            for fam_m in bd1.tables[x].families:
+                data = [uc.mor_data(j, v) for (j, _), v in zip(t.slots, fam_m)]
+                p1 = t.family_pos[tuple(e[0] for e in data)]
+                p2 = t.family_pos[tuple(e[1] for e in data)]
                 z1 = cbd.map.component[x][p1]
                 z2 = cbd.map.component[x][p2]
                 comps = {}
                 for gname in slx.objects:
-                    y = d.src[gname]
                     ug = uf.mor_map[gname]
-                    slot_maps = [data[pos[(j, c.compose(ug, f2))]][2].component[d.id(j)]
-                                 for (j, f2) in bd0.slots[y]]
-                    out = []
-                    for fam in cbd.families[(x, p1, gname)]:
-                        img = tuple(slot_maps[k][v] for k, v in enumerate(fam))
-                        out.append(cbd.families[(x, p2, gname)].index(img))
-                    comps[gname] = tuple(out)
+                    slot_maps = [data[t.slot_pos[(j, c.compose(ug, f2))]][2].component[d.id(j)]
+                                 for (j, f2) in bd0.tables[d.src[gname]].slots]
+                    pos = cbd.tables[(x, p2, gname)].family_pos
+                    comps[gname] = tuple(pos[tuple(sm[v] for sm, v in zip(slot_maps, fam))]
+                                         for fam in cbd.tables[(x, p1, gname)].families)
                 pm = PresheafMap(u.codes[x][z1], u.codes[x][z2], comps)
                 vals.append(uc.mor_index(x, z1, z2, pm))
             comp[x] = tuple(vals)
@@ -535,17 +498,17 @@ class AdjunctionComonad(NaturalModelComonad):
         comp = {}
         for x in d.objects:
             slx = u.slices[x].cat
-            k_id = bd.slots[x].index((x, c.id(uf.obj_map[x])))
+            k_id = bd.tables[x].slot_pos[(x, c.id(uf.obj_map[x]))]
             vals = []
-            for pi, phi in enumerate(bd.families[x]):
+            for pi, phi in enumerate(bd.tables[x].families):
                 z = cbd.map.component[x][pi]
                 tgt = phi[k_id]
                 comps = {}
                 for gname in slx.objects:
                     y = d.src[gname]
-                    k_y = bd.slots[y].index((y, c.id(uf.obj_map[y])))
+                    k_y = bd.tables[y].slot_pos[(y, c.id(uf.obj_map[y]))]
                     comps[gname] = tuple(fam[k_y]
-                                         for fam in cbd.families[(x, pi, gname)])
+                                         for fam in cbd.tables[(x, pi, gname)].families)
                 pm = PresheafMap(u.codes[x][z], u.codes[x][tgt], comps)
                 vals.append(uc.mor_index(x, z, tgt, pm))
             comp[x] = tuple(vals)
@@ -561,30 +524,31 @@ class AdjunctionComonad(NaturalModelComonad):
         comp = {}
         for x in d.objects:
             slx = u.slices[x].cat
-            pos = {s: k for k, s in enumerate(bd.slots[x])}
+            t = bd.tables[x]
             vals = []
-            for pi, phi in enumerate(bd.families[x]):
+            for pi, phi in enumerate(t.families):
                 z1 = cbd.map.component[x][pi]
                 psi = bmc.apply(x, dlt.apply(x, pi))
                 z2 = cbd.map.component[x][psi]
                 comps = {}
                 for gname in slx.objects:
-                    y = d.src[gname]
                     ug = uf.mor_map[gname]
-                    out = []
-                    for fam in cbd.families[(x, pi, gname)]:
-                        entries = []
-                        for (j, f2) in bd.slots[y]:
-                            sel = [pos[(j2, c.compose(c.compose(ug, f2), f3))]
-                                   for (j2, f3) in bd.slots[j]]
-                            pj = bd.index[j][tuple(phi[k] for k in sel)]
-                            pos_y = {s: k for k, s in enumerate(bd.slots[y])}
-                            inner = tuple(fam[pos_y[(j2, c.compose(f2, f3))]]
-                                          for (j2, f3) in bd.slots[j])
-                            entries.append(
-                                cbd.families[(j, pj, d.id(j))].index(inner))
-                        out.append(cbd.families[(x, psi, gname)].index(tuple(entries)))
-                    comps[gname] = tuple(out)
+                    ty = bd.tables[d.src[gname]]
+                    # per slot (j, f2): the code block it lands in, and the
+                    # slots of the argument family it reads
+                    entries = []
+                    for (j, f2) in ty.slots:
+                        tj = bd.tables[j]
+                        sel = t.select((j2, c.compose(c.compose(ug, f2), f3))
+                                       for (j2, f3) in tj.slots)
+                        pj = tj.family_pos[tuple(phi[k] for k in sel)]
+                        entries.append((cbd.tables[(j, pj, d.id(j))].family_pos,
+                                        ty.select((j2, c.compose(f2, f3))
+                                                  for (j2, f3) in tj.slots)))
+                    pos = cbd.tables[(x, psi, gname)].family_pos
+                    comps[gname] = tuple(
+                        pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in entries)]
+                        for fam in cbd.tables[(x, pi, gname)].families)
                 pm = PresheafMap(u.codes[x][z1], u.codes[x][z2], comps)
                 vals.append(uc.mor_index(x, z1, z2, pm))
             comp[x] = tuple(vals)
@@ -595,15 +559,14 @@ class AdjunctionComonad(NaturalModelComonad):
         bd = self.box_data(om.presheaf)
         comp = {}
         for x in d.objects:
-            pos = {s: k for k, s in enumerate(bd.slots[x])}
+            t = bd.tables[x]
             vals = []
-            for phi in bd.families[x]:
+            for phi in t.families:
                 members = []
                 for g in d.morphisms_into(x):
-                    y = d.src[g]
                     ug = uf.mor_map[g]
-                    if all(d.id(j) in om.sieve(j, phi[pos[(j, c.compose(ug, f2))]])
-                           for (j, f2) in bd.slots[y]):
+                    if all(d.id(j) in om.sieve(j, phi[t.slot_pos[(j, c.compose(ug, f2))]])
+                           for (j, f2) in bd.tables[d.src[g]].slots):
                         members.append(g)
                 vals.append(om.index(x, frozenset(members)))
             comp[x] = tuple(vals)
@@ -888,41 +851,6 @@ class IndexedComonadInstance:
                 compose_type_maps(self.box_map(dlt), dlt):
             errs.append("coassociativity fails in the fiber")
         return errs
-
-
-def induced_comonad(w: NaturalModelComonad, at: Coalgebra) -> IndexedComonadInstance:
-    errs = coalgebra_laws(w, at)
-    if errs:
-        raise ComonadError("induced comonad needs a lawful coalgebra: " + errs[0])
-    return IndexedComonadInstance(w, at)
-
-
-def induced_right_adjoint(w: NaturalModelComonad, at: Coalgebra,
-                          a: TypeOverContext) -> "CoalgebraType":
-    """The cofree coalgebra type on a plain type over the carrier."""
-    if a.context != at.carrier:
-        raise ComonadError("type does not live over the coalgebra carrier")
-    return w.cofree_type(at, a)
-
-
-def right_adjoint_bijection_check(w: NaturalModelComonad, at: Coalgebra,
-                                  x: "CoalgebraType", a: TypeOverContext) -> dict:
-    """Verify the fiberwise adjunction between forgetting the structure
-    and the cofree construction, by explicit transposes."""
-    fa = induced_right_adjoint(w, at, a)
-    eps = w.fiber_counit(at, a)
-    plain = type_maps(x.type, a)
-    structured = [m for m in type_maps(x.type, fa.type)
-                  if compose_type_maps(fa.theta, m) ==
-                  compose_type_maps(w.bbox_type_map(at, m), x.theta)]
-    down = {m: compose_type_maps(eps, m) for m in structured}
-    up = {m: compose_type_maps(w.bbox_type_map(at, m), x.theta) for m in plain}
-    ok = (len(plain) == len(structured)
-          and all(down[m] in plain for m in structured)
-          and all(up[m] in structured for m in plain)
-          and all(down[up[m]] == m for m in plain)
-          and all(up[down[m]] == m for m in structured))
-    return {"ok": ok, "plain": len(plain), "structured": len(structured)}
 
 
 # ---------------------------------------------------------------------------

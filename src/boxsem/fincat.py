@@ -1,7 +1,9 @@
 """Finite categories presented by explicit composition tables.
 
-Objects and morphisms are interned strings, so equality of categorical
-data is equality of identifiers.  Every construction in this package
+Objects and morphisms are named by strings.  Two categories are equal
+when their tables agree; the comparison short-circuits on identity and
+the hash is computed once per category, since the same few categories
+are compared over and over downstream.  Every construction in this package
 funnels through :class:`FinCat`, and every law we rely on downstream is
 checked exhaustively here, by brute force over the tables.  At the sizes
 we care about (a handful of objects, tens of morphisms) cubic loops are
@@ -40,6 +42,7 @@ class FinCat:
     identity: Mapping[str, str]
     table: Mapping[tuple[str, str], str]
     _hom: dict = field(default_factory=dict, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "src", dict(self.src))
@@ -50,6 +53,8 @@ class FinCat:
     # equality and hashing go through the raw tables; two categories are
     # the same exactly when their string data agrees
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FinCat):
             return NotImplemented
         return (
@@ -62,9 +67,12 @@ class FinCat:
         )
 
     def __hash__(self):
-        return hash((self.objects, self.morphisms, _freeze(self.src.items()),
-                     _freeze(self.dst.items()), _freeze(self.identity.items()),
-                     _freeze(self.table.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((
+                self.objects, self.morphisms, _freeze(self.src.items()),
+                _freeze(self.dst.items()), _freeze(self.identity.items()),
+                _freeze(self.table.items()))))
+        return self._hash
 
     def id(self, obj: str) -> str:
         return self.identity[obj]
@@ -264,48 +272,6 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
     return Functor(f"{g.name}.{f.name}", f.source, g.target,
                    {o: g.obj_map[f.obj_map[o]] for o in f.source.objects},
                    {m: g.mor_map[f.mor_map[m]] for m in f.source.morphisms})
-
-
-@dataclass(frozen=True)
-class NatTrans:
-    """Natural transformation between parallel functors, as a component table."""
-
-    name: str
-    source: Functor
-    target: Functor
-    component: Mapping[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "component", dict(self.component))
-
-    def validate(self) -> list[str]:
-        f, g = self.source, self.target
-        if f.source != g.source or f.target != g.target:
-            return ["functors are not parallel"]
-        cat, amb = f.source, f.target
-        errs = []
-        for o in cat.objects:
-            a = self.component.get(o)
-            if a not in amb.morphisms:
-                errs.append(f"no component at {o!r}")
-                continue
-            if amb.src[a] != f.obj_map[o] or amb.dst[a] != g.obj_map[o]:
-                errs.append(f"component at {o!r} has wrong endpoints")
-        if errs:
-            return errs
-        for m in cat.morphisms:
-            a, b = cat.src[m], cat.dst[m]
-            lhs = amb.compose(self.component[b], f.mor_map[m])
-            rhs = amb.compose(g.mor_map[m], self.component[a])
-            if lhs != rhs:
-                errs.append(f"naturality square fails at {m!r}")
-        return errs
-
-    def assert_valid(self):
-        errs = self.validate()
-        if errs:
-            raise FinCatError(f"nat trans {self.name}: " + "; ".join(errs[:8]))
-        return self
 
 
 def opposite(c: FinCat) -> FinCat:

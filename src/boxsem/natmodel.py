@@ -14,13 +14,16 @@ good data, only :meth:`Universe.encode` refuses them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iproduct
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .fincat import FinCat, Slice, slice_category
-from .presheaf import (Elements, Presheaf, PresheafMap, category_of_elements,
-                       compose_maps, enumerate_families, hom_maps, terminal_presheaf)
+from .presheaf import (Elements, FamilyTable, Presheaf, PresheafMap,
+                       category_of_elements, compose_maps, hom_maps,
+                       terminal_presheaf)
 
 
 class BoundExceeded(Exception):
@@ -43,6 +46,9 @@ class TypeOverContext:
     context: Presheaf
     fiber: Mapping[tuple[str, int], int]
     restriction: Mapping[tuple[str, int], tuple[int, ...]]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    # subst_type results, keyed by the id of the substitution (held weakly)
+    _subst: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fiber", dict(self.fiber))
@@ -50,14 +56,18 @@ class TypeOverContext:
                            {k: tuple(v) for k, v in dict(self.restriction).items()})
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TypeOverContext):
             return NotImplemented
         return (self.context == other.context and self.fiber == other.fiber
                 and self.restriction == other.restriction)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.fiber.items())),
-                     tuple(sorted(self.restriction.items()))))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((tuple(sorted(self.fiber.items())),
+                                                    tuple(sorted(self.restriction.items())))))
+        return self._hash
 
     def size(self, obj: str, g: int) -> int:
         return self.fiber[(obj, g)]
@@ -119,17 +129,22 @@ class TermOverContext:
 
     type: TypeOverContext
     pick: Mapping[tuple[str, int], int]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pick", dict(self.pick))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TermOverContext):
             return NotImplemented
         return self.type == other.type and self.pick == other.pick
 
     def __hash__(self):
-        return hash(tuple(sorted(self.pick.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(tuple(sorted(self.pick.items()))))
+        return self._hash
 
     def at(self, obj: str, g: int) -> int:
         return self.pick[(obj, g)]
@@ -167,19 +182,24 @@ class TypeMap:
     source: TypeOverContext
     target: TypeOverContext
     component: Mapping[tuple[str, int], tuple[int, ...]]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "component",
                            {k: tuple(v) for k, v in dict(self.component).items()})
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TypeMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.component == other.component)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.component.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(tuple(sorted(self.component.items()))))
+        return self._hash
 
     def apply(self, obj: str, g: int, a: int) -> int:
         return self.component[(obj, g)][a]
@@ -252,8 +272,24 @@ def apply_type_map(m: TypeMap, t: TermOverContext) -> TermOverContext:
 # Substitution (strict by construction)
 
 
+def _forget(memo: dict, key: int, ref: weakref.ref) -> None:
+    """Drop a substitution memo entry once its substitution is gone."""
+    if memo.get(key, (None,))[0] is ref:
+        del memo[key]
+
+
 def subst_type(a: TypeOverContext, s: PresheafMap) -> TypeOverContext:
-    """Reindex a type over ``target(s)`` along ``s : Delta -> Gamma``."""
+    """Reindex a type over ``target(s)`` along ``s : Delta -> Gamma``.
+
+    Memoized on the identity of ``(a, s)``, so substituting the same
+    objects twice gives back the same object.  The memo lives on ``a``
+    and holds ``s`` weakly: an entry lasts while both objects do, and a
+    long-lived type does not keep alive every map it was pulled back along.
+    """
+    key = id(s)
+    hit = a._subst.get(key)
+    if hit is not None and hit[0]() is s:
+        return hit[1]
     assert s.target == a.context, "substitution target mismatch"
     delta = s.source
     c = delta.base
@@ -261,7 +297,9 @@ def subst_type(a: TypeOverContext, s: PresheafMap) -> TypeOverContext:
              for i in c.objects for d in delta.elements(i)}
     restriction = {(f, d): a.restriction[(f, s.apply(c.dst[f], d))]
                    for f in c.morphisms for d in delta.elements(c.dst[f])}
-    return TypeOverContext(delta, fiber, restriction)
+    out = TypeOverContext(delta, fiber, restriction)
+    a._subst[key] = (weakref.ref(s, partial(_forget, a._subst, key)), out)
+    return out
 
 
 def subst_term(t: TermOverContext, s: PresheafMap) -> TermOverContext:
@@ -482,20 +520,16 @@ class Pi:
     base_type: TypeOverContext
     dep_type: TypeOverContext
     comp: Comprehension
-    slots: Mapping[tuple[str, int], tuple[tuple[str, str, int], ...]]
-    families: Mapping[tuple[str, int], tuple[tuple[int, ...], ...]]
-
-    def family(self, obj: str, g: int, idx: int) -> tuple[int, ...]:
-        return self.families[(obj, g)][idx]
+    tables: Mapping[tuple[str, int], FamilyTable]
 
     def family_index(self, obj: str, g: int, fam: tuple[int, ...]) -> int:
-        return self.families[(obj, g)].index(fam)
+        return self.tables[(obj, g)].family_pos[fam]
 
     def app(self, obj: str, g: int, idx: int, a: int) -> int:
         """Apply a function element at ``a in A(obj, g)`` (identity slot)."""
         c = self.type.context.base
-        k = self.slots[(obj, g)].index((obj, c.id(obj), a))
-        return self.families[(obj, g)][idx][k]
+        t = self.tables[(obj, g)]
+        return t.families[idx][t.slot_pos[(obj, c.id(obj), a)]]
 
     def intro(self, body: TermOverContext) -> TermOverContext:
         """Abstract a section of ``B`` over ``Gamma.A`` into a section of Pi."""
@@ -505,7 +539,7 @@ class Pi:
         for i in gamma.base.objects:
             for g in gamma.elements(i):
                 fam = tuple(body.pick[(j, self.comp.encode(j, gamma.act(f, g), x))]
-                            for (j, f, x) in self.slots[(i, g)])
+                            for (j, f, x) in self.tables[(i, g)].slots)
                 pick[(i, g)] = self.family_index(i, g, fam)
         return TermOverContext(self.type, pick)
 
@@ -515,12 +549,11 @@ def pi_type(a: TypeOverContext, b: TypeOverContext) -> Pi:
     assert b.context == ca.presheaf, "Pi needs B over Gamma.A"
     gamma = a.context
     c = gamma.base
-    slots, families = {}, {}
+    tables = {}
     for i in c.objects:
         for g in gamma.elements(i):
             sl = [(j, f, x) for j in c.objects for f in c.hom(j, i)
                   for x in range(a.fiber[(j, gamma.act(f, g))])]
-            index = {s: k for k, s in enumerate(sl)}
             sizes = [b.fiber[(j, ca.encode(j, gamma.act(f, g), x))] for (j, f, x) in sl]
             rules = []
             for (j, f, x) in sl:
@@ -528,26 +561,20 @@ def pi_type(a: TypeOverContext, b: TypeOverContext) -> Pi:
                 for m in c.morphisms:
                     if c.dst[m] != j or c.is_identity(m):
                         continue
-                    k = c.src[m]
-                    rules.append((index[(j, f, x)],
-                                  index[(k, c.compose(f, m), a.restrict(m, gf, x))],
+                    rules.append(((j, f, x),
+                                  (c.src[m], c.compose(f, m), a.restrict(m, gf, x)),
                                   b.restriction[(m, ca.encode(j, gf, x))]))
-            slots[(i, g)] = tuple(sl)
-            families[(i, g)] = tuple(enumerate_families(len(sl), sizes, rules))
-    fiber = {k: len(v) for k, v in families.items()}
+            tables[(i, g)] = FamilyTable(sl, sizes, rules)
+    fiber = {k: len(t.families) for k, t in tables.items()}
     restriction = {}
     for h in c.morphisms:
         i2, i = c.src[h], c.dst[h]
         for g in gamma.elements(i):
-            g2 = gamma.act(h, g)
-            vals = []
-            for fam in families[(i, g)]:
-                restricted = tuple(fam[slots[(i, g)].index((j, c.compose(h, f), x))]
-                                   for (j, f, x) in slots[(i2, g2)])
-                vals.append(families[(i2, g2)].index(restricted))
-            restriction[(h, g)] = tuple(vals)
+            t2 = tables[(i2, gamma.act(h, g))]
+            restriction[(h, g)] = tables[(i, g)].restriction(
+                t2, [(j, c.compose(h, f), x) for (j, f, x) in t2.slots])
     t = TypeOverContext(gamma, fiber, restriction)
-    return Pi(t, a, b, ca, slots, families)
+    return Pi(t, a, b, ca, tables)
 
 
 def type_terminal(gamma: Presheaf) -> TypeOverContext:
@@ -664,7 +691,7 @@ def exp_transpose(e: Pi, pr: TypeProduct, m: TypeMap) -> TypeMap:
         vals = []
         for c in range(n):
             fam = []
-            for (j, f, x) in e.slots[(i, g)]:
+            for (j, f, x) in e.tables[(i, g)].slots:
                 gf = gamma.act(f, g)
                 cf = c_type.restrict(f, g, c)
                 fam.append(m.component[(j, gf)][pr.pair(j, gf, cf, x)])
@@ -787,12 +814,13 @@ class Universe:
     slices: Mapping[str, Slice]
     codes: Mapping[str, tuple[Presheaf, ...]]
     point_pairs: Mapping[str, tuple[tuple[int, int], ...]]
+    code_pos: Mapping[str, Mapping[Presheaf, int]]
 
     def code(self, obj: str, idx: int) -> Presheaf:
         return self.codes[obj][idx]
 
     def code_index(self, obj: str, code: Presheaf) -> int:
-        return self.codes[obj].index(code)
+        return self.code_pos[obj][code]
 
     # decode / encode ------------------------------------------------------
     def decode(self, code_map: PresheafMap) -> TypeOverContext:
@@ -879,11 +907,11 @@ def hs_universe(model: NaturalModel) -> Universe:
     upt = Presheaf(c, pt_sizes, pt_action)
     proj = PresheafMap(upt, u, {i: tuple(n for (n, _) in point_pairs[i])
                                 for i in c.objects})
-    return Universe(model, u, upt, proj, slices, codes, point_pairs)
+    return Universe(model, u, upt, proj, slices, codes, point_pairs, code_index)
 
 
 # ---------------------------------------------------------------------------
-# Checks: typing equivalence, classifier, realignment, display topos
+# Checks: typing equivalence, classifier, realignment
 
 
 def all_display_maps_into(model: NaturalModel, gamma: Presheaf, size_bound: int) -> list[PresheafMap]:
@@ -950,7 +978,7 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
     Naturality compares code restriction with substitution along the
     Yoneda action.
     """
-    from .presheaf import yoneda, yoneda_label, yoneda_map
+    from .presheaf import yoneda, yoneda_map
     model = u.model
     c = model.base
     report = {"bijective": True, "natural": True}
@@ -1081,27 +1109,3 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
                                 return {"ok": False, "cases": cases,
                                         "reason": "decoded realigned code disagrees"}
     return {"ok": True, "cases": cases, "truncated": False}
-
-
-def display_topos_check(model: NaturalModel, size_bound: int = 2) -> dict:
-    """Monos are display maps, and the sieve classifier is bound-small.
-
-    The first half holds whenever the bound is at least one; the second
-    depends on the base category and is reported honestly either way.
-    """
-    from .presheaf import subobject_classifier, mono_maps
-    c = model.base
-    monos_display = model.bound >= 1
-    if monos_display:
-        for p in all_presheaves(c, size_bound):
-            for q in all_presheaves(c, size_bound):
-                for m in mono_maps(p, q):
-                    if not is_display(m, model.bound):
-                        monos_display = False
-                        break
-    om = subobject_classifier(c)
-    omega_max = max(om.presheaf.sizes.values(), default=0)
-    return {"monos_are_display": monos_display,
-            "omega_max": omega_max,
-            "omega_bounded": omega_max <= model.bound,
-            "ok": monos_display and omega_max <= model.bound}

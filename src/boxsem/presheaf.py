@@ -8,15 +8,17 @@ hold as data equality rather than up to isomorphism.
 The workhorse is :func:`enumerate_families`, a small backtracking
 enumerator for tuples subject to ``fam[j] == table[fam[i]]`` rules.
 Exponentials, right Kan extensions, matching families and (later)
-dependent products are all the same enumeration with different slots.
+dependent products are all the same enumeration with different slots;
+:class:`FamilyTable` packages one such enumeration with dict indexes on
+both its slots and its families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .fincat import FinCat, Functor, Site, FinCatError
+from .fincat import FinCat, Functor, Site
 
 
 class PresheafError(Exception):
@@ -58,6 +60,46 @@ def enumerate_families(n_slots: int, sizes: Sequence[int],
     return out
 
 
+class FamilyTable:
+    """The natural families over one tuple of slots, indexed both ways.
+
+    Invariants:
+
+    * ``families`` is exactly the output of :func:`enumerate_families`,
+      in its canonical lexicographic order, and a family's position there
+      is the element it stands for; carriers built from tables are
+      therefore canonical.
+    * ``slot_pos`` and ``family_pos`` invert ``slots`` and ``families``,
+      so locating a slot or a family is a dict lookup, never a scan.
+    * Each table makes one call to ``enumerate_families``, looked up as
+      a module global at construction time, so anything that replaces
+      that global (a tracer, a counter) sees every enumeration.
+    """
+
+    __slots__ = ("slots", "slot_pos", "families", "family_pos")
+
+    def __init__(self, slots: Iterable, sizes: Sequence[int],
+                 rules: Iterable[tuple[object, object, Sequence[int]]]):
+        """``sizes[k]`` bounds slot ``k``; a rule ``(s, t, table)`` on slot
+        keys asks ``fam[t] == table[fam[s]]``."""
+        self.slots = tuple(slots)
+        self.slot_pos = pos = {s: k for k, s in enumerate(self.slots)}
+        self.families = tuple(enumerate_families(
+            len(self.slots), sizes, [(pos[s], pos[t], tb) for (s, t, tb) in rules]))
+        self.family_pos = {f: k for k, f in enumerate(self.families)}
+
+    def select(self, keys: Iterable) -> list[int]:
+        """Positions of the given slots."""
+        return [self.slot_pos[k] for k in keys]
+
+    def restriction(self, target: "FamilyTable", keys: Iterable) -> tuple[int, ...]:
+        """The restriction table into ``target``: slot ``n`` of the
+        restricted family reads this table's slot ``keys[n]``."""
+        sel = self.select(keys)
+        pos = target.family_pos
+        return tuple(pos[tuple(fam[k] for k in sel)] for fam in self.families)
+
+
 @dataclass(frozen=True)
 class Presheaf:
     """A presheaf ``P`` on ``base`` with ``P(I) = range(sizes[I])``.
@@ -69,6 +111,7 @@ class Presheaf:
     base: FinCat
     sizes: Mapping[str, int]
     action: Mapping[str, tuple[int, ...]]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", dict(self.sizes))
@@ -76,14 +119,18 @@ class Presheaf:
                            {m: tuple(t) for m, t in dict(self.action).items()})
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Presheaf):
             return NotImplemented
         return (self.base == other.base and self.sizes == other.sizes
                 and self.action == other.action)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.sizes.items())),
-                     tuple(sorted(self.action.items()))))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((tuple(sorted(self.sizes.items())),
+                                                    tuple(sorted(self.action.items())))))
+        return self._hash
 
     def size(self, obj: str) -> int:
         return self.sizes[obj]
@@ -144,19 +191,24 @@ class PresheafMap:
     source: Presheaf
     target: Presheaf
     component: Mapping[str, tuple[int, ...]]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "component",
                            {o: tuple(t) for o, t in dict(self.component).items()})
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PresheafMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.component == other.component)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.component.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(tuple(sorted(self.component.items()))))
+        return self._hash
 
     def apply(self, obj: str, x: int) -> int:
         return self.component[obj][x]
@@ -252,10 +304,6 @@ def yoneda(c: FinCat, i: str) -> Presheaf:
 def yoneda_index(c: FinCat, i: str, f: str) -> int:
     """Position of ``f : J -> i`` inside ``y(i)(J)``."""
     return c.hom(c.src[f], i).index(f)
-
-
-def yoneda_label(c: FinCat, i: str, j: str, idx: int) -> str:
-    return c.hom(j, i)[idx]
 
 
 def yoneda_map(c: FinCat, f: str) -> PresheafMap:
@@ -519,62 +567,47 @@ class Exponential:
     """``Q^P`` with its evaluation data.
 
     An element of ``Q^P(I)`` is a natural family indexed by slots
-    ``(J, f : J -> I, x in P(J))``; ``families[I]`` lists them in
+    ``(J, f : J -> I, x in P(J))``; ``tables[I]`` lists them in
     canonical (lexicographic) order.
     """
 
     presheaf: Presheaf
     base_p: Presheaf
     base_q: Presheaf
-    slots: Mapping[str, tuple[tuple[str, str, int], ...]]
-    families: Mapping[str, tuple[tuple[int, ...], ...]]
+    tables: Mapping[str, FamilyTable]
 
     def family(self, obj: str, idx: int) -> tuple[int, ...]:
-        return self.families[obj][idx]
+        return self.tables[obj].families[idx]
 
     def family_index(self, obj: str, fam: tuple[int, ...]) -> int:
-        return self.families[obj].index(fam)
+        return self.tables[obj].family_pos[fam]
 
     def slot_index(self, obj: str, j: str, f: str, x: int) -> int:
-        return self.slots[obj].index((j, f, x))
+        return self.tables[obj].slot_pos[(j, f, x)]
 
     def ev_value(self, obj: str, idx: int, x: int) -> int:
         """Evaluate family ``idx`` at ``x in P(obj)`` (along the identity)."""
         c = self.presheaf.base
-        return self.families[obj][idx][self.slot_index(obj, obj, c.id(obj), x)]
+        return self.family(obj, idx)[self.slot_index(obj, obj, c.id(obj), x)]
 
 
 def exponential(p: Presheaf, q: Presheaf) -> Exponential:
     """The exponential presheaf ``Q^P`` over the same base."""
     c = p.base
-    slots, families = {}, {}
+    tables = {}
     for i in c.objects:
         sl = [(j, f, x) for j in c.objects for f in c.hom(j, i) for x in p.elements(j)]
-        index = {s: k for k, s in enumerate(sl)}
-        sizes = [q.sizes[j] for (j, _, _) in sl]
-        rules = []
-        for (j, f, x) in sl:
-            for g in c.morphisms:
-                if c.dst[g] != j or c.is_identity(g):
-                    continue
-                k = c.src[g]
-                rules.append((index[(j, f, x)],
-                              index[(k, c.compose(f, g), p.act(g, x))],
-                              q.action[g]))
-        slots[i] = tuple(sl)
-        families[i] = tuple(enumerate_families(len(sl), sizes, rules))
-    sizes = {i: len(families[i]) for i in c.objects}
-    action = {}
-    for h in c.morphisms:
-        i2, i = c.src[h], c.dst[h]  # h : i2 -> i, restriction Q^P(i) -> Q^P(i2)
-        mapped = []
-        for fam in families[i]:
-            restricted = tuple(fam[slots[i].index((j, c.compose(h, f), x))]
-                               for (j, f, x) in slots[i2])
-            mapped.append(families[i2].index(restricted))
-        action[h] = tuple(mapped)
-    exp = Presheaf(c, sizes, action)
-    return Exponential(exp, p, q, slots, families)
+        rules = [((j, f, x), (c.src[g], c.compose(f, g), p.act(g, x)), q.action[g])
+                 for (j, f, x) in sl for g in c.morphisms
+                 if c.dst[g] == j and not c.is_identity(g)]
+        tables[i] = FamilyTable(sl, [q.sizes[j] for (j, _, _) in sl], rules)
+    sizes = {i: len(tables[i].families) for i in c.objects}
+    # h : i2 -> i, restriction Q^P(i) -> Q^P(i2)
+    action = {h: tables[c.dst[h]].restriction(
+                  tables[c.src[h]],
+                  [(j, c.compose(h, f), x) for (j, f, x) in tables[c.src[h]].slots])
+              for h in c.morphisms}
+    return Exponential(Presheaf(c, sizes, action), p, q, tables)
 
 
 def ev_map(e: Exponential) -> tuple[PresheafMap, Product]:
@@ -600,7 +633,7 @@ def curry(e: Exponential, m: PresheafMap, prod: Product) -> PresheafMap:
         vals = []
         for rv in r.elements(i):
             fam = tuple(m.component[j][prod.pair_index(j, r.act(f, rv), x)]
-                        for (j, f, x) in e.slots[i])
+                        for (j, f, x) in e.tables[i].slots)
             vals.append(e.family_index(i, fam))
         comp[i] = tuple(vals)
     return PresheafMap(r, e.presheaf, comp).assert_valid()
@@ -675,17 +708,16 @@ class Ran:
     families over slots ``(J in A, f : u(J) -> I)``."""
 
     presheaf: Presheaf
-    slots: Mapping[str, tuple[tuple[str, str], ...]]
-    families: Mapping[str, tuple[tuple[int, ...], ...]]
+    tables: Mapping[str, FamilyTable]
 
     def family(self, obj: str, idx: int) -> tuple[int, ...]:
-        return self.families[obj][idx]
+        return self.tables[obj].families[idx]
 
     def family_index(self, obj: str, fam: tuple[int, ...]) -> int:
-        return self.families[obj].index(fam)
+        return self.tables[obj].family_pos[fam]
 
     def slot_index(self, obj: str, j: str, f: str) -> int:
-        return self.slots[obj].index((j, f))
+        return self.tables[obj].slot_pos[(j, f)]
 
 
 class KanAdjunction:
@@ -723,33 +755,19 @@ class KanAdjunction:
         if cached is not None:
             return cached
         a, c, u = self.small, self.big, self.u
-        slots, families = {}, {}
+        tables = {}
         for i in c.objects:
             sl = [(j, f) for j in a.objects for f in c.hom(u.obj_map[j], i)]
-            index = {s: k for k, s in enumerate(sl)}
-            sizes = [q.sizes[j] for (j, _) in sl]
-            rules = []
-            for (j, f) in sl:
-                for d in a.morphisms:
-                    if a.dst[d] != j or a.is_identity(d):
-                        continue
-                    j2 = a.src[d]
-                    rules.append((index[(j, f)],
-                                  index[(j2, c.compose(f, u.mor_map[d]))],
-                                  q.action[d]))
-            slots[i] = tuple(sl)
-            families[i] = tuple(enumerate_families(len(sl), sizes, rules))
-        sizes = {i: len(families[i]) for i in c.objects}
-        action = {}
-        for g in c.morphisms:
-            i2, i = c.src[g], c.dst[g]
-            mapped = []
-            for fam in families[i]:
-                restricted = tuple(fam[slots[i].index((j, c.compose(g, f)))]
-                                   for (j, f) in slots[i2])
-                mapped.append(families[i2].index(restricted))
-            action[g] = tuple(mapped)
-        out = Ran(Presheaf(c, sizes, action), slots, families)
+            rules = [((j, f), (a.src[d], c.compose(f, u.mor_map[d])), q.action[d])
+                     for (j, f) in sl for d in a.morphisms
+                     if a.dst[d] == j and not a.is_identity(d)]
+            tables[i] = FamilyTable(sl, [q.sizes[j] for (j, _) in sl], rules)
+        sizes = {i: len(tables[i].families) for i in c.objects}
+        action = {g: tables[c.dst[g]].restriction(
+                      tables[c.src[g]],
+                      [(j, c.compose(g, f)) for (j, f) in tables[c.src[g]].slots])
+                  for g in c.morphisms}
+        out = Ran(Presheaf(c, sizes, action), tables)
         self._ran_cache[q] = out
         return out
 
@@ -758,12 +776,10 @@ class KanAdjunction:
         c = self.big
         comp = {}
         for i in c.objects:
-            vals = []
-            for fam in rq.families[i]:
-                out = tuple(m.component[j][fam[k]]
-                            for k, (j, _) in enumerate(rq.slots[i]))
-                vals.append(rq2.family_index(i, out))
-            comp[i] = tuple(vals)
+            t, pos = rq.tables[i], rq2.tables[i].family_pos
+            cols = [m.component[j] for (j, _) in t.slots]
+            comp[i] = tuple(pos[tuple(col[v] for col, v in zip(cols, fam))]
+                            for fam in t.families)
         return PresheafMap(rq.presheaf, rq2.presheaf, comp)
 
     # unit and counit ---------------------------------------------------------
@@ -775,7 +791,7 @@ class KanAdjunction:
         for i in c.objects:
             vals = []
             for x in p.elements(i):
-                fam = tuple(p.act(f, x) for (_, f) in r.slots[i])
+                fam = tuple(p.act(f, x) for (_, f) in r.tables[i].slots)
                 vals.append(r.family_index(i, fam))
             comp[i] = tuple(vals)
         return PresheafMap(p, r.presheaf, comp)
@@ -789,7 +805,7 @@ class KanAdjunction:
         for x in a.objects:
             i = self.u.obj_map[x]
             k = r.slot_index(i, x, self.big.id(i))
-            comp[x] = tuple(r.families[i][v][k] for v in range(rest.sizes[x]))
+            comp[x] = tuple(r.family(i, v)[k] for v in range(rest.sizes[x]))
         return PresheafMap(rest, q, comp)
 
 
@@ -846,22 +862,3 @@ def sheaf_check(site: Site, p: Presheaf) -> SheafReport:
                                      "sieve": tuple(sorted(sieve)), "family": fam,
                                      "amalgamations": tuple(ams)})
     return SheafReport(not failures, tuple(failures))
-
-
-def elements_coverage(site: Site, p: Presheaf) -> tuple[Elements, Site]:
-    """The induced coverage on the category of elements of ``p``.
-
-    A sieve on ``(I, e)`` covers exactly when its underlying base sieve
-    covers ``I``; the member over ``g`` then necessarily carries the
-    restricted element ``P(g)(e)``, so the cover is the same thing as a
-    matching family whose amalgamation is ``e``.
-    """
-    el = category_of_elements(p)
-    covers = {}
-    for i in site.cat.objects:
-        for x in p.elements(i):
-            here = []
-            for s in site.covering(i):
-                here.append(frozenset(f"{g}#{x}" for g in s))
-            covers[el.obj_name(i, x)] = tuple(here)
-    return el, Site(el.cat, covers, mode="coverage").assert_valid()

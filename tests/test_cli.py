@@ -1,6 +1,9 @@
 """End to end runs of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +128,41 @@ def test_enumeration_ceiling_exit_code(monkeypatch, capsys):
     assert main(["model", "coalgebras", "two"]) == 3
     err = capsys.readouterr().err
     assert "ceiling" in err
+
+
+def test_capped_realignment_is_partial_not_pass(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("BOXSEM_CEILING", "10")
+    out_file = tmp_path / "universe.json"
+    assert main(["model", "universe", "two", "--bound", "2",
+                 "--out", str(out_file)]) == 3
+    out = capsys.readouterr().out
+    assert "PARTIAL realignment along monos (10 cases)" in out
+    assert "PASS realignment" not in out
+    assert out.strip().splitlines()[-1].startswith("PARTIAL")
+    assert json.loads(out_file.read_text())["truncated"] is True
+
+
+def _model_file(tmp_path, edit) -> Path:
+    spec = json.loads((ROOT / "models" / "two.json").read_text())
+    edit(spec)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda spec: spec["presheaves"]["flagship"].pop("sizes"),
+    lambda spec: spec.update(bound="x"),
+    lambda spec: spec["presheaves"]["flagship"].update(actions={"0->1": ["a", "b", "c"]}),
+], ids=["presheaf-without-sizes", "bound-not-an-integer", "actions-not-integers"])
+def test_malformed_model_files_are_bad_input(tmp_path, edit):
+    path = _model_file(tmp_path, edit)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "boxsem.cli", "model", "laws", str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error:")
 
 
 def test_ceiling_must_be_an_integer(monkeypatch, capsys):

@@ -1,7 +1,10 @@
 """Comonads, their coalgebras, and the structured type theory inside."""
 
+from pathlib import Path
+
 import pytest
 
+from boxsem.cli import load_model
 from boxsem.coalg import (
     Coalgebra,
     ComonadError,
@@ -34,8 +37,12 @@ from boxsem.coalg import (
 )
 from boxsem.fincat import Functor
 from boxsem.natmodel import NaturalModel, all_presheaves, hs_universe
-from boxsem.presheaf import KanAdjunction, compose_maps, hom_maps, identity_map
+from boxsem.presheaf import (KanAdjunction, Presheaf, compose_maps, hom_maps,
+                             identity_map)
 from boxsem.standard import discrete, terminal_category, walking_arrow
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +113,21 @@ def test_cofree_coalgebra_is_right_adjoint_to_forgetting(flagship):
             assert len(structured) == len(plain)
             down = {compose_maps(flagship.counit(q), h) for h in structured}
             assert down == set(plain)
+
+
+def test_cofree_coalgebra_on_a_wide_carrier_over_chain3():
+    """The points comonad of ``0 -> 1 -> 2`` sends carrier sizes
+    ``(n0, n1, n2)`` to ``(n0, n0 n1, n0 n1 n2)``: a family at ``k``
+    picks one element over every point below ``k``.  The Kan extension
+    used to locate restricted families by linear scan, which made this
+    carrier take over a minute."""
+    w = load_model(str(ROOT / "models" / "chain3.json")).comonad
+    small = w.model.base
+    sizes = dict(zip(small.objects, (3, 3, 3)))
+    q = Presheaf(small, sizes, {small.id(o): tuple(range(n)) for o, n in sizes.items()})
+    f = cofree_coalgebra(w, q)
+    assert tuple(f.carrier.sizes[o] for o in small.objects) == (3, 9, 27)
+    assert coalgebra_laws(w, f) == []
 
 
 def test_terminal_coalgebra_is_terminal(flagship):

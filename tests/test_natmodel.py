@@ -1,6 +1,8 @@
 """Dependent types over presheaf contexts and the slice-functor universe."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -95,6 +97,26 @@ def test_subst_is_functorial(two, gamma, a_type):
             lhs = subst_type(subst_type(a_type, s), r)
             rhs = subst_type(a_type, compose_maps(s, r))
             assert lhs == rhs
+
+
+def test_subst_is_memoized_on_the_identity_of_its_arguments(two, gamma, a_type):
+    y0 = yoneda(two, "0")
+    for s in hom_maps(y0, gamma):
+        once = subst_type(a_type, s)
+        assert subst_type(a_type, s) is once
+        # an equal but distinct substitution is a separate entry with an
+        # equal (and equally hashed) result
+        twin = compose_maps(s, identity_map(y0))
+        assert twin is not s
+        again = subst_type(a_type, twin)
+        assert again is not once and again == once and hash(again) == hash(once)
+    # the memo does not keep a substitution alive
+    s = compose_maps(hom_maps(y0, gamma)[0], identity_map(y0))
+    subst_type(a_type, s)
+    gone = weakref.ref(s)
+    del s
+    gc.collect()
+    assert gone() is None
 
 
 def test_q_map_fills_the_pullback_square(two, gamma, a_type):
