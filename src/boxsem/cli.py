@@ -49,7 +49,7 @@ from .presheaf import (
     sheaf_check,
     terminal_presheaf,
 )
-from .s4dtt import CheckError, ParseError, check_module, parse, recheck
+from .s4dtt import CheckError, Module, ParseError, check_module, parse, recheck
 from .standard import discrete, discrete_two_site, sierpinski_site, walking_arrow
 
 EXIT_OK = 0
@@ -226,18 +226,23 @@ def _status(ok: bool, truncated: bool = False) -> str:
 # Commands
 
 
-def cmd_check(args) -> int:
+def read_module(path: str) -> Module:
+    """Read a surface module as UTF-8 and parse it; any failure is BadInput."""
     try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        mod = parse(text)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
     except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise BadInput(f"parse error: {e}")
+    except RecursionError:
+        raise BadInput(f"parse error: {path}: terms nest too deeply")
+    except UnicodeDecodeError as e:
+        raise BadInput(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
+    except OSError as e:
+        raise BadInput(str(e))
+
+
+def cmd_check(args) -> int:
+    mod = read_module(args.file)
     try:
         derivations = check_module(mod)
     except CheckError as e:
@@ -264,19 +269,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_interpret(args) -> int:
-    try:
-        bundle = load_model(args.model)
-        if bundle.comonad is None:
-            raise BadInput(f"model {bundle.name!r} declares no comonad")
-        with open(args.file) as fh:
-            text = fh.read()
-        mod = parse(text)
-    except (OSError, BadInput) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    bundle = load_model(args.model)
+    if bundle.comonad is None:
+        raise BadInput(f"model {bundle.name!r} declares no comonad")
+    mod = read_module(args.file)
     try:
         check_module(mod)
     except CheckError as e:

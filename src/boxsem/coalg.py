@@ -691,9 +691,6 @@ class CoalgebraCategory:
     coalgebras: tuple[Coalgebra, ...]
     homs: Mapping[tuple[int, int], tuple[PresheafMap, ...]]
 
-    def forget(self, cg: Coalgebra) -> Presheaf:
-        return cg.carrier
-
     def cofree(self, q: Presheaf) -> Coalgebra:
         return cofree_coalgebra(self.comonad, q)
 
@@ -825,9 +822,6 @@ class IndexedComonadInstance:
 
     def box_map(self, m: TypeMap) -> TypeMap:
         return self.comonad.bbox_type_map(self.at, m)
-
-    def box_term(self, t: TermOverContext) -> TermOverContext:
-        return self.comonad.bbox_term(self.at, t)
 
     def counit(self, a: TypeOverContext) -> TypeMap:
         return self.comonad.fiber_counit(self.at, a)

@@ -218,12 +218,6 @@ class Functor:
     def __hash__(self):
         return hash((_freeze(self.obj_map.items()), _freeze(self.mor_map.items())))
 
-    def on_obj(self, o: str) -> str:
-        return self.obj_map[o]
-
-    def on_mor(self, m: str) -> str:
-        return self.mor_map[m]
-
     def validate(self) -> list[str]:
         errs = []
         for o in self.source.objects:
@@ -295,9 +289,6 @@ class Slice:
     base: FinCat
     apex: str
     proj: Functor
-
-    def mor_name(self, h: str, f: str) -> str:
-        return f"{h}@{f}"
 
 
 def slice_category(c: FinCat, apex: str) -> Slice:

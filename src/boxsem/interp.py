@@ -434,7 +434,7 @@ def beta_substitution_check(tgt: SemanticTarget, sig: Signature,
     """
     if not isinstance(tm.scrutinee, Shut):
         raise InterpretationGap("eliminator is not a redex")
-    reduct = substitute(tm.body, tm.binder, tm.scrutinee.body, mode="modal")
+    reduct = substitute(tm.body, tm.binder, tm.scrutinee.body)
     lhs, _ = tgt.term(sig, tele, tm, ty)
     rhs, _ = tgt.term(sig, tele, reduct, ty)
     return lhs == rhs

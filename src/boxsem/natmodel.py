@@ -861,9 +861,6 @@ class Universe:
             comp[i] = tuple(vals)
         return PresheafMap(gamma, self.presheaf, comp)
 
-    def point_index(self, obj: str, code_idx: int, x: int) -> int:
-        return self.point_pairs[obj].index((code_idx, x))
-
 
 def hs_universe(model: NaturalModel) -> Universe:
     c = model.base

@@ -281,11 +281,6 @@ def terminal_presheaf(c: FinCat) -> Presheaf:
     return constant_presheaf(c, 1)
 
 
-def terminal_map(p: Presheaf) -> PresheafMap:
-    one = terminal_presheaf(p.base)
-    return PresheafMap(p, one, {o: (0,) * p.sizes[o] for o in p.base.objects})
-
-
 # ---------------------------------------------------------------------------
 # Yoneda
 
@@ -337,10 +332,6 @@ class Elements:
     def split_obj(self, name: str) -> tuple[str, int]:
         o, x = name.rsplit("#", 1)
         return o, int(x)
-
-    def split_mor(self, name: str) -> tuple[str, int]:
-        f, y = name.rsplit("#", 1)
-        return f, int(y)
 
 
 def category_of_elements(p: Presheaf) -> Elements:
@@ -820,9 +811,6 @@ class SheafReport:
 
     def uniqueness_failures(self):
         return [f for f in self.failures if f["kind"] == "uniqueness failure"]
-
-    def existence_failures(self):
-        return [f for f in self.failures if f["kind"] == "existence failure"]
 
 
 def matching_families(site: Site, p: Presheaf, obj: str, sieve: frozenset[str]) -> list[dict[str, int]]:

@@ -7,14 +7,14 @@ Contexts come in two zones: modal hypotheses written ``u :: A`` and
 ordinary ones written ``x : A``.  Types are base constants and ``Box``.
 
 The checker produces derivation trees that an independent validator can
-replay rule by rule, and definitional equality is decided by reducing
-the box redexes and then searching a bounded neighborhood of unfolding
-and refolding steps.
+replay rule by rule, and definitional equality is decided by comparing
+normal forms under beta and eta (see ``normal_form``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterator, Mapping, Union
 
 
@@ -434,7 +434,7 @@ def canonicalize(tm: TermExpr, depth: int = 0,
     """Rename binders to position-determined names.
 
     Alpha-equivalence becomes data equality afterwards, which is what
-    the equality search and the corpus oracles compare.
+    normal forms and the corpus oracles compare.
     """
     env = env or {}
     if isinstance(tm, Var):
@@ -463,17 +463,11 @@ def _fresh_name(base: str, avoid: frozenset[str]) -> str:
     return f"{base}{k}"
 
 
-def substitute(tm: TermExpr | TypeExpr, target: str, s: TermExpr,
-               mode: str = "modal") -> TermExpr | TypeExpr:
+def substitute(tm: TermExpr | TypeExpr, target: str, s: TermExpr) -> TermExpr | TypeExpr:
     """Capture-avoiding substitution of ``s`` for the variable ``target``.
 
-    Types contain no term variables, so they pass through unchanged;
-    ``mode`` records whether a modal or an ordinary hypothesis is being
-    discharged, which matters to callers validating preconditions but
-    not to the traversal itself.
+    Types contain no term variables, so they pass through unchanged.
     """
-    if mode not in ("modal", "ordinary"):
-        raise ValueError(f"unknown substitution mode {mode!r}")
     if isinstance(tm, (BaseType, BoxType)):
         return tm
     if isinstance(tm, Var):
@@ -481,16 +475,16 @@ def substitute(tm: TermExpr | TypeExpr, target: str, s: TermExpr,
     if isinstance(tm, Const):
         return tm
     if isinstance(tm, Shut):
-        return Shut(substitute(tm.body, target, s, mode))
-    scrut = substitute(tm.scrutinee, target, s, mode)
+        return Shut(substitute(tm.body, target, s))
+    scrut = substitute(tm.scrutinee, target, s)
     if tm.binder == target:
         return LetBox(tm.binder, scrut, tm.body)
     if tm.binder in free_vars(s) and target in free_vars(tm.body):
         fresh = _fresh_name(tm.binder, free_vars(s) | free_vars(tm.body) | {target})
-        body = substitute(tm.body, tm.binder, Var(fresh), mode)
+        body = substitute(tm.body, tm.binder, Var(fresh))
     else:
         fresh, body = tm.binder, tm.body
-    return LetBox(fresh, scrut, substitute(body, target, s, mode))
+    return LetBox(fresh, scrut, substitute(body, target, s))
 
 
 # ---------------------------------------------------------------------------
@@ -778,125 +772,124 @@ def redex_count(tm: TermExpr) -> int:
     return own + redex_count(tm.scrutinee) + redex_count(tm.body)
 
 
-def _replace(tm: TermExpr, old: TermExpr, new: TermExpr) -> TermExpr:
-    if tm == old:
-        return new
-    if isinstance(tm, (Var, Const)):
-        return tm
-    if isinstance(tm, Shut):
-        return Shut(_replace(tm.body, old, new))
-    return LetBox(tm.binder, _replace(tm.scrutinee, old, new),
-                  _replace(tm.body, old, new))
+def _flatten(tm: TermExpr, env: Mapping[str, TermExpr],
+             lets: list[tuple[str, TermExpr]], fresh: Iterator[int]) -> TermExpr:
+    """Append the eliminators of one scope to ``lets`` and return its tail.
 
-
-def _subterms(tm: TermExpr) -> Iterator[TermExpr]:
-    yield tm
-    if isinstance(tm, Shut):
-        yield from _subterms(tm.body)
-    elif isinstance(tm, LetBox):
-        yield from _subterms(tm.scrutinee)
-        yield from _subterms(tm.body)
-
-
-def _foldable(body: TermExpr, u: str, inside_box: bool = False) -> bool:
-    """Whether every occurrence of ``u`` in ``body`` is a boxed variable
-    at a position an ordinary motive variable could occupy.
-
-    Occurrences under a further box cannot be abstracted, because an
-    ordinary variable is invisible there, and a bare occurrence is not
-    of the shape the unfolding equation produces.
+    ``env`` says what each let binder in scope stands for: the fresh
+    binder of its eliminator, or the normal form of the box body it was
+    bound to by beta, flattened again at every use.  Fresh binders start
+    with ``#``, which no parsed name does.
     """
-    if body == Shut(Var(u)):
-        return not inside_box
-    if isinstance(body, Var):
-        return body.name != u
-    if isinstance(body, Const):
-        return True
-    if isinstance(body, Shut):
-        return _foldable(body.body, u, True)
-    if body.binder == u:
-        return _foldable(body.scrutinee, u, inside_box)
-    return _foldable(body.scrutinee, u, inside_box) and \
-        _foldable(body.body, u, inside_box)
+    while isinstance(tm, LetBox):
+        s = _flatten(tm.scrutinee, env, lets, fresh)
+        if isinstance(s, Shut):
+            value = s.body
+        else:
+            value = Var(f"#{next(fresh)}")
+            lets.append((value.name, s))
+        env = {**env, tm.binder: value}
+        tm = tm.body
+    if isinstance(tm, Var) and tm.name in env:
+        return _flatten(env[tm.name], {}, lets, fresh)
+    if isinstance(tm, Shut):
+        return Shut(_scope(tm.body, env, fresh))
+    return tm
 
 
-def _eta_moves(tm: TermExpr, avoid: frozenset[str]) -> Iterator[TermExpr]:
-    """Single unfolding or refolding steps at any position.
+def _scope(tm: TermExpr, env: Mapping[str, TermExpr],
+           fresh: Iterator[int]) -> TermExpr:
+    """One scope in normal form, up to the names of its binders."""
+    lets: list[tuple[str, TermExpr]] = []
+    tail = _flatten(tm, env, lets, fresh)
+    # A scrutinee only names earlier binders, so one backward pass drops
+    # every let that the tail does not depend on.  What is left is the
+    # chain of the tail's one free variable, last let first.
+    live = set(free_vars(tail))
+    chain = []
+    for binder, atom in reversed(lets):
+        if binder in live:
+            chain.append((binder, atom))
+            live |= free_vars(atom)
+    # A tail box(u) thus ends the chain at u, which occurs nowhere else.
+    if isinstance(tail, Shut) and chain and tail.body == Var(chain[0][0]):
+        tail, chain = chain[0][1], chain[1:]
+    for binder, atom in chain:
+        tail = LetBox(binder, atom, tail)
+    return tail
 
-    Refolding turns ``let box u := s in t[box(u)/x]`` into ``t[s/x]``
-    when the body is of that shape; unfolding wraps a subterm in the
-    identity eliminator.  Callers discard any move that breaks typing,
-    so only genuine equality instances survive.  Terms are expected in
-    canonical binder form, which rules out shadowing inside a body.
+
+def normal_form(tm: TermExpr) -> TermExpr:
+    """The normal form of a well-typed term under beta and eta.
+
+    The equations are beta, ``let box u := box(M) in N = N[M/u]``, and
+    eta with an ordinary motive, ``let box u := s in t[box(u)/x] = t[s/x]``
+    for ``u`` not free in ``t`` and an ordinary variable ``x``, which
+    therefore occurs under no box.  As ``Box`` has a single constructor,
+    this extensional eta of a positive type needs no search (compare
+    Lindley, *Extensional rewriting with sums*, TLCA 2007).
+
+    The form is computed per scope, which is the top level or the body
+    of one ``box(...)``.  A let never moves across a box, since the
+    motive variable of eta cannot occur under one.  Within a scope:
+
+    1. beta-reduce, substituting the body of a box for its binder;
+    2. give every binder a fresh name;
+    3. flatten the scope by commuting conversions into a chain of
+       ``let box u := a`` over atoms ``a`` (variables and constants) and
+       a tail that is an atom or ``box(M)``, reducing the redexes this
+       exposes;
+    4. normalize each ``M`` as its own scope;
+    5. drop the lets whose binder is unused, then refold a tail
+       ``box(u)`` into ``u``'s scrutinee;
+    6. canonicalize the binders.
+
+    Steps 1 to 4 are one pass of ``_flatten``, whose environment maps
+    each binder to its fresh name or to the body it was bound to.
+
+    A term of this calculus has a single leaf.  So, by induction on
+    scopes, after step 5 a scope has at most one free variable, and its
+    lets form one chain from an atom bound outside the scope to the
+    tail.  Normal forms for positive eliminators in general also share
+    the lets of one atom and order independent chains; here no two live
+    lets scrutinize one atom and there is no second chain, so both of
+    those steps would find nothing to do.
+
+    Soundness: every step is an instance of beta or of eta.  Renaming is
+    alpha.  Commuting ``let box u := (let box v := s in t) in r`` to
+    ``let box v := s in let box u := t in r`` is eta at ``s`` with the
+    motive ``let box u := (let box v := x in t) in r``, then one beta
+    step.  An unused let goes by eta with a motive free of ``x``; a tail
+    ``box(u)`` refolds by eta with ``x`` as the tail.  In each motive
+    ``x`` sits in the scope, under no box.
+
+    Completeness: the normal form of a scope is its tail and the chain
+    feeding the tail's free variable, with canonical names; it remains
+    to see that each step of the equations preserves it.  A beta step
+    does, since step 1 performs every redex, those created by
+    substitution included.  So does an eta step
+    ``t[s/x] ~ let box u := s in t[box(u)/x]``: say ``s`` flattens to
+    lets ``L`` and a tail.  If the tail is ``box(M)``, beta turns the
+    right side into the left.  If it is an atom ``a``, every occurrence
+    of ``x`` is in the scope.  As a scrutinee, the left side's copy of
+    ``L`` and ``let box w := a`` match the right side's ``L`` and ``u``,
+    since ``let box w := box(u)`` reduces to ``w := u``.  As the tail,
+    the right side's ``box(u)`` ends the chain at ``u`` and refolds to
+    ``a``.  Lets off the chain, among them ``u`` when ``x`` does not
+    occur, are dropped on both sides.  Each scope is formed from the
+    normal forms of the scopes inside it, so congruence holds too, and
+    terms equal under the equations have one normal form.
     """
-    if isinstance(tm, LetBox):
-        if _foldable(tm.body, tm.binder):
-            yield _replace(tm.body, Shut(Var(tm.binder)), tm.scrutinee)
-        for s2 in _eta_moves(tm.scrutinee, avoid):
-            yield LetBox(tm.binder, s2, tm.body)
-        for b2 in _eta_moves(tm.body, avoid | {tm.binder}):
-            yield LetBox(tm.binder, tm.scrutinee, b2)
-    elif isinstance(tm, Shut):
-        for b2 in _eta_moves(tm.body, avoid):
-            yield Shut(b2)
-    for sub in _subterms(tm):
-        fresh = _fresh_name("_u", avoid | free_vars(tm))
-        wrapped = LetBox(fresh, sub, Shut(Var(fresh)))
-        out = _replace(tm, sub, wrapped)
-        if out != tm:
-            yield out
+    return canonicalize(_scope(tm, {}, count()))
 
 
 def defeq(sig: Signature, tele: Telescope, t1: TermExpr, t2: TermExpr,
-          ty: TypeExpr, fuel: int = 3, frontier_cap: int = 512) -> bool:
+          ty: TypeExpr) -> bool:
     """Decide definitional equality at a type.
 
-    Reduces both sides to box-normal form, then searches outward from
-    both with single unfolding or refolding steps, normalizing after
-    each and keeping only well-typed results, until the explored sets
-    meet or the fuel runs out.  Sound by construction; bounded, so
-    completeness is only as good as the corpus that exercises it.
+    Both sides must check against ``ty`` (a ``CheckError`` says which
+    does not); they are then equal exactly when their normal forms are.
     """
     check_term(sig, tele, t1, ty)
     check_term(sig, tele, t2, ty)
-    avoid = frozenset(tele.names())
-
-    def canon(t: TermExpr) -> TermExpr:
-        return canonicalize(beta_normalize(t))
-
-    def welltyped(t: TermExpr) -> bool:
-        try:
-            check_term(sig, tele, t, ty)
-            return True
-        except CheckError:
-            return False
-
-    def grow(frontier: list[TermExpr], seen: set[TermExpr],
-             other: set[TermExpr]) -> list[TermExpr] | None:
-        nxt = []
-        for t in frontier:
-            for m in _eta_moves(t, avoid):
-                c = canon(m)
-                if c in seen or len(seen) >= frontier_cap or not welltyped(c):
-                    continue
-                if c in other:
-                    return None
-                seen.add(c)
-                nxt.append(c)
-        return nxt
-
-    left, right = canon(t1), canon(t2)
-    if left == right:
-        return True
-    seen_l, seen_r = {left}, {right}
-    frontier_l, frontier_r = [left], [right]
-    for _ in range(fuel):
-        frontier_l = grow(frontier_l, seen_l, seen_r)
-        if frontier_l is None:
-            return True
-        frontier_r = grow(frontier_r, seen_r, seen_l)
-        if frontier_r is None:
-            return True
-        if not frontier_l and not frontier_r:
-            break
-    return False
+    return normal_form(t1) == normal_form(t2)

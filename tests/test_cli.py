@@ -59,6 +59,25 @@ def test_check_missing_file_is_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_bytes(b"type A;\n\xff\xfe check |- a : A;\n"),
+    lambda path: path.write_text("type A;\nconst a0 : A;\ncheck |- "
+                                 + "box(" * 1500 + "a0" + ")" * 1500 + " : A;\n"),
+], ids=["not-utf-8", "1500-nested-boxes"])
+@pytest.mark.parametrize("command", [["check"], ["interpret", "--model", "two"]],
+                         ids=["check", "interpret"])
+def test_unreadable_surface_input_is_bad_input(tmp_path, write, command):
+    path = tmp_path / "input.s4"
+    write(path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "boxsem.cli", command[0], str(path),
+                          *command[1:]],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error:") and len(run.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("model", ["one", "two"])
 def test_interpret_corpus_in_shipped_comonads(model, capsys):
     assert main(["interpret", "corpus/t4.s4", "--model", model]) == 0

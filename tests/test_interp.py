@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from boxsem.cli import load_model
 from boxsem.coalg import KanAdjunction, comonad_from_adjunction, identity_comonad
 from boxsem.fincat import Functor
 from boxsem.interp import (
@@ -23,11 +24,13 @@ from boxsem.s4dtt import (
     Telescope,
     Var,
     check_module,
+    defeq,
     parse,
 )
 from boxsem.standard import discrete, terminal_category, walking_arrow
 
-CORPUS = (Path(__file__).resolve().parent.parent / "corpus" / "t4.s4").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = (ROOT / "corpus" / "t4.s4").read_text()
 
 THREADING_NOTE = ("eliminator interpreted under a nonempty ordinary zone "
                   "by threading the section through the comprehensions")
@@ -181,3 +184,40 @@ def test_harness_failure_entries_carry_the_reason(flagship, corpus):
     assert not report["ok"]
     failed = [e for e in report["directives"] if not e.get("defined", True)]
     assert failed and all("reason" in e for e in failed)
+
+
+
+def _reversal(types: str, left_body: str, right_body: str) -> str:
+    """``let box e_i := y_i`` in index order against the reverse order."""
+    hyps = ", ".join(f"y{i} : Box {t}" for i, t in enumerate(types))
+    left, right = left_body, right_body
+    for i in reversed(range(len(types))):
+        left = f"let box e{i} := y{i} in {left}"
+    for i in range(len(types)):
+        right = f"let box e{i} := y{i} in {right}"
+    return f"type A;\ntype B;\nequal | {hyps} |- {left} == {right} : A;\n"
+
+
+@pytest.mark.parametrize("model,types", [
+    # Five two-point hypotheses put 1024 elements in the context over one
+    # object of `two`, and the harness then takes about a minute; here B
+    # has a single point, so that context has 32 elements.
+    ("two", "AAABB"),
+    ("disc2", "AAAAA"),
+])
+def test_reversal_of_five_eliminators_is_sound(model, types):
+    """The reversal of five eliminators is decided equal and interprets
+    to equal sections; projecting another hypothesis is neither."""
+    comonad = load_model(str(ROOT / "models" / f"{model}.json")).comonad
+    tgt = SemanticTarget(comonad, model, base_sizes={"B": 1})
+    report = soundness_harness(tgt, parse(_reversal(types, "e0", "e0")))
+    (entry,) = report["directives"]
+    assert report["ok"] and entry["defined"]
+    assert entry["syntactic"] and entry["semantic_equal"]
+    # the harness would search automorphisms for a near miss here, so
+    # the unequal pair is interpreted directly
+    mod = parse(_reversal(types, "e0", "e1"))
+    (d,) = mod.directives
+    assert not defeq(mod.signature, d.telescope, d.left, d.right, d.type)
+    res = interpret(tgt, mod.signature, d)
+    assert res.defined and res.value[0] != res.value[1]

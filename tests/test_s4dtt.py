@@ -1,5 +1,6 @@
 """Kernel tests: parsing, checking, replay, and decided equality."""
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -271,10 +272,33 @@ def test_beta_reduction_validates_against_the_checker():
             assert defeq(mod.signature, d.telescope, tm, n, d.type)
 
 
-def test_defeq_respects_the_fuel_budget():
-    tele = Telescope(ordinary=(("y", BoxType(BaseType("A"))),))
-    lhs = parse_term("let box u := y in box(u)", SIG)
-    rhs = parse_term("y", SIG)
-    ty = BoxType(BaseType("A"))
-    assert defeq(SIG, tele, lhs, rhs, ty, fuel=1)
-    assert not defeq(SIG, tele, lhs, rhs, ty, fuel=0)
+def _two_orders(width: int, left_body: str, right_body: str) -> str:
+    """``let box e_i := y_i`` in index order against the reverse order."""
+    hyps = ", ".join(f"y{i} : Box A" for i in range(width))
+    left, right = left_body, right_body
+    for i in reversed(range(width)):
+        left = f"let box e{i} := y{i} in {left}"
+    for i in range(width):
+        right = f"let box e{i} := y{i} in {right}"
+    return f"equal | {hyps} |- {left} == {right} : A;"
+
+
+def _shared_lets(n: int) -> str:
+    body = "box(u0)"
+    for i in reversed(range(n)):
+        body = f"let box u{i} := y in {body}"
+    return f"equal | y : Box A |- {body} == y : Box A;"
+
+
+@pytest.mark.parametrize("source,expected", [
+    *[pytest.param(_two_orders(w, "e0", "e0"), True, id=f"reversal-{w}")
+      for w in (5, 6, 7, 8)],
+    pytest.param(_shared_lets(100), True, id="100-lets-on-one-scrutinee"),
+    # the unequal projections of the kernel benchmark
+    *[pytest.param(_two_orders(4, f"e{k}", f"e{m}"), False, id=f"unequal-e{k}-e{m}")
+      for k, m in itertools.permutations(range(4), 2)],
+])
+def test_defeq_decides_without_a_budget(source, expected):
+    mod = parse(HEADER + source)
+    d = mod.directives[0]
+    assert defeq(mod.signature, d.telescope, d.left, d.right, d.type) is expected
