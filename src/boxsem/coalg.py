@@ -23,7 +23,7 @@ no structure is trusted without being run through its validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
                        characteristic_map, compose_maps, hom_maps, identity_map,
@@ -126,6 +126,26 @@ class NaturalModelComonad:
         """The induced map ``box(Omega) -> Omega`` on the sieve classifier."""
         raise NotImplementedError
 
+    # elements of the box as points ----------------------------------------
+    def box_points(self, p: Presheaf, obj: str) -> tuple[tuple[str, ...], Sequence[tuple[int, ...]]]:
+        """The elements of ``box(P)(obj)`` as tuples of points of ``P``.
+
+        Returns ``(fibers, points)``.  Element ``e`` is determined by
+        ``points[e]``, whose entry ``k`` lies in ``P(fibers[k])``, and
+        ``box_map(h)`` acts pointwise: it sends ``e`` to the element whose
+        entry ``k`` is ``h`` at ``fibers[k]`` applied to ``points[e][k]``.
+        ``fibers`` depends on ``obj`` alone.
+        """
+        raise NotImplementedError
+
+    def tp_box_points(self, a: TypeOverContext, obj: str,
+                      pi: int) -> tuple[tuple[tuple[str, int], ...], Sequence[tuple[int, ...]]]:
+        """The elements of ``tp_box(A)`` over ``pi in box(Gamma)(obj)`` as
+        tuples of points of ``A``, as in :meth:`box_points`: ``fibers``
+        lists fiber keys of ``A``, depends on ``(obj, pi)`` and the context
+        alone, and ``tp_box_map`` acts pointwise."""
+        raise NotImplementedError
+
     # derived: the indexed comonad at a coalgebra ----------------------------
     def bbox_type(self, cg: "Coalgebra", a: TypeOverContext) -> TypeOverContext:
         """The induced endofunctor on types over the carrier of ``cg``."""
@@ -208,6 +228,12 @@ class IdentityComonad(NaturalModelComonad):
 
     def box_sieve(self, om):
         return identity_map(om.presheaf)
+
+    def box_points(self, p, obj):
+        return (obj,), [(v,) for v in p.elements(obj)]
+
+    def tp_box_points(self, a, obj, pi):
+        return ((obj, pi),), [(v,) for v in range(a.fiber[(obj, pi)])]
 
 
 def identity_comonad(model: NaturalModel) -> IdentityComonad:
@@ -572,6 +598,17 @@ class AdjunctionComonad(NaturalModelComonad):
             comp[x] = tuple(vals)
         return PresheafMap(bd.presheaf, om.presheaf, comp)
 
+    # elements as points: the slots and families of the tables -----------------
+    def box_points(self, p, obj):
+        t = self.box_data(p).tables[obj]
+        return tuple(j for (j, _) in t.slots), t.families
+
+    def tp_box_points(self, a, obj, pi):
+        td = self.tp_data(a)
+        t = td.box.tables[obj]
+        return (tuple((j, v) for (j, _), v in zip(t.slots, t.families[pi])),
+                td.tables[(obj, pi)].families)
+
 
 # ---------------------------------------------------------------------------
 # Coalgebras
@@ -612,9 +649,50 @@ def is_coalgebra_map(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra,
         compose_maps(w.box_map(h), src.structure)
 
 
+def _counit_domains(eps: Mapping, sizes: Mapping) -> dict:
+    """Slot domains that build in the counit law ``eps . theta == id``.
+
+    ``eps`` maps each key (an object, or a fiber key of a type) to the
+    counit's column there and ``sizes`` gives the size at each key.  The
+    slot ``(key, x)`` of ``theta`` may take only the box elements over
+    ``x``, in increasing order, so the law never needs checking.
+    """
+    domains = {(key, x): [] for key, n in sizes.items() for x in range(n)}
+    for key, col in eps.items():
+        for e, x in enumerate(col):
+            domains[(key, x)].append(e)
+    return domains
+
+
+def _commuting_rules(src_theta: Mapping, dst_theta: Mapping,
+                     points: Callable[[object], tuple]) -> list:
+    """Slot rules that build in ``dst_theta . m == box(m) . src_theta``.
+
+    ``points(key)`` gives ``(fibers, src_points, dst_points)``, the two
+    boxes at ``key`` as tuples of points (see ``box_points``).  Since box
+    acts pointwise and an element is determined by its points, the
+    equation at ``x`` over ``key`` is one rule per point ``k``:
+    ``m[(fibers[k], src_points[src_theta(x)][k])] == T_k[m[(key, x)]]``
+    with ``T_k[y] = dst_points[dst_theta(y)][k]``.
+    """
+    rules = []
+    for key, col in src_theta.items():
+        fibers, pts_src, pts_dst = points(key)
+        col_dst = dst_theta[key]
+        for k, fiber in enumerate(fibers):
+            table = tuple(pts_dst[e][k] for e in col_dst)
+            rules.extend(((key, x), (fiber, pts_src[e][k]), table) for x, e in enumerate(col))
+    return rules
+
+
 def coalgebra_maps(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra) -> list[PresheafMap]:
-    return [h for h in hom_maps(src.carrier, dst.carrier)
-            if is_coalgebra_map(w, src, dst, h)]
+    """The coalgebra maps ``src -> dst``, in the order of ``hom_maps``:
+    the structure equation is enumerated as slot rules, not tested."""
+    def points(x):
+        fibers, pts_src = w.box_points(src.carrier, x)
+        return fibers, pts_src, w.box_points(dst.carrier, x)[1]
+    return hom_maps(src.carrier, dst.carrier, rules=_commuting_rules(
+        src.structure.component, dst.structure.component, points))
 
 
 def cofree_coalgebra(w: NaturalModelComonad, q: Presheaf) -> Coalgebra:
@@ -661,23 +739,22 @@ def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, f
 
 def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
                          max_carriers: int | None = None) -> list[Coalgebra]:
-    """All coalgebras on carriers with value sizes up to the bound."""
+    """All coalgebras on carriers with value sizes up to the bound.
+
+    Structure maps are enumerated with the counit law built into their
+    slot domains; the comult law is tested on each of them.
+    """
     out = []
     carriers = all_presheaves(w.model.base, size_bound)
     if max_carriers is not None and len(carriers) > max_carriers:
         raise EnumerationCeiling(
             f"{len(carriers)} carriers exceed the guard {max_carriers}")
     for p in carriers:
-        bp = w.box(p)
-        ident = identity_map(p)
-        eps = w.counit(p)
         dlt = w.comult(p)
-        for h in hom_maps(p, bp):
-            if compose_maps(eps, h) != ident:
-                continue
-            if compose_maps(dlt, h) != compose_maps(w.box_map(h), h):
-                continue
-            out.append(Coalgebra(p, h))
+        domains = _counit_domains(w.counit(p).component, p.sizes)
+        for h in hom_maps(p, w.box(p), domains):
+            if compose_maps(dlt, h) == compose_maps(w.box_map(h), h):
+                out.append(Coalgebra(p, h))
     return out
 
 
@@ -1039,10 +1116,16 @@ def coalgebra_term_laws(w: NaturalModelComonad, ct: CoalgebraTerm) -> list[str]:
 
 def coalgebra_type_maps(w: NaturalModelComonad, x: CoalgebraType,
                         y: CoalgebraType) -> list[TypeMap]:
-    """Fiberwise maps commuting with the two structures."""
-    return [m for m in type_maps(x.type, y.type)
-            if compose_type_maps(y.theta, m) ==
-            compose_type_maps(w.bbox_type_map(x.coalg, m), x.theta)]
+    """Fiberwise maps commuting with the two structures, in the order of
+    ``type_maps``; the commuting square is enumerated as slot rules."""
+    s = x.coalg.structure
+
+    def points(key):
+        o, pi = key[0], s.apply(*key)
+        fibers, pts_src = w.tp_box_points(x.type, o, pi)
+        return fibers, pts_src, w.tp_box_points(y.type, o, pi)[1]
+    return type_maps(x.type, y.type, rules=_commuting_rules(
+        x.theta.component, y.theta.component, points))
 
 
 def coalgebra_terms(w: NaturalModelComonad, xt: CoalgebraType) -> list[CoalgebraTerm]:
@@ -1056,14 +1139,19 @@ def coalgebra_terms(w: NaturalModelComonad, xt: CoalgebraType) -> list[Coalgebra
 
 def coalgebra_types_over(w: NaturalModelComonad, cg: Coalgebra,
                          size_bound: int) -> list[CoalgebraType]:
-    """All structured types over a coalgebra with fibers up to the bound."""
+    """All structured types over a coalgebra with fibers up to the bound.
+
+    Structure maps are enumerated with the fiber counit law built into
+    their slot domains; the fiber comult law is tested on each of them.
+    """
     out = []
     for a in all_types_over(w.model, cg.carrier, size_bound):
         ba = w.bbox_type(cg, a)
-        for th in type_maps(a, ba):
-            xt = CoalgebraType(cg, a, th)
-            if not coalgebra_type_laws(w, xt):
-                out.append(xt)
+        dlt = w.fiber_comult(cg, a)
+        domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
+        for th in type_maps(a, ba, domains=domains):
+            if compose_type_maps(dlt, th) == compose_type_maps(w.bbox_type_map(cg, th), th):
+                out.append(CoalgebraType(cg, a, th))
     return out
 
 

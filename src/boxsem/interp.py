@@ -360,12 +360,17 @@ def _near_miss(left: TermOverContext, right: TermOverContext) -> bool:
     their type; these are reported apart from hard mismatches."""
     if left.type != right.type or left == right:
         return False
-    for phi in type_maps(left.type, left.type):
-        if all(sorted(vals) == list(range(len(vals)))
-               for vals in phi.component.values()) and \
-                apply_type_map(phi, left) == right:
-            return True
-    return False
+    # An automorphism phi with phi(left) == right sends left.pick[k] to
+    # right.pick[k] and, being injective, nothing else there: enumerate
+    # only the endomaps with these values, then keep the bijections.
+    domains = {}
+    for k, n in left.type.fiber.items():
+        hit = right.pick[k]
+        rest = [v for v in range(n) if v != hit]
+        for x in range(n):
+            domains[(k, x)] = (hit,) if x == left.pick[k] else rest
+    return any(all(sorted(vals) == list(range(len(vals))) for vals in phi.component.values())
+               for phi in type_maps(left.type, left.type, domains=domains))
 
 
 def soundness_harness(tgt: SemanticTarget, mod: Module) -> dict:

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product as iproduct
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Slice, slice_category
 from .presheaf import (Elements, FamilyTable, Presheaf, PresheafMap,
@@ -428,14 +428,30 @@ def elements_presheaf_to_type(p: Presheaf, gamma: Presheaf, el: Elements) -> Typ
     return TypeOverContext(gamma, fiber, restriction)
 
 
-def type_maps(a: TypeOverContext, b: TypeOverContext, el: Elements | None = None) -> list[TypeMap]:
-    """All fiberwise natural maps ``a -> b``, canonically ordered."""
+def type_maps(a: TypeOverContext, b: TypeOverContext, el: Elements | None = None,
+              domains: Mapping[tuple[tuple[str, int], int], Sequence[int]] | None = None,
+              rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()) -> list[TypeMap]:
+    """All fiberwise natural maps ``a -> b``, canonically ordered.
+
+    Slots are keyed ``(k, x)`` for ``x`` in the fiber ``a[k]``, with
+    ``k = (obj, g)``, and hold the map's value at ``x``.  ``domains`` and
+    ``rules`` on these keys narrow the enumeration as in
+    :func:`~boxsem.presheaf.hom_maps`: a domain is a sorted sequence drawn
+    from ``b[k]``, and a rule ``(s, t, table)`` asks ``m[t] == table[m[s]]``.
+    The maps left keep their canonical order.
+    """
     if el is None:
         el = category_of_elements(a.context)
     pa = type_to_elements_presheaf(a, el)
     pb = type_to_elements_presheaf(b, el)
+
+    def slot(key):
+        (obj, g), x = key
+        return el.obj_name(obj, g), x
+
     out = []
-    for m in hom_maps(pa, pb):
+    for m in hom_maps(pa, pb, {slot(key): dom for key, dom in (domains or {}).items()},
+                      [(slot(s), slot(t), table) for (s, t, table) in rules]):
         comp = {el.split_obj(o): m.component[o] for o in el.cat.objects}
         out.append(TypeMap(a, b, comp))
     return out

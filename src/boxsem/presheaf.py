@@ -6,9 +6,10 @@ the strictness claims downstream (substitution, universes, comonads)
 hold as data equality rather than up to isomorphism.
 
 The workhorse is :func:`enumerate_families`, a small backtracking
-enumerator for tuples subject to ``fam[j] == table[fam[i]]`` rules.
-Exponentials, right Kan extensions, matching families and (later)
-dependent products are all the same enumeration with different slots;
+enumerator for tuples with per-slot domains subject to
+``fam[j] == table[fam[i]]`` rules.  Exponentials, right Kan extensions,
+matching families and (later) dependent products are all the same
+enumeration with different slots;
 :class:`FamilyTable` packages one such enumeration with dict indexes on
 both its slots and its families.
 """
@@ -25,14 +26,18 @@ class PresheafError(Exception):
     pass
 
 
-def enumerate_families(n_slots: int, sizes: Sequence[int],
+def enumerate_families(n_slots: int, domains: Sequence[Sequence[int]],
                        rules: Iterable[tuple[int, int, Sequence[int]]]):
-    """All tuples ``fam`` with ``fam[j] == table[fam[i]]`` for each rule.
+    """All tuples ``fam`` with ``fam[k] in domains[k]`` for every slot and
+    ``fam[j] == table[fam[i]]`` for each rule ``(i, j, table)``.
 
-    Slots are filled in index order with values tried in increasing
-    order, so the output is automatically in lexicographic order (and
-    therefore canonical).  Rules are checked as soon as both endpoints
-    are assigned, which prunes hard enough for every instance we build.
+    Each domain lists the values its slot may take in increasing order
+    (``range(n)`` for a slot that may take any of ``n`` values).  Slots
+    are filled in index order with their domain values in that order, so
+    the output is in lexicographic order (and therefore canonical); a
+    narrower domain only drops tuples, never reorders the rest.  Rules are
+    checked as soon as both endpoints are assigned, which prunes hard
+    enough for every instance we build.
     """
     by_slot: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(n_slots)]
     for (i, j, table) in rules:
@@ -50,7 +55,7 @@ def enumerate_families(n_slots: int, sizes: Sequence[int],
         if k == n_slots:
             out.append(tuple(fam))
             return
-        for v in range(sizes[k]):
+        for v in domains[k]:
             fam[k] = v
             if consistent(k):
                 go(k + 1)
@@ -85,7 +90,8 @@ class FamilyTable:
         self.slots = tuple(slots)
         self.slot_pos = pos = {s: k for k, s in enumerate(self.slots)}
         self.families = tuple(enumerate_families(
-            len(self.slots), sizes, [(pos[s], pos[t], tb) for (s, t, tb) in rules]))
+            len(self.slots), [range(n) for n in sizes],
+            [(pos[s], pos[t], tb) for (s, t, tb) in rules]))
         self.family_pos = {f: k for k, f in enumerate(self.families)}
 
     def select(self, keys: Iterable) -> list[int]:
@@ -366,21 +372,34 @@ def category_of_elements(p: Presheaf) -> Elements:
 # Hom-set enumeration, subobjects
 
 
-def hom_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:
-    """Every natural transformation ``p -> q``, canonically ordered."""
+def hom_maps(p: Presheaf, q: Presheaf,
+             domains: Mapping[tuple[str, int], Sequence[int]] | None = None,
+             rules: Iterable[tuple[tuple[str, int], tuple[str, int], Sequence[int]]] = ()
+             ) -> list[PresheafMap]:
+    """Every natural transformation ``p -> q``, canonically ordered.
+
+    A map is enumerated as one value per slot ``(o, x)``, its value at
+    ``x in p(o)``.  ``domains`` may narrow the values a slot can take,
+    each to a sorted sequence drawn from ``q(o)`` (slots left out keep
+    all of ``q(o)``); an extra rule ``(s, t, table)`` on slots asks
+    ``m[t] == table[m[s]]``, alongside the naturality rules.  Narrowing
+    only removes maps, so the maps left come in the same order.
+    """
     c = p.base
     slots = [(o, x) for o in c.objects for x in p.elements(o)]
     index = {s: k for k, s in enumerate(slots)}
-    sizes = [q.sizes[o] for (o, _) in slots]
-    rules = []
+    doms = [range(q.sizes[o]) for (o, _) in slots]
+    for s, dom in (domains or {}).items():
+        doms[index[s]] = dom
+    checks = [(index[s], index[t], table) for (s, t, table) in rules]
     for f in c.morphisms:
         if c.is_identity(f):
             continue
         i, j = c.src[f], c.dst[f]
         for x in p.elements(j):
-            rules.append((index[(j, x)], index[(i, p.act(f, x))], q.action[f]))
+            checks.append((index[(j, x)], index[(i, p.act(f, x))], q.action[f]))
     out = []
-    for fam in enumerate_families(len(slots), sizes, rules):
+    for fam in enumerate_families(len(slots), doms, checks):
         comp = {o: tuple(fam[index[(o, x)]] for x in p.elements(o))
                 for o in c.objects}
         out.append(PresheafMap(p, q, comp))
@@ -508,9 +527,10 @@ class PullbackSquare:
     f: PresheafMap
     g: PresheafMap
     pairs: Mapping[str, tuple[tuple[int, int], ...]]
+    index: Mapping[str, Mapping[tuple[int, int], int]]   # inverts ``pairs``
 
     def pair_index(self, obj: str, x: int, y: int) -> int:
-        return self.pairs[obj].index((x, y))
+        return self.index[obj][(x, y)]
 
 
 def pullback(f: PresheafMap, g: PresheafMap) -> PullbackSquare:
@@ -530,7 +550,7 @@ def pullback(f: PresheafMap, g: PresheafMap) -> PullbackSquare:
     pb = Presheaf(c, sizes, action)
     to_left = PresheafMap(pb, f.source, {o: tuple(x for (x, _) in pairs[o]) for o in c.objects})
     to_right = PresheafMap(pb, g.source, {o: tuple(y for (_, y) in pairs[o]) for o in c.objects})
-    return PullbackSquare(pb, to_left, to_right, f, g, pairs)
+    return PullbackSquare(pb, to_left, to_right, f, g, pairs, index)
 
 
 def equalizer(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap]:
@@ -818,7 +838,7 @@ def matching_families(site: Site, p: Presheaf, obj: str, sieve: frozenset[str]) 
     c = site.cat
     members = sorted(sieve)
     index = {m: k for k, m in enumerate(members)}
-    sizes = [p.sizes[c.src[m]] for m in members]
+    domains = [range(p.sizes[c.src[m]]) for m in members]
     rules = []
     for m in members:
         for g in c.morphisms:
@@ -826,7 +846,7 @@ def matching_families(site: Site, p: Presheaf, obj: str, sieve: frozenset[str]) 
                 continue
             rules.append((index[m], index[c.compose(m, g)], p.action[g]))
     return [{m: fam[index[m]] for m in members}
-            for fam in enumerate_families(len(members), sizes, rules)]
+            for fam in enumerate_families(len(members), domains, rules)]
 
 
 def amalgamations(p: Presheaf, obj: str, family: Mapping[str, int]) -> list[int]:

@@ -43,9 +43,29 @@ class BaseType:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxType:
     inner: "TypeExpr"
+
+    # Equality and hashing peel the boxes in a loop: the generated
+    # recursive versions overflow the stack on a few hundred nested boxes.
+    def __eq__(self, other):
+        if other.__class__ is not BoxType:
+            return NotImplemented
+        a, b = self.inner, other.inner
+        while a.__class__ is BoxType:
+            if b.__class__ is not BoxType:
+                return False
+            if a is b:
+                return True
+            a, b = a.inner, b.inner
+        return a == b
+
+    def __hash__(self):
+        depth, ty = 0, self
+        while isinstance(ty, BoxType):
+            depth, ty = depth + 1, ty.inner
+        return hash((depth, ty))
 
 
 TypeExpr = Union[BaseType, BoxType]

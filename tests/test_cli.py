@@ -78,6 +78,21 @@ def test_unreadable_surface_input_is_bad_input(tmp_path, write, command):
     assert run.stderr.startswith("error:") and len(run.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("depth", [400, 1000])
+def test_deeply_boxed_type_is_checked_without_a_traceback(tmp_path, depth):
+    """``box(...)`` nested ``depth`` times against the matching ``Box``
+    type: checked (exit 0) or refused as bad input (exit 2), never a crash
+    in the structural comparison of types."""
+    path = tmp_path / "deep.s4"
+    path.write_text("type A;\nconst a0 : A;\ncheck |- " + "box(" * depth + "a0"
+                    + ")" * depth + " : " + "Box " * depth + "A;\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "boxsem.cli", "check", str(path)],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert run.returncode in (0, 2)
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("model", ["one", "two"])
 def test_interpret_corpus_in_shipped_comonads(model, capsys):
     assert main(["interpret", "corpus/t4.s4", "--model", model]) == 0

@@ -48,7 +48,7 @@ def _ref_exponential(p, q):
                               index[(k, c.compose(f, g), p.act(g, x))],
                               q.action[g]))
         slots[i] = tuple(sl)
-        families[i] = tuple(enumerate_families(len(sl), sizes, rules))
+        families[i] = tuple(enumerate_families(len(sl), [range(n) for n in sizes], rules))
     action = {}
     for h in c.morphisms:
         i2, i = c.src[h], c.dst[h]
@@ -78,7 +78,7 @@ def _ref_ran(adj, q):
                               index[(j2, c.compose(f, u.mor_map[d]))],
                               q.action[d]))
         slots[i] = tuple(sl)
-        families[i] = tuple(enumerate_families(len(sl), sizes, rules))
+        families[i] = tuple(enumerate_families(len(sl), [range(n) for n in sizes], rules))
     action = {}
     for g in c.morphisms:
         i2, i = c.src[g], c.dst[g]
@@ -113,7 +113,7 @@ def _ref_pi(a, b):
                                   index[(k, c.compose(f, m), a.restrict(m, gf, x))],
                                   b.restriction[(m, ca.encode(j, gf, x))]))
             slots[(i, g)] = tuple(sl)
-            families[(i, g)] = tuple(enumerate_families(len(sl), sizes, rules))
+            families[(i, g)] = tuple(enumerate_families(len(sl), [range(n) for n in sizes], rules))
     restriction = {}
     for h in c.morphisms:
         i2, i = c.src[h], c.dst[h]

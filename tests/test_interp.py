@@ -1,5 +1,6 @@
 """Interpretation of kernel judgments in comonad models."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,19 @@ from boxsem.fincat import Functor
 from boxsem.interp import (
     InterpretationGap,
     SemanticTarget,
+    _near_miss,
     beta_substitution_check,
     interpret,
     soundness_harness,
 )
-from boxsem.natmodel import NaturalModel
+from boxsem.natmodel import (
+    NaturalModel,
+    all_presheaves,
+    all_types_over,
+    apply_type_map,
+    terms_of,
+    type_maps,
+)
 from boxsem.s4dtt import (
     BaseType,
     BoxType,
@@ -214,10 +223,54 @@ def test_reversal_of_five_eliminators_is_sound(model, types):
     (entry,) = report["directives"]
     assert report["ok"] and entry["defined"]
     assert entry["syntactic"] and entry["semantic_equal"]
-    # the harness would search automorphisms for a near miss here, so
-    # the unequal pair is interpreted directly
     mod = parse(_reversal(types, "e0", "e1"))
     (d,) = mod.directives
     assert not defeq(mod.signature, d.telescope, d.left, d.right, d.type)
     res = interpret(tgt, mod.signature, d)
     assert res.defined and res.value[0] != res.value[1]
+
+
+@pytest.mark.parametrize("model,types", [("two", "AAABB"), ("disc2", "AAAAA")])
+def test_unequal_projection_of_five_eliminators_is_a_near_miss(model, types):
+    """The harness looks for an automorphism relating the two sides of an
+    unequal pair; on this width-5 context the search stays small."""
+    comonad = load_model(str(ROOT / "models" / f"{model}.json")).comonad
+    tgt = SemanticTarget(comonad, model, base_sizes={"B": 1})
+    report = soundness_harness(tgt, parse(_reversal(types, "e0", "e1")))
+    (entry,) = report["directives"]
+    assert entry["defined"] and not entry["syntactic"]
+    assert not entry["semantic_equal"] and entry["near_miss"]
+    assert report["ok"] and report["near_misses"] == 1
+
+
+def _ref_near_miss(left, right):
+    """The earlier search: every endomap of the type, then the test."""
+    if left.type != right.type or left == right:
+        return False
+    for phi in type_maps(left.type, left.type):
+        if all(sorted(vals) == list(range(len(vals)))
+               for vals in phi.component.values()) and \
+                apply_type_map(phi, left) == right:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("base", [walking_arrow(), discrete(2)], ids=["two", "disc2"])
+def test_near_miss_agrees_with_the_full_endomap_search(base):
+    """On every pair of sections of the types with at most five points
+    over contexts with at most two elements."""
+    model = NaturalModel(base, 3)
+    verdicts = Counter()
+    for gamma in all_presheaves(base, 2):
+        if gamma.total() > 2:
+            continue
+        for a in all_types_over(model, gamma, 3):
+            if sum(a.fiber.values()) > 5:
+                continue
+            sections = terms_of(a)
+            for left in sections:
+                for right in sections:
+                    got = _near_miss(left, right)
+                    assert got == _ref_near_miss(left, right)
+                    verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]

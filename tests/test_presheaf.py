@@ -118,6 +118,20 @@ def test_pullback_square_commutes_and_is_universal(two, flagship):
         assert len(cones) == len(hits) == len(set(hits))
 
 
+def test_hom_maps_domains_and_rules_filter_in_order(two, flagship):
+    """Narrowed enumeration is the full one filtered, in the same order."""
+    full = hom_maps(flagship, flagship)
+    domains = {("1", 0): [1, 2], ("0", 1): [0]}
+    rules = [(("1", 1), ("1", 2), (2, 1, 0))]   # m(1, 2) == 2 - m(1, 1)
+
+    def keep(m):
+        return (m.component["1"][0] in (1, 2) and m.component["0"][1] == 0
+                and m.component["1"][2] == 2 - m.component["1"][1])
+    got = hom_maps(flagship, flagship, domains, rules)
+    assert got == [m for m in full if keep(m)]
+    assert 0 < len(got) < len(full)
+
+
 def test_equalizer_equalizes_and_is_maximal(two, flagship):
     maps = hom_maps(flagship, flagship)
     f, g = maps[0], maps[-1]
