@@ -35,7 +35,6 @@ from .coalg import (
     EnumerationCeiling,
     coalgebra_category,
     coalgebra_classifier,
-    coalgebra_natural_model,
     comonad_from_adjunction,
     identity_comonad,
     kock_wraith_classifier,
@@ -87,7 +86,6 @@ __all__ = [
     "check_module",
     "coalgebra_category",
     "coalgebra_classifier",
-    "coalgebra_natural_model",
     "comonad_from_adjunction",
     "defeq",
     "hs_universe",

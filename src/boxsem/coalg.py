@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
-                       characteristic_map, compose_maps, hom_maps, identity_map,
-                       iso_maps, product, pullback, sub_presheaf,
-                       subobject_classifier, subobject_of_char, subpresheaves,
-                       terminal_presheaf)
+                       Product, PullbackSquare, characteristic_map, compose_maps,
+                       hom_maps, identity_map, iso_maps, product, pullback,
+                       sub_presheaf, subobject_classifier, subobject_of_char,
+                       subpresheaves, terminal_presheaf)
 from .natmodel import (BoundExceeded, NaturalModel, Pi, Sigma, TermOverContext,
                        TypeMap, TypeOverContext, TypeProduct, Universe,
                        all_display_maps_into, all_presheaves, all_types_over,
@@ -289,6 +289,8 @@ class AdjunctionComonad(NaturalModelComonad):
         self.adj = adj
         self.name = name or f"ran[{adj.u.name}]"
         self._boxes: dict[Presheaf, _BoxData] = {}
+        self._counits: dict[Presheaf, PresheafMap] = {}
+        self._comults: dict[Presheaf, PresheafMap] = {}
         self._tps: dict[TypeOverContext, _TpData] = {}
         self._codes: dict[Presheaf, _CodeBoxData] = {}
 
@@ -310,9 +312,15 @@ class AdjunctionComonad(NaturalModelComonad):
         return self.adj.restrict_map(self.adj.ran_map(m))
 
     def counit(self, p):
-        return self.adj.counit(p)
+        eps = self._counits.get(p)
+        if eps is None:
+            eps = self._counits[p] = self.adj.counit(p)
+        return eps
 
     def comult(self, p):
+        dlt = self._comults.get(p)
+        if dlt is not None:
+            return dlt
         bd = self.box_data(p)
         bb = self.box_data(bd.presheaf)
         c = self.adj.big
@@ -327,7 +335,8 @@ class AdjunctionComonad(NaturalModelComonad):
             pos = bb.tables[x].family_pos
             comp[x] = tuple(pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in inner)]
                             for fam in t.families)
-        return PresheafMap(bd.presheaf, bb.presheaf, comp)
+        dlt = self._comults[p] = PresheafMap(bd.presheaf, bb.presheaf, comp)
+        return dlt
 
     # type and term action ----------------------------------------------------
     def tp_data(self, a: TypeOverContext) -> _TpData:
@@ -707,21 +716,37 @@ def terminal_coalgebra(w: NaturalModelComonad) -> Coalgebra:
     return Coalgebra(one, PresheafMap(one, bo, {o: (0,) for o in bo.sizes}))
 
 
+def _lift(mono: Mapping, values: Mapping, error: Callable[[object, int], str]) -> dict:
+    """Factor values through a mono, key by key.
+
+    ``mono[key]`` is the mono's column at ``key`` and ``values[key]`` a
+    tuple of values in its codomain there; the result holds, per key, the
+    position of each value in the column.  A value outside the image
+    raises ``ComonadError(error(key, n))``, ``n`` its place in
+    ``values[key]``.
+    """
+    out = {}
+    for key, vals in values.items():
+        pos = {v: k for k, v in enumerate(mono[key])}
+        lifted = []
+        for n, v in enumerate(vals):
+            k = pos.get(v)
+            if k is None:
+                raise ComonadError(error(key, n))
+            lifted.append(k)
+        out[key] = tuple(lifted)
+    return out
+
+
 def sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
                   sel: Mapping[str, frozenset[int]]) -> tuple[Coalgebra, PresheafMap]:
     """Restrict a coalgebra to a subpresheaf closed under its structure."""
     sub, inc = sub_presheaf(cg.carrier, sel)
-    bm = w.box_map(inc)
-    comp = {}
-    for o in cg.carrier.base.objects:
-        image = {v: k for k, v in enumerate(bm.component[o])}
-        vals = []
-        for x in inc.component[o]:
-            v = cg.structure.apply(o, x)
-            if v not in image:
-                raise ComonadError(f"subpresheaf not closed under structure at ({o!r}, {x})")
-            vals.append(image[v])
-        comp[o] = tuple(vals)
+    s = cg.structure.component
+    comp = _lift(w.box_map(inc).component,
+                 {o: tuple(s[o][x] for x in col) for o, col in inc.component.items()},
+                 lambda o, n: f"subpresheaf not closed under structure at "
+                              f"({o!r}, {inc.component[o][n]})")
     return Coalgebra(sub, PresheafMap(sub, w.box(sub), comp)), inc
 
 
@@ -760,35 +785,26 @@ def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
 
 @dataclass(frozen=True)
 class CoalgebraCategory:
-    """The enumerated category of bounded coalgebras with its forgetful
-    and cofree structure."""
+    """The enumerated bounded coalgebras, with the forgetful and cofree
+    adjunction between them and the presheaves."""
 
     comonad: NaturalModelComonad
     bound: int
     coalgebras: tuple[Coalgebra, ...]
-    homs: Mapping[tuple[int, int], tuple[PresheafMap, ...]]
-
-    def cofree(self, q: Presheaf) -> Coalgebra:
-        return cofree_coalgebra(self.comonad, q)
-
-    def unit(self, cg: Coalgebra) -> PresheafMap:
-        """The structure map, seen as a map into the cofree coalgebra on
-        the carrier."""
-        return cg.structure
-
-    def counit(self, q: Presheaf) -> PresheafMap:
-        return self.comonad.counit(q)
 
     def triangle_report(self) -> dict:
+        """The triangles of the forgetful-cofree adjunction, whose unit at
+        a coalgebra is its structure map into the cofree coalgebra on the
+        carrier and whose counit is the comonad's."""
         w = self.comonad
         errs = []
         for cg in self.coalgebras:
-            if compose_maps(self.counit(cg.carrier), self.unit(cg)) != \
+            if compose_maps(w.counit(cg.carrier), cg.structure) != \
                     identity_map(cg.carrier):
                 errs.append(f"unit-counit triangle fails on carrier {cg.carrier.sizes}")
         for q in all_presheaves(w.model.base, self.bound):
-            fq = self.cofree(q)
-            lift = w.box_map(self.counit(q))
+            fq = cofree_coalgebra(w, q)
+            lift = w.box_map(w.counit(q))
             if compose_maps(lift, fq.structure) != identity_map(fq.carrier):
                 errs.append(f"cofree triangle fails on {q.sizes}")
         return {"ok": not errs, "witnesses": errs}
@@ -796,12 +812,8 @@ class CoalgebraCategory:
 
 def coalgebra_category(w: NaturalModelComonad, size_bound: int,
                        max_carriers: int | None = 4096) -> CoalgebraCategory:
-    cgs = enumerate_coalgebras(w, size_bound, max_carriers)
-    homs = {}
-    for i, a in enumerate(cgs):
-        for j, b in enumerate(cgs):
-            homs[(i, j)] = tuple(coalgebra_maps(w, a, b))
-    return CoalgebraCategory(w, size_bound, tuple(cgs), homs)
+    return CoalgebraCategory(w, size_bound,
+                             tuple(enumerate_coalgebras(w, size_bound, max_carriers)))
 
 
 # ---------------------------------------------------------------------------
@@ -884,47 +896,6 @@ def comparison_check(adj: KanAdjunction, w: AdjunctionComonad,
 
 
 # ---------------------------------------------------------------------------
-# The indexed comonad and its right adjoint at a coalgebra
-
-
-@dataclass(frozen=True)
-class IndexedComonadInstance:
-    """The comonad induced on types over the carrier of one coalgebra."""
-
-    comonad: NaturalModelComonad
-    at: Coalgebra
-
-    def box(self, a: TypeOverContext) -> TypeOverContext:
-        return self.comonad.bbox_type(self.at, a)
-
-    def box_map(self, m: TypeMap) -> TypeMap:
-        return self.comonad.bbox_type_map(self.at, m)
-
-    def counit(self, a: TypeOverContext) -> TypeMap:
-        return self.comonad.fiber_counit(self.at, a)
-
-    def comult(self, a: TypeOverContext) -> TypeMap:
-        return self.comonad.fiber_comult(self.at, a)
-
-    def laws(self, a: TypeOverContext) -> list[str]:
-        errs = []
-        ba = self.box(a)
-        eps, dlt = self.counit(a), self.comult(a)
-        errs.extend("counit: " + e for e in eps.validate())
-        errs.extend("comult: " + e for e in dlt.validate())
-        if errs:
-            return errs
-        if compose_type_maps(self.counit(ba), dlt) != identity_type_map(ba):
-            errs.append("counit-comult law fails in the fiber")
-        if compose_type_maps(self.box_map(eps), dlt) != identity_type_map(ba):
-            errs.append("boxed-counit law fails in the fiber")
-        if compose_type_maps(self.comult(ba), dlt) != \
-                compose_type_maps(self.box_map(dlt), dlt):
-            errs.append("coassociativity fails in the fiber")
-        return errs
-
-
-# ---------------------------------------------------------------------------
 # Validation
 
 
@@ -934,6 +905,25 @@ def _probe_presheaves(w: NaturalModelComonad, probes: Iterable[Presheaf] | None)
     bound = min(max(w.model.bound, 1), 2)
     ps = all_presheaves(w.model.base, bound)
     return ps[:24]
+
+
+def _fiber_laws(w: NaturalModelComonad, cg: Coalgebra, a: TypeOverContext) -> list[str]:
+    """The comonad laws of the comonad induced on types over the carrier
+    of ``cg``, at the type ``a``."""
+    ba = w.bbox_type(cg, a)
+    eps, dlt = w.fiber_counit(cg, a), w.fiber_comult(cg, a)
+    errs = ["counit: " + e for e in eps.validate()]
+    errs.extend("comult: " + e for e in dlt.validate())
+    if errs:
+        return errs
+    if compose_type_maps(w.fiber_counit(cg, ba), dlt) != identity_type_map(ba):
+        errs.append("counit-comult law fails in the fiber")
+    if compose_type_maps(w.bbox_type_map(cg, eps), dlt) != identity_type_map(ba):
+        errs.append("boxed-counit law fails in the fiber")
+    if compose_type_maps(w.fiber_comult(cg, ba), dlt) != \
+            compose_type_maps(w.bbox_type_map(cg, dlt), dlt):
+        errs.append("coassociativity fails in the fiber")
+    return errs
 
 
 def validate_comonad(w: NaturalModelComonad,
@@ -1022,9 +1012,8 @@ def validate_comonad(w: NaturalModelComonad,
                 tau_ok = False
                 witnesses.append(f"type-level structure maps not natural over {p.sizes}")
         cg = cofree_coalgebra(w, p)
-        inst = IndexedComonadInstance(w, cg)
         for a in all_types_over(w.model, cg.carrier, w.model.bound)[:2]:
-            errs = inst.laws(a)
+            errs = _fiber_laws(w, cg, a)
             if errs:
                 fiber_ok = False
                 witnesses.append(f"fiber laws fail over cofree({p.sizes}): {errs[0]}")
@@ -1368,7 +1357,7 @@ def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
         shrunk = False
         for (o, g), n in sub.fiber.items():
             good = []
-            image = binc.component[(o, g)]
+            image = set(binc.component[(o, g)])
             for v in range(n):
                 kept = inc.component[(o, g)][v]
                 if dlt_like.apply(o, g, kept) in image:
@@ -1379,11 +1368,10 @@ def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
         if not shrunk:
             break
         keep = new_keep
-    comp = {}
-    for (o, g), n in sub.fiber.items():
-        image = binc.component[(o, g)]
-        comp[(o, g)] = tuple(image.index(dlt_like.apply(o, g, inc.component[(o, g)][v]))
-                             for v in range(n))
+    comp = _lift(binc.component,
+                 {k: tuple(dlt_like.component[k][x] for x in col)
+                  for k, col in inc.component.items()},
+                 lambda k, n: f"{what} is not closed under its structure at {k}")
     th = TypeMap(sub, w.bbox_type(cg, sub), comp)
     xt = CoalgebraType(cg, sub, th)
     errs = coalgebra_type_laws(w, xt)
@@ -1411,17 +1399,9 @@ class CoalgebraExponential:
         cg = self.source.coalg
         lam = exp_transpose(self.plain, pr, m)
         t = compose_type_maps(w.bbox_type_map(cg, lam), z.theta)
-        comp = {}
-        for (o, g), n in z.type.fiber.items():
-            image = self.inclusion.component[(o, g)]
-            vals = []
-            for v in range(n):
-                tv = t.component[(o, g)][v]
-                if tv not in image:
-                    raise ComonadError("transpose of an unstructured map")
-                vals.append(image.index(tv))
-            comp[(o, g)] = tuple(vals)
-        return TypeMap(z.type, self.type.type, comp)
+        return TypeMap(z.type, self.type.type, _lift(
+            self.inclusion.component, t.component,
+            lambda k, n: "transpose of an unstructured map"))
 
 
 def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
@@ -1471,13 +1451,16 @@ def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
 def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
                          z: CoalgebraType) -> dict:
     """Verify the exponential's universal property against one structured
-    type, by enumerating both hom sets and checking the two transposes
-    are mutually inverse."""
-    y = exp.target
+    type, by enumerating both hom sets.
+
+    One pass over the uncurried maps suffices.  It shows that currying
+    lands in the curried maps and that evaluation undoes it, so currying
+    is injective; with the two hom sets of equal size it is a bijection,
+    and evaluation is its inverse on every curried map as well.
+    """
     zx, pr_zx = coalg_product(w, z, exp.source)
-    uncurried = coalgebra_type_maps(w, zx, y)
-    curried = coalgebra_type_maps(w, z, exp.type)
-    ok = len(uncurried) == len(curried)
+    uncurried = coalgebra_type_maps(w, zx, exp.target)
+    curried = set(coalgebra_type_maps(w, z, exp.type))
     for m in uncurried:
         tr = exp.transpose(w, z, pr_zx, m)
         if tr not in curried:
@@ -1486,14 +1469,8 @@ def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
             exp.ev_product, compose_type_maps(tr, pr_zx.fst), pr_zx.snd))
         if back != m:
             return {"ok": False, "witness": "evaluation does not undo currying"}
-    for h in curried:
-        u_h = compose_type_maps(exp.ev, type_tuple_map(
-            exp.ev_product, compose_type_maps(h, pr_zx.fst), pr_zx.snd))
-        if u_h not in uncurried:
-            return {"ok": False, "witness": "uncurrying leaves the structured maps"}
-        if exp.transpose(w, z, pr_zx, u_h) != h:
-            return {"ok": False, "witness": "currying does not undo evaluation"}
-    return {"ok": ok, "uncurried": len(uncurried), "curried": len(curried)}
+    return {"ok": len(uncurried) == len(curried), "uncurried": len(uncurried),
+            "curried": len(curried)}
 
 
 # ---------------------------------------------------------------------------
@@ -1555,12 +1532,9 @@ class CoalgebraPi:
             comp[(o, g)] = tuple(vals)
         m = TypeMap(pr.type, self.sum.type.type, comp)
         tr = self.exponential.transpose(w, one, pr, m)
-        pick = {}
-        for (o, g), vals in tr.component.items():
-            image = self.inclusion.component[(o, g)]
-            if vals[0] not in image:
-                raise ComonadError("abstraction escapes the dependent product")
-            pick[(o, g)] = image.index(vals[0])
+        lifted = _lift(self.inclusion.component, tr.component,
+                       lambda k, n: "abstraction escapes the dependent product")
+        pick = {k: vals[0] for k, vals in lifted.items()}
         return CoalgebraTerm(self.type, TermOverContext(self.type.type, pick))
 
 
@@ -1570,34 +1544,25 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
 
     Built as the subtype of the exponential into the structured sum
     whose elements post-compose with the first projection to the
-    identity, with the structure inherited from the exponential.
+    identity, with the structure inherited from the exponential.  An
+    element of that exponential is an element of the box of the plain
+    exponential, and the box acts pointwise, so it post-composes to the
+    identity exactly when each of its box points is a section: a family
+    sending every argument to a pair over that argument.
     """
     cg = x.coalg
-    a = x.type
+    gamma = cg.carrier
     sm = coalg_sigma(w, x, yb)
     es = coalg_exponential(w, x, sm.type)
-    ea = coalg_exponential(w, x, x)
-
-    pr_sa = type_product(es.plain.type, a)
-    post_plain = exp_transpose(
-        ea.plain, pr_sa,
-        compose_type_maps(sm.proj, exp_ev(es.plain, pr_sa, sm.type.type)))
-    bpost = w.bbox_type_map(cg, post_plain)
-
-    one = coalg_terminal(w, cg)
-    pr_1a = type_product(one.type, a)
-    tr_id = ea.transpose(w, one, pr_1a, pr_1a.snd)
-
+    sections = {(j, g): {i for i, fam in enumerate(t.families)
+                         if all(sm.split(j2, gamma.act(h, g), fam[k])[0] == arg
+                                for k, (j2, h, arg) in enumerate(t.slots))}
+                for (j, g), t in es.plain.tables.items()}
     keep = {}
-    for (o, g), n in es.type.type.fiber.items():
-        image = ea.inclusion.component[(o, g)]
-        ident = ea.inclusion.component[(o, g)][tr_id.component[(o, g)][0]]
-        good = []
-        for v in range(n):
-            val = bpost.component[(o, g)][es.inclusion.component[(o, g)][v]]
-            if val == ident:
-                good.append(v)
-        keep[(o, g)] = frozenset(good)
+    for (o, g), col in es.inclusion.component.items():
+        fibers, points = w.tp_box_points(es.plain.type, o, cg.structure.apply(o, g))
+        keep[(o, g)] = frozenset(v for v, e in enumerate(col)
+                                 if all(i in sections[f] for f, i in zip(fibers, points[e])))
     xt, inc = _sub_theta(w, cg, es.type.type, es.type.theta, keep,
                          "dependent product of structured types")
     return CoalgebraPi(x, yb, xt, sm, es, inc)
@@ -1605,7 +1570,13 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
 
 def pi_up_check(w: NaturalModelComonad, cp: CoalgebraPi) -> dict:
     """Check that structured terms of the product and structured terms
-    of the family correspond, with the two passages mutually inverse."""
+    of the family correspond, with the two passages mutually inverse.
+
+    One pass over the product terms suffices.  It shows that application
+    lands in the structured family terms and that abstraction undoes it,
+    so application is injective; with the two sets of equal size it is a
+    bijection, and abstraction is its inverse on every family term too.
+    """
     pis = coalgebra_terms(w, cp.type)
     fams = coalgebra_terms(w, cp.family)
     if len(pis) != len(fams):
@@ -1617,67 +1588,7 @@ def pi_up_check(w: NaturalModelComonad, cp: CoalgebraPi) -> dict:
             return {"ok": False, "witness": "application is not structured"}
         if cp.intro_term(w, body).term != ct.term:
             return {"ok": False, "witness": "abstraction does not undo application"}
-    for ct in fams:
-        lam = cp.intro_term(w, ct)
-        if coalgebra_term_laws(w, lam):
-            return {"ok": False, "witness": "abstraction is not structured"}
-        if cp.app_term(w, lam).term != ct.term:
-            return {"ok": False, "witness": "application does not undo abstraction"}
     return {"ok": True, "products": len(pis), "families": len(fams)}
-
-
-# ---------------------------------------------------------------------------
-# The natural model with coalgebras as contexts
-
-
-@dataclass(frozen=True)
-class CoalgebraModel:
-    """The dependent-type structure whose contexts are coalgebras.
-
-    Everything is fiberwise over a chosen coalgebra and strictly stable
-    under substitution along coalgebra maps, which is what makes these
-    usable as a model of a modal type theory rather than just a
-    category with structure.
-    """
-
-    comonad: NaturalModelComonad
-
-    def terminal(self) -> Coalgebra:
-        return terminal_coalgebra(self.comonad)
-
-    def types_over(self, cg: Coalgebra, size_bound: int) -> list[CoalgebraType]:
-        return coalgebra_types_over(self.comonad, cg, size_bound)
-
-    def terms(self, xt: CoalgebraType) -> list[CoalgebraTerm]:
-        return coalgebra_terms(self.comonad, xt)
-
-    def maps(self, x: CoalgebraType, y: CoalgebraType) -> list[TypeMap]:
-        return coalgebra_type_maps(self.comonad, x, y)
-
-    def subst(self, xt: CoalgebraType, dst: Coalgebra, h: PresheafMap) -> CoalgebraType:
-        return coalg_subst(self.comonad, xt, dst, h)
-
-    def extend(self, xt: CoalgebraType) -> tuple[Coalgebra, PresheafMap, CoalgebraTerm]:
-        return coalg_extension(self.comonad, xt)
-
-    def sigma(self, x: CoalgebraType, yb: CoalgebraType) -> CoalgebraSigma:
-        return coalg_sigma(self.comonad, x, yb)
-
-    def pi(self, x: CoalgebraType, yb: CoalgebraType) -> CoalgebraPi:
-        return coalg_pi(self.comonad, x, yb)
-
-    def exponential(self, x: CoalgebraType, y: CoalgebraType) -> CoalgebraExponential:
-        return coalg_exponential(self.comonad, x, y)
-
-    def product(self, x: CoalgebraType, y: CoalgebraType) -> tuple[CoalgebraType, TypeProduct]:
-        return coalg_product(self.comonad, x, y)
-
-    def box(self, xt: CoalgebraType) -> CoalgebraType:
-        return self.comonad.cofree_type(xt.coalg, xt.type)
-
-
-def coalgebra_natural_model(w: NaturalModelComonad) -> CoalgebraModel:
-    return CoalgebraModel(w)
 
 
 # ---------------------------------------------------------------------------
@@ -1891,18 +1802,9 @@ class CoalgebraClassifier:
         mu = PresheafMap(gamma, self.ucat.cat.mor, mu_comp)
         paired = self.pairing.tuple_map(chi, mu)
         kappa = compose_maps(w.box_map(paired), cg.structure)
-        comp = {}
-        for o in c.objects:
-            image = self.inclusion.component[o]
-            vals = []
-            for x in gamma.elements(o):
-                v = kappa.apply(o, x)
-                if v not in image:
-                    raise ComonadError(
-                        f"structured type escapes the classifier at ({o!r}, {x})")
-                vals.append(image.index(v))
-            comp[o] = tuple(vals)
-        return PresheafMap(gamma, self.coalgebra.carrier, comp)
+        return PresheafMap(gamma, self.coalgebra.carrier, _lift(
+            self.inclusion.component, kappa.component,
+            lambda o, x: f"structured type escapes the classifier at ({o!r}, {x})"))
 
     def decode_point(self, cg: Coalgebra, h: PresheafMap) -> CoalgebraType:
         """The structured type classified by a coalgebra map into the
@@ -2043,18 +1945,9 @@ class KockWraithClassifier:
         w = self.comonad
         chi = characteristic_map(self.omega, cg.carrier, sel)
         kappa = compose_maps(w.box_map(chi), cg.structure)
-        comp = {}
-        for o in cg.carrier.base.objects:
-            image = self.inclusion.component[o]
-            vals = []
-            for x in cg.carrier.elements(o):
-                v = kappa.apply(o, x)
-                if v not in image:
-                    raise ComonadError(
-                        f"selection is not a sub-coalgebra at ({o!r}, {x})")
-                vals.append(image.index(v))
-            comp[o] = tuple(vals)
-        return PresheafMap(cg.carrier, self.coalgebra.carrier, comp)
+        return PresheafMap(cg.carrier, self.coalgebra.carrier, _lift(
+            self.inclusion.component, kappa.component,
+            lambda o, x: f"selection is not a sub-coalgebra at ({o!r}, {x})"))
 
     def subobject(self, cg: Coalgebra, h: PresheafMap) -> dict[str, frozenset[int]]:
         """The sub-coalgebra selection classified by a coalgebra map."""

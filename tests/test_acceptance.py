@@ -287,9 +287,11 @@ def test_criterion_06_closure_and_sums_in_coalgebras(flagship):
             pis_ok &= pi_up_check(w, coalg_pi(w, xt, yb))["ok"]
             n_pis += 1
 
-    # fibers of size 3: the full grid is out of reach (the dense corner
-    # squares past the enumeration ceiling), so one representative per
-    # fiber profile goes through the same universal-property checks
+    # fibers of size 3: the full grid is out of reach, because the
+    # transpose of every structured map is built and looked up, and the
+    # dense corner (3,3) x (3,3) against z = (3,3) has hom sets of 19,683
+    # maps; one representative per fiber profile goes through the same
+    # universal-property checks
     t3 = list(_structured_types(w, cg, 3))
     hist = Counter((xt.type.fiber[("0", 0)], xt.type.fiber[("1", 0)])
                    for xt in t3)

@@ -13,11 +13,11 @@ from boxsem.coalg import (
     coalg_extension,
     coalg_pi,
     coalg_sigma,
+    coalg_subst,
     coalgebra_category,
     coalgebra_classifier,
     coalgebra_laws,
     coalgebra_maps,
-    coalgebra_natural_model,
     coalgebra_term_laws,
     coalgebra_type_laws,
     coalgebra_types_over,
@@ -199,11 +199,10 @@ def test_pi_universal_property(flagship):
 
 
 def test_coalgebra_natural_model_round_trip(flagship):
-    model = coalgebra_natural_model(flagship)
-    cg = model.terminal()
-    for xt in model.types_over(cg, 2):
-        cge, proj, generic = model.extend(xt)
-        weak = model.subst(xt, cge, proj)
+    cg = terminal_coalgebra(flagship)
+    for xt in coalgebra_types_over(flagship, cg, 2):
+        cge, proj, generic = coalg_extension(flagship, xt)
+        weak = coalg_subst(flagship, xt, cge, proj)
         assert coalgebra_type_laws(flagship, weak) == []
 
 
