@@ -88,10 +88,6 @@ class ModelBundle:
     site: Site | None
     comonad: NaturalModelComonad | None
 
-    @property
-    def model(self) -> NaturalModel:
-        return NaturalModel(self.category, self.bound)
-
 
 def _load_category(name: str, spec: dict) -> FinCat:
     try:
@@ -293,11 +289,7 @@ def cmd_interpret(args) -> int:
 
 
 def cmd_model_laws(args) -> int:
-    try:
-        bundle = load_model(args.model)
-    except BadInput as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    bundle = load_model(args.model)
     report = {"model": bundle.name, "sections": {}}
     ok = True
 
@@ -323,11 +315,7 @@ def cmd_model_laws(args) -> int:
         ok &= not errs
 
     if bundle.comonad is not None:
-        try:
-            vr = validate_comonad(bundle.comonad)
-        except EnumerationCeiling as e:
-            print(f"ceiling: {e}", file=sys.stderr)
-            return EXIT_CEILING
+        vr = validate_comonad(bundle.comonad)
         report["sections"]["comonad"] = {
             "ok": vr["ok"], "witnesses": sorted(map(str, vr["witnesses"]))}
         for part in ("laws", "cartesian", "display", "tau", "fiber_laws",
@@ -342,11 +330,7 @@ def cmd_model_laws(args) -> int:
 
 
 def cmd_model_universe(args) -> int:
-    try:
-        bundle = load_model(args.model)
-    except BadInput as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    bundle = load_model(args.model)
     bound = args.bound if args.bound is not None else bundle.bound
     model = NaturalModel(bundle.category, bound)
     ceiling = enumeration_ceiling()
@@ -366,9 +350,6 @@ def cmd_model_universe(args) -> int:
         truncated = rc.get("truncated", False)
         print(f"{_status(rc['ok'], truncated)} realignment along monos"
               f" ({rc.get('cases', '?')} cases)")
-    except EnumerationCeiling as e:
-        print(f"ceiling: {e}", file=sys.stderr)
-        return EXIT_CEILING
     except BoundExceeded as e:
         print(f"ceiling: {e}", file=sys.stderr)
         return EXIT_CEILING
@@ -390,13 +371,9 @@ def cmd_model_universe(args) -> int:
 
 
 def cmd_model_coalgebras(args) -> int:
-    try:
-        bundle = load_model(args.model)
-        if bundle.comonad is None:
-            raise BadInput(f"model {bundle.name!r} declares no comonad")
-    except BadInput as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    bundle = load_model(args.model)
+    if bundle.comonad is None:
+        raise BadInput(f"model {bundle.name!r} declares no comonad")
     w = bundle.comonad
     bound = args.bound if args.bound is not None else bundle.bound
     ceiling = enumeration_ceiling()
@@ -435,7 +412,7 @@ def cmd_model_coalgebras(args) -> int:
     except EnumerationCeiling as e:
         print(f"ceiling: {e}", file=sys.stderr)
         return EXIT_CEILING
-    except (ComonadError, ModelError) as e:
+    except (ComonadError, ModelError, BoundExceeded) as e:
         print(f"FAIL {e}")
         report["error"] = str(e)
         _emit(report, args.out)

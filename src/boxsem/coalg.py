@@ -6,7 +6,10 @@ carried together with a strict action on dependent types and terms and
 the structure isomorphism relating comprehension before and after the
 endofunctor.  Two constructions are provided, the identity comonad and
 the comonad obtained from restriction followed by right Kan extension
-along a functor between finite categories.
+along a functor between finite categories.  A comonad supplies only
+these presheaf and type actions; its action on universe codes and on
+sieves is derived from them where the classifiers need it
+(:func:`code_actions`, :func:`sieve_action`).
 
 On top of that the module builds the bounded category of coalgebras
 with its forgetful and cofree adjunction, the comparison with the
@@ -30,8 +33,8 @@ from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
                        hom_maps, identity_map, iso_maps, product, pullback,
                        sub_presheaf, subobject_classifier, subobject_of_char,
                        subpresheaves, terminal_presheaf)
-from .natmodel import (BoundExceeded, NaturalModel, Pi, Sigma, TermOverContext,
-                       TypeMap, TypeOverContext, TypeProduct, Universe,
+from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
+                       TypeOverContext, TypeProduct, Universe,
                        all_display_maps_into, all_presheaves, all_types_over,
                        apply_type_map, comprehension, compose_type_maps, exp_ev,
                        exp_transpose, hs_universe, identity_type_map, is_display,
@@ -54,12 +57,14 @@ class EnumerationCeiling(ComonadError):
 
 class NaturalModelComonad:
     """A comonad on presheaves over the model base, together with its
-    strict action on the model's types, terms, codes, and sieves.
+    strict action on the model's types and terms.
 
-    Subclasses supply the primitive operations.  The derived methods at
-    the bottom give the induced comonad on the types over any coalgebra
-    and the fiberwise cofree construction, which is where the rest of
-    the module does its work.
+    Subclasses supply the primitive operations: the presheaf and type
+    actions.  The action on universe codes and sieves is not among them;
+    the classifiers derive it (:func:`code_actions`, :func:`sieve_action`).
+    The derived methods at the bottom give the induced comonad on the
+    types over any coalgebra and the fiberwise cofree construction,
+    which is where the rest of the module does its work.
     """
 
     name = "comonad"
@@ -103,27 +108,6 @@ class NaturalModelComonad:
 
     def tau(self, a: TypeOverContext) -> PresheafMap:
         """The iso ``box(Gamma.A) -> box(Gamma).tp_box(A)``."""
-        raise NotImplementedError
-
-    # strict action on universe codes and sieves ----------------------------
-    def box_code(self, u: Universe) -> PresheafMap:
-        """The code-level action ``box(U) -> U`` of the endofunctor."""
-        raise NotImplementedError
-
-    def box_code_mor(self, uc: "UniverseCategory") -> PresheafMap:
-        """The action ``box(U1) -> U1`` on code morphisms."""
-        raise NotImplementedError
-
-    def code_counit(self, uc: "UniverseCategory") -> PresheafMap:
-        """``box(U0) -> U1``, the counit as a family of code morphisms."""
-        raise NotImplementedError
-
-    def code_comult(self, uc: "UniverseCategory") -> PresheafMap:
-        """``box(U0) -> U1``, the comultiplication on codes."""
-        raise NotImplementedError
-
-    def box_sieve(self, om: Omega) -> PresheafMap:
-        """The induced map ``box(Omega) -> Omega`` on the sieve classifier."""
         raise NotImplementedError
 
     # elements of the box as points ----------------------------------------
@@ -214,21 +198,6 @@ class IdentityComonad(NaturalModelComonad):
     def tau(self, a):
         return identity_map(comprehension(a).presheaf)
 
-    def box_code(self, u):
-        return identity_map(u.presheaf)
-
-    def box_code_mor(self, uc):
-        return identity_map(uc.cat.mor)
-
-    def code_counit(self, uc):
-        return uc.cat.ident
-
-    def code_comult(self, uc):
-        return uc.cat.ident
-
-    def box_sieve(self, om):
-        return identity_map(om.presheaf)
-
     def box_points(self, p, obj):
         return (obj,), [(v,) for v in p.elements(obj)]
 
@@ -263,15 +232,6 @@ class _TpData:
     tables: Mapping[tuple[str, int], FamilyTable]
 
 
-@dataclass
-class _CodeBoxData:
-    """The code-level action together with the per-code family tables
-    needed to build code morphisms out of it."""
-
-    map: PresheafMap
-    tables: Mapping[tuple[str, int, str], FamilyTable]
-
-
 class AdjunctionComonad(NaturalModelComonad):
     """The comonad ``restrict . ran`` along ``u : D -> C``.
 
@@ -292,7 +252,6 @@ class AdjunctionComonad(NaturalModelComonad):
         self._counits: dict[Presheaf, PresheafMap] = {}
         self._comults: dict[Presheaf, PresheafMap] = {}
         self._tps: dict[TypeOverContext, _TpData] = {}
-        self._codes: dict[Presheaf, _CodeBoxData] = {}
 
     # family tables ----------------------------------------------------------
     def box_data(self, p: Presheaf) -> _BoxData:
@@ -447,165 +406,6 @@ class AdjunctionComonad(NaturalModelComonad):
                 vals.append(ext2.encode(x, pi, td.tables[(x, pi)].family_pos[tuple(xs)]))
             comp[x] = tuple(vals)
         return PresheafMap(bde.presheaf, ext2.presheaf, comp)
-
-    # code-level action -------------------------------------------------------
-    def code_box_data(self, u: Universe) -> _CodeBoxData:
-        cached = self._codes.get(u.presheaf)
-        if cached is not None:
-            return cached
-        d, c, uf = self.model.base, self.adj.big, self.adj.u
-        bd = self.box_data(u.presheaf)
-        tables: dict[tuple[str, int, str], FamilyTable] = {}
-        comp = {}
-        for x in d.objects:
-            slx = u.slices[x].cat
-            t = bd.tables[x]
-            vals = []
-            for pi, phi in enumerate(t.families):
-                sizes_z, action_z = {}, {}
-                for gname in slx.objects:
-                    ug = uf.mor_map[gname]
-                    sl_y = bd.tables[d.src[gname]].slots
-                    slot_codes = [u.codes[j][phi[t.slot_pos[(j, c.compose(ug, f2))]]]
-                                  for (j, f2) in sl_y]
-                    szs = [cp.sizes[d.id(j)] for cp, (j, _) in zip(slot_codes, sl_y)]
-                    rules = [((j, f2), (d.src[m], c.compose(f2, uf.mor_map[m])),
-                              cp.action[f"{m}@{d.id(j)}"])
-                             for cp, (j, f2) in zip(slot_codes, sl_y) for m in d.morphisms
-                             if d.dst[m] == j and not d.is_identity(m)]
-                    block = FamilyTable(sl_y, szs, rules)
-                    if len(block.families) > self.model.bound:
-                        raise BoundExceeded(
-                            f"boxed code at ({x!r}, {gname!r}) has {len(block.families)} "
-                            f"points, over the display bound {self.model.bound}")
-                    tables[(x, pi, gname)] = block
-                    sizes_z[gname] = len(block.families)
-                for mname in slx.morphisms:
-                    hpart, gpart = mname.split("@", 1)
-                    uh = uf.mor_map[hpart]
-                    action_z[mname] = tables[(x, pi, gpart)].restriction(
-                        tables[(x, pi, d.compose(gpart, hpart))],
-                        [(j2, c.compose(uh, f3)) for (j2, f3) in bd.tables[d.src[hpart]].slots])
-                vals.append(u.code_index(x, Presheaf(slx, sizes_z, action_z)))
-            comp[x] = tuple(vals)
-        out = _CodeBoxData(PresheafMap(bd.presheaf, u.presheaf, comp), tables)
-        self._codes[u.presheaf] = out
-        return out
-
-    def box_code(self, u):
-        return self.code_box_data(u).map
-
-    def box_code_mor(self, uc):
-        u = uc.universe
-        d, c, uf = self.model.base, self.adj.big, self.adj.u
-        bd0 = self.box_data(u.presheaf)
-        bd1 = self.box_data(uc.cat.mor)
-        cbd = self.code_box_data(u)
-        comp = {}
-        for x in d.objects:
-            slx = u.slices[x].cat
-            t = bd0.tables[x]
-            vals = []
-            for fam_m in bd1.tables[x].families:
-                data = [uc.mor_data(j, v) for (j, _), v in zip(t.slots, fam_m)]
-                p1 = t.family_pos[tuple(e[0] for e in data)]
-                p2 = t.family_pos[tuple(e[1] for e in data)]
-                z1 = cbd.map.component[x][p1]
-                z2 = cbd.map.component[x][p2]
-                comps = {}
-                for gname in slx.objects:
-                    ug = uf.mor_map[gname]
-                    slot_maps = [data[t.slot_pos[(j, c.compose(ug, f2))]][2].component[d.id(j)]
-                                 for (j, f2) in bd0.tables[d.src[gname]].slots]
-                    pos = cbd.tables[(x, p2, gname)].family_pos
-                    comps[gname] = tuple(pos[tuple(sm[v] for sm, v in zip(slot_maps, fam))]
-                                         for fam in cbd.tables[(x, p1, gname)].families)
-                pm = PresheafMap(u.codes[x][z1], u.codes[x][z2], comps)
-                vals.append(uc.mor_index(x, z1, z2, pm))
-            comp[x] = tuple(vals)
-        return PresheafMap(bd1.presheaf, uc.cat.mor, comp)
-
-    def code_counit(self, uc):
-        u = uc.universe
-        d, c, uf = self.model.base, self.adj.big, self.adj.u
-        bd = self.box_data(u.presheaf)
-        cbd = self.code_box_data(u)
-        comp = {}
-        for x in d.objects:
-            slx = u.slices[x].cat
-            k_id = bd.tables[x].slot_pos[(x, c.id(uf.obj_map[x]))]
-            vals = []
-            for pi, phi in enumerate(bd.tables[x].families):
-                z = cbd.map.component[x][pi]
-                tgt = phi[k_id]
-                comps = {}
-                for gname in slx.objects:
-                    y = d.src[gname]
-                    k_y = bd.tables[y].slot_pos[(y, c.id(uf.obj_map[y]))]
-                    comps[gname] = tuple(fam[k_y]
-                                         for fam in cbd.tables[(x, pi, gname)].families)
-                pm = PresheafMap(u.codes[x][z], u.codes[x][tgt], comps)
-                vals.append(uc.mor_index(x, z, tgt, pm))
-            comp[x] = tuple(vals)
-        return PresheafMap(bd.presheaf, uc.cat.mor, comp)
-
-    def code_comult(self, uc):
-        u = uc.universe
-        d, c, uf = self.model.base, self.adj.big, self.adj.u
-        bd = self.box_data(u.presheaf)
-        cbd = self.code_box_data(u)
-        dlt = self.comult(u.presheaf)
-        bmc = self.box_map(cbd.map)
-        comp = {}
-        for x in d.objects:
-            slx = u.slices[x].cat
-            t = bd.tables[x]
-            vals = []
-            for pi, phi in enumerate(t.families):
-                z1 = cbd.map.component[x][pi]
-                psi = bmc.apply(x, dlt.apply(x, pi))
-                z2 = cbd.map.component[x][psi]
-                comps = {}
-                for gname in slx.objects:
-                    ug = uf.mor_map[gname]
-                    ty = bd.tables[d.src[gname]]
-                    # per slot (j, f2): the code block it lands in, and the
-                    # slots of the argument family it reads
-                    entries = []
-                    for (j, f2) in ty.slots:
-                        tj = bd.tables[j]
-                        sel = t.select((j2, c.compose(c.compose(ug, f2), f3))
-                                       for (j2, f3) in tj.slots)
-                        pj = tj.family_pos[tuple(phi[k] for k in sel)]
-                        entries.append((cbd.tables[(j, pj, d.id(j))].family_pos,
-                                        ty.select((j2, c.compose(f2, f3))
-                                                  for (j2, f3) in tj.slots)))
-                    pos = cbd.tables[(x, psi, gname)].family_pos
-                    comps[gname] = tuple(
-                        pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in entries)]
-                        for fam in cbd.tables[(x, pi, gname)].families)
-                pm = PresheafMap(u.codes[x][z1], u.codes[x][z2], comps)
-                vals.append(uc.mor_index(x, z1, z2, pm))
-            comp[x] = tuple(vals)
-        return PresheafMap(bd.presheaf, uc.cat.mor, comp)
-
-    def box_sieve(self, om):
-        d, c, uf = self.model.base, self.adj.big, self.adj.u
-        bd = self.box_data(om.presheaf)
-        comp = {}
-        for x in d.objects:
-            t = bd.tables[x]
-            vals = []
-            for phi in t.families:
-                members = []
-                for g in d.morphisms_into(x):
-                    ug = uf.mor_map[g]
-                    if all(d.id(j) in om.sieve(j, phi[t.slot_pos[(j, c.compose(ug, f2))]])
-                           for (j, f2) in bd.tables[d.src[g]].slots):
-                        members.append(g)
-                vals.append(om.index(x, frozenset(members)))
-            comp[x] = tuple(vals)
-        return PresheafMap(bd.presheaf, om.presheaf, comp)
 
     # elements as points: the slots and families of the tables -----------------
     def box_points(self, p, obj):
@@ -1663,6 +1463,27 @@ class UniverseCategory:
     def mor_index(self, obj: str, c1: int, c2: int, pm: PresheafMap) -> int:
         return self.lookup[obj][(c1, c2, pm)]
 
+    def encode_map(self, m: TypeMap) -> PresheafMap:
+        """The classifying map ``Gamma -> U1`` of a map between bounded
+        types over ``Gamma``: at ``g`` the code morphism between the codes
+        of source and target at ``g`` whose component at ``f`` in the
+        slice is ``m`` at the restriction of ``g`` along ``f``."""
+        u = self.universe
+        c = u.model.base
+        gamma = m.source.context
+        src, tgt = u.encode(m.source), u.encode(m.target)
+        comp = {}
+        for i in c.objects:
+            vals = []
+            for g in gamma.elements(i):
+                c1, c2 = src.apply(i, g), tgt.apply(i, g)
+                pm = PresheafMap(u.code(i, c1), u.code(i, c2),
+                                 {f: m.component[(c.src[f], gamma.act(f, g))]
+                                  for f in u.slices[i].cat.objects})
+                vals.append(self.mor_index(i, c1, c2, pm))
+            comp[i] = tuple(vals)
+        return PresheafMap(gamma, self.cat.mor, comp)
+
 
 def universe_internal_category(u: Universe) -> UniverseCategory:
     """Internalize the universe: codes as objects, presheaf maps between
@@ -1780,29 +1601,13 @@ class CoalgebraClassifier:
 
     def encode_point(self, xt: CoalgebraType) -> PresheafMap:
         """The classifying coalgebra map of a structured type."""
-        w, u = self.comonad, self.universe
+        w = self.comonad
         cg = xt.coalg
-        c = u.model.base
-        gamma = cg.carrier
-        chi = u.encode(xt.type)
-        bba = w.bbox_type(cg, xt.type)
-        chi_b = u.encode(bba)
-        mu_comp = {}
-        for i in c.objects:
-            sl = u.slices[i].cat
-            vals = []
-            for g in gamma.elements(i):
-                comp = {f: xt.theta.component[(c.src[f], gamma.act(f, g))]
-                        for f in sl.objects}
-                pm = PresheafMap(u.code(i, chi.apply(i, g)),
-                                 u.code(i, chi_b.apply(i, g)), comp)
-                vals.append(self.ucat.mor_index(i, chi.apply(i, g),
-                                                chi_b.apply(i, g), pm))
-            mu_comp[i] = tuple(vals)
-        mu = PresheafMap(gamma, self.ucat.cat.mor, mu_comp)
+        mu = self.ucat.encode_map(xt.theta)
+        chi = compose_maps(self.ucat.cat.src, mu)
         paired = self.pairing.tuple_map(chi, mu)
         kappa = compose_maps(w.box_map(paired), cg.structure)
-        return PresheafMap(gamma, self.coalgebra.carrier, _lift(
+        return PresheafMap(cg.carrier, self.coalgebra.carrier, _lift(
             self.inclusion.component, kappa.component,
             lambda o, x: f"structured type escapes the classifier at ({o!r}, {x})"))
 
@@ -1826,6 +1631,27 @@ class CoalgebraClassifier:
         return CoalgebraType(cg, a, th)
 
 
+def code_actions(w: NaturalModelComonad, uc: UniverseCategory
+                 ) -> tuple[PresheafMap, PresheafMap, PresheafMap, PresheafMap]:
+    """The comonad's action on codes, read off its type action.
+
+    With ``El`` the generic type over ``U`` and ``G`` the generic code
+    morphism ``El[src] -> El[tgt]`` over ``U1``, returns the classifying
+    maps of ``tp_box(El)`` (``box(U) -> U``), of its counit and
+    comultiplication (``box(U) -> U1``), and of ``tp_box_map(G)``
+    (``box(U1) -> U1``).  Raises ``BoundExceeded`` when the boxed generic
+    type has a fiber over the display bound.
+    """
+    u = uc.universe
+    c = w.model.base
+    el = u.decode(identity_map(u.presheaf))
+    g = TypeMap(u.decode(uc.cat.src), u.decode(uc.cat.tgt),
+                {(i, k): pm.component[c.id(i)]
+                 for i in c.objects for k, (_, _, pm) in enumerate(uc.mor_table[i])})
+    return (u.encode(w.tp_box(el)), uc.encode_map(w.tp_counit(el)),
+            uc.encode_map(w.tp_comult(el)), uc.encode_map(w.tp_box_map(g)))
+
+
 def coalgebra_classifier(w: NaturalModelComonad,
                          u: Universe | None = None) -> CoalgebraClassifier:
     """Build the classifier of structured types inside the coalgebras.
@@ -1834,7 +1660,8 @@ def coalgebra_classifier(w: NaturalModelComonad,
     morphisms by four stage-wise conditions: the morphism runs from the
     code to the boxed code, composing with the code-level counit gives
     the identity, and composing with the code-level comultiplication
-    agrees with boxing the morphism itself.
+    agrees with boxing the morphism itself.  The code-level maps come
+    from :func:`code_actions`.
     """
     if u is None:
         u = hs_universe(w.model)
@@ -1846,14 +1673,11 @@ def coalgebra_classifier(w: NaturalModelComonad,
     bsnd = w.box_map(q.snd)
     bsrc = w.box_map(uc.cat.src)
     btgt = w.box_map(uc.cat.tgt)
-    beta = w.box_code(u)
+    beta, eps_code, dlt_code, bmor = code_actions(w, uc)
     bbeta = w.box_map(beta)
     dlt0 = w.comult(u.presheaf)
     eps0 = w.counit(u.presheaf)
     eps1 = w.counit(uc.cat.mor)
-    eps_code = w.code_counit(uc)
-    dlt_code = w.code_comult(uc)
-    bmor = w.box_code_mor(uc)
 
     members = {}
     for o in c.objects:
@@ -1956,18 +1780,21 @@ class KockWraithClassifier:
                            compose_maps(self.inclusion, h))
         return subobject_of_char(self.omega, chi)
 
-    def truth(self) -> PresheafMap:
-        """The top point, classifying the whole terminal coalgebra."""
-        one = terminal_coalgebra(self.comonad)
-        return self.classify(one, {o: frozenset(one.carrier.elements(o))
-                                   for o in one.carrier.base.objects})
+
+def sieve_action(w: NaturalModelComonad, om: Omega) -> PresheafMap:
+    """The induced map ``box(Omega) -> Omega``: the characteristic map of
+    the image of the boxed truth."""
+    bt = w.box_map(om.truth())
+    return characteristic_map(om, bt.target, {o: frozenset(vs)
+                                              for o, vs in bt.component.items()})
 
 
 def kock_wraith_classifier(w: NaturalModelComonad) -> KockWraithClassifier:
     """The classifier of sub-coalgebras, as the equalizer of the induced
-    sieve endomap against the identity on the cofree coalgebra."""
+    sieve endomap (:func:`sieve_action`) against the identity on the
+    cofree coalgebra."""
     om = subobject_classifier(w.model.base)
-    b = w.box_sieve(om)
+    b = sieve_action(w, om)
     dlt = w.comult(om.presheaf)
     endo = compose_maps(w.box_map(b), dlt)
     members = {o: frozenset(x for x in w.box(om.presheaf).elements(o)

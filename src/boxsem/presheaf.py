@@ -661,9 +661,6 @@ class Omega:
     presheaf: Presheaf
     sieves: Mapping[str, tuple[frozenset[str], ...]]
 
-    def sieve(self, obj: str, idx: int) -> frozenset[str]:
-        return self.sieves[obj][idx]
-
     def index(self, obj: str, sieve: frozenset[str]) -> int:
         return self.sieves[obj].index(sieve)
 

@@ -184,19 +184,42 @@ def _model_file(tmp_path, edit) -> Path:
     return path
 
 
-@pytest.mark.parametrize("edit", [
-    lambda spec: spec["presheaves"]["flagship"].pop("sizes"),
-    lambda spec: spec.update(bound="x"),
-    lambda spec: spec["presheaves"]["flagship"].update(actions={"0->1": ["a", "b", "c"]}),
-], ids=["presheaf-without-sizes", "bound-not-an-integer", "actions-not-integers"])
-def test_malformed_model_files_are_bad_input(tmp_path, edit):
+MALFORMED = {
+    "presheaf-without-sizes": lambda spec: spec["presheaves"]["flagship"].pop("sizes"),
+    "bound-not-an-integer": lambda spec: spec.update(bound="x"),
+    "actions-not-integers":
+        lambda spec: spec["presheaves"]["flagship"].update(actions={"0->1": ["a", "b", "c"]}),
+}
+
+
+# the ``laws`` cases keep the bare edit name as their id, so their test ids stay stable
+@pytest.mark.parametrize("command,edit", [
+    pytest.param(command, edit, id=name if command == "laws" else f"{command}-{name}")
+    for command in ("laws", "universe", "coalgebras") for name, edit in MALFORMED.items()])
+def test_malformed_model_files_are_bad_input(tmp_path, edit, command):
     path = _model_file(tmp_path, edit)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-m", "boxsem.cli", "model", "laws", str(path)],
+    run = subprocess.run([sys.executable, "-m", "boxsem.cli", "model", command, str(path)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error:")
+
+
+def test_coalgebras_over_the_display_bound_fail_cleanly(tmp_path):
+    # at bound 2 the boxed generic type of the points comonad on the walking
+    # arrow has fibers of 4 points, so the classifier of structured types
+    # cannot be built
+    path = _model_file(tmp_path, lambda spec: spec.update(bound=2))
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "boxsem.cli", "model", "coalgebras",
+                          str(path), "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert any(line.startswith("FAIL") for line in run.stdout.splitlines())
+    assert "error" in json.loads(out.read_text())
 
 
 def test_ceiling_must_be_an_integer(monkeypatch, capsys):
