@@ -31,7 +31,7 @@ from .coalg import (
     kock_wraith_report,
     validate_comonad,
 )
-from .fincat import FinCat, FinCatError, Functor, Site
+from .fincat import FinCat, FinCatError, Functor, Site, discrete_subcategory
 from .interp import SemanticTarget, soundness_harness
 from .natmodel import (
     BoundExceeded,
@@ -50,7 +50,7 @@ from .presheaf import (
     terminal_presheaf,
 )
 from .s4dtt import CheckError, Module, ParseError, check_module, parse, recheck
-from .standard import discrete, discrete_two_site, sierpinski_site, walking_arrow
+from .standard import discrete_two_site, sierpinski_site, walking_arrow
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -150,20 +150,11 @@ def _load_site(cat: FinCat, spec: dict) -> Site:
     return site
 
 
-def _points_comonad(cat: FinCat, bound: int) -> NaturalModelComonad:
-    pts = discrete(len(cat.objects), name=f"|{cat.name}|")
-    names = list(cat.objects)
-    obj_map = {str(k): names[k] for k in range(len(names))}
-    mor_map = {pts.id(str(k)): cat.id(names[k]) for k in range(len(names))}
-    u = Functor(f"points_{cat.name}", pts, cat, obj_map, mor_map)
-    return comonad_from_adjunction(KanAdjunction(u), bound=bound, check=False)
-
-
 def _load_comonad(cat: FinCat, bound: int, spec: dict) -> NaturalModelComonad:
     if spec.get("identity"):
         return identity_comonad(NaturalModel(cat, bound))
     if spec.get("from_points"):
-        return _points_comonad(cat, bound)
+        return comonad_from_adjunction(KanAdjunction(discrete_subcategory(cat)[1]), bound)
     if "functor" in spec:
         f = spec["functor"]
         source = _load_category(f.get("name", "source"), f["source"])
@@ -172,7 +163,7 @@ def _load_comonad(cat: FinCat, bound: int, spec: dict) -> NaturalModelComonad:
         errs = u.validate()
         if errs:
             raise BadInput("functor does not validate: " + "; ".join(errs[:4]))
-        return comonad_from_adjunction(KanAdjunction(u), bound=bound, check=False)
+        return comonad_from_adjunction(KanAdjunction(u), bound)
     raise BadInput("comonad block must declare identity, from_points, or a functor")
 
 
@@ -472,11 +463,8 @@ def cmd_demo_sheaves_as_coalgebras(args) -> int:
     from .natmodel import all_presheaves
 
     two = walking_arrow()
-    pts = discrete(2)
-    u = Functor("incl", pts, two, {"0": "0", "1": "1"},
-                {"id_0": "id_0", "id_1": "id_1"})
-    adj = KanAdjunction(u)
-    w = comonad_from_adjunction(adj, bound=1, check=False)
+    adj = KanAdjunction(discrete_subcategory(two)[1])
+    w = comonad_from_adjunction(adj)
 
     site = sierpinski_site()
     bound = 2

@@ -457,10 +457,9 @@ def type_maps(a: TypeOverContext, b: TypeOverContext, el: Elements | None = None
     return out
 
 
-def terms_of(a: TypeOverContext, el: Elements | None = None) -> list[TermOverContext]:
+def terms_of(a: TypeOverContext) -> list[TermOverContext]:
     """All sections of a type, canonically ordered."""
-    if el is None:
-        el = category_of_elements(a.context)
+    el = category_of_elements(a.context)
     pa = type_to_elements_presheaf(a, el)
     one = terminal_presheaf(el.cat)
     out = []
@@ -825,11 +824,8 @@ class Universe:
 
     model: NaturalModel
     presheaf: Presheaf
-    pointed: Presheaf
-    proj: PresheafMap
     slices: Mapping[str, Slice]
     codes: Mapping[str, tuple[Presheaf, ...]]
-    point_pairs: Mapping[str, tuple[tuple[int, int], ...]]
     code_pos: Mapping[str, Mapping[Presheaf, int]]
 
     def code(self, obj: str, idx: int) -> Presheaf:
@@ -900,27 +896,7 @@ def hs_universe(model: NaturalModel) -> Universe:
     for f in c.morphisms:
         i = c.dst[f]
         action[f] = tuple(code_index[c.src[f]][restrict_code(f, x)] for x in codes[i])
-    u = Presheaf(c, sizes, action)
-
-    point_pairs = {i: tuple((n, x) for n in range(len(codes[i]))
-                            for x in range(codes[i][n].sizes[c.id(i)]))
-                   for i in c.objects}
-    pt_index = {i: {p: n for n, p in enumerate(point_pairs[i])} for i in c.objects}
-    pt_sizes = {i: len(point_pairs[i]) for i in c.objects}
-    pt_action = {}
-    for f in c.morphisms:
-        i, j = c.src[f], c.dst[f]
-        vals = []
-        for (n, x) in point_pairs[j]:
-            code = codes[j][n]
-            n2 = action[f][n]
-            x2 = code.action[f"{f}@{c.id(j)}"][x]
-            vals.append(pt_index[i][(n2, x2)])
-        pt_action[f] = tuple(vals)
-    upt = Presheaf(c, pt_sizes, pt_action)
-    proj = PresheafMap(upt, u, {i: tuple(n for (n, _) in point_pairs[i])
-                                for i in c.objects})
-    return Universe(model, u, upt, proj, slices, codes, point_pairs, code_index)
+    return Universe(model, Presheaf(c, sizes, action), slices, codes, code_index)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ hold as data equality rather than up to isomorphism.
 
 The workhorse is :func:`enumerate_families`, a small backtracking
 enumerator for tuples with per-slot domains subject to
-``fam[j] == table[fam[i]]`` rules.  Exponentials, right Kan extensions,
-matching families and (later) dependent products are all the same
-enumeration with different slots;
+``fam[j] == table[fam[i]]`` rules.  Right Kan extensions, matching
+families and dependent products are all the same enumeration with
+different slots;
 :class:`FamilyTable` packages one such enumeration with dict indexes on
 both its slots and its families.
 """
@@ -490,10 +490,6 @@ class Product:
     def pair_index(self, obj: str, x: int, y: int) -> int:
         return x * self.right.sizes[obj] + y
 
-    def split_index(self, obj: str, v: int) -> tuple[int, int]:
-        n = self.right.sizes[obj]
-        return v // n, v % n
-
     def tuple_map(self, f: PresheafMap, g: PresheafMap) -> PresheafMap:
         """The induced map ``<f, g>`` out of a common source."""
         assert f.source == g.source
@@ -554,100 +550,12 @@ def pullback(f: PresheafMap, g: PresheafMap) -> PullbackSquare:
 
 
 def equalizer(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap]:
-    """Equalizer of a parallel pair, as a canonically renumbered subobject."""
+    """Equalizer of a parallel pair: the subpresheaf where the two agree."""
     assert f.source == g.source and f.target == g.target
-    c = f.source.base
-    keep = {o: tuple(x for x in f.source.elements(o)
-                     if f.component[o][x] == g.component[o][x])
-            for o in c.objects}
-    index = {o: {x: k for k, x in enumerate(keep[o])} for o in c.objects}
-    sizes = {o: len(keep[o]) for o in c.objects}
-    action = {m: tuple(index[c.src[m]][f.source.act(m, x)] for x in keep[c.dst[m]])
-              for m in c.morphisms}
-    e = Presheaf(c, sizes, action)
-    inc = PresheafMap(e, f.source, {o: keep[o] for o in c.objects})
-    return e, inc.assert_valid()
-
-
-# ---------------------------------------------------------------------------
-# Exponentials
-
-
-@dataclass(frozen=True)
-class Exponential:
-    """``Q^P`` with its evaluation data.
-
-    An element of ``Q^P(I)`` is a natural family indexed by slots
-    ``(J, f : J -> I, x in P(J))``; ``tables[I]`` lists them in
-    canonical (lexicographic) order.
-    """
-
-    presheaf: Presheaf
-    base_p: Presheaf
-    base_q: Presheaf
-    tables: Mapping[str, FamilyTable]
-
-    def family(self, obj: str, idx: int) -> tuple[int, ...]:
-        return self.tables[obj].families[idx]
-
-    def family_index(self, obj: str, fam: tuple[int, ...]) -> int:
-        return self.tables[obj].family_pos[fam]
-
-    def slot_index(self, obj: str, j: str, f: str, x: int) -> int:
-        return self.tables[obj].slot_pos[(j, f, x)]
-
-    def ev_value(self, obj: str, idx: int, x: int) -> int:
-        """Evaluate family ``idx`` at ``x in P(obj)`` (along the identity)."""
-        c = self.presheaf.base
-        return self.family(obj, idx)[self.slot_index(obj, obj, c.id(obj), x)]
-
-
-def exponential(p: Presheaf, q: Presheaf) -> Exponential:
-    """The exponential presheaf ``Q^P`` over the same base."""
-    c = p.base
-    tables = {}
-    for i in c.objects:
-        sl = [(j, f, x) for j in c.objects for f in c.hom(j, i) for x in p.elements(j)]
-        rules = [((j, f, x), (c.src[g], c.compose(f, g), p.act(g, x)), q.action[g])
-                 for (j, f, x) in sl for g in c.morphisms
-                 if c.dst[g] == j and not c.is_identity(g)]
-        tables[i] = FamilyTable(sl, [q.sizes[j] for (j, _, _) in sl], rules)
-    sizes = {i: len(tables[i].families) for i in c.objects}
-    # h : i2 -> i, restriction Q^P(i) -> Q^P(i2)
-    action = {h: tables[c.dst[h]].restriction(
-                  tables[c.src[h]],
-                  [(j, c.compose(h, f), x) for (j, f, x) in tables[c.src[h]].slots])
-              for h in c.morphisms}
-    return Exponential(Presheaf(c, sizes, action), p, q, tables)
-
-
-def ev_map(e: Exponential) -> tuple[PresheafMap, Product]:
-    """Evaluation ``Q^P x P -> Q`` against the canonical product."""
-    prod = product(e.presheaf, e.base_p)
-    c = e.presheaf.base
-    comp = {}
-    for o in c.objects:
-        vals = []
-        for v in range(prod.presheaf.sizes[o]):
-            idx, x = prod.split_index(o, v)
-            vals.append(e.ev_value(o, idx, x))
-        comp[o] = tuple(vals)
-    return PresheafMap(prod.presheaf, e.base_q, comp).assert_valid(), prod
-
-
-def curry(e: Exponential, m: PresheafMap, prod: Product) -> PresheafMap:
-    """Transpose ``m : R x P -> Q`` to ``R -> Q^P``."""
-    c = e.presheaf.base
-    r = prod.left
-    comp = {}
-    for i in c.objects:
-        vals = []
-        for rv in r.elements(i):
-            fam = tuple(m.component[j][prod.pair_index(j, r.act(f, rv), x)]
-                        for (j, f, x) in e.tables[i].slots)
-            vals.append(e.family_index(i, fam))
-        comp[i] = tuple(vals)
-    return PresheafMap(r, e.presheaf, comp).assert_valid()
+    agree = {o: frozenset(x for x, (y, z) in enumerate(zip(f.component[o], g.component[o]))
+                          if y == z)
+             for o in f.source.base.objects}
+    return sub_presheaf(f.source, agree)
 
 
 # ---------------------------------------------------------------------------

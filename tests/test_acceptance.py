@@ -98,7 +98,7 @@ def flagship():
     u = Functor("incl", pts, two, {"0": "0", "1": "1"},
                 {"id_0": "id_0", "id_1": "id_1"})
     adj = KanAdjunction(u)
-    return adj, comonad_from_adjunction(adj, bound=1, check=False)
+    return adj, comonad_from_adjunction(adj)
 
 
 def _presheaf_tables(cat, bound: int) -> int:

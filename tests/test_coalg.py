@@ -53,7 +53,7 @@ def flagship():
     u = Functor("incl", d2, two,
                 {"0": "0", "1": "1"},
                 {"id_0": "id_0", "id_1": "id_1"})
-    return comonad_from_adjunction(KanAdjunction(u), bound=1, check=False)
+    return comonad_from_adjunction(KanAdjunction(u))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """``FamilyTable`` against the constructions it replaced.
 
 ``_ref_exponential``, ``_ref_ran`` and ``_ref_pi`` are the earlier
-implementations of ``exponential``, ``KanAdjunction.ran`` and ``pi_type``,
+implementations of the presheaf exponential (now ``type_exponential``
+over the terminal presheaf), ``KanAdjunction.ran`` and ``pi_type``,
 kept as a differential oracle: they find every slot and every restricted
 family by a linear ``tuple.index`` scan.  On every shipped model the
 table versions must give the same slots, the same families in the same
@@ -15,12 +16,11 @@ from pathlib import Path
 import pytest
 
 from boxsem.cli import load_model
-from boxsem.fincat import Functor, identity_functor
-from boxsem.natmodel import (NaturalModel, all_presheaves, all_types_over,
-                             comprehension, pi_type)
+from boxsem.fincat import discrete_subcategory, identity_functor
+from boxsem.natmodel import (NaturalModel, TypeOverContext, all_presheaves, all_types_over,
+                             comprehension, pi_type, type_exponential)
 from boxsem.presheaf import (FamilyTable, KanAdjunction, enumerate_families,
-                             exponential)
-from boxsem.standard import discrete
+                             terminal_presheaf)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,12 +146,11 @@ def _tables_agree(tables, slots, families):
         assert t.family_pos == {f: k for k, f in enumerate(families[key])}
 
 
-def _points(cat):
-    pts = discrete(len(cat.objects), name=f"|{cat.name}|")
-    names = list(cat.objects)
-    return Functor(f"points_{cat.name}", pts, cat,
-                   {str(k): names[k] for k in range(len(names))},
-                   {pts.id(str(k)): cat.id(names[k]) for k in range(len(names))})
+def _over_point(p):
+    """``p`` as a type over the terminal presheaf."""
+    one = terminal_presheaf(p.base)
+    return TypeOverContext(one, {(o, 0): n for o, n in p.sizes.items()},
+                           {(f, 0): t for f, t in p.action.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +172,18 @@ def test_exponential_matches_the_scan_construction(model):
     c = load_model(model).category
     ps = all_presheaves(c, 2)
     for p, q in itertools.product(ps, ps):
-        e = exponential(p, q)
+        e = type_exponential(_over_point(p), _over_point(q))
         slots, families, action = _ref_exponential(p, q)
-        _tables_agree(e.tables, slots, families)
-        assert e.presheaf.action == action
-        assert e.presheaf.sizes == {i: len(families[i]) for i in c.objects}
+        _tables_agree({i: e.tables[(i, 0)] for i in c.objects}, slots, families)
+        assert {h: e.type.restriction[(h, 0)] for h in c.morphisms} == action
+        assert {i: e.type.fiber[(i, 0)] for i in c.objects} == \
+            {i: len(families[i]) for i in c.objects}
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_ran_matches_the_scan_construction(model):
     c = load_model(model).category
-    for u in (_points(c), identity_functor(c)):
+    for u in (discrete_subcategory(c)[1], identity_functor(c)):
         adj = KanAdjunction(u)
         for q in all_presheaves(u.source, 2):
             r = adj.ran(q)

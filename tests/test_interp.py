@@ -58,7 +58,7 @@ def flagship():
     d2 = discrete(2)
     u = Functor("incl", d2, two, {"0": "0", "1": "1"},
                 {"id_0": "id_0", "id_1": "id_1"})
-    w = comonad_from_adjunction(KanAdjunction(u), bound=1, check=False)
+    w = comonad_from_adjunction(KanAdjunction(u))
     return SemanticTarget(w, "flagship")
 
 

@@ -1,4 +1,7 @@
-"""Presheaf calculus: Yoneda, limits, exponentials, Omega, Kan, sheaves."""
+"""Presheaf calculus: Yoneda, limits, exponentials, Omega, Kan, sheaves.
+
+Exponentials of presheaves are exponentials of types over the terminal
+presheaf (``type_exponential``)."""
 
 import itertools
 
@@ -13,10 +16,7 @@ from boxsem.presheaf import (
     category_of_elements,
     characteristic_map,
     compose_maps,
-    curry,
     equalizer,
-    ev_map,
-    exponential,
     hom_maps,
     identity_map,
     iso_maps,
@@ -32,7 +32,9 @@ from boxsem.presheaf import (
     yoneda_index,
     yoneda_map,
 )
-from boxsem.natmodel import all_presheaves
+from boxsem.coalg import type_tuple_map
+from boxsem.natmodel import (TypeOverContext, all_presheaves, compose_type_maps, exp_ev,
+                             exp_transpose, type_exponential, type_maps, type_product)
 from boxsem.standard import discrete, sierpinski_site, walking_arrow
 
 
@@ -143,22 +145,29 @@ def test_equalizer_equalizes_and_is_maximal(two, flagship):
         assert e.sizes[o] == len(agree)
 
 
+def _over_point(p):
+    """``p`` as a type over the terminal presheaf."""
+    one = terminal_presheaf(p.base)
+    return TypeOverContext(one, {(o, 0): n for o, n in p.sizes.items()},
+                           {(f, 0): t for f, t in p.action.items()})
+
+
 def test_exponential_curry_ev_round_trip(two):
-    p = yoneda(two, "1")
-    q = yoneda(two, "1")
-    e = exponential(p, q)
-    assert e.presheaf.validate() == []
-    ev, prod_ep = ev_map(e)
-    r = yoneda(two, "1")
-    rp = product(r, p)
-    for m in hom_maps(rp.presheaf, q):
-        h = curry(e, m, rp)
+    p = q = r = _over_point(yoneda(two, "1"))
+    e = type_exponential(p, q)
+    assert e.type.validate() == []
+    pr_ep = type_product(e.type, p)
+    ev = exp_ev(e, pr_ep, q)
+    assert ev.validate() == []
+    rp = type_product(r, p)
+    maps = type_maps(rp.type, q)
+    for m in maps:
+        h = exp_transpose(e, rp, m)
         # ev after (h x id) recovers m
-        hx = prod_ep.tuple_map(compose_maps(h, rp.fst), rp.snd)
-        assert compose_maps(ev, hx) == m
+        hx = type_tuple_map(pr_ep, compose_type_maps(h, rp.fst), rp.snd)
+        assert compose_type_maps(ev, hx) == m
     # and distinct maps curry apart
-    curried = {curry(e, m, rp) for m in hom_maps(rp.presheaf, q)}
-    assert len(curried) == len(hom_maps(rp.presheaf, q))
+    assert len({exp_transpose(e, rp, m) for m in maps}) == len(maps)
 
 
 def test_omega_sizes_are_sieve_counts(two):
