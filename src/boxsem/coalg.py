@@ -26,7 +26,7 @@ no structure is trusted without being run through its validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
                        Product, PullbackSquare, characteristic_map, compose_maps,
@@ -36,7 +36,7 @@ from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
 from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
                        TypeOverContext, TypeProduct, Universe,
                        all_display_maps_into, all_presheaves, all_types_over,
-                       apply_type_map, comprehension, compose_type_maps, exp_ev,
+                       apply_type_map, comprehension, compose_type_maps,
                        exp_transpose, hs_universe, identity_type_map, is_display,
                        sigma_type, sub_type, subst_term, subst_type,
                        subst_type_map, terms_of, type_exponential, type_maps,
@@ -49,6 +49,10 @@ class ComonadError(Exception):
 
 class EnumerationCeiling(ComonadError):
     """An enumeration would exceed its configured guard."""
+
+
+# (fibers, points, positions): the elements of a box read as tuples of points
+Points = tuple[tuple, Sequence[tuple[int, ...]], Mapping[tuple[int, ...], int]]
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +115,24 @@ class NaturalModelComonad:
         raise NotImplementedError
 
     # elements of the box as points ----------------------------------------
-    def box_points(self, p: Presheaf, obj: str) -> tuple[tuple[str, ...], Sequence[tuple[int, ...]]]:
+    def box_points(self, p: Presheaf, obj: str) -> Points:
         """The elements of ``box(P)(obj)`` as tuples of points of ``P``.
 
-        Returns ``(fibers, points)``.  Element ``e`` is determined by
+        Returns ``(fibers, points, pos)``.  Element ``e`` is determined by
         ``points[e]``, whose entry ``k`` lies in ``P(fibers[k])``, and
-        ``box_map(h)`` acts pointwise: it sends ``e`` to the element whose
-        entry ``k`` is ``h`` at ``fibers[k]`` applied to ``points[e][k]``.
-        ``fibers`` depends on ``obj`` alone.
+        ``pos[points[e]] == e``; a tuple that is no element is not in
+        ``pos``.  ``box_map(h)`` acts pointwise: it sends ``e`` to the
+        element whose entry ``k`` is ``h`` at ``fibers[k]`` applied to
+        ``points[e][k]``.  ``fibers`` depends on ``obj`` alone.
         """
         raise NotImplementedError
 
-    def tp_box_points(self, a: TypeOverContext, obj: str,
-                      pi: int) -> tuple[tuple[tuple[str, int], ...], Sequence[tuple[int, ...]]]:
+    def tp_box_points(self, a: TypeOverContext, obj: str, pi: int) -> Points:
         """The elements of ``tp_box(A)`` over ``pi in box(Gamma)(obj)`` as
-        tuples of points of ``A``, as in :meth:`box_points`: ``fibers``
-        lists fiber keys of ``A``, depends on ``(obj, pi)`` and the context
-        alone, and ``tp_box_map`` acts pointwise."""
+        tuples of points of ``A``, with their positions, as in
+        :meth:`box_points`: ``fibers`` lists fiber keys of ``A``, depends
+        on ``(obj, pi)`` and the context alone, and ``tp_box_map`` acts
+        pointwise."""
         raise NotImplementedError
 
     # derived: the indexed comonad at a coalgebra ----------------------------
@@ -137,6 +142,10 @@ class NaturalModelComonad:
 
     def bbox_type_map(self, cg: "Coalgebra", m: TypeMap) -> TypeMap:
         return subst_type_map(self.tp_box_map(m), cg.structure)
+
+    def bbox_points(self, cg: "Coalgebra", a: TypeOverContext, key: tuple[str, int]) -> Points:
+        """The elements of ``bbox_type(cg, a)`` over ``key`` as points."""
+        return self.tp_box_points(a, key[0], cg.structure.apply(*key))
 
     def bbox_term(self, cg: "Coalgebra", t: TermOverContext) -> TermOverContext:
         return subst_term(self.tm_box(t), cg.structure)
@@ -199,10 +208,11 @@ class IdentityComonad(NaturalModelComonad):
         return identity_map(comprehension(a).presheaf)
 
     def box_points(self, p, obj):
-        return (obj,), [(v,) for v in p.elements(obj)]
+        return (obj,), [(v,) for v in p.elements(obj)], {(v,): v for v in p.elements(obj)}
 
     def tp_box_points(self, a, obj, pi):
-        return ((obj, pi),), [(v,) for v in range(a.fiber[(obj, pi)])]
+        n = a.fiber[(obj, pi)]
+        return ((obj, pi),), [(v,) for v in range(n)], {(v,): v for v in range(n)}
 
 
 def identity_comonad(model: NaturalModel) -> IdentityComonad:
@@ -413,13 +423,14 @@ class AdjunctionComonad(NaturalModelComonad):
     # elements as points: the slots and families of the tables -----------------
     def box_points(self, p, obj):
         t = self.box_data(p).tables[obj]
-        return tuple(j for (j, _) in t.slots), t.families
+        return tuple(j for (j, _) in t.slots), t.families, t.family_pos
 
     def tp_box_points(self, a, obj, pi):
         td = self.tp_data(a)
         t = td.box.tables[obj]
+        ft = td.tables[(obj, pi)]
         return (tuple((j, v) for (j, _), v in zip(t.slots, t.families[pi])),
-                td.tables[(obj, pi)].families)
+                ft.families, ft.family_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +512,7 @@ def coalgebra_maps(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra) -> li
     """The coalgebra maps ``src -> dst``, in the order of ``hom_maps``:
     the structure equation is enumerated as slot rules, not tested."""
     def points(x):
-        fibers, pts_src = w.box_points(src.carrier, x)
+        fibers, pts_src, _ = w.box_points(src.carrier, x)
         return fibers, pts_src, w.box_points(dst.carrier, x)[1]
     return hom_maps(src.carrier, dst.carrier, rules=_commuting_rules(
         src.structure.component, dst.structure.component, points))
@@ -541,6 +552,41 @@ def _lift(mono: Mapping, values: Mapping, error: Callable[[object, int], str]) -
     return out
 
 
+def _largest_closed(keep: Mapping, needs: Callable[[object, int], Iterable]) -> dict:
+    """The largest selection inside ``keep`` holding all that its
+    elements need, a greatest fixed point: ``needs(key, v)`` lists the
+    elements ``(key2, v2)`` that ``v in keep[key]`` cannot be kept
+    without, and a dropped element drops whatever needs it.  Since the
+    box acts pointwise, the callers' needs are box points."""
+    alive = {(k, v) for k, vs in keep.items() for v in vs}
+    needed_by: dict = {}
+    drop = []
+    for e in alive:
+        for n in needs(*e):
+            needed_by.setdefault(n, []).append(e)
+            if n not in alive:
+                drop.append(e)
+    while drop:
+        e = drop.pop()
+        if e in alive:
+            alive.remove(e)
+            drop.extend(needed_by.get(e, ()))
+    return {k: frozenset(v for v in vs if (k, v) in alive) for k, vs in keep.items()}
+
+
+def _coalgebra_needs(w: NaturalModelComonad, cg: Coalgebra) -> Callable[[str, int], list]:
+    """What an element ``(o, x)`` of the carrier needs to lie in a
+    sub-coalgebra: its restrictions, and the box points of its structure,
+    which lies in the image of a boxed inclusion exactly when they do."""
+    p, s, c = cg.carrier, cg.structure.component, cg.carrier.base
+    into = {o: [(c.src[f], p.action[f]) for f in c.morphisms if c.dst[f] == o] for o in c.objects}
+    boxed = {o: w.box_points(p, o) for o in c.objects}
+
+    def needs(o, x):
+        return [*((i, act[x]) for i, act in into[o]), *zip(boxed[o][0], boxed[o][1][s[o][x]])]
+    return needs
+
+
 def sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
                   sel: Mapping[str, frozenset[int]]) -> tuple[Coalgebra, PresheafMap]:
     """Restrict a coalgebra to a subpresheaf closed under its structure."""
@@ -554,15 +600,11 @@ def sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
 
 
 def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, frozenset[int]]]:
-    """Subpresheaves of the carrier closed under the structure map."""
-    out = []
-    for sel in subpresheaves(cg.carrier):
-        try:
-            sub_coalgebra(w, cg, sel)
-        except ComonadError:
-            continue
-        out.append(sel)
-    return out
+    """Subpresheaves of the carrier closed under the structure map: those
+    that hold everything their elements need (:func:`_coalgebra_needs`)."""
+    needs = _coalgebra_needs(w, cg)
+    return [sel for sel in subpresheaves(cg.carrier)
+            if all(v in sel[k] for o, xs in sel.items() for x in xs for k, v in needs(o, x))]
 
 
 def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
@@ -684,7 +726,9 @@ def comparison_check(adj: KanAdjunction, w: AdjunctionComonad,
     for i, p in enumerate(ps):
         for j, q in enumerate(ps):
             upstairs = hom_maps(p, q)
-            image = {w.adj.restrict_map(h) for h in upstairs}
+            image = {PresheafMap(images[i].carrier, images[j].carrier,
+                                 {x: h.component[y] for x, y in adj.u.obj_map.items()})
+                     for h in upstairs}
             if len(image) != len(upstairs):
                 faithful = hom_ok = False
                 witness = witness or (f"distinct maps between {p.sizes} and {q.sizes} "
@@ -856,9 +900,6 @@ class CoalgebraType:
     type: TypeOverContext
     theta: TypeMap
 
-    def fiber(self, obj: str, g: int) -> int:
-        return self.type.fiber[(obj, g)]
-
 
 def coalgebra_type_laws(w: NaturalModelComonad, xt: CoalgebraType) -> list[str]:
     cg, a, th = xt.coalg, xt.type, xt.theta
@@ -900,12 +941,9 @@ def coalgebra_type_maps(w: NaturalModelComonad, x: CoalgebraType,
                         y: CoalgebraType) -> list[TypeMap]:
     """Fiberwise maps commuting with the two structures, in the order of
     ``type_maps``; the commuting square is enumerated as slot rules."""
-    s = x.coalg.structure
-
     def points(key):
-        o, pi = key[0], s.apply(*key)
-        fibers, pts_src = w.tp_box_points(x.type, o, pi)
-        return fibers, pts_src, w.tp_box_points(y.type, o, pi)[1]
+        fibers, pts_src, _ = w.bbox_points(x.coalg, x.type, key)
+        return fibers, pts_src, w.bbox_points(x.coalg, y.type, key)[1]
     return type_maps(x.type, y.type, rules=_commuting_rules(
         x.theta.component, y.theta.component, points))
 
@@ -1092,31 +1130,23 @@ def type_tuple_map(pr: TypeProduct, m1: TypeMap, m2: TypeMap) -> TypeMap:
     return TypeMap(m1.source, pr.type, comp)
 
 
-def _pack_map(w: NaturalModelComonad, cg: Coalgebra,
-              pr: TypeProduct) -> tuple[TypeMap, TypeProduct]:
-    """The inverse of the comparison from a boxed product to the product
-    of the boxes, plus the product of boxes it starts from."""
-    bl = w.bbox_type(cg, pr.left)
-    br = w.bbox_type(cg, pr.right)
-    prb = type_product(bl, br)
-    bprod = w.bbox_type(cg, pr.type)
-    unpack = type_tuple_map(prb, w.bbox_type_map(cg, pr.fst),
-                            w.bbox_type_map(cg, pr.snd))
-    unpack = TypeMap(bprod, prb.type, unpack.component)
-    if not unpack.is_iso():
-        raise ComonadError("box does not preserve this fiberwise product")
-    return unpack.inverse(), prb
-
-
 def coalg_product(w: NaturalModelComonad, x: CoalgebraType,
                   y: CoalgebraType) -> tuple[CoalgebraType, TypeProduct]:
-    """Binary product of structured types."""
+    """Binary product of structured types.  The box acts pointwise, so the
+    structure sends ``(u, v)`` to the element of the box of the product
+    whose points pair those of ``theta_x(u)`` and ``theta_y(v)``; a box
+    without it does not preserve the product."""
     cg = x.coalg
     pr = type_product(x.type, y.type)
-    pack, prb = _pack_map(w, cg, pr)
-    th = compose_type_maps(pack, type_tuple_map(
-        prb, compose_type_maps(x.theta, pr.fst), compose_type_maps(y.theta, pr.snd)))
-    xt = CoalgebraType(cg, pr.type, th)
+    comp = {}
+    for k, col_x in x.theta.component.items():
+        fibers, pts_x, _ = w.bbox_points(cg, x.type, k)
+        pts_y, pos = w.bbox_points(cg, y.type, k)[1], w.bbox_points(cg, pr.type, k)[2]
+        comp[k] = tuple(pos.get(tuple(pr.pair(*f, p, q) for f, p, q in zip(
+            fibers, pts_x[u], pts_y[v]))) for u in col_x for v in y.theta.component[k])
+        if None in comp[k]:
+            raise ComonadError("box does not preserve this fiberwise product")
+    xt = CoalgebraType(cg, pr.type, TypeMap(pr.type, w.bbox_type(cg, pr.type), comp))
     errs = coalgebra_type_laws(w, xt)
     if errs:
         raise ComonadError("product structure is broken: " + errs[0])
@@ -1136,37 +1166,23 @@ def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
                dlt_like: TypeMap, keep: Mapping[tuple[str, int], frozenset[int]],
                what: str) -> tuple[CoalgebraType, TypeMap]:
     """Carve the largest structure-closed subtype out of ``keep`` and
-    equip it with the induced structure by preimage lookup.
+    equip it with the induced structure.  The box acts pointwise, so
+    ``dlt_like(v)`` lies in the box of a subtype exactly when its box points
+    lie in the subtype: they are what ``v`` needs (:func:`_largest_closed`).
+    ``sub_type`` raises on a result not closed under restriction."""
+    boxed = {k: w.bbox_points(cg, big, k)[:2] for k in big.fiber}
 
-    Closure can fail only by an element whose comultiplication mentions
-    a discarded one, so discarding it and retrying reaches the largest
-    fixed point; the loop ends because fibers only shrink.
-    """
-    keep = {k: frozenset(v) for k, v in keep.items()}
-    while True:
-        sub, inc = sub_type(big, keep)
-        binc = w.bbox_type_map(cg, inc)
-        new_keep = {}
-        shrunk = False
-        for (o, g), n in sub.fiber.items():
-            good = []
-            image = set(binc.component[(o, g)])
-            for v in range(n):
-                kept = inc.component[(o, g)][v]
-                if dlt_like.apply(o, g, kept) in image:
-                    good.append(kept)
-                else:
-                    shrunk = True
-            new_keep[(o, g)] = frozenset(good)
-        if not shrunk:
-            break
-        keep = new_keep
-    comp = _lift(binc.component,
-                 {k: tuple(dlt_like.component[k][x] for x in col)
-                  for k, col in inc.component.items()},
-                 lambda k, n: f"{what} is not closed under its structure at {k}")
-    th = TypeMap(sub, w.bbox_type(cg, sub), comp)
-    xt = CoalgebraType(cg, sub, th)
+    def needs(k, v):
+        fibers, pts = boxed[k]
+        return zip(fibers, pts[dlt_like.component[k][v]])
+
+    sub, inc = sub_type(big, _largest_closed(keep, needs))
+    index = {k: {v: n for n, v in enumerate(col)} for k, col in inc.component.items()}
+    comp = {}
+    for k, col in inc.component.items():
+        pos = w.bbox_points(cg, sub, k)[2]
+        comp[k] = tuple(pos[tuple(index[f][p] for f, p in needs(k, v))] for v in col)
+    xt = CoalgebraType(cg, sub, TypeMap(sub, w.bbox_type(cg, sub), comp))
     errs = coalgebra_type_laws(w, xt)
     if errs:
         raise ComonadError(f"{what} carries no lawful structure: " + errs[0])
@@ -1188,23 +1204,33 @@ class CoalgebraExponential:
 
     def transpose(self, w: NaturalModelComonad, z: CoalgebraType,
                   pr: TypeProduct, m: TypeMap) -> TypeMap:
-        """Curry a structured map out of a product into the exponential."""
-        cg = self.source.coalg
-        lam = exp_transpose(self.plain, pr, m)
-        t = compose_type_maps(w.bbox_type_map(cg, lam), z.theta)
+        """Curry a structured map out of a product into the exponential:
+        ``v`` goes to the element of the box of the plain exponential whose
+        points are the plain transpose applied to those of ``theta_z(v)``."""
+        cg, lam = self.source.coalg, exp_transpose(self.plain, pr, m).component
+        boxed = {}
+        for k, col in z.theta.component.items():
+            fibers, pts, _ = w.bbox_points(cg, z.type, k)
+            pos = w.bbox_points(cg, self.plain.type, k)[2]
+            boxed[k] = tuple(pos[tuple(lam[f][p] for f, p in zip(fibers, pts[e]))] for e in col)
         return TypeMap(z.type, self.type.type, _lift(
-            self.inclusion.component, t.component,
+            self.inclusion.component, boxed,
             lambda k, n: "transpose of an unstructured map"))
 
 
 def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
                       y: CoalgebraType) -> CoalgebraExponential:
-    """The exponential of structured types.
+    """The exponential of structured types, inside the box of the plain
+    exponential ``B^A``, whose elements ``E`` are tuples of plain functions.
 
-    An element of the box of the plain exponential survives when
-    applying it slotwise to a boxed argument agrees with applying its
-    counit and boxing the output; the structure is then inherited from
-    the cofree one by comultiplication.
+    ``E`` is kept when, for every argument ``t``, applying its points to
+    those of ``theta_x(t)`` gives the points of ``theta_y(counit(E)(t))``.
+    That is the identity slot of the families of ``B^A``; the other slots
+    hold the same equation at the restrictions of ``E``.  It suffices: the
+    structure comes from comultiplication (:func:`_sub_theta`), which keeps
+    ``E`` only with every box point of ``delta(E)``, and for the Kan comonad
+    those include every restriction of ``E``.  Under the identity comonad
+    every structure is an identity and every element passes.
     """
     cg = x.coalg
     if y.coalg != cg:
@@ -1212,32 +1238,22 @@ def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
     a, b = x.type, y.type
     e_plain = type_exponential(a, b)
     box_exp = w.bbox_type(cg, e_plain.type)
-    bb = w.bbox_type(cg, b)
-    exp_bb = type_exponential(a, bb)
-
-    pr_ea = type_product(e_plain.type, a)
-    ev_plain = exp_ev(e_plain, pr_ea, b)
-    v1 = compose_type_maps(
-        exp_transpose(exp_bb, pr_ea, compose_type_maps(y.theta, ev_plain)),
-        w.fiber_counit(cg, e_plain.type))
-
-    pack, prb = _pack_map(w, cg, pr_ea)
-    pr_box = type_product(box_exp, a)
-    into_pack = type_tuple_map(prb, pr_box.fst,
-                               compose_type_maps(x.theta, pr_box.snd))
-    applied = compose_type_maps(w.bbox_type_map(cg, ev_plain),
-                                compose_type_maps(pack, into_pack))
-    v2 = exp_transpose(exp_bb, pr_box, applied)
-
-    keep = {k: frozenset(v for v in range(n)
-                         if v1.component[k][v] == v2.component[k][v])
-            for k, n in box_exp.fiber.items()}
+    eps = w.fiber_counit(cg, e_plain.type)
+    app = e_plain.app
+    keep = {}
+    for (o, g), n in box_exp.fiber.items():
+        fibers, pts_e, _ = w.bbox_points(cg, e_plain.type, (o, g))
+        pts_a, pts_b = w.bbox_points(cg, a, (o, g))[1], w.bbox_points(cg, b, (o, g))[1]
+        tx, ty, ec = (m.component[(o, g)] for m in (x.theta, y.theta, eps))
+        keep[(o, g)] = [v for v in range(n) if all(
+            tuple(app(*f, e, p) for f, e, p in zip(fibers, pts_e[v], pts_a[tx[t]]))
+            == pts_b[ty[app(o, g, ec[v], t)]] for t in range(a.fiber[(o, g)]))]
     xt, inclusion = _sub_theta(w, cg, box_exp, w.fiber_comult(cg, e_plain.type),
                                keep, "exponential of structured types")
     pr_sub = type_product(xt.type, a)
-    first = compose_type_maps(w.fiber_counit(cg, e_plain.type),
-                              compose_type_maps(inclusion, pr_sub.fst))
-    ev = compose_type_maps(ev_plain, type_tuple_map(pr_ea, first, pr_sub.snd))
+    ev = TypeMap(pr_sub.type, b, {(o, g): tuple(
+        app(o, g, eps.apply(o, g, e), t) for e in col for t in range(a.fiber[(o, g)]))
+        for (o, g), col in inclusion.component.items()})
     return CoalgebraExponential(x, y, xt, e_plain, inclusion, ev, pr_sub)
 
 
@@ -1353,7 +1369,7 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
                 for (j, g), t in es.plain.tables.items()}
     keep = {}
     for (o, g), col in es.inclusion.component.items():
-        fibers, points = w.tp_box_points(es.plain.type, o, cg.structure.apply(o, g))
+        fibers, points, _ = w.bbox_points(cg, es.plain.type, (o, g))
         keep[(o, g)] = frozenset(v for v, e in enumerate(col)
                                  if all(i in sections[f] for f, i in zip(fibers, points[e])))
     xt, inc = _sub_theta(w, cg, es.type.type, es.type.theta, keep,
@@ -1542,39 +1558,13 @@ def largest_sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
                           ) -> tuple[Coalgebra, PresheafMap, dict[str, frozenset[int]]]:
     """The largest sub-coalgebra whose elements all lie in ``members``.
 
-    Alternates closing the selection under restriction and under the
-    structure map until both hold; each pass only removes elements, so
-    the loop reaches the greatest fixed point.
+    An element needs its restrictions, since ``members`` need not be
+    closed under restriction, and the points of its structure
+    (:func:`_coalgebra_needs`); the selection is the greatest fixed point
+    of those needs inside ``members`` (:func:`_largest_closed`).
     """
-    p = cg.carrier
-    c = p.base
-    sel = {o: frozenset(members.get(o, frozenset())) for o in c.objects}
-    while True:
-        changed = True
-        while changed:
-            changed = False
-            for f in c.morphisms:
-                i, j = c.src[f], c.dst[f]
-                good = frozenset(x for x in sel[j] if p.act(f, x) in sel[i])
-                if good != sel[j]:
-                    sel[j] = good
-                    changed = True
-        sub, inc = sub_presheaf(p, sel)
-        bm = w.box_map(inc)
-        kept = {}
-        shrunk = False
-        for o in c.objects:
-            image = set(bm.component[o])
-            good = []
-            for x in sel[o]:
-                if cg.structure.apply(o, x) in image:
-                    good.append(x)
-                else:
-                    shrunk = True
-            kept[o] = frozenset(good)
-        if not shrunk:
-            break
-        sel = kept
+    sel = _largest_closed({o: members.get(o, frozenset()) for o in cg.carrier.base.objects},
+                          _coalgebra_needs(w, cg))
     scg, inc = sub_coalgebra(w, cg, sel)
     return scg, inc, sel
 
@@ -1724,20 +1714,20 @@ def classifier_report(w: NaturalModelComonad, clf: CoalgebraClassifier,
                                  "to a broken structured type")
             elif clf.encode_point(xt) != h:
                 witnesses.append(f"encode of decode differs over {cg.carrier.sizes}")
-        pairs.append((cg, len(xts), len(maps)))
+        pairs.append((cg, xts, len(maps)))
         if len(xts) != len(maps):
             witnesses.append(f"{len(xts)} structured types vs {len(maps)} points "
                              f"over {cg.carrier.sizes}")
     for cg, _, _ in pairs[:3]:
-        for cg2, _, _ in pairs[:3]:
+        for cg2, xts2, _ in pairs[:3]:
             for h in coalgebra_maps(w, cg, cg2)[:4]:
-                for xt in coalgebra_types_over(w, cg2, w.model.bound)[:4]:
+                for xt in xts2[:4]:
                     lhs = clf.encode_point(coalg_subst(w, xt, cg, h))
                     rhs = compose_maps(clf.encode_point(xt), h)
                     if lhs != rhs:
                         witnesses.append("classification is unnatural")
     return {"ok": not witnesses,
-            "instances": [(dict(cg.carrier.sizes), n, m) for cg, n, m in pairs],
+            "instances": [(dict(cg.carrier.sizes), len(xts), m) for cg, xts, m in pairs],
             "witnesses": witnesses}
 
 

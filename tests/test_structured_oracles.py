@@ -1,16 +1,28 @@
-"""Dependent products and universal-property checks against their earlier
-versions.
+"""Structured products, exponentials, dependent products and their
+universal-property checks against their earlier versions.
+
+The checker reads the box through its points.  ``coalg_product`` pairs
+the box points of the two structures; ``coalg_exponential`` tests an
+element of the boxed plain exponential at the identity slot only, on box
+points; ``_sub_theta`` closes a subtype under its structure by one
+greatest fixed point over box points; ``transpose`` boxes the plain
+transpose only at the points it reads.  The ``_ref_*`` versions below are
+the earlier ones, which box whole maps: the product through the inverse
+of the comparison map (``_ref_pack_map``), the exponential by comparing
+two maps into a second exponential over the boxed fibers at every slot,
+the closure by rebuilding the subtype and boxing its inclusion on every
+pass, and the transpose by boxing the plain transpose over the whole box.
 
 ``coalg_pi`` keeps an element of the exponential into the structured sum
 when each of its box points is a section of the first projection.  The
-``_ref_coalg_pi`` below is its earlier version, kept as a differential
-oracle: it builds the exponential ``x^x`` and keeps the elements whose
-boxed post-composition with the projection is the boxed identity.
+``_ref_coalg_pi`` below is its earlier version: it builds the exponential
+``x^x`` and keeps the elements whose boxed post-composition with the
+projection is the boxed identity.
 
 ``exponential_up_check`` and ``pi_up_check`` walk one side of each
 bijection and compare sizes.  The ``_ref_*_up_check`` below are their
 earlier versions, which also walk the other side, with list membership.
-Both must give the same subtypes, structures and reports.
+Both must give the same subtypes, structures and reports, on the nose.
 """
 
 import itertools
@@ -18,26 +30,137 @@ import itertools
 import pytest
 
 from boxsem.cli import load_model
-from boxsem.coalg import (CoalgebraPi, CoalgebraType, _sub_theta, coalg_exponential,
-                          coalg_extension, coalg_pi, coalg_product, coalg_sigma,
-                          coalg_terminal, coalgebra_term_laws, coalgebra_terms,
-                          coalgebra_type_laws, coalgebra_type_maps, coalgebra_types_over,
+from boxsem.coalg import (CoalgebraExponential, CoalgebraPi, CoalgebraType, ComonadError,
+                          _lift, _sub_theta, coalg_exponential, coalg_extension, coalg_pi,
+                          coalg_product, coalg_sigma, coalg_terminal, coalgebra_term_laws,
+                          coalgebra_terms, coalgebra_type_laws, coalgebra_type_maps,
+                          coalgebra_types_over, comonad_from_adjunction,
                           exponential_up_check, pi_up_check, terminal_coalgebra,
                           type_tuple_map)
-from boxsem.natmodel import (TypeMap, all_types_over, compose_type_maps, exp_ev,
-                             exp_transpose, type_product)
+from boxsem.fincat import Functor, identity_functor
+from boxsem.natmodel import (TypeMap, all_types_over, compose_type_maps, comprehension,
+                             exp_ev, exp_transpose, sub_type, type_exponential,
+                             type_product)
+from boxsem.presheaf import KanAdjunction, subpresheaves
+from boxsem.standard import chain, walking_arrow
 
 
 # ---------------------------------------------------------------------------
 # Reference versions
 
 
+def _ref_pack_map(w, cg, pr):
+    """The inverse of the comparison from a boxed product to the product
+    of the boxes, plus the product of boxes it starts from."""
+    bl = w.bbox_type(cg, pr.left)
+    br = w.bbox_type(cg, pr.right)
+    prb = type_product(bl, br)
+    bprod = w.bbox_type(cg, pr.type)
+    unpack = type_tuple_map(prb, w.bbox_type_map(cg, pr.fst),
+                            w.bbox_type_map(cg, pr.snd))
+    unpack = TypeMap(bprod, prb.type, unpack.component)
+    if not unpack.is_iso():
+        raise ComonadError("box does not preserve this fiberwise product")
+    return unpack.inverse(), prb
+
+
+def _ref_coalg_product(w, x, y):
+    cg = x.coalg
+    pr = type_product(x.type, y.type)
+    pack, prb = _ref_pack_map(w, cg, pr)
+    th = compose_type_maps(pack, type_tuple_map(
+        prb, compose_type_maps(x.theta, pr.fst), compose_type_maps(y.theta, pr.snd)))
+    xt = CoalgebraType(cg, pr.type, th)
+    errs = coalgebra_type_laws(w, xt)
+    if errs:
+        raise ComonadError("product structure is broken: " + errs[0])
+    return xt, pr
+
+
+def _ref_sub_theta(w, cg, big, dlt_like, keep, what):
+    keep = {k: frozenset(v) for k, v in keep.items()}
+    while True:
+        sub, inc = sub_type(big, keep)
+        binc = w.bbox_type_map(cg, inc)
+        new_keep = {}
+        shrunk = False
+        for (o, g), n in sub.fiber.items():
+            good = []
+            image = set(binc.component[(o, g)])
+            for v in range(n):
+                kept = inc.component[(o, g)][v]
+                if dlt_like.apply(o, g, kept) in image:
+                    good.append(kept)
+                else:
+                    shrunk = True
+            new_keep[(o, g)] = frozenset(good)
+        if not shrunk:
+            break
+        keep = new_keep
+    comp = _lift(binc.component,
+                 {k: tuple(dlt_like.component[k][x] for x in col)
+                  for k, col in inc.component.items()},
+                 lambda k, n: f"{what} is not closed under its structure at {k}")
+    th = TypeMap(sub, w.bbox_type(cg, sub), comp)
+    xt = CoalgebraType(cg, sub, th)
+    errs = coalgebra_type_laws(w, xt)
+    if errs:
+        raise ComonadError(f"{what} carries no lawful structure: " + errs[0])
+    return xt, inc
+
+
+class _RefExponential(CoalgebraExponential):
+    def transpose(self, w, z, pr, m):
+        cg = self.source.coalg
+        lam = exp_transpose(self.plain, pr, m)
+        t = compose_type_maps(w.bbox_type_map(cg, lam), z.theta)
+        return TypeMap(z.type, self.type.type, _lift(
+            self.inclusion.component, t.component,
+            lambda k, n: "transpose of an unstructured map"))
+
+
+def _ref_coalg_exponential(w, x, y):
+    cg = x.coalg
+    if y.coalg != cg:
+        raise ComonadError("exponential needs both types over one coalgebra")
+    a, b = x.type, y.type
+    e_plain = type_exponential(a, b)
+    box_exp = w.bbox_type(cg, e_plain.type)
+    bb = w.bbox_type(cg, b)
+    exp_bb = type_exponential(a, bb)
+
+    pr_ea = type_product(e_plain.type, a)
+    ev_plain = exp_ev(e_plain, pr_ea, b)
+    v1 = compose_type_maps(
+        exp_transpose(exp_bb, pr_ea, compose_type_maps(y.theta, ev_plain)),
+        w.fiber_counit(cg, e_plain.type))
+
+    pack, prb = _ref_pack_map(w, cg, pr_ea)
+    pr_box = type_product(box_exp, a)
+    into_pack = type_tuple_map(prb, pr_box.fst,
+                               compose_type_maps(x.theta, pr_box.snd))
+    applied = compose_type_maps(w.bbox_type_map(cg, ev_plain),
+                                compose_type_maps(pack, into_pack))
+    v2 = exp_transpose(exp_bb, pr_box, applied)
+
+    keep = {k: frozenset(v for v in range(n)
+                         if v1.component[k][v] == v2.component[k][v])
+            for k, n in box_exp.fiber.items()}
+    xt, inclusion = _ref_sub_theta(w, cg, box_exp, w.fiber_comult(cg, e_plain.type),
+                                   keep, "exponential of structured types")
+    pr_sub = type_product(xt.type, a)
+    first = compose_type_maps(w.fiber_counit(cg, e_plain.type),
+                              compose_type_maps(inclusion, pr_sub.fst))
+    ev = compose_type_maps(ev_plain, type_tuple_map(pr_ea, first, pr_sub.snd))
+    return _RefExponential(x, y, xt, e_plain, inclusion, ev, pr_sub)
+
+
 def _ref_coalg_pi(w, x, yb):
     cg = x.coalg
     a = x.type
     sm = coalg_sigma(w, x, yb)
-    es = coalg_exponential(w, x, sm.type)
-    ea = coalg_exponential(w, x, x)
+    es = _ref_coalg_exponential(w, x, sm.type)
+    ea = _ref_coalg_exponential(w, x, x)
 
     pr_sa = type_product(es.plain.type, a)
     post_plain = exp_transpose(
@@ -55,14 +178,14 @@ def _ref_coalg_pi(w, x, yb):
         keep[(o, g)] = frozenset(
             v for v in range(n)
             if bpost.component[(o, g)][es.inclusion.component[(o, g)][v]] == ident)
-    xt, inc = _sub_theta(w, cg, es.type.type, es.type.theta, keep,
-                         "dependent product of structured types")
+    xt, inc = _ref_sub_theta(w, cg, es.type.type, es.type.theta, keep,
+                             "dependent product of structured types")
     return CoalgebraPi(x, yb, xt, sm, es, inc)
 
 
 def _ref_exponential_up_check(w, exp, z):
     y = exp.target
-    zx, pr_zx = coalg_product(w, z, exp.source)
+    zx, pr_zx = _ref_coalg_product(w, z, exp.source)
     uncurried = coalgebra_type_maps(w, zx, y)
     curried = coalgebra_type_maps(w, z, exp.type)
     ok = len(uncurried) == len(curried)
@@ -154,13 +277,29 @@ def _assert_same_pi(w, x, yb):
     assert pi_up_check(w, new) == _ref_pi_up_check(w, ref)
 
 
+def _assert_same_exponential(w, x, y):
+    new, ref = coalg_exponential(w, x, y), _ref_coalg_exponential(w, x, y)
+    assert new.inclusion == ref.inclusion
+    assert new.type.type == ref.type.type
+    assert new.type.theta == ref.type.theta
+    assert new.ev == ref.ev
+    return new, ref
+
+
+def _assert_same_product(w, x, y):
+    new, pr = coalg_product(w, x, y)
+    ref, _ = _ref_coalg_product(w, x, y)
+    assert new.type == ref.type and new.theta == ref.theta
+    return new, pr
+
+
 def test_exponential_checks_agree_on_the_fiber_two_grid(flagship, types2):
     assert len(types2) == 11
     for x, y in itertools.product(types2, repeat=2):
-        e = coalg_exponential(flagship, x, y)
+        e, r = _assert_same_exponential(flagship, x, y)
         for z in types2:
             new = exponential_up_check(flagship, e, z)
-            assert new == _ref_exponential_up_check(flagship, e, z)
+            assert new == _ref_exponential_up_check(flagship, r, z)
             assert new["ok"]
 
 
@@ -183,9 +322,9 @@ PANEL = [((1, 3), (1, 3), (1, 2)), ((3, 1), (3, 1), (2, 1)),
 
 def test_exponential_checks_agree_on_the_fiber_three_panel(flagship, reps3):
     for px, py, pz in PANEL:
-        e = coalg_exponential(flagship, reps3[px], reps3[py])
+        e, r = _assert_same_exponential(flagship, reps3[px], reps3[py])
         new = exponential_up_check(flagship, e, reps3[pz])
-        assert new == _ref_exponential_up_check(flagship, e, reps3[pz])
+        assert new == _ref_exponential_up_check(flagship, r, reps3[pz])
         assert new["ok"]
 
 
@@ -196,3 +335,120 @@ def test_products_agree_on_a_fiber_three_sample(flagship, reps3):
         fams = list(itertools.islice(_structured_types(flagship, cge, 3), 25))
         for yb in (fams[0], fams[len(fams) // 2], fams[-1]):
             _assert_same_pi(flagship, x, yb)
+
+
+def test_transposes_agree_on_every_structured_map(flagship, types2, reps3):
+    """Every uncurried map of a sample of exponentials and test types,
+    with fibers up to 3, curries to the same map both ways."""
+    n = 0
+    for x, y, z in [*itertools.product(types2[::3], types2[::4], types2[::5]),
+                    *((reps3[px], reps3[py], reps3[pz]) for px, py, pz in PANEL[:3])]:
+        e, r = coalg_exponential(flagship, x, y), _ref_coalg_exponential(flagship, x, y)
+        zx, pr = coalg_product(flagship, z, x)
+        for m in coalgebra_type_maps(flagship, zx, y):
+            assert e.transpose(flagship, z, pr, m) == r.transpose(flagship, z, pr, m)
+            n += 1
+    assert n > 0
+
+
+@pytest.mark.parametrize("name, bound", [("two", 2), ("chain3", 1)])
+def test_sub_theta_agrees_on_every_closed_selection(name, bound):
+    """The closure of ``_sub_theta`` under a cofree structure, from every
+    selection closed under restriction of every boxed type over the
+    terminal coalgebra.  Unlike the kept sets of exponentials and
+    dependent products, most of these are not closed under the
+    structure, so the fixed point has elements to drop."""
+    w = load_model(name).comonad
+    one = terminal_coalgebra(w)
+    cases, shrunk = 0, 0
+    for a in all_types_over(w.model, one.carrier, bound):
+        big, dlt = w.bbox_type(one, a), w.fiber_comult(one, a)
+        ext = comprehension(big)
+        for sel in subpresheaves(ext.presheaf):
+            keep = {k: set() for k in big.fiber}
+            for o, es in sel.items():
+                for e in es:
+                    g, v = ext.decode(o, e)
+                    keep[(o, g)].add(v)
+            xt, inc = _sub_theta(w, one, big, dlt, keep, "a subtype")
+            ref, ref_inc = _ref_sub_theta(w, one, big, dlt, keep, "a subtype")
+            assert inc == ref_inc
+            assert xt.type == ref.type and xt.theta == ref.theta
+            cases += 1
+            shrunk += sum(xt.type.fiber.values()) < sum(map(len, keep.values()))
+    assert shrunk > 0 and cases > shrunk
+
+
+# Kan comonads along functors out of the walking arrow: unlike the shipped
+# points comonads, whose base is discrete, these give the families of an
+# exponential slots besides the identity one
+FUNCTORS = {
+    "identity of two": lambda: identity_functor(walking_arrow()),
+    "two onto 0->2 of chain3": lambda: Functor(
+        "skip", walking_arrow(), chain(3), {"0": "0", "1": "2"},
+        {"id_0": "id_0", "id_1": "id_2", "0->1": "0->2"}),
+}
+
+
+def _comonad(name):
+    if name in FUNCTORS:
+        return comonad_from_adjunction(KanAdjunction(FUNCTORS[name]()))
+    return load_model(name).comonad
+
+
+def _ladder(w, bound):
+    """Structured types at fibers up to ``bound``, over the terminal
+    coalgebra and over its extension by each structured type of fiber 1."""
+    one = terminal_coalgebra(w)
+    yield one, coalgebra_types_over(w, one, bound)
+    for xt in coalgebra_types_over(w, one, 1):
+        cge, _, _ = coalg_extension(w, xt)
+        yield cge, coalgebra_types_over(w, cge, bound)
+
+
+@pytest.mark.parametrize("name, bound", [("two", 2), ("chain3", 2), ("one", 2), ("disc2", 2),
+                                         *((f, 2) for f in FUNCTORS)])
+def test_products_agree_on_every_model(name, bound):
+    w = _comonad(name)
+    n = 0
+    for _, types in _ladder(w, bound):
+        for x, y in itertools.product(types, repeat=2):
+            _assert_same_product(w, x, y)
+            n += 1
+    assert n > 0
+
+
+def test_exponentials_agree_over_extensions(flagship, types2):
+    """Exponentials between the structured types over each extension."""
+    n = 0
+    for _, types in itertools.islice(_ladder(flagship, 2), 1, None):
+        for x, y in itertools.product(types, repeat=2):
+            e, r = _assert_same_exponential(flagship, x, y)
+            for z in types:
+                assert exponential_up_check(flagship, e, z) == \
+                    _ref_exponential_up_check(flagship, r, z)
+            n += 1
+    assert n > 0
+
+
+@pytest.mark.parametrize("name, bound", [("chain3", 1), ("one", 2), ("disc2", 2),
+                                         *((f, 2) for f in FUNCTORS)])
+def test_structured_constructions_agree_on_other_models(name, bound):
+    """Exponentials with their universal property, and dependent
+    products, on the other comonad models (the points comonad of a
+    three-object chain and two identity comonads) and on Kan comonads
+    over a base with a non-identity arrow."""
+    w = _comonad(name)
+    ladder = list(_ladder(w, bound))
+    n = 0
+    for _, types in ladder:
+        for x, y in itertools.product(types, repeat=2):
+            e, r = _assert_same_exponential(w, x, y)
+            for z in types[::3]:
+                assert exponential_up_check(w, e, z) == _ref_exponential_up_check(w, r, z)
+            n += 1
+    for xt, (_, fams) in zip(coalgebra_types_over(w, terminal_coalgebra(w), 1), ladder[1:]):
+        for yb in fams:
+            _assert_same_pi(w, xt, yb)
+            n += 1
+    assert n > 0
