@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Slice, slice_category
 from .presheaf import (Elements, FamilyTable, Presheaf, PresheafMap,
-                       category_of_elements, compose_maps, hom_maps,
-                       terminal_presheaf)
+                       category_of_elements, compose_maps, hom_maps, mono_maps,
+                       terminal_presheaf, yoneda, yoneda_map)
 
 
 class BoundExceeded(Exception):
@@ -921,6 +921,13 @@ def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = 
     ``size_bound``) is isomorphic over ``gamma`` to the projection of its
     straightening.  Full faithfulness: type maps correspond exactly to
     maps over ``gamma`` between the comprehensions.
+
+    The maps over ``gamma`` are enumerated, not filtered: ``h`` lies over
+    ``gamma`` exactly when it sends each element of ``Gamma.A(I)`` over
+    ``g`` into the block of ``Gamma.B(I)`` over the same ``g``, the flat
+    indices ``offsets[(I, g)] + range(B(I, g))``.  Narrowing each slot to
+    its block drops exactly the maps ``h`` with ``p_B . h != p_A``, and
+    keeps the rest in order.
     """
     if size_bound is None:
         size_bound = model.bound * max(1, max(gamma.sizes.values(), default=1))
@@ -937,14 +944,18 @@ def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = 
             return report
     el = model.elements(gamma)
     types = all_types_over(model, gamma, model.bound)
-    for a in types:
-        ca = comprehension(a)
-        for b in types:
+    comps = [comprehension(t) for t in types]
+    for a, ca in zip(types, comps):
+        for b, cb in zip(types, comps):
             report["type_pairs"] += 1
-            cb = comprehension(b)
             tms = type_maps(a, b, el)
-            over = [h for h in hom_maps(ca.presheaf, cb.presheaf)
-                    if compose_maps(cb.p, h) == ca.p]
+            blocks = {}
+            for i in gamma.base.objects:
+                for v in ca.presheaf.elements(i):
+                    g = ca.p.apply(i, v)
+                    start = cb.offsets[(i, g)]
+                    blocks[(i, v)] = range(start, start + b.fiber[(i, g)])
+            over = hom_maps(ca.presheaf, cb.presheaf, blocks)
             induced = set()
             for tm in tms:
                 comp = {i: tuple(cb.encode(i, g, tm.apply(i, g, x))
@@ -967,28 +978,25 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
     Naturality compares code restriction with substitution along the
     Yoneda action.
     """
-    from .presheaf import yoneda, yoneda_map
     model = u.model
     c = model.base
     report = {"bijective": True, "natural": True}
+    ys = {i: yoneda(c, i) for i in c.objects}
 
     def code_to_type(i: str, idx: int) -> TypeOverContext:
         x = u.codes[i][idx]
-        yi = yoneda(c, i)
         fiber, restriction = {}, {}
         for j in c.objects:
             for n, f in enumerate(c.hom(j, i)):
                 fiber[(j, n)] = x.sizes[f]
         for g in c.morphisms:
-            j2, j = c.src[g], c.dst[g]
-            for n, f in enumerate(c.hom(j, i)):
+            for n, f in enumerate(c.hom(c.dst[g], i)):
                 restriction[(g, n)] = x.action[f"{g}@{f}"]
-        return TypeOverContext(yi, fiber, restriction)
+        return TypeOverContext(ys[i], fiber, restriction)
 
     for i in c.objects:
-        yi = yoneda(c, i)
         types = {t for t in (code_to_type(i, n) for n in range(len(u.codes[i])))}
-        bounded = set(all_types_over(model, yi, model.bound))
+        bounded = set(all_types_over(model, ys[i], model.bound))
         if types != bounded or len(u.codes[i]) != len(types):
             report["bijective"] = False
             report["witness"] = i
@@ -1068,20 +1076,43 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
     ``size_bound``, every pair of codes, every iso between the decoded
     types; checks that :func:`realign` returns data satisfying the two
     strict equations and the compatibility of the isos.
+
+    A pair whose decoded types differ in some fiber is skipped at once:
+    an iso of types is a bijection on every fiber, so no map between them
+    is a case.  Each context's codes, and each code's type, are built
+    once, at first use, and never ahead of it, since a run cut short by
+    ``max_cases`` may stop early inside one large context.  The cases come
+    in the same order as in a plain loop over all pairs and maps, so a
+    truncated or failing run stops at the same case.
     """
-    from .presheaf import mono_maps
     model = u.model
     c = model.base
     cases = 0
     contexts = all_presheaves(c, size_bound)
-    for delta in contexts:
-        for gamma in contexts:
+    codes: dict[int, list[PresheafMap]] = {}
+    # keyed by id: every code stays alive in ``codes`` until the check returns
+    types: dict[int, TypeOverContext] = {}
+
+    def codes_of(k: int) -> list[PresheafMap]:
+        if k not in codes:
+            codes[k] = hom_maps(contexts[k], u.presheaf)
+        return codes[k]
+
+    def decoded(code: PresheafMap) -> TypeOverContext:
+        if id(code) not in types:
+            types[id(code)] = u.decode(code)
+        return types[id(code)]
+
+    for kd, delta in enumerate(contexts):
+        for kg, gamma in enumerate(contexts):
             for mono in mono_maps(delta, gamma):
-                for a_code in hom_maps(delta, u.presheaf):
-                    ta = u.decode(a_code)
-                    for b_code in hom_maps(gamma, u.presheaf):
-                        tbm = subst_type(u.decode(b_code), mono)
-                        for phi in type_maps(ta, tbm):
+                for a_code in codes_of(kd):
+                    ta = decoded(a_code)
+                    for b_code in codes_of(kg):
+                        tbm = subst_type(decoded(b_code), mono)
+                        if ta.fiber != tbm.fiber:
+                            continue
+                        for phi in type_maps(ta, tbm, model.elements(delta)):
                             if not phi.is_iso():
                                 continue
                             cases += 1

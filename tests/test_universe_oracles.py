@@ -1,0 +1,200 @@
+"""The universe checks against the enumerations they replaced.
+
+``typing_check`` enumerates the maps over the context between two
+comprehensions directly, one block of the target per slot; the
+``_ref_typing_check`` below enumerates every map and keeps those over the
+context.  ``classifier_check`` builds one representable per object;
+the reference builds one per code.  ``realignment_check`` builds each
+context's codes and each code's type once, and skips a pair of types at
+once when their fibers differ; the reference rebuilds and decodes codes
+for every case and searches every pair for isos.
+
+Each pair must give the same report on every shipped model at bounds 1
+and 2, without its witness: for ``realignment_check`` at every case
+ceiling tried, and when ``realign`` is made to fail at a chosen call, so
+that a truncated or failing run stops at the same case on both sides.
+"""
+
+import pytest
+
+from boxsem import natmodel
+from boxsem.cli import load_model
+from boxsem.natmodel import (NaturalModel, TypeOverContext, all_display_maps_into,
+                             all_presheaves, all_types_over, classifier_check,
+                             comprehension, hs_universe, realignment_check, straighten,
+                             subst_type, subst_type_map, type_maps, typing_check)
+from boxsem.presheaf import (PresheafMap, compose_maps, hom_maps, mono_maps, yoneda,
+                             yoneda_map)
+
+MODELS = ["one", "two", "disc2", "chain3", "sierpinski"]
+CONFIGS = [(name, bound) for name in MODELS for bound in (1, 2)]
+REALIGN = natmodel.realign
+
+
+def _ref_typing_check(model, gamma, size_bound=None):
+    if size_bound is None:
+        size_bound = model.bound * max(1, max(gamma.sizes.values(), default=1))
+    report = {"essential_surjectivity": True, "fully_faithful": True,
+              "display_maps": 0, "type_pairs": 0}
+    for m in all_display_maps_into(model, gamma, size_bound):
+        report["display_maps"] += 1
+        a, iso = straighten(m)
+        ca = comprehension(a)
+        iso.assert_valid()
+        if not iso.is_iso() or compose_maps(m, iso) != ca.p:
+            report["essential_surjectivity"] = False
+            report["witness"] = (m, a)
+            return report
+    el = model.elements(gamma)
+    types = all_types_over(model, gamma, model.bound)
+    for a in types:
+        ca = comprehension(a)
+        for b in types:
+            report["type_pairs"] += 1
+            cb = comprehension(b)
+            tms = type_maps(a, b, el)
+            over = [h for h in hom_maps(ca.presheaf, cb.presheaf)
+                    if compose_maps(cb.p, h) == ca.p]
+            induced = set()
+            for tm in tms:
+                comp = {i: tuple(cb.encode(i, g, tm.apply(i, g, x))
+                                 for g in gamma.elements(i)
+                                 for x in range(a.fiber[(i, g)]))
+                        for i in gamma.base.objects}
+                induced.add(PresheafMap(ca.presheaf, cb.presheaf, comp))
+            if induced != set(over) or len(induced) != len(tms):
+                report["fully_faithful"] = False
+                report["witness"] = (a, b)
+                return report
+    return report
+
+
+def _ref_classifier_check(u, size_bound=None):
+    model = u.model
+    c = model.base
+    report = {"bijective": True, "natural": True}
+
+    def code_to_type(i, idx):
+        x = u.codes[i][idx]
+        fiber, restriction = {}, {}
+        for j in c.objects:
+            for n, f in enumerate(c.hom(j, i)):
+                fiber[(j, n)] = x.sizes[f]
+        for g in c.morphisms:
+            for n, f in enumerate(c.hom(c.dst[g], i)):
+                restriction[(g, n)] = x.action[f"{g}@{f}"]
+        return TypeOverContext(yoneda(c, i), fiber, restriction)
+
+    for i in c.objects:
+        types = {code_to_type(i, n) for n in range(len(u.codes[i]))}
+        bounded = set(all_types_over(model, yoneda(c, i), model.bound))
+        if types != bounded or len(u.codes[i]) != len(types):
+            report["bijective"] = False
+            report["witness"] = i
+            return report
+    for f in c.morphisms:
+        j, i = c.src[f], c.dst[f]
+        yf = yoneda_map(c, f)
+        for n in range(len(u.codes[i])):
+            if code_to_type(j, u.presheaf.act(f, n)) != subst_type(code_to_type(i, n), yf):
+                report["natural"] = False
+                report["witness"] = (f, n)
+                return report
+    return report
+
+
+def _ref_realignment_check(u, size_bound, max_cases=None):
+    cases = 0
+    contexts = all_presheaves(u.model.base, size_bound)
+    for delta in contexts:
+        for gamma in contexts:
+            for mono in mono_maps(delta, gamma):
+                for a_code in hom_maps(delta, u.presheaf):
+                    ta = u.decode(a_code)
+                    for b_code in hom_maps(gamma, u.presheaf):
+                        tbm = subst_type(u.decode(b_code), mono)
+                        for phi in type_maps(ta, tbm):
+                            if not phi.is_iso():
+                                continue
+                            cases += 1
+                            if max_cases is not None and cases > max_cases:
+                                return {"ok": True, "cases": cases - 1, "truncated": True}
+                            b2, phi2 = natmodel.realign(u, mono, a_code, b_code, phi)
+                            if compose_maps(b2, mono) != a_code:
+                                return {"ok": False, "cases": cases,
+                                        "reason": "code does not restrict on the nose"}
+                            if not phi2.is_iso() or subst_type_map(phi2, mono) != phi:
+                                return {"ok": False, "cases": cases,
+                                        "reason": "iso does not restrict to phi"}
+                            if u.decode(b2) != phi2.source:
+                                return {"ok": False, "cases": cases,
+                                        "reason": "decoded realigned code disagrees"}
+    return {"ok": True, "cases": cases, "truncated": False}
+
+
+def _universe(name, bound):
+    return hs_universe(NaturalModel(load_model(name).category, bound))
+
+
+def _unwitnessed(report):
+    return {k: v for k, v in report.items() if k != "witness"}
+
+
+@pytest.mark.parametrize("name,bound", CONFIGS)
+def test_typing_check_agrees(name, bound):
+    cat = load_model(name).category
+    for gamma in all_presheaves(cat, 1)[:6]:
+        got = typing_check(NaturalModel(cat, bound), gamma)
+        want = _ref_typing_check(NaturalModel(cat, bound), gamma)
+        assert _unwitnessed(got) == _unwitnessed(want)
+        assert got["type_pairs"] > 0
+
+
+@pytest.mark.parametrize("name,bound", CONFIGS)
+def test_classifier_check_agrees(name, bound):
+    got = classifier_check(_universe(name, bound), bound)
+    assert _unwitnessed(got) == _unwitnessed(_ref_classifier_check(_universe(name, bound), bound))
+    assert got == {"bijective": True, "natural": True}
+
+
+@pytest.mark.parametrize("name,bound", CONFIGS)
+def test_realignment_check_agrees_at_every_ceiling(name, bound):
+    for max_cases in (1, 7, 100, 1000):
+        got = realignment_check(_universe(name, bound), 1, max_cases=max_cases)
+        assert got == _ref_realignment_check(_universe(name, bound), 1, max_cases=max_cases)
+
+
+def _realign_failing_at(n):
+    """``realign`` that, at its ``n``-th call, returns another code of the
+    same context in place of the realigned one."""
+    calls = {"n": 0, "fired": False}
+
+    def realign(u, mono, a_code, b_code, phi):
+        b2, phi2 = REALIGN(u, mono, a_code, b_code, phi)
+        calls["n"] += 1
+        if calls["n"] == n:
+            other = next((m for m in hom_maps(mono.target, u.presheaf) if m != b2), None)
+            if other is not None:
+                calls["fired"] = True
+                b2 = other
+        return b2, phi2
+    return realign, calls
+
+
+@pytest.mark.parametrize("name,bound", CONFIGS)
+def test_realignment_check_stops_at_the_same_fault(name, bound, monkeypatch):
+    faults = 0
+    for n in (1, 5, 40, 150):
+        fake, calls = _realign_failing_at(n)
+        monkeypatch.setattr(natmodel, "realign", fake)
+        got = realignment_check(_universe(name, bound), 1, max_cases=1000)
+        fired = calls["fired"]
+        fake, calls = _realign_failing_at(n)
+        monkeypatch.setattr(natmodel, "realign", fake)
+        want = _ref_realignment_check(_universe(name, bound), 1, max_cases=1000)
+        assert got == want
+        assert calls["fired"] == fired
+        if fired:
+            assert not got["ok"] and got["cases"] == n
+            faults += 1
+    assert faults > 0
