@@ -26,7 +26,7 @@ no structure is trusted without being run through its validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
                        Product, PullbackSquare, characteristic_map, compose_maps,
@@ -552,45 +552,39 @@ def _lift(mono: Mapping, values: Mapping, error: Callable[[object, int], str]) -
     return out
 
 
-def _largest_closed(keep: Mapping, needs: Callable[[object, int], Iterable]) -> dict:
-    """The largest selection inside ``keep`` holding all that its
-    elements need, a greatest fixed point: ``needs(key, v)`` lists the
-    elements ``(key2, v2)`` that ``v in keep[key]`` cannot be kept
-    without, and a dropped element drops whatever needs it.  Since the
-    box acts pointwise, the callers' needs are box points."""
-    alive = {(k, v) for k, vs in keep.items() for v in vs}
-    needed_by: dict = {}
-    drop = []
-    for e in alive:
-        for n in needs(*e):
-            needed_by.setdefault(n, []).append(e)
-            if n not in alive:
-                drop.append(e)
-    while drop:
-        e = drop.pop()
-        if e in alive:
-            alive.remove(e)
-            drop.extend(needed_by.get(e, ()))
-    return {k: frozenset(v for v in vs if (k, v) in alive) for k, vs in keep.items()}
+def _with_points_in(holds: Mapping, structure: Mapping,
+                    points: Callable[[object], Points]) -> dict:
+    """The elements of ``holds`` whose structure has every box point in
+    ``holds``; ``points(key)`` gives the box at ``key`` as points.
 
-
-def _coalgebra_needs(w: NaturalModelComonad, cg: Coalgebra) -> Callable[[str, int], list]:
-    """What an element ``(o, x)`` of the carrier needs to lie in a
-    sub-coalgebra: its restrictions, and the box points of its structure,
-    which lies in the image of a boxed inclusion exactly when they do."""
-    p, s, c = cg.carrier, cg.structure.component, cg.carrier.base
-    into = {o: [(c.src[f], p.action[f]) for f in c.morphisms if c.dst[f] == o] for o in c.objects}
-    boxed = {o: w.box_points(p, o) for o in c.objects}
-
-    def needs(o, x):
-        return [*((i, act[x]) for i, act in into[o]), *zip(boxed[o][0], boxed[o][1][s[o][x]])]
-    return needs
+    Every comonad built here, the identity or restriction after right
+    Kan extension, acts pointwise on elements determined by their points
+    (``box_points``).  So where coalgebra maps ``f, g`` out of
+    ``(X, theta)`` agree at ``v``, ``box(f)`` and ``box(g)`` agree at
+    ``theta(v)``, both giving the target's structure at ``f(v)``, so ``f``
+    and ``g`` agree at each box point of ``theta(v)``: their equalizer is
+    closed under the structure, and under restriction by naturality
+    (Kock and Wraith).  When ``holds`` solves ``L == R`` for plain natural maps out
+    of ``X``, the result is the equalizer of the cofree transposes
+    ``box(L) . theta`` and ``box(R) . theta``: the largest closed set
+    inside ``holds``, found in one pass.
+    """
+    out = {}
+    for key, col in structure.items():
+        fibers, pts, _ = points(key)
+        out[key] = frozenset(v for v in holds[key]
+                             if all(p in holds[f] for f, p in zip(fibers, pts[col[v]])))
+    return out
 
 
 def sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
                   sel: Mapping[str, frozenset[int]]) -> tuple[Coalgebra, PresheafMap]:
-    """Restrict a coalgebra to a subpresheaf closed under its structure."""
-    sub, inc = sub_presheaf(cg.carrier, sel)
+    """Restrict a coalgebra to a subpresheaf closed under its structure;
+    a selection that is not closed raises ``ComonadError``."""
+    try:
+        sub, inc = sub_presheaf(cg.carrier, sel)
+    except ValueError as e:
+        raise ComonadError(str(e)) from None
     s = cg.structure.component
     comp = _lift(w.box_map(inc).component,
                  {o: tuple(s[o][x] for x in col) for o, col in inc.component.items()},
@@ -600,11 +594,12 @@ def sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
 
 
 def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, frozenset[int]]]:
-    """Subpresheaves of the carrier closed under the structure map: those
-    that hold everything their elements need (:func:`_coalgebra_needs`)."""
-    needs = _coalgebra_needs(w, cg)
+    """Subpresheaves of the carrier closed under the structure map: the
+    box acts pointwise, so the structure of ``x`` lies in the box of a
+    subpresheaf exactly when its box points do."""
+    boxed = {o: w.box_points(cg.carrier, o) for o in cg.carrier.base.objects}
     return [sel for sel in subpresheaves(cg.carrier)
-            if all(v in sel[k] for o, xs in sel.items() for x in xs for k, v in needs(o, x))]
+            if _with_points_in(sel, cg.structure.component, boxed.__getitem__) == sel]
 
 
 def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
@@ -1163,25 +1158,23 @@ def coalg_terminal(w: NaturalModelComonad, cg: Coalgebra) -> CoalgebraType:
 
 
 def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
-               dlt_like: TypeMap, keep: Mapping[tuple[str, int], frozenset[int]],
+               theta: TypeMap, keep: Mapping[tuple[str, int], frozenset[int]],
                what: str) -> tuple[CoalgebraType, TypeMap]:
-    """Carve the largest structure-closed subtype out of ``keep`` and
-    equip it with the induced structure.  The box acts pointwise, so
-    ``dlt_like(v)`` lies in the box of a subtype exactly when its box points
-    lie in the subtype: they are what ``v`` needs (:func:`_largest_closed`).
-    ``sub_type`` raises on a result not closed under restriction."""
-    boxed = {k: w.bbox_points(cg, big, k)[:2] for k in big.fiber}
-
-    def needs(k, v):
-        fibers, pts = boxed[k]
-        return zip(fibers, pts[dlt_like.component[k][v]])
-
-    sub, inc = sub_type(big, _largest_closed(keep, needs))
+    """Equip the subtype ``keep`` of ``(big, theta)`` with the induced
+    structure.  The box acts pointwise, so ``theta(v)`` lies in the box of
+    the subtype exactly when its box points lie in ``keep``.  The callers
+    prove their ``keep`` closed; one that is not raises ``ComonadError``
+    here, or ``ModelError`` in ``sub_type`` if restriction leaves it."""
+    sub, inc = sub_type(big, keep)
     index = {k: {v: n for n, v in enumerate(col)} for k, col in inc.component.items()}
     comp = {}
     for k, col in inc.component.items():
+        fibers, pts, _ = w.bbox_points(cg, big, k)
         pos = w.bbox_points(cg, sub, k)[2]
-        comp[k] = tuple(pos[tuple(index[f][p] for f, p in needs(k, v))] for v in col)
+        comp[k] = tuple(pos.get(tuple(index[f].get(p) for f, p in zip(
+            fibers, pts[theta.component[k][v]]))) for v in col)
+        if None in comp[k]:
+            raise ComonadError(f"{what} is not closed under its structure at {k}")
     xt = CoalgebraType(cg, sub, TypeMap(sub, w.bbox_type(cg, sub), comp))
     errs = coalgebra_type_laws(w, xt)
     if errs:
@@ -1223,14 +1216,16 @@ def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
     """The exponential of structured types, inside the box of the plain
     exponential ``B^A``, whose elements ``E`` are tuples of plain functions.
 
-    ``E`` is kept when, for every argument ``t``, applying its points to
-    those of ``theta_x(t)`` gives the points of ``theta_y(counit(E)(t))``.
-    That is the identity slot of the families of ``B^A``; the other slots
-    hold the same equation at the restrictions of ``E``.  It suffices: the
-    structure comes from comultiplication (:func:`_sub_theta`), which keeps
-    ``E`` only with every box point of ``delta(E)``, and for the Kan comonad
-    those include every restriction of ``E``.  Under the identity comonad
-    every structure is an identity and every element passes.
+    ``E`` solves the stage-wise equation when, for every argument ``t``,
+    applying its points to those of ``theta_x(t)`` gives the points of
+    ``theta_y(counit(E)(t))``: two plain natural maps, read at the
+    identity slot of each function.  The solutions need not be closed:
+    under the points comonad of a three-object chain, at fiber 2, the
+    equation at the top stage leaves the middle function of ``E`` free at
+    arguments no ``theta_x(t)`` reaches.  So ``E`` is kept when the
+    equation holds at every box point of ``delta(E)``, the equalizer of
+    the maps' cofree transposes (:func:`_with_points_in`).  Under the
+    identity comonad every structure is an identity and all pass.
     """
     cg = x.coalg
     if y.coalg != cg:
@@ -1239,17 +1234,18 @@ def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
     e_plain = type_exponential(a, b)
     box_exp = w.bbox_type(cg, e_plain.type)
     eps = w.fiber_counit(cg, e_plain.type)
+    dlt = w.fiber_comult(cg, e_plain.type)
     app = e_plain.app
-    keep = {}
+    holds = {}
     for (o, g), n in box_exp.fiber.items():
         fibers, pts_e, _ = w.bbox_points(cg, e_plain.type, (o, g))
         pts_a, pts_b = w.bbox_points(cg, a, (o, g))[1], w.bbox_points(cg, b, (o, g))[1]
         tx, ty, ec = (m.component[(o, g)] for m in (x.theta, y.theta, eps))
-        keep[(o, g)] = [v for v in range(n) if all(
+        holds[(o, g)] = frozenset(v for v in range(n) if all(
             tuple(app(*f, e, p) for f, e, p in zip(fibers, pts_e[v], pts_a[tx[t]]))
-            == pts_b[ty[app(o, g, ec[v], t)]] for t in range(a.fiber[(o, g)]))]
-    xt, inclusion = _sub_theta(w, cg, box_exp, w.fiber_comult(cg, e_plain.type),
-                               keep, "exponential of structured types")
+            == pts_b[ty[app(o, g, ec[v], t)]] for t in range(a.fiber[(o, g)])))
+    keep = _with_points_in(holds, dlt.component, lambda k: w.bbox_points(cg, box_exp, k))
+    xt, inclusion = _sub_theta(w, cg, box_exp, dlt, keep, "exponential of structured types")
     pr_sub = type_product(xt.type, a)
     ev = TypeMap(pr_sub.type, b, {(o, g): tuple(
         app(o, g, eps.apply(o, g, e), t) for e in col for t in range(a.fiber[(o, g)]))
@@ -1358,6 +1354,13 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
     exponential, and the box acts pointwise, so it post-composes to the
     identity exactly when each of its box points is a section: a family
     sending every argument to a pair over that argument.
+
+    That set is closed: it is the preimage of ``box(Sec)``, ``Sec`` the
+    subpresheaf of sections, under the structured inclusion, which
+    carries ``theta(v)`` to ``delta(E)``; and each box point of a box
+    point of ``delta(E)`` is one of ``E`` (slot ``(j, f)`` of ``delta(E)``
+    reads ``E`` at the slots ``f . f2``; under the identity comonad
+    ``delta(E)`` is ``E``).
     """
     cg = x.coalg
     gamma = cg.carrier
@@ -1550,23 +1553,7 @@ def universe_internal_category(u: Universe) -> UniverseCategory:
 
 
 # ---------------------------------------------------------------------------
-# Largest sub-coalgebras and the classifier of structured types
-
-
-def largest_sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
-                          members: Mapping[str, frozenset[int]]
-                          ) -> tuple[Coalgebra, PresheafMap, dict[str, frozenset[int]]]:
-    """The largest sub-coalgebra whose elements all lie in ``members``.
-
-    An element needs its restrictions, since ``members`` need not be
-    closed under restriction, and the points of its structure
-    (:func:`_coalgebra_needs`); the selection is the greatest fixed point
-    of those needs inside ``members`` (:func:`_largest_closed`).
-    """
-    sel = _largest_closed({o: members.get(o, frozenset()) for o in cg.carrier.base.objects},
-                          _coalgebra_needs(w, cg))
-    scg, inc = sub_coalgebra(w, cg, sel)
-    return scg, inc, sel
+# The classifier of structured types
 
 
 @dataclass(frozen=True)
@@ -1644,6 +1631,13 @@ def coalgebra_classifier(w: NaturalModelComonad) -> CoalgebraClassifier:
     the identity, and composing with the code-level comultiplication
     agrees with boxing the morphism itself.  The code-level maps come
     from :func:`code_actions`.
+
+    The endpoint conditions equalize coalgebra maps between cofree
+    coalgebras (boxed maps, ``box(beta) . delta``); the laws compare plain
+    maps into ``Mor`` at the counit, leaving other slots free.  So an
+    element is kept when all four hold at every box point of its
+    comultiplication: the equalizer of the cofree transposes, closed
+    (:func:`_with_points_in`).
     """
     u = hs_universe(w.model)
     uc = universe_internal_category(u)
@@ -1660,27 +1654,20 @@ def coalgebra_classifier(w: NaturalModelComonad) -> CoalgebraClassifier:
     eps0 = w.counit(u.presheaf)
     eps1 = w.counit(uc.cat.mor)
 
-    members = {}
-    for o in c.objects:
-        good = []
-        for v in bq.elements(o):
-            phi = bfst.apply(o, v)
-            psi = bsnd.apply(o, v)
-            if bsrc.apply(o, psi) != phi:
-                continue
-            if btgt.apply(o, psi) != bbeta.apply(o, dlt0.apply(o, phi)):
-                continue
-            m = eps1.apply(o, psi)
-            cde = eps0.apply(o, phi)
-            if uc.cat.compose_at(o, eps_code.apply(o, phi), m) != \
-                    uc.cat.ident.apply(o, cde):
-                continue
-            if uc.cat.compose_at(o, dlt_code.apply(o, phi), m) != \
-                    uc.cat.compose_at(o, bmor.apply(o, psi), m):
-                continue
-            good.append(v)
-        members[o] = frozenset(good)
-    wcg, inc, _ = largest_sub_coalgebra(w, cofree_coalgebra(w, q.presheaf), members)
+    def lawful(o, v):
+        phi, psi = bfst.apply(o, v), bsnd.apply(o, v)
+        if bsrc.apply(o, psi) != phi or btgt.apply(o, psi) != bbeta.apply(o, dlt0.apply(o, phi)):
+            return False
+        m = eps1.apply(o, psi)
+        return (uc.cat.compose_at(o, eps_code.apply(o, phi), m)
+                == uc.cat.ident.apply(o, eps0.apply(o, phi))
+                and uc.cat.compose_at(o, dlt_code.apply(o, phi), m)
+                == uc.cat.compose_at(o, bmor.apply(o, psi), m))
+
+    holds = {o: frozenset(v for v in bq.elements(o) if lawful(o, v)) for o in c.objects}
+    cofree = cofree_coalgebra(w, q.presheaf)
+    members = _with_points_in(holds, cofree.structure.component, lambda o: w.box_points(bq, o))
+    wcg, inc = sub_coalgebra(w, cofree, members)
     return CoalgebraClassifier(w, u, uc, wcg, inc, q)
 
 
@@ -1773,7 +1760,9 @@ def sieve_action(w: NaturalModelComonad, om: Omega) -> PresheafMap:
 def kock_wraith_classifier(w: NaturalModelComonad) -> KockWraithClassifier:
     """The classifier of sub-coalgebras, as the equalizer of the induced
     sieve endomap (:func:`sieve_action`) against the identity on the
-    cofree coalgebra."""
+    cofree coalgebra.  The endomap ``box(b) . delta`` is the cofree
+    transpose of ``b``, a coalgebra map, so the equalizer is closed
+    (:func:`_with_points_in`)."""
     om = subobject_classifier(w.model.base)
     b = sieve_action(w, om)
     dlt = w.comult(om.presheaf)
@@ -1781,7 +1770,7 @@ def kock_wraith_classifier(w: NaturalModelComonad) -> KockWraithClassifier:
     members = {o: frozenset(x for x in w.box(om.presheaf).elements(o)
                             if endo.apply(o, x) == x)
                for o in w.model.base.objects}
-    wcg, inc, _ = largest_sub_coalgebra(w, cofree_coalgebra(w, om.presheaf), members)
+    wcg, inc = sub_coalgebra(w, cofree_coalgebra(w, om.presheaf), members)
     return KockWraithClassifier(w, om, wcg, inc)
 
 

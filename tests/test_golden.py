@@ -18,8 +18,8 @@ from boxsem.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-MODELS = ["one", "two", "chain3", "sierpinski", "disc2"]
-WITH_COMONAD = ["one", "two", "chain3", "disc2"]
+MODELS = ["one", "two", "chain3", "sierpinski", "disc2", "arrow"]
+WITH_COMONAD = ["one", "two", "chain3", "disc2", "arrow"]
 CAPPED = {"model_universe_one.json", "model_universe_disc2.json",
           "model_universe_sierpinski.json"}
 

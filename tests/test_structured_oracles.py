@@ -2,16 +2,19 @@
 universal-property checks against their earlier versions.
 
 The checker reads the box through its points.  ``coalg_product`` pairs
-the box points of the two structures; ``coalg_exponential`` tests an
-element of the boxed plain exponential at the identity slot only, on box
-points; ``_sub_theta`` closes a subtype under its structure by one
-greatest fixed point over box points; ``transpose`` boxes the plain
-transpose only at the points it reads.  The ``_ref_*`` versions below are
-the earlier ones, which box whole maps: the product through the inverse
-of the comparison map (``_ref_pack_map``), the exponential by comparing
-two maps into a second exponential over the boxed fibers at every slot,
-the closure by rebuilding the subtype and boxing its inclusion on every
-pass, and the transpose by boxing the plain transpose over the whole box.
+the box points of the two structures; ``coalg_exponential`` keeps an
+element of the boxed plain exponential when its equation, read at the
+identity slot of each function, holds at every box point of its
+comultiplication, which is closed by construction; ``_sub_theta`` only
+equips a closed subtype with its structure, and raises ``ComonadError``
+on one that is not closed; ``transpose`` boxes the plain transpose only
+at the points it reads.  The ``_ref_*`` versions below are the earlier
+ones, which box whole maps: the product through the inverse of the
+comparison map (``_ref_pack_map``), the exponential by comparing two
+maps into a second exponential over the boxed fibers and then closing
+the kept set under the structure, rebuilding the subtype and boxing its
+inclusion until nothing drops, and the transpose by boxing the plain
+transpose over the whole box.
 
 ``coalg_pi`` keeps an element of the exponential into the structured sum
 when each of its box points is a section of the first projection.  The
@@ -77,8 +80,9 @@ def _ref_coalg_product(w, x, y):
     return xt, pr
 
 
-def _ref_sub_theta(w, cg, big, dlt_like, keep, what):
+def _ref_sub_theta(w, cg, big, dlt_like, keep, what, drops=None):
     keep = {k: frozenset(v) for k, v in keep.items()}
+    wanted = sum(map(len, keep.values()))
     while True:
         sub, inc = sub_type(big, keep)
         binc = w.bbox_type_map(cg, inc)
@@ -106,6 +110,8 @@ def _ref_sub_theta(w, cg, big, dlt_like, keep, what):
     errs = coalgebra_type_laws(w, xt)
     if errs:
         raise ComonadError(f"{what} carries no lawful structure: " + errs[0])
+    if drops is not None:
+        drops.append(wanted - sum(sub.fiber.values()))
     return xt, inc
 
 
@@ -119,7 +125,7 @@ class _RefExponential(CoalgebraExponential):
             lambda k, n: "transpose of an unstructured map"))
 
 
-def _ref_coalg_exponential(w, x, y):
+def _ref_coalg_exponential(w, x, y, drops=None):
     cg = x.coalg
     if y.coalg != cg:
         raise ComonadError("exponential needs both types over one coalgebra")
@@ -147,7 +153,7 @@ def _ref_coalg_exponential(w, x, y):
                          if v1.component[k][v] == v2.component[k][v])
             for k, n in box_exp.fiber.items()}
     xt, inclusion = _ref_sub_theta(w, cg, box_exp, w.fiber_comult(cg, e_plain.type),
-                                   keep, "exponential of structured types")
+                                   keep, "exponential of structured types", drops)
     pr_sub = type_product(xt.type, a)
     first = compose_type_maps(w.fiber_counit(cg, e_plain.type),
                               compose_type_maps(inclusion, pr_sub.fst))
@@ -353,11 +359,12 @@ def test_transposes_agree_on_every_structured_map(flagship, types2, reps3):
 
 @pytest.mark.parametrize("name, bound", [("two", 2), ("chain3", 1)])
 def test_sub_theta_agrees_on_every_closed_selection(name, bound):
-    """The closure of ``_sub_theta`` under a cofree structure, from every
-    selection closed under restriction of every boxed type over the
-    terminal coalgebra.  Unlike the kept sets of exponentials and
-    dependent products, most of these are not closed under the
-    structure, so the fixed point has elements to drop."""
+    """``_sub_theta`` under a cofree structure, from every selection
+    closed under restriction of every boxed type over the terminal
+    coalgebra.  Unlike the kept sets of exponentials and dependent
+    products, many of these are not closed under the structure: where
+    the earlier fixed point drops elements, ``_sub_theta`` must raise,
+    and where it keeps them all, agree with it."""
     w = load_model(name).comonad
     one = terminal_coalgebra(w)
     cases, shrunk = 0, 0
@@ -370,13 +377,45 @@ def test_sub_theta_agrees_on_every_closed_selection(name, bound):
                 for e in es:
                     g, v = ext.decode(o, e)
                     keep[(o, g)].add(v)
-            xt, inc = _sub_theta(w, one, big, dlt, keep, "a subtype")
             ref, ref_inc = _ref_sub_theta(w, one, big, dlt, keep, "a subtype")
+            cases += 1
+            if sum(ref.type.fiber.values()) < sum(map(len, keep.values())):
+                shrunk += 1
+                with pytest.raises(ComonadError, match="not closed under its structure"):
+                    _sub_theta(w, one, big, dlt, keep, "a subtype")
+                continue
+            xt, inc = _sub_theta(w, one, big, dlt, keep, "a subtype")
             assert inc == ref_inc
             assert xt.type == ref.type and xt.theta == ref.theta
-            cases += 1
-            shrunk += sum(xt.type.fiber.values()) < sum(map(len, keep.values()))
-    assert shrunk > 0 and cases > shrunk
+    assert (cases, shrunk) == {"two": (101, 50), "chain3": (20, 5)}[name]
+
+
+def test_exponentials_agree_where_the_counit_equation_is_not_closed():
+    """Under the points comonad of ``chain3``, at fiber 2, the earlier
+    exponential keeps elements at the counit that its fixed point then
+    drops: the equation at the top stage leaves the middle function free
+    at arguments the structure never reaches.  The exponential tests the
+    equation at every box point of the comultiplication instead, and
+    must agree, universal property included; so must the dependent
+    products built on it, over each extension by a fiber-1 type."""
+    w = load_model("chain3").comonad
+    one = terminal_coalgebra(w)
+    types = coalgebra_types_over(w, one, 2)
+    drops, n = [], 0
+    for x, y in itertools.product(types[::4], types[::5]):
+        e, r = coalg_exponential(w, x, y), _ref_coalg_exponential(w, x, y, drops)
+        assert e.inclusion == r.inclusion
+        assert e.type.type == r.type.type and e.type.theta == r.type.theta
+        assert e.ev == r.ev
+        if drops[-1]:
+            for z in types[::9]:
+                assert exponential_up_check(w, e, z)["ok"]
+            n += 1
+    assert (len(drops), n) == (120, 19)
+    for xt in coalgebra_types_over(w, one, 1):
+        cge, _, _ = coalg_extension(w, xt)
+        for yb in coalgebra_types_over(w, cge, 2):
+            _assert_same_pi(w, xt, yb)
 
 
 # Kan comonads along functors out of the walking arrow: unlike the shipped
