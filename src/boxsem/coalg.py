@@ -1,15 +1,16 @@
 """Comonads on a presheaf model and their categories of coalgebras.
 
 The central object is :class:`NaturalModelComonad`: a finite-limit
-preserving comonad on presheaves over the model's base category,
-carried together with a strict action on dependent types and terms and
-the structure isomorphism relating comprehension before and after the
-endofunctor.  Two constructions are provided, the identity comonad and
-the comonad obtained from restriction followed by right Kan extension
-along a functor between finite categories.  A comonad supplies only
-these presheaf and type actions; its action on universe codes and on
-sieves is derived from them where the classifiers need it
-(:func:`code_actions`, :func:`sieve_action`).
+preserving comonad on presheaves over the model's base category, with a
+strict action on dependent types and terms.  A comonad supplies its
+carriers, counits and comultiplications, on presheaves and on types,
+and the elements of each box as tuples of points.  It acts pointwise,
+so its actions on maps and terms and the comprehension iso ``tau`` are
+derived from the points, and its action on universe codes and sieves
+from its type and presheaf actions (:func:`code_actions`,
+:func:`sieve_action`).  Two comonads are provided: the identity, and
+restriction followed by right Kan extension along a functor between
+finite categories.
 
 On top of that the module builds the bounded category of coalgebras
 with its forgetful and cofree adjunction, the comparison with the
@@ -26,7 +27,8 @@ no structure is trusted without being run through its validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from operator import getitem
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
                        Product, PullbackSquare, characteristic_map, compose_maps,
@@ -55,6 +57,17 @@ class EnumerationCeiling(ComonadError):
 Points = tuple[tuple, Sequence[tuple[int, ...]], Mapping[tuple[int, ...], int]]
 
 
+def _positions(pos: Mapping[tuple[int, ...], int], points: Iterable[tuple[int, ...]],
+               error: str, where: object) -> tuple[int, ...]:
+    """Look tuples of points up in the ``pos`` of a box (``box_points``);
+    a tuple that is no element raises ``ComonadError`` with ``error`` at
+    ``where``."""
+    out = tuple(map(pos.get, points))
+    if None in out:
+        raise ComonadError(f"{error} at {where}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The comonad interface
 
@@ -63,12 +76,14 @@ class NaturalModelComonad:
     """A comonad on presheaves over the model base, together with its
     strict action on the model's types and terms.
 
-    Subclasses supply the primitive operations: the presheaf and type
-    actions.  The action on universe codes and sieves is not among them;
-    the classifiers derive it (:func:`code_actions`, :func:`sieve_action`).
-    The derived methods at the bottom give the induced comonad on the
-    types over any coalgebra and the fiberwise cofree construction,
-    which is where the rest of the module does its work.
+    A subclass supplies the carriers (``box``, ``tp_box``), counits,
+    comultiplications and points (``box_points``, ``tp_box_points``).
+    The base class derives from the points ``box_map``, ``tp_box_map``,
+    ``tm_box`` and ``tau``; for the Kan comonad these are its table-level
+    actions on the nose, its families being its points, numbered
+    lexicographically over its slots.  At the bottom it derives the
+    induced comonad on the types over a coalgebra and the fiberwise
+    cofree construction, where the rest of the module does its work.
     """
 
     name = "comonad"
@@ -76,11 +91,8 @@ class NaturalModelComonad:
     def __init__(self, model: NaturalModel):
         self.model = model
 
-    # endofunctor on presheaves over the base -------------------------------
+    # supplied: carriers, counits and comultiplications ----------------------
     def box(self, p: Presheaf) -> Presheaf:
-        raise NotImplementedError
-
-    def box_map(self, m: PresheafMap) -> PresheafMap:
         raise NotImplementedError
 
     def counit(self, p: Presheaf) -> PresheafMap:
@@ -91,15 +103,8 @@ class NaturalModelComonad:
         """The component ``box(P) -> box(box(P))``."""
         raise NotImplementedError
 
-    # strict action on types and terms --------------------------------------
     def tp_box(self, a: TypeOverContext) -> TypeOverContext:
         """Transport a type over ``Gamma`` to one over ``box(Gamma)``."""
-        raise NotImplementedError
-
-    def tp_box_map(self, m: TypeMap) -> TypeMap:
-        raise NotImplementedError
-
-    def tm_box(self, t: TermOverContext) -> TermOverContext:
         raise NotImplementedError
 
     def tp_counit(self, a: TypeOverContext) -> TypeMap:
@@ -110,30 +115,70 @@ class NaturalModelComonad:
         """``tp_box(A) -> tp_box(tp_box(A))[comult]`` over ``box(Gamma)``."""
         raise NotImplementedError
 
-    def tau(self, a: TypeOverContext) -> PresheafMap:
-        """The iso ``box(Gamma.A) -> box(Gamma).tp_box(A)``."""
-        raise NotImplementedError
-
-    # elements of the box as points ----------------------------------------
+    # supplied: elements of the box as points --------------------------------
     def box_points(self, p: Presheaf, obj: str) -> Points:
         """The elements of ``box(P)(obj)`` as tuples of points of ``P``.
 
         Returns ``(fibers, points, pos)``.  Element ``e`` is determined by
         ``points[e]``, whose entry ``k`` lies in ``P(fibers[k])``, and
         ``pos[points[e]] == e``; a tuple that is no element is not in
-        ``pos``.  ``box_map(h)`` acts pointwise: it sends ``e`` to the
-        element whose entry ``k`` is ``h`` at ``fibers[k]`` applied to
-        ``points[e][k]``.  ``fibers`` depends on ``obj`` alone.
+        ``pos``.  ``fibers`` depends on ``obj`` alone.  The derived
+        actions rest on this: ``box_map(h)`` sends ``e`` to the element
+        whose entry ``k`` is ``h`` at ``fibers[k]`` of ``points[e][k]``.
         """
         raise NotImplementedError
 
-    def tp_box_points(self, a: TypeOverContext, obj: str, pi: int) -> Points:
-        """The elements of ``tp_box(A)`` over ``pi in box(Gamma)(obj)`` as
-        tuples of points of ``A``, with their positions, as in
-        :meth:`box_points`: ``fibers`` lists fiber keys of ``A``, depends
-        on ``(obj, pi)`` and the context alone, and ``tp_box_map`` acts
-        pointwise."""
+    def tp_box_points(self, a: TypeOverContext) -> Callable[[tuple[str, int]], Points]:
+        """The elements of ``tp_box(A)`` as tuples of points of ``A``: the
+        function returned takes ``(obj, pi)``, ``pi`` in ``box(Gamma)(obj)``,
+        to the elements over it, as :meth:`box_points` does.  Its
+        ``fibers`` lists fiber keys of ``A``, key ``k`` over point ``k`` of
+        ``pi``, and depends on ``(obj, pi)`` and the context alone."""
         raise NotImplementedError
+
+    # derived: actions on maps and terms, point by point ---------------------
+    def box_map(self, m: PresheafMap) -> PresheafMap:
+        comp = {}
+        for x in self.model.base.objects:
+            fibers, pts, _ = self.box_points(m.source, x)
+            cols = [m.component[j] for j in fibers]
+            comp[x] = _positions(self.box_points(m.target, x)[2],
+                                 (tuple(map(getitem, cols, pt)) for pt in pts),
+                                 "box_map leaves the box", x)
+        return PresheafMap(self.box(m.source), self.box(m.target), comp)
+
+    def tp_box_map(self, m: TypeMap) -> TypeMap:
+        src, dst = self.tp_box_points(m.source), self.tp_box_points(m.target)
+        comp = {}
+        for key in self.tp_box(m.source).fiber:
+            fibers, pts, _ = src(key)
+            cols = [m.component[f] for f in fibers]
+            comp[key] = _positions(dst(key)[2], (tuple(map(getitem, cols, pt)) for pt in pts),
+                                   "tp_box_map leaves the box", key)
+        return TypeMap(self.tp_box(m.source), self.tp_box(m.target), comp)
+
+    def tm_box(self, t: TermOverContext) -> TermOverContext:
+        ba, points = self.tp_box(t.type), self.tp_box_points(t.type)
+        pick = {}
+        for key in ba.fiber:
+            fibers, _, pos = points(key)
+            pick[key] = _positions(pos, [tuple(map(t.pick.__getitem__, fibers))],
+                                   "tm_box leaves the box", key)[0]
+        return TermOverContext(ba, pick)
+
+    def tau(self, a: TypeOverContext) -> PresheafMap:
+        """The iso ``box(Gamma.A) -> box(Gamma).tp_box(A)``: the pair of
+        ``box(p)`` and the boxed generic term ``box(v)``.  ``p`` and ``v``
+        split the g-major numbering of ``Gamma.A`` into ``(g, x)``, so these
+        decode each point of an element into a point of ``Gamma`` and one
+        of ``A``; the type action is strict, so ``box(v)`` lies in
+        ``tp_box(A)[box(p)]`` on the nose."""
+        ca = comprehension(a)
+        ext2 = comprehension(self.tp_box(a))
+        bp, bv = self.box_map(ca.p).component, self.tm_box(ca.v).pick
+        return PresheafMap(self.box(ca.presheaf), ext2.presheaf, {
+            x: tuple(ext2.encode(x, pi, bv[(x, e)]) for e, pi in enumerate(bp[x]))
+            for x in self.model.base.objects})
 
     # derived: the indexed comonad at a coalgebra ----------------------------
     def bbox_type(self, cg: "Coalgebra", a: TypeOverContext) -> TypeOverContext:
@@ -145,7 +190,7 @@ class NaturalModelComonad:
 
     def bbox_points(self, cg: "Coalgebra", a: TypeOverContext, key: tuple[str, int]) -> Points:
         """The elements of ``bbox_type(cg, a)`` over ``key`` as points."""
-        return self.tp_box_points(a, key[0], cg.structure.apply(*key))
+        return self.tp_box_points(a)((key[0], cg.structure.apply(*key)))
 
     def bbox_term(self, cg: "Coalgebra", t: TermOverContext) -> TermOverContext:
         return subst_term(self.tm_box(t), cg.structure)
@@ -204,15 +249,14 @@ class IdentityComonad(NaturalModelComonad):
     def tp_comult(self, a):
         return identity_type_map(a)
 
-    def tau(self, a):
-        return identity_map(comprehension(a).presheaf)
-
     def box_points(self, p, obj):
         return (obj,), [(v,) for v in p.elements(obj)], {(v,): v for v in p.elements(obj)}
 
-    def tp_box_points(self, a, obj, pi):
-        n = a.fiber[(obj, pi)]
-        return ((obj, pi),), [(v,) for v in range(n)], {(v,): v for v in range(n)}
+    def tp_box_points(self, a):
+        def points(key):
+            n = a.fiber[key]
+            return (key,), [(v,) for v in range(n)], {(v,): v for v in range(n)}
+        return points
 
 
 def identity_comonad(model: NaturalModel) -> IdentityComonad:
@@ -235,11 +279,14 @@ class _BoxData:
 @dataclass
 class _TpData:
     """Family tables behind ``tp_box(A)``, one per context element of the
-    boxed context; each has the slots of the box table it sits over."""
+    boxed context; each has the slots of the box table it sits over, and
+    ``points`` reads each as :meth:`~NaturalModelComonad.tp_box_points`
+    gives it."""
 
     type: TypeOverContext
     box: _BoxData
     tables: Mapping[tuple[str, int], FamilyTable]
+    points: Mapping[tuple[str, int], Points]
 
 
 class AdjunctionComonad(NaturalModelComonad):
@@ -277,12 +324,6 @@ class AdjunctionComonad(NaturalModelComonad):
     def box(self, p):
         return self.box_data(p).presheaf
 
-    def box_map(self, m):
-        comp = self.adj.ran_map(m).component
-        om = self.adj.u.obj_map
-        return PresheafMap(self.box(m.source), self.box(m.target),
-                           {x: comp[om[x]] for x in self.model.base.objects})
-
     def counit(self, p):
         eps = self._counits.get(p)
         if eps is None:
@@ -318,15 +359,17 @@ class AdjunctionComonad(NaturalModelComonad):
         bd = self.box_data(a.context)
         d, c, u = self.model.base, self.adj.big, self.adj.u
         tables: dict[tuple[str, int], FamilyTable] = {}
+        points: dict[tuple[str, int], Points] = {}
         for x in d.objects:
             t = bd.tables[x]
             steps = [(k, (j, f), (d.src[m], c.compose(f, u.mor_map[m])), m)
                      for k, (j, f) in enumerate(t.slots) for m in d.morphisms
                      if d.dst[m] == j and not d.is_identity(m)]
             for pi, phi in enumerate(t.families):
-                sizes = [a.fiber[(j, v)] for (j, _), v in zip(t.slots, phi)]
+                fibers = tuple((j, v) for (j, _), v in zip(t.slots, phi))
                 rules = [(s1, s2, a.restriction[(m, phi[k])]) for (k, s1, s2, m) in steps]
-                tables[(x, pi)] = FamilyTable(t.slots, sizes, rules)
+                ft = tables[(x, pi)] = FamilyTable(t.slots, [a.fiber[f] for f in fibers], rules)
+                points[(x, pi)] = fibers, ft.families, ft.family_pos
         bg = bd.presheaf
         restriction = {}
         for m in d.morphisms:
@@ -337,36 +380,12 @@ class AdjunctionComonad(NaturalModelComonad):
                 restriction[(m, pi)] = tables[(x, pi)].restriction(
                     tables[(x2, bg.act(m, pi))], keys)
         fiber = {k: len(t.families) for k, t in tables.items()}
-        td = _TpData(TypeOverContext(bg, fiber, restriction), bd, tables)
+        td = _TpData(TypeOverContext(bg, fiber, restriction), bd, tables, points)
         self._tps[a] = td
         return td
 
     def tp_box(self, a):
         return self.tp_data(a).type
-
-    def tp_box_map(self, m):
-        ta, tb = self.tp_data(m.source), self.tp_data(m.target)
-        bd = ta.box
-        comp = {}
-        for x in self.model.base.objects:
-            t = bd.tables[x]
-            for pi, phi in enumerate(t.families):
-                cols = [m.component[(j, v)] for (j, _), v in zip(t.slots, phi)]
-                pos = tb.tables[(x, pi)].family_pos
-                comp[(x, pi)] = tuple(pos[tuple(col[w] for col, w in zip(cols, fam))]
-                                      for fam in ta.tables[(x, pi)].families)
-        return TypeMap(ta.type, tb.type, comp)
-
-    def tm_box(self, t):
-        td = self.tp_data(t.type)
-        bd = td.box
-        pick = {}
-        for x in self.model.base.objects:
-            tx = bd.tables[x]
-            for pi, phi in enumerate(tx.families):
-                fam = tuple(t.pick[(j, v)] for (j, _), v in zip(tx.slots, phi))
-                pick[(x, pi)] = td.tables[(x, pi)].family_pos[fam]
-        return TermOverContext(td.type, pick)
 
     def tp_counit(self, a):
         td = self.tp_data(a)
@@ -399,38 +418,13 @@ class AdjunctionComonad(NaturalModelComonad):
                     for fam in td.tables[(x, pi)].families)
         return TypeMap(td.type, subst_type(td2.type, dlt), comp)
 
-    def tau(self, a):
-        ca = comprehension(a)
-        bde = self.box_data(ca.presheaf)
-        bd = self.box_data(a.context)
-        td = self.tp_data(a)
-        ext2 = comprehension(td.type)
-        comp = {}
-        for x in self.model.base.objects:
-            t = bde.tables[x]
-            vals = []
-            for fam in t.families:
-                gs, xs = [], []
-                for (j, _), v in zip(t.slots, fam):
-                    g, aa = ca.decode(j, v)
-                    gs.append(g)
-                    xs.append(aa)
-                pi = bd.tables[x].family_pos[tuple(gs)]
-                vals.append(ext2.encode(x, pi, td.tables[(x, pi)].family_pos[tuple(xs)]))
-            comp[x] = tuple(vals)
-        return PresheafMap(bde.presheaf, ext2.presheaf, comp)
-
     # elements as points: the slots and families of the tables -----------------
     def box_points(self, p, obj):
         t = self.box_data(p).tables[obj]
         return tuple(j for (j, _) in t.slots), t.families, t.family_pos
 
-    def tp_box_points(self, a, obj, pi):
-        td = self.tp_data(a)
-        t = td.box.tables[obj]
-        ft = td.tables[(obj, pi)]
-        return (tuple((j, v) for (j, _), v in zip(t.slots, t.families[pi])),
-                ft.families, ft.family_pos)
+    def tp_box_points(self, a):
+        return self.tp_data(a).points.__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -820,12 +814,10 @@ def validate_comonad(w: NaturalModelComonad) -> dict:
             for n in hom_maps(p, q)[:2]:
                 pb = pullback(m, n)
                 pbb = pullback(w.box_map(m), w.box_map(n))
-                cmp2 = pbb.presheaf
-                lifted = {o: tuple(pbb.pair_index(o, w.box_map(pb.to_left).component[o][v],
-                                                  w.box_map(pb.to_right).component[o][v])
-                                   for v in range(w.box(pb.presheaf).sizes[o]))
-                          for o in cmp2.base.objects}
-                cmp_map = PresheafMap(w.box(pb.presheaf), cmp2, lifted)
+                bl, br = w.box_map(pb.to_left).component, w.box_map(pb.to_right).component
+                cmp_map = PresheafMap(w.box(pb.presheaf), pbb.presheaf, {
+                    o: tuple(pbb.pair_index(o, x, y) for x, y in zip(bl[o], br[o]))
+                    for o in w.model.base.objects})
                 if not cmp_map.is_iso():
                     cartesian_ok = False
                     witnesses.append(f"box breaks a pullback over {q.sizes}")
@@ -992,46 +984,31 @@ def coalg_subst(w: NaturalModelComonad, xt: CoalgebraType, dst: Coalgebra,
 # Context extension by a structured type
 
 
-def _structure_to_theta(w: NaturalModelComonad, cg: Coalgebra,
-                        a: TypeOverContext, g_ext: PresheafMap) -> TypeMap:
-    """Read a fiberwise structure map off a coalgebra structure on the
-    comprehension, through the comprehension isomorphism of the box."""
-    ext = comprehension(a)
-    ext2 = comprehension(w.tp_box(a))
-    t = w.tau(a)
-    ba = w.bbox_type(cg, a)
-    comp = {}
-    for (o, g), n in a.fiber.items():
-        vals = []
-        for x in range(n):
-            e2 = t.apply(o, g_ext.apply(o, ext.encode(o, g, x)))
-            phi, tv = ext2.decode(o, e2)
-            if phi != cg.structure.apply(o, g):
-                raise ComonadError(
-                    f"extension structure does not lie over the base at ({o!r}, {g})")
-            vals.append(tv)
-        comp[(o, g)] = tuple(vals)
-    return TypeMap(a, ba, comp)
-
-
 def coalg_extension(w: NaturalModelComonad,
                     xt: CoalgebraType) -> tuple[Coalgebra, PresheafMap, CoalgebraTerm]:
     """Extend the coalgebra by a structured type.
 
     Returns the extended coalgebra, the projection (a coalgebra map),
-    and the generic term of the weakened structured type.
+    and the generic term of the weakened structured type.  The structure
+    at ``(g, x)`` is the element of ``box(Gamma.A)`` whose point ``k`` is
+    ``(g_k, x_k)``, for ``g_k`` and ``x_k`` the points ``k`` of the
+    structure at ``g`` and of ``theta(x)``.  That is the inverse of
+    ``tau`` at ``(structure(g), theta(x))`` on the nose: ``tau`` decodes
+    each point into such a pair (``Gamma.A`` is numbered g-major), and the
+    Kan comonad numbers elements by their points, lexicographically over
+    its slots.
     """
     cg, a, th = xt.coalg, xt.type, xt.theta
     ext = comprehension(a)
-    ext2 = comprehension(w.tp_box(a))
-    ti = w.tau(a).inverse()
     comp = {}
     for o in cg.carrier.base.objects:
+        pos = w.box_points(ext.presheaf, o)[2]
         vals = []
-        for e in range(ext.presheaf.sizes[o]):
-            g, x = ext.decode(o, e)
-            e2 = ext2.encode(o, cg.structure.apply(o, g), th.component[(o, g)][x])
-            vals.append(ti.apply(o, e2))
+        for g in cg.carrier.elements(o):
+            fibers, pts, _ = w.bbox_points(cg, a, (o, g))
+            points = (tuple(ext.encode(j, gk, xk) for (j, gk), xk in zip(fibers, pts[e]))
+                      for e in th.component[(o, g)])
+            vals.extend(_positions(pos, points, "extension leaves the box", (o, g)))
         comp[o] = tuple(vals)
     cge = Coalgebra(ext.presheaf, PresheafMap(ext.presheaf, w.box(ext.presheaf), comp))
     errs = coalgebra_laws(w, cge)
@@ -1070,37 +1047,37 @@ def coalg_sigma(w: NaturalModelComonad, xt: CoalgebraType,
                 yb: CoalgebraType) -> CoalgebraSigma:
     """Sum a structured family over the extension back down to the base.
 
-    The structure on the sum is transported from the structure on the
-    twice-extended coalgebra along the reassociation isomorphism of
-    iterated comprehension.
+    The structure sends ``(x, y)`` over ``g`` to the element of the box
+    of the sum whose point ``k`` pairs the points ``k`` of ``theta_A(x)``
+    and of ``theta_B(y)``, read over ``(g, x)`` in the extension, whose
+    structure has the points ``(g_k, x_k)`` (:func:`coalg_extension`).
+    That is on the nose the structure of the twice-extended coalgebra,
+    moved along ``Gamma.Sigma(A, B) = Gamma.A.B`` and read back through
+    ``tau``: those steps renumber the same points one by one, and the Kan
+    comonad numbers elements by their points.
     """
     cg = xt.coalg
     cge, _, _ = coalg_extension(w, xt)
     if yb.coalg != cge:
         raise ComonadError("family is not structured over the extension")
     sg = sigma_type(xt.type, yb.type)
-    ca = sg.comp
-    cs = comprehension(sg.type)
-    cb = comprehension(yb.type)
     comp = {}
-    for o in cg.carrier.base.objects:
+    for (o, g), col_x in xt.theta.component.items():
+        fibers, pts_x, _ = w.bbox_points(cg, xt.type, (o, g))
+        pos = w.bbox_points(cg, sg.type, (o, g))[2]
         vals = []
-        for e in range(cs.presheaf.sizes[o]):
-            g, s = cs.decode(o, e)
-            x, y = sg.split(o, g, s)
-            vals.append(cb.encode(o, ca.encode(o, g, x), y))
-        comp[o] = tuple(vals)
-    assoc = PresheafMap(cs.presheaf, cb.presheaf, comp).assert_valid()
-    if not assoc.is_iso():
-        raise ComonadError("iterated comprehension failed to reassociate")
-    cgb, _, _ = coalg_extension(w, yb)
-    gamma_s = compose_maps(w.box_map(assoc.inverse()),
-                           compose_maps(cgb.structure, assoc))
-    th = _structure_to_theta(w, cg, sg.type, gamma_s)
+        for x, u in enumerate(col_x):
+            e = sg.comp.encode(o, g, x)
+            pts_y = w.bbox_points(cge, yb.type, (o, e))[1]
+            vals.extend(_positions(pos, (tuple(sg.pair(*f, p, q) for f, p, q in zip(
+                fibers, pts_x[u], pts_y[v])) for v in yb.theta.component[(o, e)]),
+                "sum leaves the box", (o, g)))
+        comp[(o, g)] = tuple(vals)
+    th = TypeMap(sg.type, w.bbox_type(cg, sg.type), comp)
     st = CoalgebraType(cg, sg.type, th)
     errs = coalgebra_type_laws(w, st)
     if errs:
-        raise ComonadError("transported sum structure is broken: " + errs[0])
+        raise ComonadError("sum structure is broken: " + errs[0])
     proj = TypeMap(sg.type, xt.type,
                    {k: tuple(sg.split(k[0], k[1], v)[0] for v in range(n))
                     for k, n in sg.type.fiber.items()})
@@ -1137,10 +1114,9 @@ def coalg_product(w: NaturalModelComonad, x: CoalgebraType,
     for k, col_x in x.theta.component.items():
         fibers, pts_x, _ = w.bbox_points(cg, x.type, k)
         pts_y, pos = w.bbox_points(cg, y.type, k)[1], w.bbox_points(cg, pr.type, k)[2]
-        comp[k] = tuple(pos.get(tuple(pr.pair(*f, p, q) for f, p, q in zip(
-            fibers, pts_x[u], pts_y[v]))) for u in col_x for v in y.theta.component[k])
-        if None in comp[k]:
-            raise ComonadError("box does not preserve this fiberwise product")
+        comp[k] = _positions(pos, (tuple(pr.pair(*f, p, q) for f, p, q in zip(
+            fibers, pts_x[u], pts_y[v])) for u in col_x for v in y.theta.component[k]),
+            "box does not preserve this fiberwise product", k)
     xt = CoalgebraType(cg, pr.type, TypeMap(pr.type, w.bbox_type(cg, pr.type), comp))
     errs = coalgebra_type_laws(w, xt)
     if errs:
@@ -1171,10 +1147,9 @@ def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
     for k, col in inc.component.items():
         fibers, pts, _ = w.bbox_points(cg, big, k)
         pos = w.bbox_points(cg, sub, k)[2]
-        comp[k] = tuple(pos.get(tuple(index[f].get(p) for f, p in zip(
-            fibers, pts[theta.component[k][v]]))) for v in col)
-        if None in comp[k]:
-            raise ComonadError(f"{what} is not closed under its structure at {k}")
+        comp[k] = _positions(pos, (tuple(index[f].get(p) for f, p in zip(
+            fibers, pts[theta.component[k][v]])) for v in col),
+            f"{what} is not closed under its structure", k)
     xt = CoalgebraType(cg, sub, TypeMap(sub, w.bbox_type(cg, sub), comp))
     errs = coalgebra_type_laws(w, xt)
     if errs:
@@ -1205,7 +1180,8 @@ class CoalgebraExponential:
         for k, col in z.theta.component.items():
             fibers, pts, _ = w.bbox_points(cg, z.type, k)
             pos = w.bbox_points(cg, self.plain.type, k)[2]
-            boxed[k] = tuple(pos[tuple(lam[f][p] for f, p in zip(fibers, pts[e]))] for e in col)
+            boxed[k] = _positions(pos, (tuple(lam[f][p] for f, p in zip(fibers, pts[e]))
+                                        for e in col), "transpose leaves the box", k)
         return TypeMap(z.type, self.type.type, _lift(
             self.inclusion.component, boxed,
             lambda k, n: "transpose of an unstructured map"))
@@ -1294,30 +1270,23 @@ class CoalgebraPi:
     exponential: CoalgebraExponential
     inclusion: TypeMap
 
-    def _family_at(self, w: NaturalModelComonad, obj: str, g: int, v: int) -> int:
-        exp = self.exponential
-        cg = self.base.coalg
-        e = self.inclusion.component[(obj, g)][v]
-        be = exp.inclusion.component[(obj, g)][e]
-        eps = w.fiber_counit(cg, exp.plain.type)
-        return eps.component[(obj, g)][be]
-
-    def app(self, w: NaturalModelComonad, obj: str, g: int, v: int, x: int) -> int:
+    def app(self, obj: str, g: int, v: int, x: int) -> int:
         """Apply a product element to an argument of the base type."""
-        s = self.exponential.plain.app(obj, g, self._family_at(w, obj, g, v), x)
+        exp = self.exponential
+        s = exp.ev.apply(obj, g, exp.ev_product.pair(obj, g, self.inclusion.apply(obj, g, v), x))
         x2, y = self.sum.split(obj, g, s)
         if x2 != x:
             raise ComonadError("product element is not a section")
         return y
 
-    def app_term(self, w: NaturalModelComonad, ct: CoalgebraTerm) -> CoalgebraTerm:
+    def app_term(self, ct: CoalgebraTerm) -> CoalgebraTerm:
         """Evaluate a structured product term to a structured family term."""
         cext = comprehension(self.base.type)
         pick = {}
         for o in cext.presheaf.base.objects:
             for e in range(cext.presheaf.sizes[o]):
                 g, x = cext.decode(o, e)
-                pick[(o, e)] = self.app(w, o, g, ct.term.pick[(o, g)], x)
+                pick[(o, e)] = self.app(o, g, ct.term.pick[(o, g)], x)
         return CoalgebraTerm(self.family,
                              TermOverContext(self.family.type, pick))
 
@@ -1395,7 +1364,7 @@ def pi_up_check(w: NaturalModelComonad, cp: CoalgebraPi) -> dict:
         return {"ok": False, "products": len(pis), "families": len(fams),
                 "witness": "term counts differ"}
     for ct in pis:
-        body = cp.app_term(w, ct)
+        body = cp.app_term(ct)
         if coalgebra_term_laws(w, body):
             return {"ok": False, "witness": "application is not structured"}
         if cp.intro_term(w, body).term != ct.term:

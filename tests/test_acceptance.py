@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from boxsem.cli import main
+from boxsem.cli import load_model, main
 from boxsem.coalg import (
     CoalgebraType,
     KanAdjunction,
@@ -322,13 +322,25 @@ def test_criterion_06_closure_and_sums_in_coalgebras(flagship):
         for yb in (fams[0], fams[len(fams) // 2], fams[-1]):
             pis3_ok &= pi_up_check(w, coalg_pi(w, reps[p], yb))["ok"]
 
+    # the fiber-2 exponential grid again under the identity functor of
+    # the walking arrow (model ``arrow``), whose box has a family slot
+    # besides the identity, so the equation is tested off the identity
+    wa = load_model("arrow").comonad
+    arrow2 = coalgebra_types_over(wa, terminal_coalgebra(wa), 2)
+    arrow_ok = len(arrow2) == 11
+    for x in arrow2:
+        for y in arrow2:
+            e = coalg_exponential(wa, x, y)
+            arrow_ok &= all(exponential_up_check(wa, e, z)["ok"] for z in arrow2)
+
     elapsed = time.monotonic() - start
     ok = (agree_ok and exp_ok and sums_ok and pis_ok and census_ok
-          and exp3_ok and sums3_ok and pis3_ok)
+          and exp3_ok and sums3_ok and pis3_ok and arrow_ok)
     _verdict(6, ok, f"universal properties hold on {len(types2) ** 3} "
                     f"exponential instances, {n_sums} sums and {n_pis} "
                     f"products at fibers <= 2, plus fiber-3 representatives "
-                    f"of all {len(hist)} profiles ({elapsed:.1f}s)")
+                    f"of all {len(hist)} profiles, and on {len(arrow2) ** 3} "
+                    f"exponential instances on arrow ({elapsed:.1f}s)")
 
 
 def test_criterion_07_kock_wraith_correspondence(flagship):

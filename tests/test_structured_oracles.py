@@ -220,7 +220,7 @@ def _ref_pi_up_check(w, cp):
         return {"ok": False, "products": len(pis), "families": len(fams),
                 "witness": "term counts differ"}
     for ct in pis:
-        body = cp.app_term(w, ct)
+        body = cp.app_term(ct)
         if coalgebra_term_laws(w, body):
             return {"ok": False, "witness": "application is not structured"}
         if cp.intro_term(w, body).term != ct.term:
@@ -229,7 +229,7 @@ def _ref_pi_up_check(w, cp):
         lam = cp.intro_term(w, ct)
         if coalgebra_term_laws(w, lam):
             return {"ok": False, "witness": "abstraction is not structured"}
-        if cp.app_term(w, lam).term != ct.term:
+        if cp.app_term(lam).term != ct.term:
             return {"ok": False, "witness": "application does not undo abstraction"}
     return {"ok": True, "products": len(pis), "families": len(fams)}
 
