@@ -1014,8 +1014,6 @@ def coalg_extension(w: NaturalModelComonad,
     errs = coalgebra_laws(w, cge)
     if errs:
         raise ComonadError("extension is not a coalgebra: " + errs[0])
-    if not is_coalgebra_map(w, cge, cg, ext.p):
-        raise ComonadError("projection of the extension is not a coalgebra map")
     weak = coalg_subst(w, xt, cge, ext.p)
     generic = CoalgebraTerm(weak, ext.v)
     if coalgebra_term_laws(w, generic):

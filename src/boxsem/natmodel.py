@@ -7,6 +7,10 @@ elements.  Everything is strictified: carriers are canonical ranges,
 substitution is literal reindexing, and the universe is the usual
 slice-functor one, so all the coherence laws hold as data equality.
 
+Types, type maps and sections are enumerated at their keys ``(I, g)``,
+as functors and natural maps on the category of elements, without that
+category being built.
+
 Types deliberately carry no size bound of their own.  Dependent sums
 and products can outgrow the display bound; they are still perfectly
 good data, only :meth:`Universe.encode` refuses them.
@@ -21,9 +25,9 @@ from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Slice, slice_category
-from .presheaf import (Elements, FamilyTable, Presheaf, PresheafMap,
-                       category_of_elements, compose_maps, hom_maps, mono_maps,
-                       terminal_presheaf, yoneda, yoneda_map)
+from .presheaf import (FamilyTable, Presheaf, PresheafMap, compose_maps, hom_maps,
+                       mono_maps, natural_components, terminal_presheaf, yoneda,
+                       yoneda_map)
 
 
 class BoundExceeded(Exception):
@@ -404,69 +408,41 @@ def bar(t: TermOverContext) -> PresheafMap:
 
 
 # ---------------------------------------------------------------------------
-# Conversions between types and presheaves on the category of elements
+# Maps and sections, enumerated at the keys (I, g)
 
 
-def type_to_elements_presheaf(a: TypeOverContext, el: Elements) -> Presheaf:
-    gamma = a.context
+def _elements(gamma: Presheaf) -> tuple[list[tuple[str, int]], list[tuple]]:
+    """The category of elements at its keys: the objects ``(I, g)``, ``I``
+    in object order and ``g`` ascending, and the non-identity arrows
+    ``((f, g), (dst f, g), (src f, g.f))`` in morphism order."""
     c = gamma.base
-    sizes = {el.obj_name(i, g): a.fiber[(i, g)]
-             for i in c.objects for g in gamma.elements(i)}
-    action = {}
-    for f in c.morphisms:
-        for g in gamma.elements(c.dst[f]):
-            action[f"{f}#{g}"] = a.restriction[(f, g)]
-    return Presheaf(el.cat, sizes, action)
+    return ([(i, g) for i in c.objects for g in gamma.elements(i)],
+            [((f, g), (c.dst[f], g), (c.src[f], gamma.act(f, g)))
+             for f in c.morphisms if not c.is_identity(f) for g in gamma.elements(c.dst[f])])
 
 
-def elements_presheaf_to_type(p: Presheaf, gamma: Presheaf, el: Elements) -> TypeOverContext:
-    c = gamma.base
-    fiber = {(i, g): p.sizes[el.obj_name(i, g)]
-             for i in c.objects for g in gamma.elements(i)}
-    restriction = {(f, g): p.action[f"{f}#{g}"]
-                   for f in c.morphisms for g in gamma.elements(c.dst[f])}
-    return TypeOverContext(gamma, fiber, restriction)
-
-
-def type_maps(a: TypeOverContext, b: TypeOverContext, el: Elements | None = None,
+def type_maps(a: TypeOverContext, b: TypeOverContext,
               domains: Mapping[tuple[tuple[str, int], int], Sequence[int]] | None = None,
               rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()) -> list[TypeMap]:
-    """All fiberwise natural maps ``a -> b``, canonically ordered.
-
-    Slots are keyed ``(k, x)`` for ``x`` in the fiber ``a[k]``, with
-    ``k = (obj, g)``, and hold the map's value at ``x``.  ``domains`` and
-    ``rules`` on these keys narrow the enumeration as in
-    :func:`~boxsem.presheaf.hom_maps`: a domain is a sorted sequence drawn
-    from ``b[k]``, and a rule ``(s, t, table)`` asks ``m[t] == table[m[s]]``.
-    The maps left keep their canonical order.
-    """
-    if el is None:
-        el = category_of_elements(a.context)
-    pa = type_to_elements_presheaf(a, el)
-    pb = type_to_elements_presheaf(b, el)
-
-    def slot(key):
-        (obj, g), x = key
-        return el.obj_name(obj, g), x
-
-    out = []
-    for m in hom_maps(pa, pb, {slot(key): dom for key, dom in (domains or {}).items()},
-                      [(slot(s), slot(t), table) for (s, t, table) in rules]):
-        comp = {el.split_obj(o): m.component[o] for o in el.cat.objects}
-        out.append(TypeMap(a, b, comp))
-    return out
+    """All fiberwise natural maps ``a -> b``, canonically ordered: the
+    :func:`~boxsem.presheaf.natural_components` at the keys ``k = (obj, g)``,
+    one arrow per non-identity ``(f, g)``.  Slot ``(k, x)`` holds the value
+    at ``x`` in ``a[k]``; ``domains`` (sorted, drawn from ``b[k]``) and
+    ``rules`` on these slots narrow the enumeration and keep its order."""
+    keys, arrows = _elements(a.context)
+    return [TypeMap(a, b, comp) for comp in natural_components(
+        {k: a.fiber[k] for k in keys}, b.fiber,
+        [(k, k2, a.restriction[fg], b.restriction[fg]) for fg, k, k2 in arrows],
+        domains, rules)]
 
 
 def terms_of(a: TypeOverContext) -> list[TermOverContext]:
-    """All sections of a type, canonically ordered."""
-    el = category_of_elements(a.context)
-    pa = type_to_elements_presheaf(a, el)
-    one = terminal_presheaf(el.cat)
-    out = []
-    for m in hom_maps(one, pa):
-        out.append(TermOverContext(a, {el.split_obj(o): m.component[o][0]
-                                       for o in el.cat.objects}))
-    return out
+    """All sections of a type, canonically ordered: the maps into ``a``
+    from the one-point type."""
+    keys, arrows = _elements(a.context)
+    return [TermOverContext(a, {k: col[0] for k, col in comp.items()})
+            for comp in natural_components({k: 1 for k in keys}, a.fiber, [
+                (k, k2, (0,), a.restriction[fg]) for fg, k, k2 in arrows])]
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +695,17 @@ def exp_transpose(e: Pi, pr: TypeProduct, m: TypeMap) -> TypeMap:
 # Display maps and straightening
 
 
-def fibers_of(m: PresheafMap, obj: str, y: int) -> tuple[int, ...]:
-    return tuple(x for x in m.source.elements(obj) if m.component[obj][x] == y)
+def _fiber_lists(m: PresheafMap, obj: str) -> list[list[int]]:
+    """The fibers of ``m`` at ``obj``, one sorted list per target element."""
+    lists = [[] for _ in range(m.target.sizes[obj])]
+    for x, y in enumerate(m.component[obj]):
+        lists[y].append(x)
+    return lists
 
 
 def is_display(m: PresheafMap, bound: int) -> bool:
-    return all(len(fibers_of(m, o, y)) <= bound
-               for o in m.source.base.objects for y in m.target.elements(o))
+    return all(len(xs) <= bound
+               for o in m.source.base.objects for xs in _fiber_lists(m, o))
 
 
 def straighten(m: PresheafMap) -> tuple[TypeOverContext, PresheafMap]:
@@ -733,7 +713,7 @@ def straighten(m: PresheafMap) -> tuple[TypeOverContext, PresheafMap]:
     iso ``target.A -> source`` over the target."""
     gamma, e = m.target, m.source
     c = gamma.base
-    lists = {(i, g): fibers_of(m, i, g) for i in c.objects for g in gamma.elements(i)}
+    lists = {(i, g): xs for i in c.objects for g, xs in enumerate(_fiber_lists(m, i))}
     pos = {k: {x: n for n, x in enumerate(v)} for k, v in lists.items()}
     fiber = {k: len(v) for k, v in lists.items()}
     restriction = {}
@@ -765,52 +745,42 @@ class NaturalModel:
 
     base: FinCat
     bound: int
-    _elements_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def elements(self, gamma: Presheaf) -> Elements:
-        el = self._elements_cache.get(gamma)
-        if el is None:
-            el = category_of_elements(gamma)
-            self._elements_cache[gamma] = el
-        return el
 
     def terminal(self) -> Presheaf:
         return terminal_presheaf(self.base)
 
 
+def _action_tables(objs: Sequence, arrows: Sequence[tuple], identities: Sequence[tuple],
+                   bound: int):
+    """Every choice of sizes ``<= bound`` at ``objs`` and of a table per arrow
+    ``(name, s, t)`` from ``range(sizes[t])`` into ``range(sizes[s])``, plus
+    the identity table at each ``(name, o)`` of ``identities``: sizes, then
+    tables, lexicographically."""
+    for sizes_t in iproduct(range(bound + 1), repeat=len(objs)):
+        sizes = dict(zip(objs, sizes_t))
+        choices = [list(iproduct(range(sizes[s]), repeat=sizes[t])) for (_, s, t) in arrows]
+        for combo in iproduct(*choices):
+            tables = {name: tb for (name, _, _), tb in zip(arrows, combo)}
+            tables.update((name, tuple(range(sizes[o]))) for name, o in identities)
+            yield sizes, tables
+
+
 def all_presheaves(c: FinCat, bound: int) -> list[Presheaf]:
     """Every presheaf on ``c`` with all carriers of size <= bound, in a
     deterministic order (sizes, then actions, lexicographically)."""
-    objs = list(c.objects)
-    non_id = [m for m in c.morphisms if not c.is_identity(m)]
-    out = []
-    for sizes_t in iproduct(range(bound + 1), repeat=len(objs)):
-        sizes = dict(zip(objs, sizes_t))
-        choices = []
-        feasible = True
-        for m in non_id:
-            dom, cod = sizes[c.dst[m]], sizes[c.src[m]]
-            tables = list(iproduct(range(cod), repeat=dom))
-            if not tables:
-                feasible = False
-                break
-            choices.append(tables)
-        if not feasible:
-            continue
-        for combo in iproduct(*choices):
-            action = dict(zip(non_id, combo))
-            for o in objs:
-                action[c.id(o)] = tuple(range(sizes[o]))
-            p = Presheaf(c, sizes, action)
-            if not p.validate():
-                out.append(p)
-    return out
+    tables = _action_tables(c.objects, [(m, c.src[m], c.dst[m]) for m in c.morphisms
+                                        if not c.is_identity(m)],
+                            [(c.id(o), o) for o in c.objects], bound)
+    return [p for p in (Presheaf(c, *st) for st in tables) if not p.validate()]
 
 
 def all_types_over(model: NaturalModel, gamma: Presheaf, bound: int) -> list[TypeOverContext]:
-    el = model.elements(gamma)
-    return [elements_presheaf_to_type(p, gamma, el)
-            for p in all_presheaves(el.cat, bound)]
+    """Every type over ``gamma`` with all fibers of size <= bound: the
+    functors on its category of elements, enumerated at the keys."""
+    keys, arrows = _elements(gamma)
+    tables = _action_tables(keys, [(fg, k2, k) for fg, k, k2 in arrows],
+                            [((gamma.base.id(i), g), (i, g)) for (i, g) in keys], bound)
+    return [a for a in (TypeOverContext(gamma, *st) for st in tables) if not a.validate()]
 
 
 @dataclass(frozen=True)
@@ -942,13 +912,12 @@ def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = 
             report["essential_surjectivity"] = False
             report["witness"] = (m, a)
             return report
-    el = model.elements(gamma)
     types = all_types_over(model, gamma, model.bound)
     comps = [comprehension(t) for t in types]
     for a, ca in zip(types, comps):
         for b, cb in zip(types, comps):
             report["type_pairs"] += 1
-            tms = type_maps(a, b, el)
+            tms = type_maps(a, b)
             blocks = {}
             for i in gamma.base.objects:
                 for v in ca.presheaf.elements(i):
@@ -1112,7 +1081,7 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
                         tbm = subst_type(decoded(b_code), mono)
                         if ta.fiber != tbm.fiber:
                             continue
-                        for phi in type_maps(ta, tbm, model.elements(delta)):
+                        for phi in type_maps(ta, tbm):
                             if not phi.is_iso():
                                 continue
                             cases += 1

@@ -7,9 +7,9 @@ hold as data equality rather than up to isomorphism.
 
 The workhorse is :func:`enumerate_families`, a small backtracking
 enumerator for tuples with per-slot domains subject to
-``fam[j] == table[fam[i]]`` rules.  Right Kan extensions, matching
-families and dependent products are all the same enumeration with
-different slots;
+``fam[j] == table[fam[i]]`` rules.  Right Kan extensions, dependent
+products and natural maps (:func:`natural_components`) are all the same
+enumeration with different slots;
 :class:`FamilyTable` packages one such enumeration with dict indexes on
 both its slots and its families.
 """
@@ -17,6 +17,7 @@ both its slots and its families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Functor, Site
@@ -322,7 +323,7 @@ def yoneda_map(c: FinCat, f: str) -> PresheafMap:
 
 @dataclass(frozen=True)
 class Elements:
-    """The category of elements of a presheaf, with decoding tables.
+    """The category of elements of a presheaf.
 
     Objects are named ``"I#x"`` for ``x in P(I)``; the morphism
     ``(I, P(f)(y)) -> (J, y)`` over ``f : I -> J`` is named ``"f#y"``.
@@ -330,14 +331,6 @@ class Elements:
 
     cat: FinCat
     presheaf: Presheaf
-    proj: Functor
-
-    def obj_name(self, obj: str, x: int) -> str:
-        return f"{obj}#{x}"
-
-    def split_obj(self, name: str) -> tuple[str, int]:
-        o, x = name.rsplit("#", 1)
-        return o, int(x)
 
 
 def category_of_elements(p: Presheaf) -> Elements:
@@ -362,48 +355,55 @@ def category_of_elements(p: Presheaf) -> Elements:
                 # g#z : (dst f, P(g) z) -> (dst g, z), precompose with f#(P(g) z)
                 table[(f"{g}#{z}", f"{f}#{p.act(g, z)}")] = f"{gf}#{z}"
     cat = FinCat(f"el[{c.name}]", tuple(objs), tuple(arrows), src, dst, identity, table)
-    proj = Functor(f"pr[el]", cat, c,
-                   {o: o.rsplit("#", 1)[0] for o in objs},
-                   {m: m.rsplit("#", 1)[0] for m in arrows})
-    return Elements(cat, p, proj)
+    return Elements(cat, p)
 
 
 # ---------------------------------------------------------------------------
 # Hom-set enumeration, subobjects
 
 
+def natural_components(src: Mapping, dst: Mapping,
+                       arrows: Iterable[tuple[object, object, Sequence[int], Sequence[int]]],
+                       domains: Mapping[tuple, Sequence[int]] | None = None,
+                       rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()
+                       ) -> list[dict]:
+    """Every natural family of functions ``m[k] : src[k] -> dst[k]`` on
+    canonical carriers, as one column per key of ``src``, in canonical order.
+
+    Slot ``(k, x)`` holds ``m[k][x]`` for ``x < src[k]``, slots in the key
+    order of ``src``; an arrow ``(k, k2, s, t)`` asks ``m[k2][s[x]] ==
+    t[m[k][x]]``.  ``domains`` may narrow a slot to a sorted sequence drawn
+    from ``range(dst[k])``, and a rule ``(s, t, table)`` on slots asks
+    ``m[t] == table[m[s]]``.  :func:`enumerate_families` is lexicographic
+    over the slots and narrowing only drops families, so those left keep
+    their order.
+    """
+    slots = [(k, x) for k, n in src.items() for x in range(n)]
+    index = {s: n for n, s in enumerate(slots)}
+    doms = [range(dst[k]) for (k, _) in slots]
+    for s, dom in (domains or {}).items():
+        doms[index[s]] = dom
+    checks = [(index[s], index[t], table) for (s, t, table) in rules]
+    checks += [(index[(k, x)], index[(k2, s[x])], t)
+               for (k, k2, s, t) in arrows for x in range(src[k])]
+    ends = list(accumulate(src.values(), initial=0))
+    return [{k: fam[a:b] for k, a, b in zip(src, ends, ends[1:])}
+            for fam in enumerate_families(len(slots), doms, checks)]
+
+
 def hom_maps(p: Presheaf, q: Presheaf,
              domains: Mapping[tuple[str, int], Sequence[int]] | None = None,
              rules: Iterable[tuple[tuple[str, int], tuple[str, int], Sequence[int]]] = ()
              ) -> list[PresheafMap]:
-    """Every natural transformation ``p -> q``, canonically ordered.
-
-    A map is enumerated as one value per slot ``(o, x)``, its value at
-    ``x in p(o)``.  ``domains`` may narrow the values a slot can take,
-    each to a sorted sequence drawn from ``q(o)`` (slots left out keep
-    all of ``q(o)``); an extra rule ``(s, t, table)`` on slots asks
-    ``m[t] == table[m[s]]``, alongside the naturality rules.  Narrowing
-    only removes maps, so the maps left come in the same order.
-    """
+    """Every natural transformation ``p -> q``, canonically ordered: the
+    :func:`natural_components` at the objects, one arrow per non-identity
+    morphism.  ``domains`` and ``rules`` on the slots ``(o, x)`` narrow the
+    enumeration and keep its order."""
     c = p.base
-    slots = [(o, x) for o in c.objects for x in p.elements(o)]
-    index = {s: k for k, s in enumerate(slots)}
-    doms = [range(q.sizes[o]) for (o, _) in slots]
-    for s, dom in (domains or {}).items():
-        doms[index[s]] = dom
-    checks = [(index[s], index[t], table) for (s, t, table) in rules]
-    for f in c.morphisms:
-        if c.is_identity(f):
-            continue
-        i, j = c.src[f], c.dst[f]
-        for x in p.elements(j):
-            checks.append((index[(j, x)], index[(i, p.act(f, x))], q.action[f]))
-    out = []
-    for fam in enumerate_families(len(slots), doms, checks):
-        comp = {o: tuple(fam[index[(o, x)]] for x in p.elements(o))
-                for o in c.objects}
-        out.append(PresheafMap(p, q, comp))
-    return out
+    arrows = [(c.dst[f], c.src[f], p.action[f], q.action[f])
+              for f in c.morphisms if not c.is_identity(f)]
+    return [PresheafMap(p, q, comp) for comp in natural_components(
+        {o: p.sizes[o] for o in c.objects}, q.sizes, arrows, domains, rules)]
 
 
 def iso_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:
@@ -723,19 +723,14 @@ class SheafReport:
 
 
 def matching_families(site: Site, p: Presheaf, obj: str, sieve: frozenset[str]) -> list[dict[str, int]]:
-    """All matching families for a sieve, as maps from member morphisms."""
+    """All matching families for a sieve, as maps from member morphisms:
+    the natural maps from the sieve, one point per member, into ``p``."""
     c = site.cat
     members = sorted(sieve)
-    index = {m: k for k, m in enumerate(members)}
-    domains = [range(p.sizes[c.src[m]]) for m in members]
-    rules = []
-    for m in members:
-        for g in c.morphisms:
-            if c.dst[g] != c.src[m] or c.is_identity(g):
-                continue
-            rules.append((index[m], index[c.compose(m, g)], p.action[g]))
-    return [{m: fam[index[m]] for m in members}
-            for fam in enumerate_families(len(members), domains, rules)]
+    arrows = [(m, c.compose(m, g), (0,), p.action[g]) for m in members for g in c.morphisms
+              if c.dst[g] == c.src[m] and not c.is_identity(g)]
+    return [{m: col[0] for m, col in comp.items()} for comp in natural_components(
+        {m: 1 for m in members}, {m: p.sizes[c.src[m]] for m in members}, arrows)]
 
 
 def amalgamations(p: Presheaf, obj: str, family: Mapping[str, int]) -> list[int]:

@@ -45,14 +45,13 @@ def _ref_typing_check(model, gamma, size_bound=None):
             report["essential_surjectivity"] = False
             report["witness"] = (m, a)
             return report
-    el = model.elements(gamma)
     types = all_types_over(model, gamma, model.bound)
     for a in types:
         ca = comprehension(a)
         for b in types:
             report["type_pairs"] += 1
             cb = comprehension(b)
-            tms = type_maps(a, b, el)
+            tms = type_maps(a, b)
             over = [h for h in hom_maps(ca.presheaf, cb.presheaf)
                     if compose_maps(cb.p, h) == ca.p]
             induced = set()
