@@ -27,6 +27,7 @@ no structure is trusted without being run through its validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from operator import getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -68,6 +69,20 @@ def _positions(pos: Mapping[tuple[int, ...], int], points: Iterable[tuple[int, .
     return out
 
 
+def _once(build: Callable) -> Callable:
+    """Memoize a construction ``build(w, *args)`` per comonad, by the
+    value of its arguments, in ``w._built``; methods of a comonad too.
+    A call that raises keeps nothing, so asking again raises again."""
+    @wraps(build)
+    def memo(w: "NaturalModelComonad", *args):
+        key = (build.__name__, *args)
+        hit = w._built.get(key)
+        if hit is None:
+            hit = w._built[key] = build(w, *args)
+        return hit
+    return memo
+
+
 # ---------------------------------------------------------------------------
 # The comonad interface
 
@@ -90,6 +105,8 @@ class NaturalModelComonad:
 
     def __init__(self, model: NaturalModel):
         self.model = model
+        # what this comonad has built, by name and arguments (:func:`_once`)
+        self._built: dict[tuple, object] = {}
 
     # supplied: carriers, counits and comultiplications ----------------------
     def box(self, p: Presheaf) -> Presheaf:
@@ -188,9 +205,12 @@ class NaturalModelComonad:
     def bbox_type_map(self, cg: "Coalgebra", m: TypeMap) -> TypeMap:
         return subst_type_map(self.tp_box_map(m), cg.structure)
 
-    def bbox_points(self, cg: "Coalgebra", a: TypeOverContext, key: tuple[str, int]) -> Points:
-        """The elements of ``bbox_type(cg, a)`` over ``key`` as points."""
-        return self.tp_box_points(a)((key[0], cg.structure.apply(*key)))
+    def bbox_points(self, cg: "Coalgebra",
+                    a: TypeOverContext) -> Callable[[tuple[str, int]], Points]:
+        """The elements of ``bbox_type(cg, a)`` as points: the function
+        returned takes a fiber key of ``a`` to those over it."""
+        points, s = self.tp_box_points(a), cg.structure.component
+        return lambda key: points((key[0], s[key[0]][key[1]]))
 
     def bbox_term(self, cg: "Coalgebra", t: TermOverContext) -> TermOverContext:
         return subst_term(self.tm_box(t), cg.structure)
@@ -305,35 +325,24 @@ class AdjunctionComonad(NaturalModelComonad):
         super().__init__(model)
         self.adj = adj
         self.name = f"ran[{adj.u.name}]"
-        self._boxes: dict[Presheaf, _BoxData] = {}
-        self._counits: dict[Presheaf, PresheafMap] = {}
-        self._comults: dict[Presheaf, PresheafMap] = {}
-        self._tps: dict[TypeOverContext, _TpData] = {}
 
-    # family tables ----------------------------------------------------------
+    # family tables, and each structure map, built once per argument ---------
+    @_once
     def box_data(self, p: Presheaf) -> _BoxData:
-        bd = self._boxes.get(p)
-        if bd is None:
-            r = self.adj.ran(p)
-            om = self.adj.u.obj_map
-            bd = _BoxData(self.adj.restrict(r.presheaf),
-                          {x: r.tables[om[x]] for x in self.model.base.objects})
-            self._boxes[p] = bd
-        return bd
+        r = self.adj.ran(p)
+        om = self.adj.u.obj_map
+        return _BoxData(self.adj.restrict(r.presheaf),
+                        {x: r.tables[om[x]] for x in self.model.base.objects})
 
     def box(self, p):
         return self.box_data(p).presheaf
 
+    @_once
     def counit(self, p):
-        eps = self._counits.get(p)
-        if eps is None:
-            eps = self._counits[p] = self.adj.counit(p)
-        return eps
+        return self.adj.counit(p)
 
+    @_once
     def comult(self, p):
-        dlt = self._comults.get(p)
-        if dlt is not None:
-            return dlt
         bd = self.box_data(p)
         bb = self.box_data(bd.presheaf)
         c = self.adj.big
@@ -348,14 +357,11 @@ class AdjunctionComonad(NaturalModelComonad):
             pos = bb.tables[x].family_pos
             comp[x] = tuple(pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in inner)]
                             for fam in t.families)
-        dlt = self._comults[p] = PresheafMap(bd.presheaf, bb.presheaf, comp)
-        return dlt
+        return PresheafMap(bd.presheaf, bb.presheaf, comp)
 
     # type and term action ----------------------------------------------------
+    @_once
     def tp_data(self, a: TypeOverContext) -> _TpData:
-        td = self._tps.get(a)
-        if td is not None:
-            return td
         bd = self.box_data(a.context)
         d, c, u = self.model.base, self.adj.big, self.adj.u
         tables: dict[tuple[str, int], FamilyTable] = {}
@@ -380,13 +386,12 @@ class AdjunctionComonad(NaturalModelComonad):
                 restriction[(m, pi)] = tables[(x, pi)].restriction(
                     tables[(x2, bg.act(m, pi))], keys)
         fiber = {k: len(t.families) for k, t in tables.items()}
-        td = _TpData(TypeOverContext(bg, fiber, restriction), bd, tables, points)
-        self._tps[a] = td
-        return td
+        return _TpData(TypeOverContext(bg, fiber, restriction), bd, tables, points)
 
     def tp_box(self, a):
         return self.tp_data(a).type
 
+    @_once
     def tp_counit(self, a):
         td = self.tp_data(a)
         bd = td.box
@@ -398,6 +403,7 @@ class AdjunctionComonad(NaturalModelComonad):
                 comp[(x, pi)] = tuple(fam[k_id] for fam in td.tables[(x, pi)].families)
         return TypeMap(td.type, subst_type(a, self.counit(a.context)), comp)
 
+    @_once
     def tp_comult(self, a):
         td = self.tp_data(a)
         td2 = self.tp_data(td.type)
@@ -442,28 +448,79 @@ class Coalgebra:
         return self.carrier.elements(obj)
 
 
+def _box_pair(w: NaturalModelComonad, p: Presheaf,
+              q: Presheaf) -> Callable[[str], tuple]:
+    """``points(x)``: ``(fibers, points of box(p), points of box(q))`` at
+    ``x``, as :func:`_commutes` and :func:`_commuting_rules` read them."""
+    return lambda x: (*w.box_points(p, x)[:2], w.box_points(q, x)[1])
+
+
+def _bbox_pair(w: NaturalModelComonad, cg: "Coalgebra", a: TypeOverContext,
+               b: TypeOverContext) -> Callable[[tuple[str, int]], tuple]:
+    """:func:`_box_pair` for the box over ``cg`` of types over its carrier."""
+    src, dst = w.bbox_points(cg, a), w.bbox_points(cg, b)
+    return lambda key: (*src(key)[:2], dst(key)[1])
+
+
+def _counit_holds(eps: Mapping, theta: Mapping) -> bool:
+    """``eps . theta == id``, column by column."""
+    return all(eps[key][e] == v for key, col in theta.items() for v, e in enumerate(col))
+
+
+def _commutes(m: Mapping, src_theta: Mapping, dst_theta: Mapping,
+              points: Callable[[object], tuple]) -> bool:
+    """``dst_theta . m == box(m) . src_theta`` for a natural ``m``, checked
+    at the box points of each ``src_theta(v)``; ``points`` is as in
+    :func:`_commuting_rules`.  The comult law ``delta . theta ==
+    box(theta) . theta`` is the case ``m = src_theta = theta``,
+    ``dst_theta = delta``.
+
+    This is the equation of the two composed maps on the nose.  Their
+    endpoints agree, and ``box(m)`` sends ``e`` to the element whose
+    point ``k`` is ``m`` at ``fibers[k]`` of point ``k`` of ``e``; the
+    derived ``box_map`` looks that tuple up in ``pos``, and ``pos`` and
+    the points are mutually inverse, so the composite at ``v`` is
+    ``dst_theta(m(v))`` exactly when that tuple is its points.  The
+    composite reads ``box(m)`` only at the image of ``src_theta``, and
+    where it is not read ``box(m)`` could fail only by leaving the box,
+    which a natural ``m`` never does: each caller validates ``m`` first
+    or builds it natural.
+    """
+    for key, col in src_theta.items():
+        fibers, pts_src, pts_dst = points(key)
+        out, mk = dst_theta[key], m[key]
+        cols = [m[f] for f in fibers]
+        if any(pts_dst[out[mk[v]]] != tuple(map(getitem, cols, pts_src[e]))
+               for v, e in enumerate(col)):
+            return False
+    return True
+
+
 def coalgebra_laws(w: NaturalModelComonad, cg: Coalgebra) -> list[str]:
     errs = []
-    bp = w.box(cg.carrier)
-    if cg.structure.source != cg.carrier or cg.structure.target != bp:
+    p = cg.carrier
+    bp = w.box(p)
+    if cg.structure.source != p or cg.structure.target != bp:
         return ["structure map has the wrong endpoints"]
     errs.extend(cg.structure.validate())
     if errs:
         return errs
-    if compose_maps(w.counit(cg.carrier), cg.structure) != identity_map(cg.carrier):
+    th = cg.structure.component
+    if not _counit_holds(w.counit(p).component, th):
         errs.append("counit law fails")
-    if compose_maps(w.comult(cg.carrier), cg.structure) != \
-            compose_maps(w.box_map(cg.structure), cg.structure):
+    if not _commutes(th, th, w.comult(p).component, _box_pair(w, p, bp)):
         errs.append("comult law fails")
     return errs
 
 
 def is_coalgebra_map(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra,
                      h: PresheafMap) -> bool:
-    if h.source != src.carrier or h.target != dst.carrier:
+    """Whether ``h`` is a natural map of carriers commuting with the two
+    structures (:func:`_commutes`)."""
+    if h.source != src.carrier or h.target != dst.carrier or h.validate():
         return False
-    return compose_maps(dst.structure, h) == \
-        compose_maps(w.box_map(h), src.structure)
+    return _commutes(h.component, src.structure.component, dst.structure.component,
+                     _box_pair(w, src.carrier, dst.carrier))
 
 
 def _counit_domains(eps: Mapping, sizes: Mapping) -> dict:
@@ -505,11 +562,9 @@ def _commuting_rules(src_theta: Mapping, dst_theta: Mapping,
 def coalgebra_maps(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra) -> list[PresheafMap]:
     """The coalgebra maps ``src -> dst``, in the order of ``hom_maps``:
     the structure equation is enumerated as slot rules, not tested."""
-    def points(x):
-        fibers, pts_src, _ = w.box_points(src.carrier, x)
-        return fibers, pts_src, w.box_points(dst.carrier, x)[1]
     return hom_maps(src.carrier, dst.carrier, rules=_commuting_rules(
-        src.structure.component, dst.structure.component, points))
+        src.structure.component, dst.structure.component,
+        _box_pair(w, src.carrier, dst.carrier)))
 
 
 def cofree_coalgebra(w: NaturalModelComonad, q: Presheaf) -> Coalgebra:
@@ -609,10 +664,11 @@ def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
         raise EnumerationCeiling(
             f"{len(carriers)} carriers exceed the guard {max_carriers}")
     for p in carriers:
-        dlt = w.comult(p)
+        bp = w.box(p)
+        dlt, points = w.comult(p).component, _box_pair(w, p, bp)
         domains = _counit_domains(w.counit(p).component, p.sizes)
-        for h in hom_maps(p, w.box(p), domains):
-            if compose_maps(dlt, h) == compose_maps(w.box_map(h), h):
+        for h in hom_maps(p, bp, domains):
+            if _commutes(h.component, h.component, dlt, points):
                 out.append(Coalgebra(p, h))
     return out
 
@@ -633,8 +689,7 @@ class CoalgebraCategory:
         w = self.comonad
         errs = []
         for cg in self.coalgebras:
-            if compose_maps(w.counit(cg.carrier), cg.structure) != \
-                    identity_map(cg.carrier):
+            if not _counit_holds(w.counit(cg.carrier).component, cg.structure.component):
                 errs.append(f"unit-counit triangle fails on carrier {cg.carrier.sizes}")
         for q in all_presheaves(w.model.base, self.bound):
             fq = cofree_coalgebra(w, q)
@@ -889,6 +944,9 @@ class CoalgebraType:
 
 
 def coalgebra_type_laws(w: NaturalModelComonad, xt: CoalgebraType) -> list[str]:
+    """The fiber counit and comult laws of a structure map, once it is
+    natural with the right endpoints; the comult law is checked at the
+    box points of its image (:func:`_commutes`)."""
     cg, a, th = xt.coalg, xt.type, xt.theta
     ba = w.bbox_type(cg, a)
     if th.source != a or th.target != ba:
@@ -896,10 +954,10 @@ def coalgebra_type_laws(w: NaturalModelComonad, xt: CoalgebraType) -> list[str]:
     errs = [*th.validate()]
     if errs:
         return errs
-    if compose_type_maps(w.fiber_counit(cg, a), th) != identity_type_map(a):
+    col = th.component
+    if not _counit_holds(w.fiber_counit(cg, a).component, col):
         errs.append("fiber counit law fails")
-    if compose_type_maps(w.fiber_comult(cg, a), th) != \
-            compose_type_maps(w.bbox_type_map(cg, th), th):
+    if not _commutes(col, col, w.fiber_comult(cg, a).component, _bbox_pair(w, cg, a, ba)):
         errs.append("fiber comult law fails")
     return errs
 
@@ -928,11 +986,8 @@ def coalgebra_type_maps(w: NaturalModelComonad, x: CoalgebraType,
                         y: CoalgebraType) -> list[TypeMap]:
     """Fiberwise maps commuting with the two structures, in the order of
     ``type_maps``; the commuting square is enumerated as slot rules."""
-    def points(key):
-        fibers, pts_src, _ = w.bbox_points(x.coalg, x.type, key)
-        return fibers, pts_src, w.bbox_points(x.coalg, y.type, key)[1]
     return type_maps(x.type, y.type, rules=_commuting_rules(
-        x.theta.component, y.theta.component, points))
+        x.theta.component, y.theta.component, _bbox_pair(w, x.coalg, x.type, y.type)))
 
 
 def coalgebra_terms(w: NaturalModelComonad, xt: CoalgebraType) -> list[CoalgebraTerm]:
@@ -949,15 +1004,16 @@ def coalgebra_types_over(w: NaturalModelComonad, cg: Coalgebra,
     """All structured types over a coalgebra with fibers up to the bound.
 
     Structure maps are enumerated with the fiber counit law built into
-    their slot domains; the fiber comult law is tested on each of them.
+    their slot domains; the fiber comult law is tested on each of them,
+    at the box points of its image (:func:`_commutes`).
     """
     out = []
     for a in all_types_over(w.model, cg.carrier, size_bound):
         ba = w.bbox_type(cg, a)
-        dlt = w.fiber_comult(cg, a)
+        dlt, points = w.fiber_comult(cg, a).component, _bbox_pair(w, cg, a, ba)
         domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
         for th in type_maps(a, ba, domains=domains):
-            if compose_type_maps(dlt, th) == compose_type_maps(w.bbox_type_map(cg, th), th):
+            if _commutes(th.component, th.component, dlt, points):
                 out.append(CoalgebraType(cg, a, th))
     return out
 
@@ -984,6 +1040,7 @@ def coalg_subst(w: NaturalModelComonad, xt: CoalgebraType, dst: Coalgebra,
 # Context extension by a structured type
 
 
+@_once
 def coalg_extension(w: NaturalModelComonad,
                     xt: CoalgebraType) -> tuple[Coalgebra, PresheafMap, CoalgebraTerm]:
     """Extend the coalgebra by a structured type.
@@ -996,16 +1053,17 @@ def coalg_extension(w: NaturalModelComonad,
     ``tau`` at ``(structure(g), theta(x))`` on the nose: ``tau`` decodes
     each point into such a pair (``Gamma.A`` is numbered g-major), and the
     Kan comonad numbers elements by their points, lexicographically over
-    its slots.
+    its slots.  Built once per comonad and structured type.
     """
     cg, a, th = xt.coalg, xt.type, xt.theta
     ext = comprehension(a)
+    points_a = w.bbox_points(cg, a)
     comp = {}
     for o in cg.carrier.base.objects:
         pos = w.box_points(ext.presheaf, o)[2]
         vals = []
         for g in cg.carrier.elements(o):
-            fibers, pts, _ = w.bbox_points(cg, a, (o, g))
+            fibers, pts, _ = points_a((o, g))
             points = (tuple(ext.encode(j, gk, xk) for (j, gk), xk in zip(fibers, pts[e]))
                       for e in th.component[(o, g)])
             vals.extend(_positions(pos, points, "extension leaves the box", (o, g)))
@@ -1059,14 +1117,16 @@ def coalg_sigma(w: NaturalModelComonad, xt: CoalgebraType,
     if yb.coalg != cge:
         raise ComonadError("family is not structured over the extension")
     sg = sigma_type(xt.type, yb.type)
+    points_x, points_y = w.bbox_points(cg, xt.type), w.bbox_points(cge, yb.type)
+    points_s = w.bbox_points(cg, sg.type)
     comp = {}
     for (o, g), col_x in xt.theta.component.items():
-        fibers, pts_x, _ = w.bbox_points(cg, xt.type, (o, g))
-        pos = w.bbox_points(cg, sg.type, (o, g))[2]
+        fibers, pts_x, _ = points_x((o, g))
+        pos = points_s((o, g))[2]
         vals = []
         for x, u in enumerate(col_x):
             e = sg.comp.encode(o, g, x)
-            pts_y = w.bbox_points(cge, yb.type, (o, e))[1]
+            pts_y = points_y((o, e))[1]
             vals.extend(_positions(pos, (tuple(sg.pair(*f, p, q) for f, p, q in zip(
                 fibers, pts_x[u], pts_y[v])) for v in yb.theta.component[(o, e)]),
                 "sum leaves the box", (o, g)))
@@ -1079,8 +1139,10 @@ def coalg_sigma(w: NaturalModelComonad, xt: CoalgebraType,
     proj = TypeMap(sg.type, xt.type,
                    {k: tuple(sg.split(k[0], k[1], v)[0] for v in range(n))
                     for k, n in sg.type.fiber.items()})
-    if compose_type_maps(xt.theta, proj) != \
-            compose_type_maps(w.bbox_type_map(cg, proj), th):
+    # the projection is natural: restriction in the sum restricts the
+    # first half of each pair in A (``sigma_type``)
+    if not _commutes(proj.component, th.component, xt.theta.component,
+                     _bbox_pair(w, cg, sg.type, xt.type)):
         raise ComonadError("first projection of the sum is not structured")
     return CoalgebraSigma(st, sg, proj)
 
@@ -1100,18 +1162,22 @@ def type_tuple_map(pr: TypeProduct, m1: TypeMap, m2: TypeMap) -> TypeMap:
     return TypeMap(m1.source, pr.type, comp)
 
 
+@_once
 def coalg_product(w: NaturalModelComonad, x: CoalgebraType,
                   y: CoalgebraType) -> tuple[CoalgebraType, TypeProduct]:
     """Binary product of structured types.  The box acts pointwise, so the
     structure sends ``(u, v)`` to the element of the box of the product
     whose points pair those of ``theta_x(u)`` and ``theta_y(v)``; a box
-    without it does not preserve the product."""
+    without it does not preserve the product.  Built once per comonad
+    and pair of types."""
     cg = x.coalg
     pr = type_product(x.type, y.type)
+    points_x, points_y = w.bbox_points(cg, x.type), w.bbox_points(cg, y.type)
+    points_p = w.bbox_points(cg, pr.type)
     comp = {}
     for k, col_x in x.theta.component.items():
-        fibers, pts_x, _ = w.bbox_points(cg, x.type, k)
-        pts_y, pos = w.bbox_points(cg, y.type, k)[1], w.bbox_points(cg, pr.type, k)[2]
+        fibers, pts_x, _ = points_x(k)
+        pts_y, pos = points_y(k)[1], points_p(k)[2]
         comp[k] = _positions(pos, (tuple(pr.pair(*f, p, q) for f, p, q in zip(
             fibers, pts_x[u], pts_y[v])) for u in col_x for v in y.theta.component[k]),
             "box does not preserve this fiberwise product", k)
@@ -1141,10 +1207,11 @@ def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
     here, or ``ModelError`` in ``sub_type`` if restriction leaves it."""
     sub, inc = sub_type(big, keep)
     index = {k: {v: n for n, v in enumerate(col)} for k, col in inc.component.items()}
+    points_big, points_sub = w.bbox_points(cg, big), w.bbox_points(cg, sub)
     comp = {}
     for k, col in inc.component.items():
-        fibers, pts, _ = w.bbox_points(cg, big, k)
-        pos = w.bbox_points(cg, sub, k)[2]
+        fibers, pts, _ = points_big(k)
+        pos = points_sub(k)[2]
         comp[k] = _positions(pos, (tuple(index[f].get(p) for f, p in zip(
             fibers, pts[theta.component[k][v]])) for v in col),
             f"{what} is not closed under its structure", k)
@@ -1174,10 +1241,11 @@ class CoalgebraExponential:
         ``v`` goes to the element of the box of the plain exponential whose
         points are the plain transpose applied to those of ``theta_z(v)``."""
         cg, lam = self.source.coalg, exp_transpose(self.plain, pr, m).component
+        points_z, points_e = w.bbox_points(cg, z.type), w.bbox_points(cg, self.plain.type)
         boxed = {}
         for k, col in z.theta.component.items():
-            fibers, pts, _ = w.bbox_points(cg, z.type, k)
-            pos = w.bbox_points(cg, self.plain.type, k)[2]
+            fibers, pts, _ = points_z(k)
+            pos = points_e(k)[2]
             boxed[k] = _positions(pos, (tuple(lam[f][p] for f, p in zip(fibers, pts[e]))
                                         for e in col), "transpose leaves the box", k)
         return TypeMap(z.type, self.type.type, _lift(
@@ -1210,15 +1278,17 @@ def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
     eps = w.fiber_counit(cg, e_plain.type)
     dlt = w.fiber_comult(cg, e_plain.type)
     app = e_plain.app
+    points_e, points_a = w.bbox_points(cg, e_plain.type), w.bbox_points(cg, a)
+    points_b = w.bbox_points(cg, b)
     holds = {}
     for (o, g), n in box_exp.fiber.items():
-        fibers, pts_e, _ = w.bbox_points(cg, e_plain.type, (o, g))
-        pts_a, pts_b = w.bbox_points(cg, a, (o, g))[1], w.bbox_points(cg, b, (o, g))[1]
+        fibers, pts_e, _ = points_e((o, g))
+        pts_a, pts_b = points_a((o, g))[1], points_b((o, g))[1]
         tx, ty, ec = (m.component[(o, g)] for m in (x.theta, y.theta, eps))
         holds[(o, g)] = frozenset(v for v in range(n) if all(
             tuple(app(*f, e, p) for f, e, p in zip(fibers, pts_e[v], pts_a[tx[t]]))
             == pts_b[ty[app(o, g, ec[v], t)]] for t in range(a.fiber[(o, g)])))
-    keep = _with_points_in(holds, dlt.component, lambda k: w.bbox_points(cg, box_exp, k))
+    keep = _with_points_in(holds, dlt.component, w.bbox_points(cg, box_exp))
     xt, inclusion = _sub_theta(w, cg, box_exp, dlt, keep, "exponential of structured types")
     pr_sub = type_product(xt.type, a)
     ev = TypeMap(pr_sub.type, b, {(o, g): tuple(
@@ -1338,8 +1408,9 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
                                 for k, (j2, h, arg) in enumerate(t.slots))}
                 for (j, g), t in es.plain.tables.items()}
     keep = {}
+    points_e = w.bbox_points(cg, es.plain.type)
     for (o, g), col in es.inclusion.component.items():
-        fibers, points, _ = w.bbox_points(cg, es.plain.type, (o, g))
+        fibers, points, _ = points_e((o, g))
         keep[(o, g)] = frozenset(v for v, e in enumerate(col)
                                  if all(i in sections[f] for f, i in zip(fibers, points[e])))
     xt, inc = _sub_theta(w, cg, es.type.type, es.type.theta, keep,

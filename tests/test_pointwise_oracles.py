@@ -16,6 +16,14 @@ reassociation iso of iterated comprehension and read back through
 ``tau`` (``_ref_structure_to_theta``).  ``CoalgebraPi.app`` reads the
 exponential's evaluation; ``_ref_pi_app`` applies the counit of the
 boxed plain exponential.  All must agree on the nose.
+
+The law checks read the box only at the points of a structure's image
+(``_commutes``): the comult law of a coalgebra and of a structured type,
+the square of a coalgebra map, the comult filter of
+``coalgebra_types_over`` and the structured projection of a sum.  The
+``_ref_*`` law checks below are their earlier whole-box forms, which
+compose with ``box_map``/``bbox_type_map`` of the whole structure; both
+must give the same verdicts on lawful and unlawful candidates alike.
 """
 
 import itertools
@@ -23,14 +31,17 @@ import itertools
 import pytest
 
 from boxsem.coalg import (AdjunctionComonad, CoalgebraSigma, CoalgebraTerm, CoalgebraType,
-                          Coalgebra, ComonadError, IdentityComonad, coalg_extension, coalg_pi,
-                          coalg_sigma, coalg_subst, coalgebra_laws, coalgebra_term_laws,
-                          coalgebra_type_laws, coalgebra_types_over, is_coalgebra_map,
-                          terminal_coalgebra)
-from boxsem.natmodel import (TermOverContext, TypeMap, all_presheaves, all_types_over,
-                             compose_type_maps, comprehension, identity_type_map, sigma_type,
-                             terms_of, type_maps, type_terminal)
+                          Coalgebra, ComonadError, IdentityComonad, _bbox_pair, _commutes,
+                          _counit_domains, coalg_exponential, coalg_extension, coalg_pi,
+                          coalg_product, coalg_sigma, coalg_subst, coalgebra_laws,
+                          coalgebra_maps, coalgebra_term_laws, coalgebra_type_laws,
+                          coalgebra_types_over, enumerate_coalgebras, exponential_up_check,
+                          is_coalgebra_map, pi_up_check, terminal_coalgebra)
+from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, all_presheaves,
+                             all_types_over, compose_type_maps, comprehension,
+                             identity_type_map, sigma_type, terms_of, type_maps, type_terminal)
 from boxsem.presheaf import PresheafMap, compose_maps, hom_maps, identity_map
+from boxsem.standard import walking_arrow
 from test_structured_oracles import FUNCTORS, _comonad
 
 
@@ -324,3 +335,351 @@ def test_a_point_outside_the_box_is_a_comonad_error():
         leaky.tp_box_map(identity_type_map(one))
     with pytest.raises(ComonadError, match="tm_box leaves the box"):
         leaky.tm_box(terms_of(one)[0])
+
+
+# ---------------------------------------------------------------------------
+# Law checks against their whole-box forms
+
+
+def _ref_coalgebra_laws(w, cg):
+    errs = []
+    bp = w.box(cg.carrier)
+    if cg.structure.source != cg.carrier or cg.structure.target != bp:
+        return ["structure map has the wrong endpoints"]
+    errs.extend(cg.structure.validate())
+    if errs:
+        return errs
+    if compose_maps(w.counit(cg.carrier), cg.structure) != identity_map(cg.carrier):
+        errs.append("counit law fails")
+    if compose_maps(w.comult(cg.carrier), cg.structure) != \
+            compose_maps(w.box_map(cg.structure), cg.structure):
+        errs.append("comult law fails")
+    return errs
+
+
+def _ref_is_coalgebra_map(w, src, dst, h):
+    if h.source != src.carrier or h.target != dst.carrier:
+        return False
+    return compose_maps(dst.structure, h) == \
+        compose_maps(w.box_map(h), src.structure)
+
+
+def _ref_fiber_comult_holds(w, cg, a, th):
+    """The comult filter of ``coalgebra_types_over``."""
+    return compose_type_maps(w.fiber_comult(cg, a), th) == \
+        compose_type_maps(w.bbox_type_map(cg, th), th)
+
+
+def _ref_coalgebra_type_laws(w, xt):
+    cg, a, th = xt.coalg, xt.type, xt.theta
+    ba = w.bbox_type(cg, a)
+    if th.source != a or th.target != ba:
+        return ["structure map has the wrong endpoints"]
+    errs = [*th.validate()]
+    if errs:
+        return errs
+    if compose_type_maps(w.fiber_counit(cg, a), th) != identity_type_map(a):
+        errs.append("fiber counit law fails")
+    if not _ref_fiber_comult_holds(w, cg, a, th):
+        errs.append("fiber comult law fails")
+    return errs
+
+
+def _ref_coalgebra_types_over(w, cg, bound):
+    out = []
+    for a in all_types_over(w.model, cg.carrier, bound):
+        ba = w.bbox_type(cg, a)
+        domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
+        out.extend(CoalgebraType(cg, a, th) for th in type_maps(a, ba, domains=domains)
+                   if _ref_fiber_comult_holds(w, cg, a, th))
+    return out
+
+
+def _ref_projection_structured(w, xt, sg, th, proj):
+    """The structured-projection check of ``coalg_sigma``."""
+    return compose_type_maps(xt.theta, proj) == \
+        compose_type_maps(w.bbox_type_map(xt.coalg, proj), th)
+
+
+def _projection_structured(w, xt, sg, th, proj):
+    return _commutes(proj.component, th.component, xt.theta.component,
+                     _bbox_pair(w, xt.coalg, sg.type, xt.type))
+
+
+LAW_CASES = [(n, b) for n in ("two", "chain3", "arrow", "one", "disc2") for b in (1, 2)]
+
+
+def _fresh(w):
+    """A new comonad like ``w``, with empty caches, to inject faults into."""
+    if isinstance(w, AdjunctionComonad):
+        return AdjunctionComonad(w.adj, w.model)
+    return IdentityComonad(w.model)
+
+
+def _bump(col, i, size):
+    """``col`` with entry ``i`` moved to the next value below ``size``."""
+    return col[:i] + ((col[i] + 1) % size,) + col[i + 1:]
+
+
+@pytest.mark.parametrize("name, bound", LAW_CASES)
+def test_coalgebra_laws_agree_on_every_candidate(name, bound):
+    """Every map of a carrier up to the bound into its box, with and
+    without the counit built into its slots: lawful, unlawful, and
+    failing the counit law."""
+    w = _comonad(name)
+    seen = set()
+    for p in all_presheaves(w.model.base, bound):
+        bp = w.box(p)
+        domains = _counit_domains(w.counit(p).component, p.sizes)
+        for h in [*hom_maps(p, bp, domains), *hom_maps(p, bp)]:
+            cg = Coalgebra(p, h)
+            got = coalgebra_laws(w, cg)
+            assert got == _ref_coalgebra_laws(w, cg)
+            seen.update(got or ["lawful"])
+    # at bound 1 every candidate is lawful
+    assert seen == ({"lawful", "counit law fails", "comult law fails"} if bound == 2
+                    else {"lawful"})
+
+
+@pytest.mark.parametrize("name, bound", LAW_CASES)
+def test_coalgebra_maps_agree_on_every_map(name, bound):
+    """``is_coalgebra_map`` on every natural map between coalgebras up to
+    the bound, and ``coalgebra_maps`` as its filter."""
+    w = _comonad(name)
+    cgs = enumerate_coalgebras(w, bound)
+    verdicts = set()
+    for src, dst in itertools.product(cgs, repeat=2):
+        maps = hom_maps(src.carrier, dst.carrier)
+        got = [h for h in maps if is_coalgebra_map(w, src, dst, h)]
+        assert got == [h for h in maps if _ref_is_coalgebra_map(w, src, dst, h)]
+        assert got == coalgebra_maps(w, src, dst)
+        verdicts.add(len(got) == len(maps))
+    # at bound 1, and where the box is the identity, every map is one
+    assert verdicts == ({True, False} if name in ("two", "chain3") and bound == 2
+                        else {True})
+
+
+@pytest.mark.parametrize("name, bound", LAW_CASES)
+def test_structured_type_laws_agree_on_every_candidate(name, bound):
+    """Every map of a type up to the bound into its box over the first
+    coalgebras up to the bound, with and without the counit built into
+    its slots; and the structured types enumerated over each."""
+    w = _comonad(name)
+    seen = set()
+    for cg in enumerate_coalgebras(w, bound)[:4]:
+        for a in all_types_over(w.model, cg.carrier, bound):
+            ba = w.bbox_type(cg, a)
+            domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
+            for th in [*type_maps(a, ba, domains=domains), *type_maps(a, ba)]:
+                xt = CoalgebraType(cg, a, th)
+                got = coalgebra_type_laws(w, xt)
+                assert got == _ref_coalgebra_type_laws(w, xt)
+                seen.update(got or ["lawful"])
+        assert coalgebra_types_over(w, cg, bound) == _ref_coalgebra_types_over(w, cg, bound)
+    assert seen == ({"lawful", "fiber counit law fails", "fiber comult law fails"}
+                    if bound == 2 else {"lawful"})
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "arrow", "one", "disc2"])
+def test_sum_projection_checks_agree(name):
+    """The structured-projection check of sums over the extensions by the
+    first structured types up to fiber 2, each by its two last families
+    (at fiber 1 every box fiber has one element), on the sum's own
+    structure and on that structure with one value moved to any other
+    box element."""
+    w = _comonad(name)
+    n = rejected = 0
+    for xt, _, fams in itertools.islice(_ladder(w, 2), 8):
+        for yb in fams[-2:]:
+            sm = coalg_sigma(w, xt, yb)
+            sg, th = sm.sigma, sm.type.theta
+            assert _projection_structured(w, xt, sg, th, sm.proj)
+            assert _ref_projection_structured(w, xt, sg, th, sm.proj)
+            ba = th.target
+            for k, col in th.component.items():
+                for v, e in enumerate(col):
+                    for e2 in range(ba.fiber[k]):
+                        if e2 == e:
+                            continue
+                        moved = TypeMap(sg.type, ba, {**th.component,
+                                                      k: col[:v] + (e2,) + col[v + 1:]})
+                        got = _projection_structured(w, xt, sg, moved, sm.proj)
+                        assert got == _ref_projection_structured(w, xt, sg, moved, sm.proj)
+                        n += 1
+                        rejected += not got
+    assert n > rejected > 0
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "arrow", "one", "disc2"])
+def test_a_fault_at_one_image_element_is_rejected(name):
+    """Move the comultiplication, then the counit, at one element in the
+    image of a lawful structure; both forms must reject the structure,
+    for coalgebras and for structured types."""
+    base = _comonad(name)
+    hits = 0
+    for cg in enumerate_coalgebras(base, 2)[:6]:
+        p, th = cg.carrier, cg.structure
+        for x, col in th.component.items():
+            for v, e in enumerate(col):
+                dlt, eps = base.comult(p), base.counit(p)
+                n_dlt, n_eps = dlt.target.sizes[x], p.sizes[x]
+                if n_dlt > 1:
+                    w = _fresh(base)
+                    bad = PresheafMap(dlt.source, dlt.target, {
+                        **dlt.component, x: _bump(dlt.component[x], e, n_dlt)})
+                    w.comult = lambda q, bad=bad, real=w.comult: bad if q == p else real(q)
+                    assert "comult law fails" in coalgebra_laws(w, cg)
+                    assert "comult law fails" in _ref_coalgebra_laws(w, cg)
+                    hits += 1
+                if n_eps > 1:
+                    w = _fresh(base)
+                    bad = PresheafMap(eps.source, eps.target, {
+                        **eps.component, x: _bump(eps.component[x], e, n_eps)})
+                    w.counit = lambda q, bad=bad, real=w.counit: bad if q == p else real(q)
+                    assert "counit law fails" in coalgebra_laws(w, cg)
+                    assert "counit law fails" in _ref_coalgebra_laws(w, cg)
+                    hits += 1
+        for xt in coalgebra_types_over(base, cg, 2)[:6]:
+            a, s = xt.type, cg.structure
+            for (o, g), col in xt.theta.component.items():
+                key = (o, s.apply(o, g))
+                for e in col:
+                    dlt, eps = base.tp_comult(a), base.tp_counit(a)
+                    n_dlt, n_eps = dlt.target.fiber[key], a.fiber[(o, g)]
+                    if n_dlt > 1:
+                        w = _fresh(base)
+                        bad = TypeMap(dlt.source, dlt.target, {
+                            **dlt.component, key: _bump(dlt.component[key], e, n_dlt)})
+                        w.tp_comult = lambda b, bad=bad, real=w.tp_comult: \
+                            bad if b == a else real(b)
+                        assert "fiber comult law fails" in coalgebra_type_laws(w, xt)
+                        assert "fiber comult law fails" in _ref_coalgebra_type_laws(w, xt)
+                        assert xt not in coalgebra_types_over(w, cg, 2)
+                        assert xt not in _ref_coalgebra_types_over(w, cg, 2)
+                        hits += 1
+                    if n_eps > 1:
+                        w = _fresh(base)
+                        bad = TypeMap(eps.source, eps.target, {
+                            **eps.component, key: _bump(eps.component[key], e, n_eps)})
+                        w.tp_counit = lambda b, bad=bad, real=w.tp_counit: \
+                            bad if b == a else real(b)
+                        assert "fiber counit law fails" in coalgebra_type_laws(w, xt)
+                        assert "fiber counit law fails" in _ref_coalgebra_type_laws(w, xt)
+                        hits += 1
+    assert hits > 0
+
+
+def test_a_map_that_is_not_natural_is_no_coalgebra_map():
+    """Under the identity comonad over the walking arrow the box reads no
+    restriction, so the square commutes for every map of carriers: the
+    whole-box form accepts a map that is not natural, and
+    ``is_coalgebra_map`` refuses it, so ``coalg_subst`` raises."""
+    w = IdentityComonad(NaturalModel(walking_arrow(), 2))
+    cgs = enumerate_coalgebras(w, 2)
+    for src, dst in itertools.product(cgs, repeat=2):
+        types = coalgebra_types_over(w, dst, 1)
+        bad = next(filter(None, map(_unnatural, hom_maps(src.carrier, dst.carrier))), None)
+        if bad is None or not types:
+            continue
+        assert _ref_is_coalgebra_map(w, src, dst, bad)
+        assert not is_coalgebra_map(w, src, dst, bad)
+        with pytest.raises(ComonadError, match="not along a coalgebra map"):
+            coalg_subst(w, types[0], src, bad)
+        return
+    pytest.fail("no map that is not natural found")
+
+
+def _unnatural(h):
+    """``h`` with one value moved, so that it is no longer natural, or
+    None when every such move stays natural."""
+    for x, col in h.component.items():
+        for i, v in itertools.product(range(len(col)), h.target.elements(x)):
+            bad = PresheafMap(h.source, h.target,
+                              {**h.component, x: col[:i] + (v,) + col[i + 1:]})
+            if bad.validate():
+                return bad
+    return None
+
+
+@pytest.mark.parametrize("name, natural", [("two", True),
+                                           ("two onto 0->2 of chain3", False)])
+def test_substitution_along_a_bad_map_raises(name, natural):
+    """A natural map that is no coalgebra map, and a map that is not
+    natural: ``is_coalgebra_map`` refuses both, the whole-box form
+    refuses the first and raises or refuses the second, and
+    ``coalg_subst`` raises ``ComonadError`` along either.  The shipped
+    Kan comonads sit over discrete bases, where every map is natural, so
+    the second takes the Kan comonad along the walking arrow onto
+    ``0 -> 2``, where every natural map between the coalgebras up to 2
+    is a coalgebra map."""
+    w = _comonad(name)
+    cgs = enumerate_coalgebras(w, 2)
+    for src, dst in itertools.product(cgs, repeat=2):
+        types = coalgebra_types_over(w, dst, 1)
+        for h in hom_maps(src.carrier, dst.carrier) if types else ():
+            if natural:
+                if is_coalgebra_map(w, src, dst, h):
+                    continue
+                assert not _ref_is_coalgebra_map(w, src, dst, h)
+            else:
+                h = _unnatural(h)
+                if h is None:
+                    continue
+                assert not is_coalgebra_map(w, src, dst, h)
+                try:
+                    assert not _ref_is_coalgebra_map(w, src, dst, h)
+                except ComonadError:
+                    pass
+            with pytest.raises(ComonadError, match="not along a coalgebra map"):
+                coalg_subst(w, types[0], src, h)
+            return
+    pytest.fail("no bad map found")
+
+
+# ---------------------------------------------------------------------------
+# Constructions built once per comonad
+
+
+def test_asking_again_gives_the_same_answers():
+    """A second ``exponential_up_check`` or ``coalg_sigma`` on one comonad
+    reads the product or extension built by the first; its verdict,
+    counts and sum equal the first and those of a fresh comonad."""
+    w = _comonad("two")
+    types = coalgebra_types_over(w, terminal_coalgebra(w), 2)
+    for x in types[2:5]:
+        e = coalg_exponential(w, x, x)
+        for z in types:
+            first = exponential_up_check(w, e, z)
+            assert first["ok"]
+            assert exponential_up_check(w, e, z) == first
+            fresh = _fresh(w)
+            assert exponential_up_check(fresh, coalg_exponential(fresh, x, x), z) == first
+            assert coalg_product(w, z, x) == coalg_product(fresh, z, x)
+    n = 0
+    for xt, _, fams in itertools.islice(_ladder(w, 2), 4):
+        for yb in fams:
+            first, again = coalg_sigma(w, xt, yb), coalg_sigma(w, xt, yb)
+            fresh = coalg_sigma(_fresh(w), xt, yb)
+            for s in (again, fresh):
+                assert s.type == first.type and s.proj == first.proj
+            assert pi_up_check(w, coalg_pi(w, xt, yb)) == \
+                pi_up_check(w, coalg_pi(w, xt, yb))
+            n += 1
+    assert n > 0
+
+
+def test_a_broken_construction_raises_every_time():
+    """A product or extension over a structure that breaks the counit law
+    raises ``ComonadError`` on every request, and nothing is kept."""
+    w = _comonad("two")
+    one = terminal_coalgebra(w)
+    a = next(a for a in all_types_over(w.model, one.carrier, 2) if a.fiber[("0", 0)] == 2)
+    ba = w.bbox_type(one, a)
+    broken = next(CoalgebraType(one, a, th) for th in type_maps(a, ba)
+                  if coalgebra_type_laws(w, CoalgebraType(one, a, th)))
+    for build in (lambda: coalg_product(w, broken, broken),
+                  lambda: coalg_extension(w, broken)):
+        for _ in range(2):
+            with pytest.raises(ComonadError):
+                build()
+    assert all(broken not in key for key in w._built)
