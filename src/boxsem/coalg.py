@@ -41,9 +41,8 @@ from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
                        all_display_maps_into, all_presheaves, all_types_over,
                        apply_type_map, comprehension, compose_type_maps,
                        exp_transpose, hs_universe, identity_type_map, is_display,
-                       sigma_type, sub_type, subst_term, subst_type,
-                       subst_type_map, terms_of, type_exponential, type_maps,
-                       type_product, type_terminal)
+                       pi_type, sigma_type, sub_type, subst_term, subst_type,
+                       subst_type_map, terms_of, type_maps, type_product)
 
 
 class ComonadError(Exception):
@@ -1188,15 +1187,6 @@ def coalg_product(w: NaturalModelComonad, x: CoalgebraType,
     return xt, pr
 
 
-def coalg_terminal(w: NaturalModelComonad, cg: Coalgebra) -> CoalgebraType:
-    one = type_terminal(cg.carrier)
-    bone = w.bbox_type(cg, one)
-    th = TypeMap(one, bone, {k: (0,) * n for k, n in one.fiber.items()})
-    if any(n != 1 for n in bone.fiber.values()):
-        raise ComonadError("box does not preserve the fiberwise terminal")
-    return CoalgebraType(cg, one, th)
-
-
 def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
                theta: TypeMap, keep: Mapping[tuple[str, int], frozenset[int]],
                what: str) -> tuple[CoalgebraType, TypeMap]:
@@ -1224,8 +1214,9 @@ def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
 
 @dataclass(frozen=True)
 class CoalgebraExponential:
-    """An exponential of structured types, realized inside the box of
-    the plain exponential."""
+    """An exponential of structured types: the dependent product of the
+    target weakened to the extension by the source (:func:`coalg_exponential`),
+    with its evaluation."""
 
     source: CoalgebraType
     target: CoalgebraType
@@ -1255,46 +1246,20 @@ class CoalgebraExponential:
 
 def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
                       y: CoalgebraType) -> CoalgebraExponential:
-    """The exponential of structured types, inside the box of the plain
-    exponential ``B^A``, whose elements ``E`` are tuples of plain functions.
-
-    ``E`` solves the stage-wise equation when, for every argument ``t``,
-    applying its points to those of ``theta_x(t)`` gives the points of
-    ``theta_y(counit(E)(t))``: two plain natural maps, read at the
-    identity slot of each function.  The solutions need not be closed:
-    under the points comonad of a three-object chain, at fiber 2, the
-    equation at the top stage leaves the middle function of ``E`` free at
-    arguments no ``theta_x(t)`` reaches.  So ``E`` is kept when the
-    equation holds at every box point of ``delta(E)``, the equalizer of
-    the maps' cofree transposes (:func:`_with_points_in`).  Under the
-    identity comonad every structure is an identity and all pass.
-    """
-    cg = x.coalg
-    if y.coalg != cg:
+    """The exponential of structured types: the dependent product of ``y``
+    weakened to the extension by ``x``, as ``type_exponential`` is
+    ``pi_type`` of the weakened type.  Evaluation is application, the
+    weakened type reading ``y`` at ``g`` over every ``(g, t)``."""
+    if y.coalg != x.coalg:
         raise ComonadError("exponential needs both types over one coalgebra")
-    a, b = x.type, y.type
-    e_plain = type_exponential(a, b)
-    box_exp = w.bbox_type(cg, e_plain.type)
-    eps = w.fiber_counit(cg, e_plain.type)
-    dlt = w.fiber_comult(cg, e_plain.type)
-    app = e_plain.app
-    points_e, points_a = w.bbox_points(cg, e_plain.type), w.bbox_points(cg, a)
-    points_b = w.bbox_points(cg, b)
-    holds = {}
-    for (o, g), n in box_exp.fiber.items():
-        fibers, pts_e, _ = points_e((o, g))
-        pts_a, pts_b = points_a((o, g))[1], points_b((o, g))[1]
-        tx, ty, ec = (m.component[(o, g)] for m in (x.theta, y.theta, eps))
-        holds[(o, g)] = frozenset(v for v in range(n) if all(
-            tuple(app(*f, e, p) for f, e, p in zip(fibers, pts_e[v], pts_a[tx[t]]))
-            == pts_b[ty[app(o, g, ec[v], t)]] for t in range(a.fiber[(o, g)])))
-    keep = _with_points_in(holds, dlt.component, w.bbox_points(cg, box_exp))
-    xt, inclusion = _sub_theta(w, cg, box_exp, dlt, keep, "exponential of structured types")
-    pr_sub = type_product(xt.type, a)
-    ev = TypeMap(pr_sub.type, b, {(o, g): tuple(
-        app(o, g, eps.apply(o, g, e), t) for e in col for t in range(a.fiber[(o, g)]))
-        for (o, g), col in inclusion.component.items()})
-    return CoalgebraExponential(x, y, xt, e_plain, inclusion, ev, pr_sub)
+    cge, p, _ = coalg_extension(w, x)
+    cp = coalg_pi(w, x, coalg_subst(w, y, cge, p))
+    a = x.type
+    pr = type_product(cp.type.type, a)
+    ev = TypeMap(pr.type, y.type, {(o, g): tuple(
+        cp.app(o, g, e, t) for e in range(n) for t in range(a.fiber[(o, g)]))
+        for (o, g), n in cp.type.type.fiber.items()})
+    return CoalgebraExponential(x, y, cp.type, cp.plain, cp.inclusion, ev, pr)
 
 
 def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
@@ -1328,24 +1293,22 @@ def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
 
 @dataclass(frozen=True)
 class CoalgebraPi:
-    """A dependent product of structured types, realized as the sections
-    of the structured first projection inside an exponential."""
+    """A dependent product of structured types, realized inside the box of
+    the plain dependent product (:func:`coalg_pi`); ``counit`` is the fiber
+    counit of that box."""
 
     base: CoalgebraType
     family: CoalgebraType
     type: CoalgebraType
-    sum: CoalgebraSigma
-    exponential: CoalgebraExponential
+    plain: Pi
     inclusion: TypeMap
+    counit: TypeMap
 
     def app(self, obj: str, g: int, v: int, x: int) -> int:
-        """Apply a product element to an argument of the base type."""
-        exp = self.exponential
-        s = exp.ev.apply(obj, g, exp.ev_product.pair(obj, g, self.inclusion.apply(obj, g, v), x))
-        x2, y = self.sum.split(obj, g, s)
-        if x2 != x:
-            raise ComonadError("product element is not a section")
-        return y
+        """Apply a product element to an argument of the base type: the
+        plain dependent function at the counit of its element of the box."""
+        e = self.counit.apply(obj, g, self.inclusion.apply(obj, g, v))
+        return self.plain.app(obj, g, e, x)
 
     def app_term(self, ct: CoalgebraTerm) -> CoalgebraTerm:
         """Evaluate a structured product term to a structured family term."""
@@ -1359,22 +1322,13 @@ class CoalgebraPi:
                              TermOverContext(self.family.type, pick))
 
     def intro_term(self, w: NaturalModelComonad, ct: CoalgebraTerm) -> CoalgebraTerm:
-        """Abstract a structured family term into a structured product term."""
-        one = coalg_terminal(w, self.base.coalg)
-        a = self.base.type
-        pr = type_product(one.type, a)
-        cext = comprehension(a)
-        comp = {}
-        for (o, g), n in pr.type.fiber.items():
-            vals = []
-            for v in range(n):
-                _, x = pr.split(o, g, v)
-                y = ct.term.pick[(o, cext.encode(o, g, x))]
-                vals.append(self.sum.pair(o, g, x, y))
-            comp[(o, g)] = tuple(vals)
-        m = TypeMap(pr.type, self.sum.type.type, comp)
-        tr = self.exponential.transpose(w, one, pr, m)
-        lifted = _lift(self.inclusion.component, tr.component,
+        """Abstract a structured family term into a structured product
+        term: box the plain abstraction and read it through the inclusion.
+        The inclusion of a structured product term is a structured term of
+        the cofree box of the plain product, so it is the box of its counit,
+        which is the plain abstraction of its application."""
+        boxed = w.bbox_term(self.base.coalg, self.plain.intro(ct.term)).pick
+        lifted = _lift(self.inclusion.component, {k: (e,) for k, e in boxed.items()},
                        lambda k, n: "abstraction escapes the dependent product")
         pick = {k: vals[0] for k, vals in lifted.items()}
         return CoalgebraTerm(self.type, TermOverContext(self.type.type, pick))
@@ -1382,40 +1336,47 @@ class CoalgebraPi:
 
 def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
              yb: CoalgebraType) -> CoalgebraPi:
-    """The dependent product of a structured family over the extension.
+    """The dependent product of a structured family over the extension,
+    inside the box of the plain ``Pi(A, B)``, whose elements ``E`` are
+    tuples of plain dependent functions.
 
-    Built as the subtype of the exponential into the structured sum
-    whose elements post-compose with the first projection to the
-    identity, with the structure inherited from the exponential.  An
-    element of that exponential is an element of the box of the plain
-    exponential, and the box acts pointwise, so it post-composes to the
-    identity exactly when each of its box points is a section: a family
-    sending every argument to a pair over that argument.
-
-    That set is closed: it is the preimage of ``box(Sec)``, ``Sec`` the
-    subpresheaf of sections, under the structured inclusion, which
-    carries ``theta(v)`` to ``delta(E)``; and each box point of a box
-    point of ``delta(E)`` is one of ``E`` (slot ``(j, f)`` of ``delta(E)``
-    reads ``E`` at the slots ``f . f2``; under the identity comonad
-    ``delta(E)`` is ``E``).
+    ``E`` solves the stage-wise equation when, for every argument ``t``,
+    applying its points to those of ``theta_A(t)`` gives the points of
+    ``theta_B(counit(E)(t))``, read over ``(g, t)`` in the extension, whose
+    structure has the points ``(g_k, t_k)`` (:func:`coalg_extension`): two
+    plain natural maps, read at the identity slot of each function.  The
+    solutions need not be closed: under the points comonad of a
+    three-object chain, at fiber 2, the equation at the top stage leaves
+    the middle function of ``E`` free at arguments no ``theta_A(t)``
+    reaches.  So ``E`` is kept when the equation holds at every box point
+    of ``delta(E)``, the equalizer of the maps' cofree transposes
+    (:func:`_with_points_in`).  Under the identity comonad every structure
+    is an identity and all pass.
     """
-    cg = x.coalg
-    gamma = cg.carrier
-    sm = coalg_sigma(w, x, yb)
-    es = coalg_exponential(w, x, sm.type)
-    sections = {(j, g): {i for i, fam in enumerate(t.families)
-                         if all(sm.split(j2, gamma.act(h, g), fam[k])[0] == arg
-                                for k, (j2, h, arg) in enumerate(t.slots))}
-                for (j, g), t in es.plain.tables.items()}
-    keep = {}
-    points_e = w.bbox_points(cg, es.plain.type)
-    for (o, g), col in es.inclusion.component.items():
-        fibers, points, _ = points_e((o, g))
-        keep[(o, g)] = frozenset(v for v, e in enumerate(col)
-                                 if all(i in sections[f] for f, i in zip(fibers, points[e])))
-    xt, inc = _sub_theta(w, cg, es.type.type, es.type.theta, keep,
-                         "dependent product of structured types")
-    return CoalgebraPi(x, yb, xt, sm, es, inc)
+    cg, a = x.coalg, x.type
+    cge, _, _ = coalg_extension(w, x)
+    if yb.coalg != cge:
+        raise ComonadError("family is not structured over the extension")
+    plain = pi_type(a, yb.type)
+    box_pi = w.bbox_type(cg, plain.type)
+    eps, dlt = w.fiber_counit(cg, plain.type), w.fiber_comult(cg, plain.type)
+    app, encode = plain.app, plain.comp.encode
+    points_p, points_a = w.bbox_points(cg, plain.type), w.bbox_points(cg, a)
+    points_b = w.bbox_points(cge, yb.type)
+    holds = {}
+    for (o, g), n in box_pi.fiber.items():
+        fibers, pts_p, _ = points_p((o, g))
+        pts_a, ta, ec = points_a((o, g))[1], x.theta.component[(o, g)], eps.component[(o, g)]
+        args = []
+        for t in range(a.fiber[(o, g)]):
+            gt = encode(o, g, t)
+            args.append((t, pts_a[ta[t]], points_b((o, gt))[1], yb.theta.component[(o, gt)]))
+        holds[(o, g)] = frozenset(v for v in range(n) if all(
+            tuple(app(*f, e, p) for f, e, p in zip(fibers, pts_p[v], pts_t))
+            == pts_b[tb[app(o, g, ec[v], t)]] for t, pts_t, pts_b, tb in args))
+    keep = _with_points_in(holds, dlt.component, w.bbox_points(cg, box_pi))
+    xt, inc = _sub_theta(w, cg, box_pi, dlt, keep, "dependent product of structured types")
+    return CoalgebraPi(x, yb, xt, plain, inc, eps)
 
 
 def pi_up_check(w: NaturalModelComonad, cp: CoalgebraPi) -> dict:

@@ -14,7 +14,7 @@ kernel are tested as data equalities downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .coalg import (

@@ -8,9 +8,7 @@ the latter equipped with their canonical coverages.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .fincat import FinCat, Functor, Site, build_category, sieve_closure, maximal_sieve, all_sieves
+from .fincat import FinCat, Site, build_category, all_sieves
 
 
 def poset_category(name: str, elements: list[str], leq: set[tuple[str, str]]) -> FinCat:

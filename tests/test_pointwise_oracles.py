@@ -14,8 +14,10 @@ the earlier ones: the Kan comonad's actions read off its family tables
 the sum transported from the twice-extended coalgebra along the
 reassociation iso of iterated comprehension and read back through
 ``tau`` (``_ref_structure_to_theta``).  ``CoalgebraPi.app`` reads the
-exponential's evaluation; ``_ref_pi_app`` applies the counit of the
-boxed plain exponential.  All must agree on the nose.
+plain dependent product at the counit of the box; the earlier product's
+application (``_RefPi.app`` in ``test_structured_oracles``) splits the
+sum reached by the evaluation of its exponential.  All must agree on the
+nose.
 
 The law checks read the box only at the points of a structure's image
 (``_commutes``): the comult law of a coalgebra and of a structured type,
@@ -42,7 +44,7 @@ from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, all_preshea
                              identity_type_map, sigma_type, terms_of, type_maps, type_terminal)
 from boxsem.presheaf import PresheafMap, compose_maps, hom_maps, identity_map
 from boxsem.standard import walking_arrow
-from test_structured_oracles import FUNCTORS, _comonad
+from test_structured_oracles import FUNCTORS, _comonad, _ref_coalg_pi
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +190,6 @@ def _ref_coalg_sigma(w, xt, yb):
     return CoalgebraSigma(st, sg, proj)
 
 
-def _ref_pi_app(w, cp, obj, g, v, x):
-    exp = cp.exponential
-    e = cp.inclusion.component[(obj, g)][v]
-    be = exp.inclusion.component[(obj, g)][e]
-    eps = w.fiber_counit(cp.base.coalg, exp.plain.type)
-    s = exp.plain.app(obj, g, eps.component[(obj, g)][be], x)
-    x2, y = cp.sum.split(obj, g, s)
-    if x2 != x:
-        raise ComonadError("product element is not a section")
-    return y
-
-
 # ---------------------------------------------------------------------------
 # The comonads: five shipped models and two Kan comonads out of the walking
 # arrow, at fibers up to 2 (up to 1 on chain3, whose boxes grow fastest)
@@ -300,10 +290,10 @@ def test_pi_application_agrees():
         w = _comonad(name)
         for xt, _, fams in _ladder(w, 1):
             for yb in fams:
-                cp = coalg_pi(w, xt, yb)
+                cp, ref = coalg_pi(w, xt, yb), _ref_coalg_pi(w, xt, yb)
                 for (o, g), size in cp.type.type.fiber.items():
                     for v, x in itertools.product(range(size), range(xt.type.fiber[(o, g)])):
-                        assert cp.app(o, g, v, x) == _ref_pi_app(w, cp, o, g, v, x)
+                        assert cp.app(o, g, v, x) == ref.app(o, g, v, x)
                 n += 1
     assert n > 0
 
