@@ -3,14 +3,23 @@
 The central object is :class:`NaturalModelComonad`: a finite-limit
 preserving comonad on presheaves over the model's base category, with a
 strict action on dependent types and terms.  A comonad supplies its
-carriers, counits and comultiplications, on presheaves and on types,
-and the elements of each box as tuples of points.  It acts pointwise,
-so its actions on maps and terms and the comprehension iso ``tau`` are
-derived from the points, and its action on universe codes and sieves
-from its type and presheaf actions (:func:`code_actions`,
+carriers and the elements of each box as tuples of points, with the
+slots along which ``delta`` restricts them.  It acts pointwise, so the
+rest is derived from the points: its actions on maps and terms, the
+comprehension iso ``tau``, its counits and comultiplications, and its
+action on universe codes and sieves (:func:`code_actions`,
 :func:`sieve_action`).  Two comonads are provided: the identity, and
 restriction followed by right Kan extension along a functor between
 finite categories.
+
+Over a coalgebra ``(Gamma, theta)`` only points at the image of
+``theta`` are read, and no box of a box is built.  They suffice:
+``tp_box(A)`` at ``(x, pi)`` depends on ``A``, ``x`` and ``pi`` alone,
+so built at ``pi = theta(g)`` it is ``subst_type(tp_box(A), theta)`` at
+``g``; and point ``k`` of ``delta(e)`` is the restriction of ``e`` along
+slot ``k`` (``ran(P).presheaf.action[f][e]`` at slot ``(j, f)`` of the
+Kan comonad), so the comult law holds at ``v`` exactly when that
+restriction of ``theta(v)`` is ``theta_j`` of its point ``k``.
 
 On top of that the module builds the bounded category of coalgebras
 with its forgetful and cofree adjunction, the comparison with the
@@ -27,12 +36,12 @@ no structure is trusted without being run through its validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from operator import getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
-                       Product, PullbackSquare, characteristic_map, compose_maps,
+                       Product, PullbackSquare, Ran, characteristic_map, compose_maps,
                        hom_maps, identity_map, iso_maps, product, pullback,
                        sub_presheaf, subobject_classifier, subobject_of_char,
                        subpresheaves, terminal_presheaf)
@@ -41,7 +50,7 @@ from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
                        all_display_maps_into, all_presheaves, all_types_over,
                        apply_type_map, comprehension, compose_type_maps,
                        exp_transpose, hs_universe, identity_type_map, is_display,
-                       pi_type, sigma_type, sub_type, subst_term, subst_type,
+                       pi_type, sigma_type, sub_type, subst_type,
                        subst_type_map, terms_of, type_maps, type_product)
 
 
@@ -90,15 +99,12 @@ class NaturalModelComonad:
     """A comonad on presheaves over the model base, together with its
     strict action on the model's types and terms.
 
-    A subclass supplies the carriers (``box``, ``tp_box``), counits,
-    comultiplications and points (``box_points``, ``tp_box_points``).
-    The base class derives from the points ``box_map``, ``tp_box_map``,
-    ``tm_box`` and ``tau``; for the Kan comonad these are its table-level
-    actions on the nose, its families being its points, numbered
-    lexicographically over its slots.  At the bottom it derives the
-    induced comonad on the types over a coalgebra and the fiberwise
-    cofree construction, where the rest of the module does its work.
-    """
+    A subclass supplies the carriers (``box``, ``tp_box``) and the points
+    below; the base class derives the rest from them, at the bottom the
+    comonad induced on the types over a coalgebra, at the image of its
+    structure.  For the Kan comonad these are its table-level actions on
+    the nose, its families being its points, numbered lexicographically
+    over its slots."""
 
     name = "comonad"
 
@@ -107,31 +113,14 @@ class NaturalModelComonad:
         # what this comonad has built, by name and arguments (:func:`_once`)
         self._built: dict[tuple, object] = {}
 
-    # supplied: carriers, counits and comultiplications ----------------------
+    # supplied: carriers, and the elements of the box as points ---------------
     def box(self, p: Presheaf) -> Presheaf:
-        raise NotImplementedError
-
-    def counit(self, p: Presheaf) -> PresheafMap:
-        """The component ``box(P) -> P``."""
-        raise NotImplementedError
-
-    def comult(self, p: Presheaf) -> PresheafMap:
-        """The component ``box(P) -> box(box(P))``."""
         raise NotImplementedError
 
     def tp_box(self, a: TypeOverContext) -> TypeOverContext:
         """Transport a type over ``Gamma`` to one over ``box(Gamma)``."""
         raise NotImplementedError
 
-    def tp_counit(self, a: TypeOverContext) -> TypeMap:
-        """``tp_box(A) -> A[counit]`` over ``box(Gamma)``."""
-        raise NotImplementedError
-
-    def tp_comult(self, a: TypeOverContext) -> TypeMap:
-        """``tp_box(A) -> tp_box(tp_box(A))[comult]`` over ``box(Gamma)``."""
-        raise NotImplementedError
-
-    # supplied: elements of the box as points --------------------------------
     def box_points(self, p: Presheaf, obj: str) -> Points:
         """The elements of ``box(P)(obj)`` as tuples of points of ``P``.
 
@@ -152,7 +141,17 @@ class NaturalModelComonad:
         ``pi``, and depends on ``(obj, pi)`` and the context alone."""
         raise NotImplementedError
 
-    # derived: actions on maps and terms, point by point ---------------------
+    def slot_reads(self, obj: str) -> Sequence[tuple[str, Sequence[int]]]:
+        """Per slot ``k`` over ``obj``, ``(fibers[k], sel)``: point ``k`` of
+        ``delta(e)``, the restriction of ``e`` along slot ``k``, is the
+        element over ``fibers[k]`` whose points are those of ``e`` at ``sel``."""
+        raise NotImplementedError
+
+    def tp_box_restriction(self, a: TypeOverContext, m: str, pi: int) -> tuple[int, ...]:
+        """``tp_box(A).restriction[(m, pi)]``, at ``pi`` alone if need be."""
+        return self.tp_box(a).restriction[(m, pi)]
+
+    # derived: maps and terms, counits and comultiplications, by points -------
     def box_map(self, m: PresheafMap) -> PresheafMap:
         comp = {}
         for x in self.model.base.objects:
@@ -174,13 +173,60 @@ class NaturalModelComonad:
         return TypeMap(self.tp_box(m.source), self.tp_box(m.target), comp)
 
     def tm_box(self, t: TermOverContext) -> TermOverContext:
-        ba, points = self.tp_box(t.type), self.tp_box_points(t.type)
-        pick = {}
-        for key in ba.fiber:
-            fibers, _, pos = points(key)
-            pick[key] = _positions(pos, [tuple(map(t.pick.__getitem__, fibers))],
-                                   "tm_box leaves the box", key)[0]
-        return TermOverContext(ba, pick)
+        return _boxed_term(t, self.tp_box(t.type), self.tp_box_points(t.type), "tm_box")
+
+    @_once
+    def delta_points(self, p: Presheaf, obj: str) -> list[tuple[int, ...]]:
+        """The points of ``delta(e)`` for each ``e`` in ``box(P)(obj)``."""
+        reads = [(self.box_points(p, j)[2], sel) for j, sel in self.slot_reads(obj)]
+        return [tuple(pos[tuple(pt[k] for k in sel)] for pos, sel in reads)
+                for pt in self.box_points(p, obj)[1]]
+
+    @_once
+    def counit_slot(self, obj: str) -> int:
+        """The slot the counit reads: the one restricting along the identity."""
+        reads = self.slot_reads(obj)
+        return next(k for k, r in enumerate(reads) if r == (obj, [*range(len(reads))]))
+
+    @_once
+    def tp_delta_points(self, a: TypeOverContext, key: tuple[str, int]) -> list[tuple[int, ...]]:
+        """The points of ``delta`` at each element of ``tp_box(A)`` over
+        ``key = (obj, pi)``, point ``k`` over point ``k`` of ``delta(pi)``."""
+        d, points = self.delta_points(a.context, key[0])[key[1]], self.tp_box_points(a)
+        reads = [(points((j, d[k]))[2], sel) for k, (j, sel) in enumerate(self.slot_reads(key[0]))]
+        return [tuple(pos[tuple(pt[k] for k in sel)] for pos, sel in reads)
+                for pt in points(key)[1]]
+
+    @_once
+    def counit(self, p: Presheaf) -> PresheafMap:
+        """The component ``box(P) -> P``."""
+        return PresheafMap(self.box(p), p, {x: tuple(
+            pt[self.counit_slot(x)] for pt in self.box_points(p, x)[1])
+            for x in self.model.base.objects})
+
+    @_once
+    def comult(self, p: Presheaf) -> PresheafMap:
+        """The component ``box(P) -> box(box(P))``."""
+        bp = self.box(p)
+        return PresheafMap(bp, self.box(bp), {x: _positions(
+            self.box_points(bp, x)[2], self.delta_points(p, x), "comult leaves the box", x)
+            for x in self.model.base.objects})
+
+    @_once
+    def tp_counit(self, a: TypeOverContext) -> TypeMap:
+        """``tp_box(A) -> A[counit]`` over ``box(Gamma)``."""
+        ba, points = self.tp_box(a), self.tp_box_points(a)
+        return TypeMap(ba, subst_type(a, self.counit(a.context)), {
+            key: tuple(pt[self.counit_slot(key[0])] for pt in points(key)[1]) for key in ba.fiber})
+
+    @_once
+    def tp_comult(self, a: TypeOverContext) -> TypeMap:
+        """``tp_box(A) -> tp_box(tp_box(A))[comult]`` over ``box(Gamma)``."""
+        b, dlt = self.tp_box(a), self.comult(a.context)
+        points = self.tp_box_points(b)
+        return TypeMap(b, subst_type(self.tp_box(b), dlt), {key: _positions(
+            points((key[0], dlt.apply(*key)))[2], self.tp_delta_points(a, key),
+            "tp_comult leaves the box", key) for key in b.fiber})
 
     def tau(self, a: TypeOverContext) -> PresheafMap:
         """The iso ``box(Gamma.A) -> box(Gamma).tp_box(A)``: the pair of
@@ -196,10 +242,21 @@ class NaturalModelComonad:
             x: tuple(ext2.encode(x, pi, bv[(x, e)]) for e, pi in enumerate(bp[x]))
             for x in self.model.base.objects})
 
-    # derived: the indexed comonad at a coalgebra ----------------------------
+    # derived: the indexed comonad at the image of a coalgebra ---------------
+    def _tp_box_along(self, a: TypeOverContext, ctx: Presheaf,
+                      s: Mapping[str, Sequence[int]]) -> TypeOverContext:
+        """``subst_type(tp_box(A), s)`` for the map into ``box(Gamma)`` with
+        columns ``s``, from ``tp_box(A)`` at the image of ``s`` alone."""
+        c, points = self.model.base, self.tp_box_points(a)
+        return TypeOverContext(
+            ctx, {(x, g): len(points((x, pi))[1]) for x in c.objects for g, pi in enumerate(s[x])},
+            {(m, g): self.tp_box_restriction(a, m, pi)
+             for m in c.morphisms for g, pi in enumerate(s[c.dst[m]])})
+
+    @_once
     def bbox_type(self, cg: "Coalgebra", a: TypeOverContext) -> TypeOverContext:
         """The induced endofunctor on types over the carrier of ``cg``."""
-        return subst_type(self.tp_box(a), cg.structure)
+        return self._tp_box_along(a, cg.carrier, cg.structure.component)
 
     def bbox_type_map(self, cg: "Coalgebra", m: TypeMap) -> TypeMap:
         return subst_type_map(self.tp_box_map(m), cg.structure)
@@ -212,24 +269,51 @@ class NaturalModelComonad:
         return lambda key: points((key[0], s[key[0]][key[1]]))
 
     def bbox_term(self, cg: "Coalgebra", t: TermOverContext) -> TermOverContext:
-        return subst_term(self.tm_box(t), cg.structure)
+        return _boxed_term(t, self.bbox_type(cg, t.type), self.bbox_points(cg, t.type),
+                           "bbox_term")
 
+    @_once
     def fiber_counit(self, cg: "Coalgebra", a: TypeOverContext) -> TypeMap:
-        m = subst_type_map(self.tp_counit(a), cg.structure)
-        if m.target != a:
+        """Point :meth:`counit_slot` of each element; the counit law of
+        ``cg``, checked, makes ``a[counit . theta]`` equal ``a``."""
+        if not _counit_holds(self.counit(cg.carrier).component, cg.structure.component):
             raise ComonadError("fiber counit does not land back in its type")
-        return TypeMap(m.source, a, m.component)
+        points = self.bbox_points(cg, a)
+        return TypeMap(self.bbox_type(cg, a), a, {key: tuple(
+            pt[self.counit_slot(key[0])] for pt in points(key)[1]) for key in a.fiber})
 
+    @_once
     def fiber_comult(self, cg: "Coalgebra", a: TypeOverContext) -> TypeMap:
-        m = subst_type_map(self.tp_comult(a), cg.structure)
-        bb = self.bbox_type(cg, self.bbox_type(cg, a))
-        if m.target != bb:
+        """At ``g``, ``e`` goes to the element whose point ``k`` is the
+        restriction of ``e`` along slot ``k`` (:meth:`tp_delta_points`).
+        The check, that the slot-``k`` restriction of ``theta(g)`` is
+        ``theta_j(point k)``, gives ``tp_box(tp_box(A))[delta . theta] ==
+        bbox(bbox(A))``: the right side is ``tp_box(tp_box(A))[box(theta) .
+        theta]``, the type action being strict, and an element is
+        determined by its points, so the check makes the two maps one."""
+        s = cg.structure.component
+        if not _commutes(s, s, *_delta_pair(self, cg.carrier)):
             raise ComonadError("fiber comult is not strict over this coalgebra")
-        return TypeMap(m.source, bb, m.component)
+        ba = self.bbox_type(cg, a)
+        points = self.bbox_points(cg, ba)
+        return TypeMap(ba, self.bbox_type(cg, ba), {key: _positions(
+            points(key)[2], self.tp_delta_points(a, (key[0], s[key[0]][key[1]])),
+            "fiber comult leaves the box", key) for key in a.fiber})
 
     def cofree_type(self, cg: "Coalgebra", a: TypeOverContext) -> "CoalgebraType":
         """The cofree coalgebra type on a plain type over the carrier."""
         return CoalgebraType(cg, self.bbox_type(cg, a), self.fiber_comult(cg, a))
+
+
+def _boxed_term(t: TermOverContext, ba: TypeOverContext, points: Callable,
+                name: str) -> TermOverContext:
+    """The term of the box ``ba`` of ``t.type`` whose points are ``t``'s."""
+    pick = {}
+    for key in ba.fiber:
+        fibers, _, pos = points(key)
+        pick[key] = _positions(pos, [tuple(map(t.pick.__getitem__, fibers))],
+                               f"{name} leaves the box", key)[0]
+    return TermOverContext(ba, pick)
 
 
 # ---------------------------------------------------------------------------
@@ -244,38 +328,18 @@ class IdentityComonad(NaturalModelComonad):
     def box(self, p):
         return p
 
-    def box_map(self, m):
-        return m
-
-    def counit(self, p):
-        return identity_map(p)
-
-    def comult(self, p):
-        return identity_map(p)
-
     def tp_box(self, a):
         return a
-
-    def tp_box_map(self, m):
-        return m
-
-    def tm_box(self, t):
-        return t
-
-    def tp_counit(self, a):
-        return identity_type_map(a)
-
-    def tp_comult(self, a):
-        return identity_type_map(a)
 
     def box_points(self, p, obj):
         return (obj,), [(v,) for v in p.elements(obj)], {(v,): v for v in p.elements(obj)}
 
     def tp_box_points(self, a):
-        def points(key):
-            n = a.fiber[key]
-            return (key,), [(v,) for v in range(n)], {(v,): v for v in range(n)}
-        return points
+        return lambda key: ((key,), [(v,) for v in range(a.fiber[key])],
+                            {(v,): v for v in range(a.fiber[key])})
+
+    def slot_reads(self, obj):
+        return [(obj, [0])]
 
 
 def identity_comonad(model: NaturalModel) -> IdentityComonad:
@@ -284,28 +348,6 @@ def identity_comonad(model: NaturalModel) -> IdentityComonad:
 
 # ---------------------------------------------------------------------------
 # Comonad from restriction and right Kan extension
-
-
-@dataclass
-class _BoxData:
-    """Carrier of ``box(P)`` at each object, with the family tables that
-    realize its elements: the Kan extension's table at ``u(X)``."""
-
-    presheaf: Presheaf
-    tables: Mapping[str, FamilyTable]
-
-
-@dataclass
-class _TpData:
-    """Family tables behind ``tp_box(A)``, one per context element of the
-    boxed context; each has the slots of the box table it sits over, and
-    ``points`` reads each as :meth:`~NaturalModelComonad.tp_box_points`
-    gives it."""
-
-    type: TypeOverContext
-    box: _BoxData
-    tables: Mapping[tuple[str, int], FamilyTable]
-    points: Mapping[tuple[str, int], Points]
 
 
 class AdjunctionComonad(NaturalModelComonad):
@@ -325,103 +367,50 @@ class AdjunctionComonad(NaturalModelComonad):
         self.adj = adj
         self.name = f"ran[{adj.u.name}]"
 
-    # family tables, and each structure map, built once per argument ---------
+    # named on this class too: perfbench/spans.py wraps its own methods
+    comult, tp_comult = NaturalModelComonad.comult, NaturalModelComonad.tp_comult
+
+    # family tables, built once per argument ----------------------------------
     @_once
-    def box_data(self, p: Presheaf) -> _BoxData:
-        r = self.adj.ran(p)
-        om = self.adj.u.obj_map
-        return _BoxData(self.adj.restrict(r.presheaf),
-                        {x: r.tables[om[x]] for x in self.model.base.objects})
+    def box_data(self, p: Presheaf) -> Ran:
+        """``box(P)`` with the family tables realizing its elements: the Kan
+        extension's, restricted along ``u``, its table at ``X`` that at ``u(X)``."""
+        r, om = self.adj.ran(p), self.adj.u.obj_map
+        return Ran(self.adj.restrict(r.presheaf),
+                   {x: r.tables[om[x]] for x in self.model.base.objects})
 
     def box(self, p):
         return self.box_data(p).presheaf
 
     @_once
-    def counit(self, p):
-        return self.adj.counit(p)
-
-    @_once
-    def comult(self, p):
-        bd = self.box_data(p)
-        bb = self.box_data(bd.presheaf)
-        c = self.adj.big
-        comp = {}
-        for x in self.model.base.objects:
-            t = bd.tables[x]
-            # slot (j, f) of the doubled family is the family at j that
-            # reads slot (j2, f.f2) of the original one at its slot (j2, f2)
-            inner = [(bd.tables[j].family_pos,
-                      t.select((j2, c.compose(f, f2)) for (j2, f2) in bd.tables[j].slots))
-                     for (j, f) in t.slots]
-            pos = bb.tables[x].family_pos
-            comp[x] = tuple(pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in inner)]
-                            for fam in t.families)
-        return PresheafMap(bd.presheaf, bb.presheaf, comp)
-
-    # type and term action ----------------------------------------------------
-    @_once
-    def tp_data(self, a: TypeOverContext) -> _TpData:
-        bd = self.box_data(a.context)
+    def tp_table(self, a: TypeOverContext, key: tuple[str, int]) -> Points:
+        """The families of ``tp_box(A)`` over ``key = (x, pi)`` as points: slot
+        ``k`` ranges over ``A`` at point ``k`` of ``pi``, under its restrictions."""
         d, c, u = self.model.base, self.adj.big, self.adj.u
-        tables: dict[tuple[str, int], FamilyTable] = {}
-        points: dict[tuple[str, int], Points] = {}
-        for x in d.objects:
-            t = bd.tables[x]
-            steps = [(k, (j, f), (d.src[m], c.compose(f, u.mor_map[m])), m)
-                     for k, (j, f) in enumerate(t.slots) for m in d.morphisms
-                     if d.dst[m] == j and not d.is_identity(m)]
-            for pi, phi in enumerate(t.families):
-                fibers = tuple((j, v) for (j, _), v in zip(t.slots, phi))
-                rules = [(s1, s2, a.restriction[(m, phi[k])]) for (k, s1, s2, m) in steps]
-                ft = tables[(x, pi)] = FamilyTable(t.slots, [a.fiber[f] for f in fibers], rules)
-                points[(x, pi)] = fibers, ft.families, ft.family_pos
-        bg = bd.presheaf
-        restriction = {}
-        for m in d.morphisms:
-            x2, x = d.src[m], d.dst[m]
-            um = u.mor_map[m]
-            keys = [(j, c.compose(um, f2)) for (j, f2) in bd.tables[x2].slots]
-            for pi in bg.elements(x):
-                restriction[(m, pi)] = tables[(x, pi)].restriction(
-                    tables[(x2, bg.act(m, pi))], keys)
-        fiber = {k: len(t.families) for k, t in tables.items()}
-        return _TpData(TypeOverContext(bg, fiber, restriction), bd, tables, points)
+        t = self.box_data(a.context).tables[key[0]]
+        phi = t.families[key[1]]
+        fibers = tuple((j, v) for (j, _), v in zip(t.slots, phi))
+        ft = FamilyTable(t.slots, [a.fiber[f] for f in fibers], [
+            ((j, f), (d.src[m], c.compose(f, u.mor_map[m])), a.restriction[(m, phi[k])])
+            for k, (j, f) in enumerate(t.slots)
+            for m in d.morphisms if d.dst[m] == j and not d.is_identity(m)])
+        return fibers, ft.families, ft.family_pos
+
+    @_once
+    def tp_data(self, a: TypeOverContext) -> TypeOverContext:
+        """``tp_box(A)`` whole: :meth:`tp_table` at every element of ``box(Gamma)``."""
+        bg = self.box(a.context)
+        return self._tp_box_along(a, bg, {x: bg.elements(x) for x in self.model.base.objects})
 
     def tp_box(self, a):
-        return self.tp_data(a).type
+        return self.tp_data(a)
 
-    @_once
-    def tp_counit(self, a):
-        td = self.tp_data(a)
-        bd = td.box
-        c, u = self.adj.big, self.adj.u
-        comp = {}
-        for x in self.model.base.objects:
-            k_id = bd.tables[x].slot_pos[(x, c.id(u.obj_map[x]))]
-            for pi in range(len(bd.tables[x].families)):
-                comp[(x, pi)] = tuple(fam[k_id] for fam in td.tables[(x, pi)].families)
-        return TypeMap(td.type, subst_type(a, self.counit(a.context)), comp)
-
-    @_once
-    def tp_comult(self, a):
-        td = self.tp_data(a)
-        td2 = self.tp_data(td.type)
-        bd = td.box
-        dlt = self.comult(a.context)
-        c = self.adj.big
-        comp = {}
-        for x in self.model.base.objects:
-            t = bd.tables[x]
-            sels = [(j, t.select((j2, c.compose(f, f2)) for (j2, f2) in bd.tables[j].slots))
-                    for (j, f) in t.slots]
-            for pi, phi in enumerate(t.families):
-                blocks = [(td.tables[(j, bd.tables[j].family_pos[tuple(phi[k] for k in sel)])]
-                           .family_pos, sel) for (j, sel) in sels]
-                pos = td2.tables[(x, dlt.apply(x, pi))].family_pos
-                comp[(x, pi)] = tuple(
-                    pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in blocks)]
-                    for fam in td.tables[(x, pi)].families)
-        return TypeMap(td.type, subst_type(td2.type, dlt), comp)
+    def tp_box_restriction(self, a, m, pi):
+        """Restriction along ``m`` is along the slot ``(src m, u(m))``."""
+        x, x2, bd = self.model.base.dst[m], self.model.base.src[m], self.box_data(a.context)
+        _, sel = self.slot_reads(x)[bd.tables[x].slot_pos[(x2, self.adj.u.mor_map[m])]]
+        pos = self.tp_table(a, (x2, bd.presheaf.act(m, pi)))[2]
+        return tuple(pos[tuple(pt[k] for k in sel)] for pt in self.tp_table(a, (x, pi))[1])
 
     # elements as points: the slots and families of the tables -----------------
     def box_points(self, p, obj):
@@ -429,7 +418,14 @@ class AdjunctionComonad(NaturalModelComonad):
         return tuple(j for (j, _) in t.slots), t.families, t.family_pos
 
     def tp_box_points(self, a):
-        return self.tp_data(a).points.__getitem__
+        return partial(self.tp_table, a)
+
+    @_once
+    def slot_reads(self, obj):
+        # the slots over each object are the same in every box
+        tables, c = self.box_data(terminal_presheaf(self.model.base)).tables, self.adj.big
+        return [(j, tables[obj].select((j2, c.compose(f, f2)) for (j2, f2) in tables[j].slots))
+                for (j, f) in tables[obj].slots]
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +439,19 @@ class Coalgebra:
     carrier: Presheaf
     structure: PresheafMap
 
-    def elements(self, obj: str) -> range:
-        return self.carrier.elements(obj)
-
 
 def _box_pair(w: NaturalModelComonad, p: Presheaf,
               q: Presheaf) -> Callable[[str], tuple]:
     """``points(x)``: ``(fibers, points of box(p), points of box(q))`` at
     ``x``, as :func:`_commutes` and :func:`_commuting_rules` read them."""
     return lambda x: (*w.box_points(p, x)[:2], w.box_points(q, x)[1])
+
+
+def _delta_pair(w: NaturalModelComonad, p: Presheaf) -> tuple[dict, Callable[[str], tuple]]:
+    """``delta`` on ``box(p)`` for :func:`_commutes`, as the identity whose
+    points are those of ``delta`` (``delta_points``)."""
+    return ({x: range(n) for x, n in w.box(p).sizes.items()},
+            lambda x: (*w.box_points(p, x)[:2], w.delta_points(p, x)))
 
 
 def _bbox_pair(w: NaturalModelComonad, cg: "Coalgebra", a: TypeOverContext,
@@ -470,9 +470,8 @@ def _commutes(m: Mapping, src_theta: Mapping, dst_theta: Mapping,
               points: Callable[[object], tuple]) -> bool:
     """``dst_theta . m == box(m) . src_theta`` for a natural ``m``, checked
     at the box points of each ``src_theta(v)``; ``points`` is as in
-    :func:`_commuting_rules`.  The comult law ``delta . theta ==
-    box(theta) . theta`` is the case ``m = src_theta = theta``,
-    ``dst_theta = delta``.
+    :func:`_commuting_rules`.  The comult law reads ``delta`` at its
+    points (:func:`_delta_pair`).
 
     This is the equation of the two composed maps on the nose.  Their
     endpoints agree, and ``box(m)`` sends ``e`` to the element whose
@@ -496,18 +495,16 @@ def _commutes(m: Mapping, src_theta: Mapping, dst_theta: Mapping,
 
 
 def coalgebra_laws(w: NaturalModelComonad, cg: Coalgebra) -> list[str]:
-    errs = []
     p = cg.carrier
-    bp = w.box(p)
-    if cg.structure.source != p or cg.structure.target != bp:
+    if cg.structure.source != p or cg.structure.target != w.box(p):
         return ["structure map has the wrong endpoints"]
-    errs.extend(cg.structure.validate())
+    errs = [*cg.structure.validate()]
     if errs:
         return errs
     th = cg.structure.component
     if not _counit_holds(w.counit(p).component, th):
         errs.append("counit law fails")
-    if not _commutes(th, th, w.comult(p).component, _box_pair(w, p, bp)):
+    if not _commutes(th, th, *_delta_pair(w, p)):
         errs.append("comult law fails")
     return errs
 
@@ -663,11 +660,10 @@ def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
         raise EnumerationCeiling(
             f"{len(carriers)} carriers exceed the guard {max_carriers}")
     for p in carriers:
-        bp = w.box(p)
-        dlt, points = w.comult(p).component, _box_pair(w, p, bp)
+        ident, points = _delta_pair(w, p)
         domains = _counit_domains(w.counit(p).component, p.sizes)
-        for h in hom_maps(p, bp, domains):
-            if _commutes(h.component, h.component, dlt, points):
+        for h in hom_maps(p, w.box(p), domains):
+            if _commutes(h.component, h.component, ident, points):
                 out.append(Coalgebra(p, h))
     return out
 
@@ -1276,7 +1272,10 @@ def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
     uncurried = coalgebra_type_maps(w, zx, exp.target)
     curried = set(coalgebra_type_maps(w, z, exp.type))
     for m in uncurried:
-        tr = exp.transpose(w, z, pr_zx, m)
+        try:
+            tr = exp.transpose(w, z, pr_zx, m)
+        except ComonadError as e:
+            return {"ok": False, "witness": f"transpose leaves the box: {e}"}
         if tr not in curried:
             return {"ok": False, "witness": "transpose is not structured"}
         back = compose_type_maps(exp.ev, type_tuple_map(

@@ -56,7 +56,6 @@ from .s4dtt import (
     defeq,
     format_term,
     infer_type,
-    substitute,
 )
 
 
@@ -427,19 +426,3 @@ def soundness_harness(tgt: SemanticTarget, mod: Module) -> dict:
         report["directives"].append(entry)
     report["notes"] = sorted(set(report["notes"]))
     return report
-
-
-def beta_substitution_check(tgt: SemanticTarget, sig: Signature,
-                            tele: Telescope, tm: LetBox, ty: TypeExpr) -> bool:
-    """Interpreting a reducible eliminator and its reduct agree as data.
-
-    This is the semantic substitution lemma on an instance: feeding the
-    section of the boxed scrutinee into the body equals interpreting
-    the syntactic substitution outright.
-    """
-    if not isinstance(tm.scrutinee, Shut):
-        raise InterpretationGap("eliminator is not a redex")
-    reduct = substitute(tm.body, tm.binder, tm.scrutinee.body)
-    lhs, _ = tgt.term(sig, tele, tm, ty)
-    rhs, _ = tgt.term(sig, tele, reduct, ty)
-    return lhs == rhs

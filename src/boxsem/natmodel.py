@@ -381,32 +381,6 @@ def comprehension(a: TypeOverContext) -> Comprehension:
     return Comprehension(gamma, a, ext, p, v, offsets)
 
 
-def q_map(a: TypeOverContext, s: PresheafMap) -> PresheafMap:
-    """The lift ``Delta.A[s] -> Gamma.A`` of a substitution."""
-    ca = comprehension(a)
-    cs = comprehension(subst_type(a, s))
-    delta, c = s.source, s.source.base
-    comp = {}
-    for i in c.objects:
-        vals = []
-        for d in delta.elements(i):
-            g = s.apply(i, d)
-            for x in range(a.fiber[(i, g)]):
-                vals.append(ca.encode(i, g, x))
-        comp[i] = tuple(vals)
-    return PresheafMap(cs.presheaf, ca.presheaf, comp)
-
-
-def bar(t: TermOverContext) -> PresheafMap:
-    """The section ``Gamma -> Gamma.A`` induced by a term of ``A``."""
-    ca = comprehension(t.type)
-    gamma = t.type.context
-    return PresheafMap(gamma, ca.presheaf,
-                       {i: tuple(ca.encode(i, g, t.pick[(i, g)])
-                                 for g in gamma.elements(i))
-                        for i in gamma.base.objects})
-
-
 # ---------------------------------------------------------------------------
 # Maps and sections, enumerated at the keys (I, g)
 

@@ -1,4 +1,5 @@
-"""Acceptance suite: ten numbered criteria, one verdict line each.
+"""Acceptance suite: ten numbered criteria, one verdict line each, and a
+second line for criterion 09 on `chain3`.
 
 Run ``pytest tests/test_acceptance.py -v -s`` to watch the lines go by.
 Every test asserts its criterion outright, so a regression surfaces as
@@ -404,6 +405,22 @@ def test_criterion_09_interpretation_soundness(flagship):
              f"all 12 directives interpret and re-validate in both targets, "
              f"typing and equality clauses hold as data ({elapsed:.2f}s, "
              f"budget 60s)")
+
+
+def test_criterion_09_interpretation_in_chain3():
+    mod = parse(CORPUS)
+    check_module(mod)
+    start = time.monotonic()
+    report = soundness_harness(SemanticTarget(load_model("chain3").comonad, "chain3"), mod)
+    elapsed = time.monotonic() - start
+    sound_ok = report["ok"] and report["near_misses"] == 0 and all(
+        e["defined"] and e["context_ok"]
+        and (e["section_ok"] and e["typing_ok"] if e["kind"] == "check"
+             else e["semantic_equal"])
+        for e in report["directives"])
+    _verdict(9, sound_ok and len(report["directives"]) == 12 and elapsed < 10.0,
+             f"all 12 directives interpret and re-validate in the points "
+             f"comonad of chain3 too ({elapsed:.2f}s, budget 10s)")
 
 
 def test_criterion_10_realignment():

@@ -172,7 +172,7 @@ def test_sigma_of_structured_types(flagship):
             assert coalgebra_type_laws(flagship, sg.type) == []
             enc = sg.sigma.comp
             for o in cg.carrier.base.objects:
-                for g in cg.elements(o):
+                for g in cg.carrier.elements(o):
                     want = sum(yt.type.fiber[(o, enc.encode(o, g, x))]
                                for x in range(xt.type.fiber[(o, g)]))
                     assert sg.type.type.fiber[(o, g)] == want

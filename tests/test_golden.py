@@ -30,7 +30,7 @@ RUNS = (
     + [("model_coalgebras_chain3.json", ["model", "coalgebras", "chain3", "--bound", "1"]),
        ("check_t4.json", ["check", "corpus/t4.s4"])]
     + [(f"interpret_t4_{m}.json", ["interpret", "corpus/t4.s4", "--model", m])
-       for m in ["two", "one", "disc2", "arrow"]]
+       for m in ["two", "one", "disc2", "arrow", "chain3"]]
     + [("demo_stack_failure.json", ["demo", "stack-failure"]),
        ("demo_sheaves_as_coalgebras.json", ["demo", "sheaves-as-coalgebras"])]
 )

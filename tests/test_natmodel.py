@@ -10,7 +10,6 @@ from boxsem.natmodel import (
     NaturalModel,
     all_presheaves,
     apply_type_map,
-    bar,
     classifier_check,
     comprehension,
     compose_type_maps,
@@ -18,7 +17,6 @@ from boxsem.natmodel import (
     identity_type_map,
     is_display,
     pi_type,
-    q_map,
     realignment_check,
     sigma_type,
     straighten,
@@ -31,6 +29,7 @@ from boxsem.natmodel import (
 )
 from boxsem.presheaf import (
     Presheaf,
+    PresheafMap,
     compose_maps,
     hom_maps,
     identity_map,
@@ -117,6 +116,32 @@ def test_subst_is_memoized_on_the_identity_of_its_arguments(two, gamma, a_type):
     del s
     gc.collect()
     assert gone() is None
+
+
+def q_map(a, s):
+    """The lift ``Delta.A[s] -> Gamma.A`` of a substitution."""
+    ca = comprehension(a)
+    cs = comprehension(subst_type(a, s))
+    delta, c = s.source, s.source.base
+    comp = {}
+    for i in c.objects:
+        vals = []
+        for d in delta.elements(i):
+            g = s.apply(i, d)
+            for x in range(a.fiber[(i, g)]):
+                vals.append(ca.encode(i, g, x))
+        comp[i] = tuple(vals)
+    return PresheafMap(cs.presheaf, ca.presheaf, comp)
+
+
+def bar(t):
+    """The section ``Gamma -> Gamma.A`` induced by a term of ``A``."""
+    ca = comprehension(t.type)
+    gamma = t.type.context
+    return PresheafMap(gamma, ca.presheaf,
+                       {i: tuple(ca.encode(i, g, t.pick[(i, g)])
+                                 for g in gamma.elements(i))
+                        for i in gamma.base.objects})
 
 
 def test_q_map_fills_the_pullback_square(two, gamma, a_type):

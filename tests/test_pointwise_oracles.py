@@ -26,22 +26,35 @@ the square of a coalgebra map, the comult filter of
 ``_ref_*`` law checks below are their earlier whole-box forms, which
 compose with ``box_map``/``bbox_type_map`` of the whole structure; both
 must give the same verdicts on lawful and unlawful candidates alike.
+
+The comonad induced over a coalgebra ``(Gamma, theta)`` is built at the
+image of ``theta``: ``bbox_type`` from the tables of ``tp_box(A)`` there,
+``fiber_counit`` and ``fiber_comult`` from the points of the elements
+and of ``delta``, and ``bbox_term`` from the points of the term.  The
+comult law of a coalgebra is read at the points of ``delta``.  The
+``_ref_*`` forms below are the earlier ones: ``tp_box``, ``tp_counit``,
+``tp_comult`` and ``tm_box`` pulled back whole along ``theta``, and the
+comult law read off the ``comult`` table.  The whole maps are derived
+from the points too, and ``_ref_kan_*`` are the Kan comonad's earlier
+hand-written table forms of them.
 """
 
 import itertools
 
 import pytest
 
-from boxsem.coalg import (AdjunctionComonad, CoalgebraSigma, CoalgebraTerm, CoalgebraType,
-                          Coalgebra, ComonadError, IdentityComonad, _bbox_pair, _commutes,
-                          _counit_domains, coalg_exponential, coalg_extension, coalg_pi,
-                          coalg_product, coalg_sigma, coalg_subst, coalgebra_laws,
+from boxsem.coalg import (AdjunctionComonad, CoalgebraExponential, CoalgebraSigma,
+                          CoalgebraTerm, CoalgebraType, Coalgebra, ComonadError,
+                          IdentityComonad, _bbox_pair, _box_pair, _commutes, _counit_domains,
+                          _delta_pair, cofree_coalgebra, coalg_exponential, coalg_extension,
+                          coalg_pi, coalg_product, coalg_sigma, coalg_subst, coalgebra_laws,
                           coalgebra_maps, coalgebra_term_laws, coalgebra_type_laws,
                           coalgebra_types_over, enumerate_coalgebras, exponential_up_check,
                           is_coalgebra_map, pi_up_check, terminal_coalgebra)
 from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, all_presheaves,
                              all_types_over, compose_type_maps, comprehension,
-                             identity_type_map, sigma_type, terms_of, type_maps, type_terminal)
+                             identity_type_map, sigma_type, subst_term, subst_type,
+                             subst_type_map, terms_of, type_maps, type_terminal)
 from boxsem.presheaf import PresheafMap, compose_maps, hom_maps, identity_map
 from boxsem.standard import walking_arrow
 from test_structured_oracles import FUNCTORS, _comonad, _ref_coalg_pi
@@ -59,29 +72,27 @@ def _ref_box_map(w, m):
 
 
 def _ref_tp_box_map(w, m):
-    ta, tb = w.tp_data(m.source), w.tp_data(m.target)
-    bd = ta.box
+    bd = w.box_data(m.source.context)
     comp = {}
     for x in w.model.base.objects:
         t = bd.tables[x]
         for pi, phi in enumerate(t.families):
             cols = [m.component[(j, v)] for (j, _), v in zip(t.slots, phi)]
-            pos = tb.tables[(x, pi)].family_pos
+            pos = w.tp_table(m.target, (x, pi))[2]
             comp[(x, pi)] = tuple(pos[tuple(col[u] for col, u in zip(cols, fam))]
-                                  for fam in ta.tables[(x, pi)].families)
-    return TypeMap(ta.type, tb.type, comp)
+                                  for fam in w.tp_table(m.source, (x, pi))[1])
+    return TypeMap(w.tp_box(m.source), w.tp_box(m.target), comp)
 
 
 def _ref_tm_box(w, t):
-    td = w.tp_data(t.type)
-    bd = td.box
+    bd = w.box_data(t.type.context)
     pick = {}
     for x in w.model.base.objects:
         tx = bd.tables[x]
         for pi, phi in enumerate(tx.families):
             fam = tuple(t.pick[(j, v)] for (j, _), v in zip(tx.slots, phi))
-            pick[(x, pi)] = td.tables[(x, pi)].family_pos[fam]
-    return TermOverContext(td.type, pick)
+            pick[(x, pi)] = w.tp_table(t.type, (x, pi))[2][fam]
+    return TermOverContext(w.tp_box(t.type), pick)
 
 
 def _ref_tau(w, a):
@@ -90,8 +101,7 @@ def _ref_tau(w, a):
     ca = comprehension(a)
     bde = w.box_data(ca.presheaf)
     bd = w.box_data(a.context)
-    td = w.tp_data(a)
-    ext2 = comprehension(td.type)
+    ext2 = comprehension(w.tp_box(a))
     comp = {}
     for x in w.model.base.objects:
         t = bde.tables[x]
@@ -103,9 +113,83 @@ def _ref_tau(w, a):
                 gs.append(g)
                 xs.append(aa)
             pi = bd.tables[x].family_pos[tuple(gs)]
-            vals.append(ext2.encode(x, pi, td.tables[(x, pi)].family_pos[tuple(xs)]))
+            vals.append(ext2.encode(x, pi, w.tp_table(a, (x, pi))[2][tuple(xs)]))
         comp[x] = tuple(vals)
     return PresheafMap(bde.presheaf, ext2.presheaf, comp)
+
+
+def _ref_bbox_type(w, cg, a):
+    return subst_type(w.tp_box(a), cg.structure)
+
+
+def _ref_bbox_term(w, cg, t):
+    return subst_term(w.tm_box(t), cg.structure)
+
+
+def _ref_fiber_counit(w, cg, a):
+    m = subst_type_map(w.tp_counit(a), cg.structure)
+    if m.target != a:
+        raise ComonadError("fiber counit does not land back in its type")
+    return TypeMap(m.source, a, m.component)
+
+
+def _ref_fiber_comult(w, cg, a):
+    m = subst_type_map(w.tp_comult(a), cg.structure)
+    bb = _ref_bbox_type(w, cg, _ref_bbox_type(w, cg, a))
+    if m.target != bb:
+        raise ComonadError("fiber comult is not strict over this coalgebra")
+    return TypeMap(m.source, bb, m.component)
+
+
+def _ref_comult_law(w, cg):
+    """``delta . theta == box(theta) . theta``, reading ``delta`` off the
+    ``comult`` table at the image of ``theta``."""
+    p, th = cg.carrier, cg.structure.component
+    return _commutes(th, th, w.comult(p).component, _box_pair(w, p, w.box(p)))
+
+
+def _ref_kan_comult(w, p):
+    bd, bb, c = w.box_data(p), w.box_data(w.box(p)), w.adj.big
+    comp = {}
+    for x in w.model.base.objects:
+        t = bd.tables[x]
+        # slot (j, f) of the doubled family is the family at j that
+        # reads slot (j2, f.f2) of the original one at its slot (j2, f2)
+        inner = [(bd.tables[j].family_pos,
+                  t.select((j2, c.compose(f, f2)) for (j2, f2) in bd.tables[j].slots))
+                 for (j, f) in t.slots]
+        pos = bb.tables[x].family_pos
+        comp[x] = tuple(pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in inner)]
+                        for fam in t.families)
+    return PresheafMap(bd.presheaf, bb.presheaf, comp)
+
+
+def _ref_kan_tp_counit(w, a):
+    bd, c, u = w.box_data(a.context), w.adj.big, w.adj.u
+    comp = {}
+    for x in w.model.base.objects:
+        k_id = bd.tables[x].slot_pos[(x, c.id(u.obj_map[x]))]
+        for pi in range(len(bd.tables[x].families)):
+            comp[(x, pi)] = tuple(fam[k_id] for fam in w.tp_table(a, (x, pi))[1])
+    return TypeMap(w.tp_box(a), subst_type(a, w.adj.counit(a.context)), comp)
+
+
+def _ref_kan_tp_comult(w, a):
+    b, bd, c = w.tp_box(a), w.box_data(a.context), w.adj.big
+    dlt = _ref_kan_comult(w, a.context)
+    comp = {}
+    for x in w.model.base.objects:
+        t = bd.tables[x]
+        sels = [(j, t.select((j2, c.compose(f, f2)) for (j2, f2) in bd.tables[j].slots))
+                for (j, f) in t.slots]
+        for pi, phi in enumerate(t.families):
+            blocks = [(w.tp_table(a, (j, bd.tables[j].family_pos[tuple(phi[k] for k in sel)]))[2],
+                       sel) for (j, sel) in sels]
+            pos = w.tp_table(b, (x, dlt.apply(x, pi)))[2]
+            comp[(x, pi)] = tuple(
+                pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in blocks)]
+                for fam in w.tp_table(a, (x, pi))[1])
+    return TypeMap(b, subst_type(w.tp_box(b), dlt), comp)
 
 
 def _ref_coalg_extension(w, xt):
@@ -282,6 +366,89 @@ def test_kan_actions_agree(name, bound):
     assert n > 0
 
 
+INDEXED_CASES = [(n, b) for n in ("two", "chain3", "arrow", "one", "disc2", *FUNCTORS)
+                 for b in (1, 2)]
+
+
+@pytest.mark.parametrize("name, bound", INDEXED_CASES)
+def test_the_indexed_comonad_agrees_with_its_whole_box_forms(name, bound):
+    """Over the terminal coalgebra and its extensions by the first three
+    and the last three structured types up to the bound: ``bbox_type``, ``fiber_counit`` and
+    ``fiber_comult`` at every type up to the bound, and ``bbox_term`` at
+    its every term.  The comult law at the points of ``delta``, on every
+    map of a carrier up to the bound into its box with the counit built
+    into its slots, and on the cofree coalgebra on each carrier."""
+    w = _comonad(name)
+    n = laws = 0
+    one = terminal_coalgebra(w)
+    types = coalgebra_types_over(w, one, bound)
+    for cg in [one, *(coalg_extension(w, xt)[0] for xt in {*types[:3], *types[-3:]})]:
+        for a in all_types_over(w.model, cg.carrier, bound):
+            assert w.bbox_type(cg, a) == _ref_bbox_type(w, cg, a)
+            assert w.fiber_counit(cg, a) == _ref_fiber_counit(w, cg, a)
+            assert w.fiber_comult(cg, a) == _ref_fiber_comult(w, cg, a)
+            for t in terms_of(a):
+                assert w.bbox_term(cg, t) == _ref_bbox_term(w, cg, t)
+            n += 1
+    for p in all_presheaves(w.model.base, bound):
+        domains = _counit_domains(w.counit(p).component, p.sizes)
+        for cg in [*(Coalgebra(p, h) for h in hom_maps(p, w.box(p), domains)),
+                   cofree_coalgebra(w, p)]:
+            th = cg.structure.component
+            got = _commutes(th, th, *_delta_pair(w, cg.carrier))
+            assert got == _ref_comult_law(w, cg)
+            laws += got
+    assert n > 0 and laws > 0
+
+
+def _raises(build):
+    try:
+        build()
+    except ComonadError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "arrow", "one"])
+def test_the_fiber_structure_maps_refuse_a_structure_that_breaks_a_law(name):
+    """Over the first 64 natural maps of each carrier up to 2 into its
+    box, at the first types of fiber up to 1 over the carrier:
+    ``fiber_counit`` and ``fiber_comult`` raise exactly where the counit
+    and the comult law of the structure fail, and at least wherever their
+    whole-box forms raise."""
+    w = _comonad(name)
+    seen = set()
+    for p in all_presheaves(w.model.base, 2):
+        for h in hom_maps(p, w.box(p))[:64]:
+            cg = Coalgebra(p, h)
+            laws = coalgebra_laws(w, cg)
+            for a in all_types_over(w.model, p, 1)[:3]:
+                for new, ref, law in [(w.fiber_counit, _ref_fiber_counit, "counit law fails"),
+                                      (w.fiber_comult, _ref_fiber_comult, "comult law fails")]:
+                    raised = _raises(lambda: new(cg, a))
+                    assert raised == (law in laws)
+                    assert raised or not _raises(lambda: ref(w, cg, a))
+                    seen.add((law, raised))
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("name, bound", KAN)
+def test_kan_whole_maps_agree(name, bound):
+    """The counits and comultiplications derived from the points, on
+    every presheaf up to the bound and every type up to the bound over
+    it, against the Kan comonad's hand-written table forms."""
+    w = _comonad(name)
+    n = 0
+    for p in all_presheaves(w.model.base, bound):
+        assert w.counit(p) == w.adj.counit(p)
+        assert w.comult(p) == _ref_kan_comult(w, p)
+        for a in all_types_over(w.model, p, bound):
+            assert w.tp_counit(a) == _ref_kan_tp_counit(w, a)
+            assert w.tp_comult(a) == _ref_kan_tp_comult(w, a)
+            n += 1
+    assert n > 0
+
+
 def test_pi_application_agrees():
     """``CoalgebraPi.app`` at every argument of every product element,
     over the extensions by a fiber-1 structured type."""
@@ -356,19 +523,19 @@ def _ref_is_coalgebra_map(w, src, dst, h):
 
 def _ref_fiber_comult_holds(w, cg, a, th):
     """The comult filter of ``coalgebra_types_over``."""
-    return compose_type_maps(w.fiber_comult(cg, a), th) == \
+    return compose_type_maps(_ref_fiber_comult(w, cg, a), th) == \
         compose_type_maps(w.bbox_type_map(cg, th), th)
 
 
 def _ref_coalgebra_type_laws(w, xt):
     cg, a, th = xt.coalg, xt.type, xt.theta
-    ba = w.bbox_type(cg, a)
+    ba = _ref_bbox_type(w, cg, a)
     if th.source != a or th.target != ba:
         return ["structure map has the wrong endpoints"]
     errs = [*th.validate()]
     if errs:
         return errs
-    if compose_type_maps(w.fiber_counit(cg, a), th) != identity_type_map(a):
+    if compose_type_maps(_ref_fiber_counit(w, cg, a), th) != identity_type_map(a):
         errs.append("fiber counit law fails")
     if not _ref_fiber_comult_holds(w, cg, a, th):
         errs.append("fiber comult law fails")
@@ -378,8 +545,8 @@ def _ref_coalgebra_type_laws(w, xt):
 def _ref_coalgebra_types_over(w, cg, bound):
     out = []
     for a in all_types_over(w.model, cg.carrier, bound):
-        ba = w.bbox_type(cg, a)
-        domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
+        ba = _ref_bbox_type(w, cg, a)
+        domains = _counit_domains(_ref_fiber_counit(w, cg, a).component, a.fiber)
         out.extend(CoalgebraType(cg, a, th) for th in type_maps(a, ba, domains=domains)
                    if _ref_fiber_comult_holds(w, cg, a, th))
     return out
@@ -503,8 +670,11 @@ def test_sum_projection_checks_agree(name):
 @pytest.mark.parametrize("name", ["two", "chain3", "arrow", "one", "disc2"])
 def test_a_fault_at_one_image_element_is_rejected(name):
     """Move the comultiplication, then the counit, at one element in the
-    image of a lawful structure; both forms must reject the structure,
-    for coalgebras and for structured types."""
+    image of a lawful structure, where each form reads it; both forms
+    must reject the structure, for coalgebras and for structured types.
+    The comultiplication moves in the points of ``delta`` at that element,
+    which the whole ``comult`` and ``tp_comult`` are built from too; a
+    fiber counit moves in ``fiber_counit`` and in ``tp_counit`` alike."""
     base = _comonad(name)
     hits = 0
     for cg in enumerate_coalgebras(base, 2)[:6]:
@@ -515,9 +685,11 @@ def test_a_fault_at_one_image_element_is_rejected(name):
                 n_dlt, n_eps = dlt.target.sizes[x], p.sizes[x]
                 if n_dlt > 1:
                     w = _fresh(base)
-                    bad = PresheafMap(dlt.source, dlt.target, {
-                        **dlt.component, x: _bump(dlt.component[x], e, n_dlt)})
-                    w.comult = lambda q, bad=bad, real=w.comult: bad if q == p else real(q)
+                    bad = list(base.delta_points(p, x))
+                    bad[e] = base.box_points(dlt.target, x)[1][(dlt.component[x][e] + 1) % n_dlt]
+                    w.delta_points = lambda q, o, bad=bad, x=x, real=w.delta_points: \
+                        bad if (q, o) == (p, x) else real(q, o)
+                    assert w.comult(p).component[x] == _bump(dlt.component[x], e, n_dlt)
                     assert "comult law fails" in coalgebra_laws(w, cg)
                     assert "comult law fails" in _ref_coalgebra_laws(w, cg)
                     hits += 1
@@ -538,10 +710,14 @@ def test_a_fault_at_one_image_element_is_rejected(name):
                     n_dlt, n_eps = dlt.target.fiber[key], a.fiber[(o, g)]
                     if n_dlt > 1:
                         w = _fresh(base)
-                        bad = TypeMap(dlt.source, dlt.target, {
-                            **dlt.component, key: _bump(dlt.component[key], e, n_dlt)})
-                        w.tp_comult = lambda b, bad=bad, real=w.tp_comult: \
-                            bad if b == a else real(b)
+                        bad = list(base.tp_delta_points(a, key))
+                        over = (o, base.comult(cg.carrier).apply(*key))
+                        bad[e] = base.tp_box_points(base.tp_box(a))(over)[1][
+                            (dlt.component[key][e] + 1) % n_dlt]
+                        w.tp_delta_points = lambda b, k, bad=bad, key=key, \
+                            real=w.tp_delta_points: bad if (b, k) == (a, key) else real(b, k)
+                        assert w.tp_comult(a).component[key] == \
+                            _bump(dlt.component[key], e, n_dlt)
                         assert "fiber comult law fails" in coalgebra_type_laws(w, xt)
                         assert "fiber comult law fails" in _ref_coalgebra_type_laws(w, xt)
                         assert xt not in coalgebra_types_over(w, cg, 2)
@@ -549,8 +725,13 @@ def test_a_fault_at_one_image_element_is_rejected(name):
                         hits += 1
                     if n_eps > 1:
                         w = _fresh(base)
+                        fib = base.fiber_counit(cg, a)
+                        bad_fib = TypeMap(fib.source, fib.target, {
+                            **fib.component, (o, g): _bump(fib.component[(o, g)], e, n_eps)})
                         bad = TypeMap(eps.source, eps.target, {
                             **eps.component, key: _bump(eps.component[key], e, n_eps)})
+                        w.fiber_counit = lambda c, b, bad=bad_fib, real=w.fiber_counit: \
+                            bad if (c, b) == (cg, a) else real(c, b)
                         w.tp_counit = lambda b, bad=bad, real=w.tp_counit: \
                             bad if b == a else real(b)
                         assert "fiber counit law fails" in coalgebra_type_laws(w, xt)
@@ -656,6 +837,23 @@ def test_asking_again_gives_the_same_answers():
                 pi_up_check(w, coalg_pi(w, xt, yb))
             n += 1
     assert n > 0
+
+
+def test_a_transpose_that_leaves_the_box_fails_the_check(monkeypatch):
+    """``exponential_up_check`` reports a transpose that raises
+    ``ComonadError`` as a failed check with its witness, not a raise."""
+    w = _comonad("two")
+    types = coalgebra_types_over(w, terminal_coalgebra(w), 2)
+    e = coalg_exponential(w, types[2], types[2])
+    assert exponential_up_check(w, e, types[3])["ok"]
+
+    def leave(*args):
+        raise ComonadError("transpose leaves the box at ('0', 0)")
+
+    monkeypatch.setattr(CoalgebraExponential, "transpose", leave)
+    out = exponential_up_check(w, e, types[3])
+    assert out == {"ok": False, "witness": "transpose leaves the box: "
+                                           "transpose leaves the box at ('0', 0)"}
 
 
 def test_a_broken_construction_raises_every_time():
