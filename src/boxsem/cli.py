@@ -306,12 +306,18 @@ def cmd_model_laws(args) -> int:
         ok &= not errs
 
     if bundle.comonad is not None:
-        vr = validate_comonad(bundle.comonad)
+        try:
+            vr = validate_comonad(bundle.comonad)
+        except ComonadError as e:
+            # a structure map that cannot be built: its points leave a box
+            print(f"FAIL comonad laws: {e}")
+            vr = {"ok": False, "witnesses": [str(e)]}
+        else:
+            for part in ("laws", "cartesian", "display", "tau", "fiber_laws",
+                         "faithful"):
+                print(f"{_status(bool(vr[part]))} comonad {part.replace('_', ' ')}")
         report["sections"]["comonad"] = {
             "ok": vr["ok"], "witnesses": sorted(map(str, vr["witnesses"]))}
-        for part in ("laws", "cartesian", "display", "tau", "fiber_laws",
-                     "faithful"):
-            print(f"{_status(bool(vr[part]))} comonad {part.replace('_', ' ')}")
         ok &= vr["ok"]
 
     report["ok"] = bool(ok)

@@ -49,7 +49,7 @@ from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
                        TypeOverContext, TypeProduct, Universe,
                        all_display_maps_into, all_presheaves, all_types_over,
                        apply_type_map, comprehension, compose_type_maps,
-                       exp_transpose, hs_universe, identity_type_map, is_display,
+                       hs_universe, identity_type_map, is_display,
                        pi_type, sigma_type, sub_type, subst_type,
                        subst_type_map, terms_of, type_maps, type_product)
 
@@ -410,7 +410,8 @@ class AdjunctionComonad(NaturalModelComonad):
         x, x2, bd = self.model.base.dst[m], self.model.base.src[m], self.box_data(a.context)
         _, sel = self.slot_reads(x)[bd.tables[x].slot_pos[(x2, self.adj.u.mor_map[m])]]
         pos = self.tp_table(a, (x2, bd.presheaf.act(m, pi)))[2]
-        return tuple(pos[tuple(pt[k] for k in sel)] for pt in self.tp_table(a, (x, pi))[1])
+        return _positions(pos, (tuple(pt[k] for k in sel) for pt in self.tp_table(a, (x, pi))[1]),
+                          "tp_box restriction leaves the box", (m, pi))
 
     # elements as points: the slots and families of the tables -----------------
     def box_points(self, p, obj):
@@ -1015,14 +1016,16 @@ def coalgebra_types_over(w: NaturalModelComonad, cg: Coalgebra,
 
 def coalg_subst(w: NaturalModelComonad, xt: CoalgebraType, dst: Coalgebra,
                 h: PresheafMap) -> CoalgebraType:
-    """Substitute a structured type along a coalgebra map into its base.
-
-    Strictness is the point: the box over the new coalgebra of the
-    substituted type is the substituted box on the nose, so the
-    structure map transports by plain reindexing.
-    """
+    """Substitute along ``h``, first checked a coalgebra map (:func:`_reindex`)."""
     if not is_coalgebra_map(w, dst, xt.coalg, h):
         raise ComonadError("substitution is not along a coalgebra map")
+    return _reindex(w, xt, dst, h)
+
+
+def _reindex(w: NaturalModelComonad, xt: CoalgebraType, dst: Coalgebra,
+             h: PresheafMap) -> CoalgebraType:
+    """Substitute along ``h``, proved a coalgebra map by the caller; the box
+    commutes with substitution on the nose, so the structure reindexes."""
     a2 = subst_type(xt.type, h)
     ba2 = w.bbox_type(dst, a2)
     moved = subst_type_map(xt.theta, h)
@@ -1146,17 +1149,6 @@ def coalg_sigma(w: NaturalModelComonad, xt: CoalgebraType,
 # Exponentials of structured types
 
 
-def type_tuple_map(pr: TypeProduct, m1: TypeMap, m2: TypeMap) -> TypeMap:
-    """Pair two fiberwise maps into a fiberwise product."""
-    assert m1.source == m2.source
-    comp = {}
-    for (o, g), n in m1.source.fiber.items():
-        comp[(o, g)] = tuple(pr.pair(o, g, m1.component[(o, g)][v],
-                                     m2.component[(o, g)][v])
-                             for v in range(n))
-    return TypeMap(m1.source, pr.type, comp)
-
-
 @_once
 def coalg_product(w: NaturalModelComonad, x: CoalgebraType,
                   y: CoalgebraType) -> tuple[CoalgebraType, TypeProduct]:
@@ -1212,7 +1204,7 @@ def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
 class CoalgebraExponential:
     """An exponential of structured types: the dependent product of the
     target weakened to the extension by the source (:func:`coalg_exponential`),
-    with its evaluation."""
+    with its evaluation, whose source numbers its pairs left-major."""
 
     source: CoalgebraType
     target: CoalgebraType
@@ -1220,24 +1212,6 @@ class CoalgebraExponential:
     plain: Pi
     inclusion: TypeMap
     ev: TypeMap
-    ev_product: TypeProduct
-
-    def transpose(self, w: NaturalModelComonad, z: CoalgebraType,
-                  pr: TypeProduct, m: TypeMap) -> TypeMap:
-        """Curry a structured map out of a product into the exponential:
-        ``v`` goes to the element of the box of the plain exponential whose
-        points are the plain transpose applied to those of ``theta_z(v)``."""
-        cg, lam = self.source.coalg, exp_transpose(self.plain, pr, m).component
-        points_z, points_e = w.bbox_points(cg, z.type), w.bbox_points(cg, self.plain.type)
-        boxed = {}
-        for k, col in z.theta.component.items():
-            fibers, pts, _ = points_z(k)
-            pos = points_e(k)[2]
-            boxed[k] = _positions(pos, (tuple(lam[f][p] for f, p in zip(fibers, pts[e]))
-                                        for e in col), "transpose leaves the box", k)
-        return TypeMap(z.type, self.type.type, _lift(
-            self.inclusion.component, boxed,
-            lambda k, n: "transpose of an unstructured map"))
 
 
 def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
@@ -1245,17 +1219,19 @@ def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
     """The exponential of structured types: the dependent product of ``y``
     weakened to the extension by ``x``, as ``type_exponential`` is
     ``pi_type`` of the weakened type.  Evaluation is application, the
-    weakened type reading ``y`` at ``g`` over every ``(g, t)``."""
+    weakened type reading ``y`` at ``g`` over every ``(g, t)``.
+
+    ``y`` is weakened unchecked (:func:`_reindex`): :func:`coalg_extension`
+    proved ``p`` a coalgebra map, raising rather than returning an unproved one."""
     if y.coalg != x.coalg:
         raise ComonadError("exponential needs both types over one coalgebra")
     cge, p, _ = coalg_extension(w, x)
-    cp = coalg_pi(w, x, coalg_subst(w, y, cge, p))
+    cp = coalg_pi(w, x, _reindex(w, y, cge, p))
     a = x.type
-    pr = type_product(cp.type.type, a)
-    ev = TypeMap(pr.type, y.type, {(o, g): tuple(
+    ev = TypeMap(type_product(cp.type.type, a).type, y.type, {(o, g): tuple(
         cp.app(o, g, e, t) for e in range(n) for t in range(a.fiber[(o, g)]))
         for (o, g), n in cp.type.type.fiber.items()})
-    return CoalgebraExponential(x, y, cp.type, cp.plain, cp.inclusion, ev, pr)
+    return CoalgebraExponential(x, y, cp.type, cp.plain, cp.inclusion, ev)
 
 
 def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
@@ -1267,20 +1243,49 @@ def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
     lands in the curried maps and that evaluation undoes it, so currying
     is injective; with the two hom sets of equal size it is a bijection,
     and evaluation is its inverse on every curried map as well.
+
+    Each ``m`` is curried by lookups, the ``TypeMap`` forms on the nose:
+    slot ``(j, f, t)`` of the plain transpose at ``(i, g)`` reads ``m`` at
+    ``(j, g.f)``, pair ``(c.f, t)``; its box reads the points of
+    ``theta_z(v)`` in the ``pos`` of the box of the plain product, then in
+    the inclusion.  Products number pairs left-major, so ``ev`` undoes
+    currying when its row ``tr(v)`` is row ``v`` of ``m``, rows ``A[k]`` long.
     """
     zx, pr_zx = coalg_product(w, z, exp.source)
     uncurried = coalgebra_type_maps(w, zx, exp.target)
-    curried = set(coalgebra_type_maps(w, z, exp.type))
+    keys, gamma = list(z.type.fiber), z.type.context
+    curried = {tuple(map(h.component.__getitem__, keys))
+               for h in coalgebra_type_maps(w, z, exp.type)}
+    plain = []
+    for (i, g), n in z.type.fiber.items():
+        t = exp.plain.tables[(i, g)]
+        reads = [((j, gamma.act(f, g)), f, x) for j, f, x in t.slots]
+        plain.append(((i, g), [r for r, _, _ in reads], t.family_pos, [tuple(
+            pr_zx.pair(*r, z.type.restrict(f, g, c), x) for r, f, x in reads) for c in range(n)]))
+    points_z, points_e = (w.bbox_points(exp.source.coalg, t) for t in (z.type, exp.plain.type))
+    box = [(k, points_z(k)[0], [points_z(k)[1][e] for e in col], points_e(k)[2],
+            {e: n for n, e in enumerate(exp.inclusion.component[k])})
+           for k, col in z.theta.component.items()]
+    ev, n_a = exp.ev.component, exp.source.type.fiber
     for m in uncurried:
+        lam = {}
+        for k, reads, fpos, idx in plain:
+            cols = [m.component[r] for r in reads]
+            lam[k] = [fpos[tuple(map(getitem, cols, row))] for row in idx]
+        tr = {}
         try:
-            tr = exp.transpose(w, z, pr_zx, m)
+            for k, fibers, thetas, pos, inv in box:
+                cols = [lam[f] for f in fibers]
+                boxed = (tuple(map(getitem, cols, pt)) for pt in thetas)
+                tr[k] = tuple(map(inv.get, _positions(pos, boxed, "transpose leaves the box", k)))
+            if any(None in col for col in tr.values()):
+                raise ComonadError("transpose of an unstructured map")
         except ComonadError as e:
             return {"ok": False, "witness": f"transpose leaves the box: {e}"}
-        if tr not in curried:
+        if tuple(map(tr.__getitem__, keys)) not in curried:
             return {"ok": False, "witness": "transpose is not structured"}
-        back = compose_type_maps(exp.ev, type_tuple_map(
-            exp.ev_product, compose_type_maps(tr, pr_zx.fst), pr_zx.snd))
-        if back != m:
+        if any(ev[k][h * n_a[k]:(h + 1) * n_a[k]] != m.component[k][v * n_a[k]:(v + 1) * n_a[k]]
+               for k in keys for v, h in enumerate(tr[k])):
             return {"ok": False, "witness": "evaluation does not undo currying"}
     return {"ok": len(uncurried) == len(curried), "uncurried": len(uncurried),
             "curried": len(curried)}
@@ -1444,17 +1449,12 @@ class InternalCategory:
                 re = self.ident.apply(o, self.src.apply(o, m))
                 if self.compose_at(o, le, m) != m or self.compose_at(o, m, re) != m:
                     errs.append(f"unit law fails at ({o!r}, {m})")
-            for m3 in self.mor.elements(o):
-                for m2 in self.mor.elements(o):
-                    if self.src.apply(o, m3) != self.tgt.apply(o, m2):
-                        continue
-                    for m1 in self.mor.elements(o):
-                        if self.src.apply(o, m2) != self.tgt.apply(o, m1):
-                            continue
-                        lhs = self.compose_at(o, self.compose_at(o, m3, m2), m1)
-                        rhs = self.compose_at(o, m3, self.compose_at(o, m2, m1))
-                        if lhs != rhs:
-                            errs.append(f"associativity fails at ({o!r})")
+            for m3, m2 in self.pairs.pairs[o]:
+                for m1 in self.mor.elements(o):
+                    if self.src.apply(o, m2) == self.tgt.apply(o, m1) and \
+                            self.compose_at(o, self.compose_at(o, m3, m2), m1) != \
+                            self.compose_at(o, m3, self.compose_at(o, m2, m1)):
+                        errs.append(f"associativity fails at ({o!r})")
         return errs
 
 

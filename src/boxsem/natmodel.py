@@ -150,9 +150,6 @@ class TermOverContext:
             object.__setattr__(self, "_hash", hash(tuple(sorted(self.pick.items()))))
         return self._hash
 
-    def at(self, obj: str, g: int) -> int:
-        return self.pick[(obj, g)]
-
     def validate(self) -> list[str]:
         a = self.type
         c = a.context.base
@@ -542,15 +539,6 @@ def pi_type(a: TypeOverContext, b: TypeOverContext) -> Pi:
     return Pi(t, a, b, ca, tables)
 
 
-def type_terminal(gamma: Presheaf) -> TypeOverContext:
-    """The type with a single point in every fiber over ``gamma``."""
-    c = gamma.base
-    fiber = {(i, g): 1 for i in c.objects for g in gamma.elements(i)}
-    restriction = {(f, g): (0,) for f in c.morphisms
-                   for g in gamma.elements(c.dst[f])}
-    return TypeOverContext(gamma, fiber, restriction)
-
-
 @dataclass(frozen=True)
 class TypeProduct:
     """Fiberwise binary product of two types over the same context."""
@@ -629,40 +617,6 @@ def type_exponential(a: TypeOverContext, b: TypeOverContext) -> Pi:
     product along ``A`` of ``B`` weakened to ``Gamma.A``."""
     assert a.context == b.context
     return pi_type(a, subst_type(b, comprehension(a).p))
-
-
-def exp_ev(e: Pi, pr: TypeProduct, b: TypeOverContext) -> TypeMap:
-    """Evaluation ``B^A x A -> B`` for an exponential built by
-    ``type_exponential(a, b)``, with ``pr = type_product(e.type, a)``."""
-    assert pr.left == e.type and pr.right == e.base_type
-    comp = {}
-    for (i, g), n in pr.type.fiber.items():
-        vals = []
-        for v in range(n):
-            w, x = pr.split(i, g, v)
-            vals.append(e.app(i, g, w, x))
-        comp[(i, g)] = tuple(vals)
-    return TypeMap(pr.type, b, comp)
-
-
-def exp_transpose(e: Pi, pr: TypeProduct, m: TypeMap) -> TypeMap:
-    """Curry ``m : C x A -> B`` through ``type_exponential(a, b)`` into
-    ``C -> B^A``, with ``pr = type_product(c, a)``."""
-    c_type = pr.left
-    assert pr.right == e.base_type and m.source == pr.type
-    gamma = c_type.context
-    comp = {}
-    for (i, g), n in c_type.fiber.items():
-        vals = []
-        for c in range(n):
-            fam = []
-            for (j, f, x) in e.tables[(i, g)].slots:
-                gf = gamma.act(f, g)
-                cf = c_type.restrict(f, g, c)
-                fam.append(m.component[(j, gf)][pr.pair(j, gf, cf, x)])
-            vals.append(e.family_index(i, g, tuple(fam)))
-        comp[(i, g)] = tuple(vals)
-    return TypeMap(c_type, e.type, comp)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from boxsem.natmodel import (
     subst_type,
     terms_of,
     type_maps,
-    type_terminal,
     typing_check,
 )
 from boxsem.presheaf import (
@@ -36,6 +35,7 @@ from boxsem.presheaf import (
     yoneda,
 )
 from boxsem.standard import terminal_category, walking_arrow
+from test_structured_oracles import type_terminal
 
 
 @pytest.fixture(scope="module")

@@ -40,24 +40,30 @@ hand-written table forms of them.
 """
 
 import itertools
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from boxsem.coalg import (AdjunctionComonad, CoalgebraExponential, CoalgebraSigma,
+from boxsem import coalg
+from boxsem.cli import load_model, main
+from boxsem.coalg import (AdjunctionComonad, CoalgebraSigma,
                           CoalgebraTerm, CoalgebraType, Coalgebra, ComonadError,
                           IdentityComonad, _bbox_pair, _box_pair, _commutes, _counit_domains,
                           _delta_pair, cofree_coalgebra, coalg_exponential, coalg_extension,
                           coalg_pi, coalg_product, coalg_sigma, coalg_subst, coalgebra_laws,
                           coalgebra_maps, coalgebra_term_laws, coalgebra_type_laws,
-                          coalgebra_types_over, enumerate_coalgebras, exponential_up_check,
-                          is_coalgebra_map, pi_up_check, terminal_coalgebra)
-from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, all_presheaves,
-                             all_types_over, compose_type_maps, comprehension,
+                          coalgebra_type_maps, coalgebra_types_over, enumerate_coalgebras,
+                          exponential_up_check, is_coalgebra_map, pi_up_check, terminal_coalgebra)
+from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, TypeProduct,
+                             all_presheaves, all_types_over, compose_type_maps, comprehension,
                              identity_type_map, sigma_type, subst_term, subst_type,
-                             subst_type_map, terms_of, type_maps, type_terminal)
+                             subst_type_map, terms_of, type_maps)
 from boxsem.presheaf import PresheafMap, compose_maps, hom_maps, identity_map
 from boxsem.standard import walking_arrow
-from test_structured_oracles import FUNCTORS, _comonad, _ref_coalg_pi
+from test_structured_oracles import (FUNCTORS, _comonad, _ref_coalg_pi,
+                                     _ref_exponential_up_check, type_terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +746,49 @@ def test_a_fault_at_one_image_element_is_rejected(name):
     assert hits > 0
 
 
+@pytest.mark.parametrize("name", ["two", "chain3", "arrow"])
+def test_a_swapped_slot_read_breaks_the_comonad_laws(name, monkeypatch, capsys, tmp_path):
+    """Swap the reads of the first two slots over the top object, so that
+    ``delta`` restricts along each slot where the other should be read:
+    ``model laws`` prints FAIL for the comonad laws and exits 1, the points
+    of ``delta`` leaving the box of the box.
+
+    ``sierpinski`` declares no comonad, so nothing reads its
+    ``slot_reads``.  ``two`` and ``chain3`` cannot fail this way at the
+    display bound they ship with, 1: every presheaf the law suite samples
+    then has at most one element per object, so every box has at most one,
+    and two reads of it agree whatever slots they read.  So each model runs
+    again at bound 2, where all three fail; ``arrow`` fails at bound 1 too,
+    where the restriction of ``tp_box`` reads the swapped slots.
+    """
+    spec = json.loads(Path("models", f"{name}.json").read_text())
+    spec["bound"] = 2
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    assert "PASS comonad laws" in _laws(path, capsys)[1]
+    top = load_model(name).category.objects[-1]
+    reads = AdjunctionComonad.slot_reads
+
+    def swapped(self, obj):
+        out = list(reads(self, obj))
+        if obj == top:
+            out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(AdjunctionComonad, "slot_reads", swapped)
+    assert _laws(path, capsys) == (1, f"FAIL comonad laws: comult leaves the box at {top}")
+    if name == "arrow":
+        code, line = _laws(name, capsys)
+        assert code == 1 and line.startswith("FAIL comonad laws: tp_box restriction")
+
+
+def _laws(model, capsys):
+    """Exit code and comonad line of ``model laws``."""
+    code = main(["model", "laws", str(model)])
+    lines = capsys.readouterr().out.splitlines()
+    return code, next(x for x in lines if x.split()[1] == "comonad")
+
+
 def test_a_map_that_is_not_natural_is_no_coalgebra_map():
     """Under the identity comonad over the walking arrow the box reads no
     restriction, so the square commutes for every map of carriers: the
@@ -839,21 +888,84 @@ def test_asking_again_gives_the_same_answers():
     assert n > 0
 
 
-def test_a_transpose_that_leaves_the_box_fails_the_check(monkeypatch):
-    """``exponential_up_check`` reports a transpose that raises
-    ``ComonadError`` as a failed check with its witness, not a raise."""
+def _grid_two():
     w = _comonad("two")
-    types = coalgebra_types_over(w, terminal_coalgebra(w), 2)
-    e = coalg_exponential(w, types[2], types[2])
-    assert exponential_up_check(w, e, types[3])["ok"]
+    return w, coalgebra_types_over(w, terminal_coalgebra(w), 2)
 
-    def leave(*args):
-        raise ComonadError("transpose leaves the box at ('0', 0)")
 
-    monkeypatch.setattr(CoalgebraExponential, "transpose", leave)
-    out = exponential_up_check(w, e, types[3])
-    assert out == {"ok": False, "witness": "transpose leaves the box: "
-                                           "transpose leaves the box at ('0', 0)"}
+def test_a_transpose_that_leaves_the_box_fails_the_check(monkeypatch):
+    """``exponential_up_check`` reports a transpose that leaves the box as
+    a failed check with its witness, not a raise: first with the element
+    one transpose reaches missing from the ``pos`` of the box of the plain
+    product, then with it missing from the inclusion.  The check by
+    ``TypeMap``s gives the same dicts."""
+    w, types = _grid_two()
+    e, z, k = coalg_exponential(w, types[2], types[2]), types[3], ("0", 0)
+    assert exponential_up_check(w, e, z)["ok"]
+    h = coalgebra_type_maps(w, z, e.type)[0]
+    reached = e.inclusion.component[k][h.component[k][0]]
+    bbox_points = w.bbox_points
+
+    def leaky(cg, a):
+        points = bbox_points(cg, a)
+        if a is not e.plain.type:
+            return points
+
+        def at(key):
+            fibers, pts, pos = points(key)
+            return fibers, pts, {p: v for p, v in pos.items() if key != k or v != reached}
+        return at
+
+    monkeypatch.setattr(w, "bbox_points", leaky)
+    out = {"ok": False, "witness": "transpose leaves the box: "
+                                   "transpose leaves the box at ('0', 0)"}
+    assert exponential_up_check(w, e, z) == _ref_exponential_up_check(w, e, z) == out
+    monkeypatch.undo()
+    col = tuple(-1 if v == reached else v for v in e.inclusion.component[k])
+    e2 = replace(e, inclusion=TypeMap(e.inclusion.source, e.inclusion.target,
+                                      {**e.inclusion.component, k: col}))
+    out = {"ok": False, "witness": "transpose leaves the box: "
+                                   "transpose of an unstructured map"}
+    assert exponential_up_check(w, e2, z) == _ref_exponential_up_check(w, e2, z) == out
+
+
+def test_a_transpose_that_reads_a_wrong_pair_fails_evaluation(monkeypatch):
+    """A transpose that reads ``m`` at the pair of ``c.f`` and ``sigma(t)``
+    instead of ``t``, for a structured automorphism ``sigma`` of the source,
+    curries ``m . (z x sigma)``: structured, but evaluated back it is not
+    ``m``.  Both checks read the pair index from ``TypeProduct.pair``."""
+    w, types = _grid_two()
+    x, z = types[3], types[7]
+    e = coalg_exponential(w, x, x)
+    assert exponential_up_check(w, e, z)["ok"]
+    sigma = next(h for h in coalgebra_type_maps(w, x, x)
+                 if h.is_iso() and h != identity_type_map(x.type)).component
+    pr_zx, pair = coalg_product(w, z, x)[1], TypeProduct.pair
+
+    def misread(self, obj, g, c, t):
+        return pair(self, obj, g, c, sigma[(obj, g)][t] if self is pr_zx else t)
+
+    monkeypatch.setattr(TypeProduct, "pair", misread)
+    out = {"ok": False, "witness": "evaluation does not undo currying"}
+    assert exponential_up_check(w, e, z) == _ref_exponential_up_check(w, e, z) == out
+
+
+def test_a_transpose_outside_the_curried_maps_is_not_structured(monkeypatch):
+    """With the last structured map into the exponential left out of the
+    curried hom set, the map that curries to it is reported, by both
+    checks."""
+    w, types = _grid_two()
+    e, z = coalg_exponential(w, types[2], types[2]), types[3]
+    assert exponential_up_check(w, e, z)["ok"]
+    enumerate_maps = coalg.type_maps
+
+    def short(a, b, *args, **kwargs):
+        maps = enumerate_maps(a, b, *args, **kwargs)
+        return maps[:-1] if b is e.type.type else maps
+
+    monkeypatch.setattr(coalg, "type_maps", short)
+    out = {"ok": False, "witness": "transpose is not structured"}
+    assert exponential_up_check(w, e, z) == _ref_exponential_up_check(w, e, z) == out
 
 
 def test_a_broken_construction_raises_every_time():

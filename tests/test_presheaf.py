@@ -32,10 +32,10 @@ from boxsem.presheaf import (
     yoneda_index,
     yoneda_map,
 )
-from boxsem.coalg import type_tuple_map
-from boxsem.natmodel import (TypeOverContext, all_presheaves, compose_type_maps, exp_ev,
-                             exp_transpose, type_exponential, type_maps, type_product)
+from boxsem.natmodel import (TypeOverContext, all_presheaves, compose_type_maps,
+                             type_exponential, type_maps, type_product)
 from boxsem.standard import discrete, sierpinski_site, walking_arrow
+from test_structured_oracles import exp_ev, exp_transpose, type_tuple_map
 
 
 @pytest.fixture(scope="module")

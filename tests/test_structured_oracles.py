@@ -8,8 +8,7 @@ identity slot of each function, holds at every box point of its
 comultiplication, which is closed by construction; ``coalg_exponential``
 is ``coalg_pi`` of the target weakened to the extension by the source.
 ``_sub_theta`` only equips a closed subtype with its structure, and
-raises ``ComonadError`` on one that is not closed; ``transpose`` boxes
-the plain transpose only at the points it reads.  The ``_ref_*``
+raises ``ComonadError`` on one that is not closed.  The ``_ref_*``
 versions below are the earlier ones, which box whole maps: the product
 through the inverse of the comparison map (``_ref_pack_map``), the
 exponential by comparing two maps into a second exponential over the
@@ -28,9 +27,20 @@ pairs over the slots ``(j, f, x)``, and its family of second components
 must be the same point of the new one.
 
 ``exponential_up_check`` and ``pi_up_check`` walk one side of each
-bijection and compare sizes.  The ``_ref_*_up_check`` below are their
-earlier versions, which also walk the other side, with list membership.
-Both must give the same subtypes, structures and reports, on the nose.
+bijection and compare sizes.  ``_ref_two_sided_up_check`` and
+``_ref_pi_up_check`` are their earlier versions, which also walk the
+other side, with list membership.  Both must give the same subtypes,
+structures and reports, on the nose.
+
+``exponential_up_check`` curries each map by lookups into index tables
+built once per exponential and test type.  ``_ref_exponential_up_check``
+is the check it replaced, which builds ``TypeMap``s per map: the
+transpose boxed at the points it reads (``_ref_transpose``, through
+``exp_transpose`` and ``_lift``) and evaluation composed back.  The two
+must return the same dict, on the grids below and under injected faults
+(``test_pointwise_oracles``).  ``exp_transpose``, ``exp_ev``,
+``type_tuple_map`` and ``type_terminal`` are the plain helpers the
+references are built from; nothing in the package reads them.
 """
 
 import itertools
@@ -40,20 +50,77 @@ import pytest
 
 from boxsem import coalg
 from boxsem.cli import load_model
-from boxsem.coalg import (CoalgebraExponential, CoalgebraSigma, CoalgebraTerm, CoalgebraType,
-                          ComonadError, _lift, _sub_theta, _with_points_in, coalg_exponential,
+from boxsem.coalg import (CoalgebraSigma, CoalgebraTerm, CoalgebraType, ComonadError, _lift,
+                          _positions, _sub_theta, _with_points_in, coalg_exponential,
                           coalg_extension, coalg_pi, coalg_product, coalg_sigma,
                           coalgebra_term_laws,
                           coalgebra_terms, coalgebra_type_laws, coalgebra_type_maps,
                           coalgebra_types_over, comonad_from_adjunction,
-                          exponential_up_check, pi_up_check, terminal_coalgebra,
-                          type_tuple_map)
+                          exponential_up_check, pi_up_check, terminal_coalgebra)
 from boxsem.fincat import Functor, identity_functor
-from boxsem.natmodel import (TermOverContext, TypeMap, all_types_over, compose_type_maps,
-                             comprehension, exp_ev, exp_transpose, sub_type,
-                             type_exponential, type_product, type_terminal)
-from boxsem.presheaf import KanAdjunction, subpresheaves
+from boxsem.natmodel import (Pi, TermOverContext, TypeMap, TypeOverContext, TypeProduct,
+                             all_types_over, compose_type_maps, comprehension, sub_type,
+                             type_exponential, type_product)
+from boxsem.presheaf import KanAdjunction, Presheaf, subpresheaves
 from boxsem.standard import chain, walking_arrow
+
+
+# ---------------------------------------------------------------------------
+# Plain helpers the references are built from
+
+
+def type_terminal(gamma: Presheaf) -> TypeOverContext:
+    """The type with a single point in every fiber over ``gamma``."""
+    c = gamma.base
+    fiber = {(i, g): 1 for i in c.objects for g in gamma.elements(i)}
+    restriction = {(f, g): (0,) for f in c.morphisms
+                   for g in gamma.elements(c.dst[f])}
+    return TypeOverContext(gamma, fiber, restriction)
+
+
+def type_tuple_map(pr: TypeProduct, m1: TypeMap, m2: TypeMap) -> TypeMap:
+    """Pair two fiberwise maps into a fiberwise product."""
+    assert m1.source == m2.source
+    comp = {}
+    for (o, g), n in m1.source.fiber.items():
+        comp[(o, g)] = tuple(pr.pair(o, g, m1.component[(o, g)][v],
+                                     m2.component[(o, g)][v])
+                             for v in range(n))
+    return TypeMap(m1.source, pr.type, comp)
+
+
+def exp_ev(e: Pi, pr: TypeProduct, b: TypeOverContext) -> TypeMap:
+    """Evaluation ``B^A x A -> B`` for an exponential built by
+    ``type_exponential(a, b)``, with ``pr = type_product(e.type, a)``."""
+    assert pr.left == e.type and pr.right == e.base_type
+    comp = {}
+    for (i, g), n in pr.type.fiber.items():
+        vals = []
+        for v in range(n):
+            w, x = pr.split(i, g, v)
+            vals.append(e.app(i, g, w, x))
+        comp[(i, g)] = tuple(vals)
+    return TypeMap(pr.type, b, comp)
+
+
+def exp_transpose(e: Pi, pr: TypeProduct, m: TypeMap) -> TypeMap:
+    """Curry ``m : C x A -> B`` through ``type_exponential(a, b)`` into
+    ``C -> B^A``, with ``pr = type_product(c, a)``."""
+    c_type = pr.left
+    assert pr.right == e.base_type and m.source == pr.type
+    gamma = c_type.context
+    comp = {}
+    for (i, g), n in c_type.fiber.items():
+        vals = []
+        for c in range(n):
+            fam = []
+            for (j, f, x) in e.tables[(i, g)].slots:
+                gf = gamma.act(f, g)
+                cf = c_type.restrict(f, g, c)
+                fam.append(m.component[(j, gf)][pr.pair(j, gf, cf, x)])
+            vals.append(e.family_index(i, g, tuple(fam)))
+        comp[(i, g)] = tuple(vals)
+    return TypeMap(c_type, e.type, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +190,18 @@ def _ref_sub_theta(w, cg, big, dlt_like, keep, what, drops=None):
     return xt, inc
 
 
-class _RefExponential(CoalgebraExponential):
+@dataclass(frozen=True)
+class _RefExponential:
+    """The earlier exponential, with the product its evaluation leaves."""
+
+    source: CoalgebraType
+    target: CoalgebraType
+    type: CoalgebraType
+    plain: Pi
+    inclusion: TypeMap
+    ev: TypeMap
+    ev_product: TypeProduct
+
     def transpose(self, w, z, pr, m):
         cg = self.source.coalg
         lam = exp_transpose(self.plain, pr, m)
@@ -179,7 +257,7 @@ class _RefPi:
     family: CoalgebraType
     type: CoalgebraType
     sum: CoalgebraSigma
-    exponential: CoalgebraExponential
+    exponential: _RefExponential
     inclusion: TypeMap
     one: CoalgebraType
 
@@ -252,7 +330,48 @@ def _ref_coalg_pi(w, x, yb):
     return _RefPi(x, yb, xt, sm, es, inc, one)
 
 
+def _ref_transpose(w, exp, z, pr, m):
+    """The transpose the check used to build per map, as a ``TypeMap``:
+    ``v`` goes to the element of the box of the plain exponential whose
+    points are the plain transpose (``exp_transpose``) applied to those of
+    ``theta_z(v)``, lifted through the inclusion (``_lift``)."""
+    cg, lam = exp.source.coalg, exp_transpose(exp.plain, pr, m).component
+    points_z, points_e = w.bbox_points(cg, z.type), w.bbox_points(cg, exp.plain.type)
+    boxed = {}
+    for k, col in z.theta.component.items():
+        fibers, pts, _ = points_z(k)
+        pos = points_e(k)[2]
+        boxed[k] = _positions(pos, (tuple(lam[f][p] for f, p in zip(fibers, pts[e]))
+                                    for e in col), "transpose leaves the box", k)
+    return TypeMap(z.type, exp.type.type, _lift(
+        exp.inclusion.component, boxed, lambda k, n: "transpose of an unstructured map"))
+
+
 def _ref_exponential_up_check(w, exp, z):
+    """``exponential_up_check`` as it was, by ``TypeMap``s: the transpose
+    through ``exp_transpose`` and ``_lift``, evaluation composed back with
+    ``compose_type_maps`` and ``type_tuple_map``, and membership of the
+    transpose in a set of ``TypeMap``s."""
+    zx, pr_zx = coalg_product(w, z, exp.source)
+    ev_product = type_product(exp.type.type, exp.source.type)
+    uncurried = coalgebra_type_maps(w, zx, exp.target)
+    curried = set(coalgebra_type_maps(w, z, exp.type))
+    for m in uncurried:
+        try:
+            tr = _ref_transpose(w, exp, z, pr_zx, m)
+        except ComonadError as e:
+            return {"ok": False, "witness": f"transpose leaves the box: {e}"}
+        if tr not in curried:
+            return {"ok": False, "witness": "transpose is not structured"}
+        back = compose_type_maps(exp.ev, type_tuple_map(
+            ev_product, compose_type_maps(tr, pr_zx.fst), pr_zx.snd))
+        if back != m:
+            return {"ok": False, "witness": "evaluation does not undo currying"}
+    return {"ok": len(uncurried) == len(curried), "uncurried": len(uncurried),
+            "curried": len(curried)}
+
+
+def _ref_two_sided_up_check(w, exp, z):
     y = exp.target
     zx, pr_zx = _ref_coalg_product(w, z, exp.source)
     uncurried = coalgebra_type_maps(w, zx, y)
@@ -388,7 +507,7 @@ def test_exponential_checks_agree_on_the_fiber_two_grid(flagship, types2):
         e, r = _assert_same_exponential(flagship, x, y)
         for z in types2:
             new = exponential_up_check(flagship, e, z)
-            assert new == _ref_exponential_up_check(flagship, r, z)
+            assert new == _ref_two_sided_up_check(flagship, r, z)
             assert new["ok"]
 
 
@@ -413,8 +532,41 @@ def test_exponential_checks_agree_on_the_fiber_three_panel(flagship, reps3):
     for px, py, pz in PANEL:
         e, r = _assert_same_exponential(flagship, reps3[px], reps3[py])
         new = exponential_up_check(flagship, e, reps3[pz])
-        assert new == _ref_exponential_up_check(flagship, r, reps3[pz])
+        assert new == _ref_two_sided_up_check(flagship, r, reps3[pz])
         assert new["ok"]
+
+
+# the fiber-2 grid over the terminal coalgebra: whole on two and arrow; on
+# chain3, whose 47 types make 103,823 triples, every 4th source, 5th target
+# and 9th test type
+GRIDS = {"two": ((1, 1, 1), 1331), "arrow": ((1, 1, 1), 1331), "chain3": ((4, 5, 9), 720)}
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_the_check_agrees_with_its_typemap_form(name):
+    """The check by index tables and the check by ``TypeMap``s it
+    replaced return the same dict on every triple of the grid."""
+    w = _comonad(name)
+    types = coalgebra_types_over(w, terminal_coalgebra(w), 2)
+    (sx, sy, sz), triples = GRIDS[name]
+    n = 0
+    for x, y in itertools.product(types[::sx], types[::sy]):
+        e = coalg_exponential(w, x, y)
+        for z in types[::sz]:
+            new = exponential_up_check(w, e, z)
+            assert new == _ref_exponential_up_check(w, e, z)
+            assert new["ok"]
+            n += 1
+    assert n == triples
+
+
+def test_the_check_agrees_with_its_typemap_form_at_fiber_three(flagship, reps3):
+    """The exponential from fiber profile (3, 3) to (2, 2) on ``two``,
+    against the test type of profile (3, 3): 131,072 maps each way."""
+    e = coalg_exponential(flagship, reps3[(3, 3)], reps3[(2, 2)])
+    new = exponential_up_check(flagship, e, reps3[(3, 3)])
+    assert new == _ref_exponential_up_check(flagship, e, reps3[(3, 3)])
+    assert new == {"ok": True, "uncurried": 131072, "curried": 131072}
 
 
 def test_products_agree_on_a_fiber_three_sample(flagship, reps3):
@@ -435,7 +587,7 @@ def test_transposes_agree_on_every_structured_map(flagship, types2, reps3):
         e, r = coalg_exponential(flagship, x, y), _ref_coalg_exponential(flagship, x, y)
         zx, pr = coalg_product(flagship, z, x)
         for m in coalgebra_type_maps(flagship, zx, y):
-            assert e.transpose(flagship, z, pr, m) == r.transpose(flagship, z, pr, m)
+            assert _ref_transpose(flagship, e, z, pr, m) == r.transpose(flagship, z, pr, m)
             n += 1
     assert n > 0
 
@@ -562,7 +714,7 @@ def test_exponentials_agree_over_extensions(flagship, types2):
             e, r = _assert_same_exponential(flagship, x, y)
             for z in types:
                 assert exponential_up_check(flagship, e, z) == \
-                    _ref_exponential_up_check(flagship, r, z)
+                    _ref_two_sided_up_check(flagship, r, z)
             n += 1
     assert n > 0
 
@@ -582,7 +734,7 @@ def test_structured_constructions_agree_on_other_models(name, bound):
         for x, y in itertools.product(types, repeat=2):
             e, r = _assert_same_exponential(w, x, y)
             for z in types[::3]:
-                assert exponential_up_check(w, e, z) == _ref_exponential_up_check(w, r, z)
+                assert exponential_up_check(w, e, z) == _ref_two_sided_up_check(w, r, z)
             n += 1
     for xt, (_, fams) in zip(coalgebra_types_over(w, terminal_coalgebra(w), 1), ladder[1:]):
         for yb in fams:
