@@ -70,9 +70,12 @@ def enumeration_ceiling() -> int:
     if raw is None:
         return DEFAULT_CEILING
     try:
-        return int(raw)
+        ceiling = int(raw)
     except ValueError:
         raise BadInput(f"{CEILING_ENV} must be an integer, got {raw!r}")
+    if ceiling < 0:
+        raise BadInput(f"{CEILING_ENV} must not be negative, got {raw!r}")
+    return ceiling
 
 
 # ---------------------------------------------------------------------------

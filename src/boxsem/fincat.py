@@ -254,27 +254,6 @@ class Functor:
         return self
 
 
-def identity_functor(c: FinCat) -> Functor:
-    return Functor(f"id[{c.name}]", c, c,
-                   {o: o for o in c.objects},
-                   {m: m for m in c.morphisms})
-
-
-def compose_functors(g: Functor, f: Functor) -> Functor:
-    """The composite ``g after f``."""
-    assert f.target == g.source, "functors not composable"
-    return Functor(f"{g.name}.{f.name}", f.source, g.target,
-                   {o: g.obj_map[f.obj_map[o]] for o in f.source.objects},
-                   {m: g.mor_map[f.mor_map[m]] for m in f.source.morphisms})
-
-
-def opposite(c: FinCat) -> FinCat:
-    """The opposite category on the same names, with the table transposed."""
-    table = {(f, g): c.table[(g, f)] for (g, f) in c.table}
-    return FinCat(f"{c.name}^op", c.objects, c.morphisms,
-                  dict(c.dst), dict(c.src), dict(c.identity), table)
-
-
 @dataclass(frozen=True)
 class Slice:
     """The slice category over an object, with bookkeeping.
@@ -319,21 +298,6 @@ def slice_category(c: FinCat, apex: str) -> Slice:
     return Slice(cat, c, apex, proj)
 
 
-def postcompose_functor(c: FinCat, f: str) -> Functor:
-    """The functor ``C/J -> C/I`` induced by ``f : J -> I``, on slice tables."""
-    j, i = c.src[f], c.dst[f]
-    sl_j, sl_i = slice_category(c, j), slice_category(c, i)
-    return Functor(f"post[{f}]", sl_j.cat, sl_i.cat,
-                   {g: c.compose(f, g) for g in sl_j.cat.objects},
-                   {n: f"{h}@{c.compose(f, g)}"
-                    for n, (h, g) in ((n, _split_slice_name(n)) for n in sl_j.cat.morphisms)})
-
-
-def _split_slice_name(name: str) -> tuple[str, str]:
-    h, f = name.split("@", 1)
-    return h, f
-
-
 def discrete_subcategory(c: FinCat) -> tuple[FinCat, Functor]:
     """The identity-only subcategory and its inclusion."""
     objs = c.objects
@@ -346,18 +310,6 @@ def discrete_subcategory(c: FinCat) -> tuple[FinCat, Functor]:
                    {o: o for o in objs},
                    {identity[o]: c.id(o) for o in objs})
     return sub, incl
-
-
-def sieve_closure(c: FinCat, seed: Iterable[str], apex: str) -> frozenset[str]:
-    """Smallest sieve on ``apex`` containing ``seed``."""
-    out = set()
-    for s in seed:
-        assert c.dst[s] == apex, f"{s!r} does not target {apex!r}"
-        for h in c.morphisms:
-            if c.dst[h] == c.src[s]:
-                out.add(c.compose(s, h))
-        out.add(s)
-    return frozenset(out)
 
 
 def is_sieve(c: FinCat, apex: str, mors: frozenset[str]) -> bool:

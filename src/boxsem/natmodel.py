@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Slice, slice_category
 from .presheaf import (FamilyTable, Presheaf, PresheafMap, compose_maps, hom_maps,
-                       mono_maps, natural_components, terminal_presheaf, yoneda,
+                       mono_maps, natural_components, yoneda,
                        yoneda_map)
 
 
@@ -612,13 +612,6 @@ def sub_type(a: TypeOverContext,
     return s, inc
 
 
-def type_exponential(a: TypeOverContext, b: TypeOverContext) -> Pi:
-    """Exponential ``B^A`` in the fiber over the context: the dependent
-    product along ``A`` of ``B`` weakened to ``Gamma.A``."""
-    assert a.context == b.context
-    return pi_type(a, subst_type(b, comprehension(a).p))
-
-
 # ---------------------------------------------------------------------------
 # Display maps and straightening
 
@@ -673,9 +666,6 @@ class NaturalModel:
 
     base: FinCat
     bound: int
-
-    def terminal(self) -> Presheaf:
-        return terminal_presheaf(self.base)
 
 
 def _action_tables(objs: Sequence, arrows: Sequence[tuple], identities: Sequence[tuple],

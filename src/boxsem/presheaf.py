@@ -149,9 +149,6 @@ class Presheaf:
         """Restriction of ``x in P(dst f)`` along ``f``."""
         return self.action[f][x]
 
-    def total(self) -> int:
-        return sum(self.sizes.values())
-
     def validate(self) -> list[str]:
         c = self.base
         errs = []
@@ -531,15 +528,6 @@ def pullback(f: PresheafMap, g: PresheafMap) -> PullbackSquare:
     to_left = PresheafMap(pb, f.source, {o: tuple(x for (x, _) in pairs[o]) for o in c.objects})
     to_right = PresheafMap(pb, g.source, {o: tuple(y for (_, y) in pairs[o]) for o in c.objects})
     return PullbackSquare(pb, to_left, to_right, f, g, pairs, index)
-
-
-def equalizer(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap]:
-    """Equalizer of a parallel pair: the subpresheaf where the two agree."""
-    assert f.source == g.source and f.target == g.target
-    agree = {o: frozenset(x for x, (y, z) in enumerate(zip(f.component[o], g.component[o]))
-                          if y == z)
-             for o in f.source.base.objects}
-    return sub_presheaf(f.source, agree)
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,9 @@ def _resolve(tm: TermExpr, consts: frozenset[str]) -> TermExpr:
 def parse(text: str) -> Module:
     """Parse a module: declarations followed by check/equal directives.
 
-    Names in directive terms resolve against the constants declared
-    earlier in the module; everything else stays a variable.
+    Names in directive terms resolve against every constant the module
+    declares, before or after the directive, unless a ``let box`` binder
+    of the same name shadows it; everything else stays a variable.
     """
     mod = _Parser(text).module()
     consts = frozenset(n for n, _ in mod.signature.constants)
@@ -376,18 +377,6 @@ def parse(text: str) -> Module:
                 d.telescope, _resolve(d.left, consts),
                 _resolve(d.right, consts), d.type, d.line))
     return Module(mod.signature, tuple(directives))
-
-
-def parse_term(text: str, sig: Signature | None = None) -> TermExpr:
-    """Parse a single term, for tests and the command line."""
-    p = _Parser(text)
-    tm = p.term()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    if sig is not None:
-        tm = _resolve(tm, frozenset(n for n, _ in sig.constants))
-    return tm
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +407,8 @@ def format_telescope(tele: Telescope) -> str:
     return modal
 
 
-def format_module(mod: Module) -> str:
-    lines = []
-    for b in mod.signature.base_types:
-        lines.append(f"type {b};")
-    for n, ty in mod.signature.constants:
-        lines.append(f"const {n} : {format_type(ty)};")
-    for d in mod.directives:
-        tele = format_telescope(d.telescope)
-        tele = tele + " " if tele else ""
-        if isinstance(d, CheckDirective):
-            lines.append(f"check {tele}|- {format_term(d.term)} : {format_type(d.type)};")
-        else:
-            lines.append(f"equal {tele}|- {format_term(d.left)} == "
-                         f"{format_term(d.right)} : {format_type(d.type)};")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# Free variables, canonical binders, substitution
+# Free variables and canonical binders
 
 
 def free_vars(tm: TermExpr) -> frozenset[str]:
@@ -470,43 +442,6 @@ def canonicalize(tm: TermExpr, depth: int = 0,
                   canonicalize(tm.body, depth + 1, inner))
 
 
-def alpha_equal(t1: TermExpr, t2: TermExpr) -> bool:
-    return canonicalize(t1) == canonicalize(t2)
-
-
-def _fresh_name(base: str, avoid: frozenset[str]) -> str:
-    if base not in avoid:
-        return base
-    k = 1
-    while f"{base}{k}" in avoid:
-        k += 1
-    return f"{base}{k}"
-
-
-def substitute(tm: TermExpr | TypeExpr, target: str, s: TermExpr) -> TermExpr | TypeExpr:
-    """Capture-avoiding substitution of ``s`` for the variable ``target``.
-
-    Types contain no term variables, so they pass through unchanged.
-    """
-    if isinstance(tm, (BaseType, BoxType)):
-        return tm
-    if isinstance(tm, Var):
-        return s if tm.name == target else tm
-    if isinstance(tm, Const):
-        return tm
-    if isinstance(tm, Shut):
-        return Shut(substitute(tm.body, target, s))
-    scrut = substitute(tm.scrutinee, target, s)
-    if tm.binder == target:
-        return LetBox(tm.binder, scrut, tm.body)
-    if tm.binder in free_vars(s) and target in free_vars(tm.body):
-        fresh = _fresh_name(tm.binder, free_vars(s) | free_vars(tm.body) | {target})
-        body = substitute(tm.body, tm.binder, Var(fresh))
-    else:
-        fresh, body = tm.binder, tm.body
-    return LetBox(fresh, scrut, substitute(body, target, s))
-
-
 # ---------------------------------------------------------------------------
 # Judgments and derivations
 
@@ -535,11 +470,6 @@ class Derivation:
     judgment: Judgment
     rule: str
     premises: tuple["Derivation", ...] = ()
-
-    def all_rules(self) -> Iterator[str]:
-        yield self.rule
-        for p in self.premises:
-            yield from p.all_rules()
 
 
 # ---------------------------------------------------------------------------
@@ -755,41 +685,6 @@ def recheck(sig: Signature, d: Derivation) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Reduction and definitional equality
-
-
-def beta_step(tm: TermExpr) -> TermExpr | None:
-    """One innermost reduction of a let box over a box, or None."""
-    if isinstance(tm, (Var, Const)):
-        return None
-    if isinstance(tm, Shut):
-        inner = beta_step(tm.body)
-        return None if inner is None else Shut(inner)
-    s = beta_step(tm.scrutinee)
-    if s is not None:
-        return LetBox(tm.binder, s, tm.body)
-    b = beta_step(tm.body)
-    if b is not None:
-        return LetBox(tm.binder, tm.scrutinee, b)
-    if isinstance(tm.scrutinee, Shut):
-        return substitute(tm.body, tm.binder, tm.scrutinee.body)
-    return None
-
-
-def beta_normalize(tm: TermExpr) -> TermExpr:
-    while True:
-        nxt = beta_step(tm)
-        if nxt is None:
-            return tm
-        tm = nxt
-
-
-def redex_count(tm: TermExpr) -> int:
-    if isinstance(tm, (Var, Const)):
-        return 0
-    if isinstance(tm, Shut):
-        return redex_count(tm.body)
-    own = 1 if isinstance(tm.scrutinee, Shut) else 0
-    return own + redex_count(tm.scrutinee) + redex_count(tm.body)
 
 
 def _flatten(tm: TermExpr, env: Mapping[str, TermExpr],

@@ -1,9 +1,9 @@
-"""The small categories and sites everything is exercised on.
+"""The small categories and sites the command line builds in.
 
-These are the fixed test bed: the terminal category, the walking arrow,
-chains, finite posets (as categories), and open-set lattices of the two
-tiny spaces we care about (Sierpinski and the two-point discrete space),
-the latter equipped with their canonical coverages.
+These are the walking arrow, finite posets (as categories), and open-set
+lattices of the two tiny spaces we care about (Sierpinski and the
+two-point discrete space), the latter equipped with their canonical
+coverages.
 """
 
 from __future__ import annotations
@@ -33,26 +33,9 @@ def poset_category(name: str, elements: list[str], leq: set[tuple[str, str]]) ->
     return build_category(name, elements, arrows, compose)
 
 
-def terminal_category() -> FinCat:
-    """The one-object one-morphism category."""
-    return build_category("one", ["*"], [], {})
-
-
 def walking_arrow() -> FinCat:
     """Two objects 0, 1 and a single arrow between them."""
     return poset_category("two", ["0", "1"], {("0", "1")})
-
-
-def chain(n: int, name: str | None = None) -> FinCat:
-    """The linear order with ``n`` objects 0 < 1 < ... < n-1."""
-    elems = [str(i) for i in range(n)]
-    leq = {(str(i), str(j)) for i in range(n) for j in range(i + 1, n)}
-    return poset_category(name or f"chain{n}", elems, leq)
-
-
-def discrete(n: int, name: str | None = None) -> FinCat:
-    """The discrete category on ``n`` objects."""
-    return poset_category(name or f"disc{n}", [str(i) for i in range(n)], set())
 
 
 def open_poset(name: str, opens: list[frozenset[str]]) -> FinCat:
@@ -94,13 +77,3 @@ def discrete_two_site() -> Site:
         named[o] = frozenset() if o == "Oempty" else frozenset(o[1:])
     return Site(cat, _canonical_covers(cat, named), mode="topology").assert_valid()
 
-
-def suite() -> dict[str, FinCat]:
-    """The base categories every law suite runs over."""
-    return {
-        "one": terminal_category(),
-        "two": walking_arrow(),
-        "chain3": chain(3),
-        "sierpinski": sierpinski_site().cat,
-        "disc2": discrete(2),
-    }

@@ -229,6 +229,18 @@ def test_ceiling_must_be_an_integer(monkeypatch, capsys):
     assert "BOXSEM_CEILING" in err
 
 
+def test_ceiling_must_not_be_negative(monkeypatch, capsys):
+    monkeypatch.setenv("BOXSEM_CEILING", "-5")
+    assert main(["model", "universe", "two"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "BOXSEM_CEILING" in captured.err
+    assert "PARTIAL" not in captured.out
+    # a ceiling of 0 stays legal: realignment stops before its first case
+    monkeypatch.setenv("BOXSEM_CEILING", "0")
+    assert main(["model", "universe", "two"]) == 3
+    assert "PARTIAL realignment along monos (0 cases)" in capsys.readouterr().out
+
+
 def test_stack_failure_demo_exhibits_two_amalgamations(tmp_path, capsys):
     """Descent for the naive universe fails on the two-point cover, and
     the demo prints the matching family together with both gluings."""

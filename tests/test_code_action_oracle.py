@@ -18,11 +18,12 @@ from boxsem.cli import load_model
 from boxsem.coalg import (AdjunctionComonad, IdentityComonad, code_actions,
                           identity_comonad, sieve_action,
                           universe_internal_category)
-from boxsem.fincat import Functor, identity_functor
+from boxsem.fincat import Functor
 from boxsem.natmodel import BoundExceeded, NaturalModel, hs_universe
 from boxsem.presheaf import (FamilyTable, KanAdjunction, Presheaf, PresheafMap,
                              identity_map, subobject_classifier)
-from boxsem.standard import chain, walking_arrow
+from boxsem.standard import walking_arrow
+from test_fincat import chain, identity_functor
 
 
 # ---------------------------------------------------------------------------

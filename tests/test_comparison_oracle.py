@@ -13,10 +13,11 @@ import pytest
 from boxsem.coalg import (Coalgebra, coalgebra_laws, coalgebra_maps, comonad_from_adjunction,
                           comparison_check, comparison_object, enumerate_coalgebras,
                           left_adjoint_faithful)
-from boxsem.fincat import Functor, discrete_subcategory, identity_functor
+from boxsem.fincat import Functor, discrete_subcategory
 from boxsem.natmodel import all_presheaves
 from boxsem.presheaf import KanAdjunction, hom_maps, iso_maps
-from boxsem.standard import chain, terminal_category, walking_arrow
+from boxsem.standard import walking_arrow
+from test_fincat import chain, identity_functor, terminal_category
 
 
 def _ref_comparison_check(adj, w, size_bound):

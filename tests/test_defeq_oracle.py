@@ -7,6 +7,9 @@ only well-typed results, until the explored sets meet or ``fuel``
 rounds pass.  It is sound but incomplete, so on well-typed pairs the
 check is one way: wherever the search finds an equality, ``defeq``
 must decide it too.  The search is slow, so the terms stay small.
+``substitute``, ``beta_step`` and ``beta_normalize`` are the
+one-redex-at-a-time reduction it starts from; nothing in the package
+reads them.
 Its single eta moves, chained into walks, must never change the normal
 form.  The other way round, whatever ``defeq`` decides equal must interpret
 to equal sections in a comonad model.
@@ -34,7 +37,6 @@ from boxsem.s4dtt import (
     Telescope,
     TermExpr,
     Var,
-    beta_normalize,
     canonicalize,
     check_term,
     defeq,
@@ -52,6 +54,64 @@ TELESCOPES = [
     Telescope(modal=(("w", A), ("v", BoxType(BoxType(A)))),
               ordinary=(("x", A), ("y", BoxType(A)))),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Substitution and beta reduction, one redex at a time
+
+
+def _fresh_name(base: str, avoid: frozenset[str]) -> str:
+    if base not in avoid:
+        return base
+    k = 1
+    while f"{base}{k}" in avoid:
+        k += 1
+    return f"{base}{k}"
+
+
+def substitute(tm: TermExpr, target: str, s: TermExpr) -> TermExpr:
+    """Capture-avoiding substitution of ``s`` for the variable ``target``."""
+    if isinstance(tm, Var):
+        return s if tm.name == target else tm
+    if isinstance(tm, Const):
+        return tm
+    if isinstance(tm, Shut):
+        return Shut(substitute(tm.body, target, s))
+    scrut = substitute(tm.scrutinee, target, s)
+    if tm.binder == target:
+        return LetBox(tm.binder, scrut, tm.body)
+    if tm.binder in free_vars(s) and target in free_vars(tm.body):
+        fresh = _fresh_name(tm.binder, free_vars(s) | free_vars(tm.body) | {target})
+        body = substitute(tm.body, tm.binder, Var(fresh))
+    else:
+        fresh, body = tm.binder, tm.body
+    return LetBox(fresh, scrut, substitute(body, target, s))
+
+
+def beta_step(tm: TermExpr) -> TermExpr | None:
+    """One innermost reduction of a let box over a box, or None."""
+    if isinstance(tm, (Var, Const)):
+        return None
+    if isinstance(tm, Shut):
+        inner = beta_step(tm.body)
+        return None if inner is None else Shut(inner)
+    s = beta_step(tm.scrutinee)
+    if s is not None:
+        return LetBox(tm.binder, s, tm.body)
+    b = beta_step(tm.body)
+    if b is not None:
+        return LetBox(tm.binder, tm.scrutinee, b)
+    if isinstance(tm.scrutinee, Shut):
+        return substitute(tm.body, tm.binder, tm.scrutinee.body)
+    return None
+
+
+def beta_normalize(tm: TermExpr) -> TermExpr:
+    while True:
+        nxt = beta_step(tm)
+        if nxt is None:
+            return tm
+        tm = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def _ref_straighten(m):
 def _contexts(cat):
     """Ten contexts of bound 2 with one to four elements in all, spread
     evenly over their enumeration."""
-    small = [g for g in all_presheaves(cat, 2) if 0 < g.total() <= 4]
+    small = [g for g in all_presheaves(cat, 2) if 0 < sum(g.sizes.values()) <= 4]
     return small[::max(1, len(small) // 10)][:10]
 
 
@@ -209,7 +209,7 @@ def test_hom_maps_and_presheaves_match_the_oracle(category):
     for bound in (1, 2):
         ps = all_presheaves(category, bound)
         assert ps == _ref_all_presheaves(category, bound)
-    small = [p for p in ps if p.total() <= 3][:12]
+    small = [p for p in ps if sum(p.sizes.values()) <= 3][:12]
     for p in small:
         for q in small:
             assert hom_maps(p, q) == _ref_hom_maps(p, q)
@@ -239,7 +239,8 @@ def test_types_sections_and_maps_match_the_oracle(category, bound):
 def test_counit_domains_and_commuting_rules_match_the_oracle(name):
     w = load_model(name).comonad
     structures = 0
-    for cg in [cg for cg in enumerate_coalgebras(w, 2) if cg.carrier.total() <= 2][:6]:
+    small = [cg for cg in enumerate_coalgebras(w, 2) if sum(cg.carrier.sizes.values()) <= 2]
+    for cg in small[:6]:
         for a in all_types_over(w.model, cg.carrier, 2)[:12]:
             ba = w.bbox_type(cg, a)
             domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
@@ -257,7 +258,7 @@ def test_counit_domains_and_commuting_rules_match_the_oracle(name):
 
 
 def test_display_and_straightening_match_the_oracle(category):
-    sources = [e for e in all_presheaves(category, 2) if e.total() <= 4][:16]
+    sources = [e for e in all_presheaves(category, 2) if sum(e.sizes.values()) <= 4][:16]
     for gamma in _contexts(category):
         for e in sources:
             for m in hom_maps(e, gamma):
@@ -268,7 +269,7 @@ def test_display_and_straightening_match_the_oracle(category):
 
 def test_matching_families_match_the_oracle(category):
     site = Site(category, {})
-    for p in [p for p in all_presheaves(category, 2) if p.total() <= 4][:12]:
+    for p in [p for p in all_presheaves(category, 2) if sum(p.sizes.values()) <= 4][:12]:
         for obj in category.objects:
             for sieve in all_sieves(category, obj):
                 assert matching_families(site, p, obj, sieve) == \

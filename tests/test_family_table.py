@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 from boxsem.cli import load_model
-from boxsem.fincat import discrete_subcategory, identity_functor
+from boxsem.fincat import discrete_subcategory
 from boxsem.natmodel import (NaturalModel, TypeOverContext, all_presheaves, all_types_over,
-                             comprehension, pi_type, type_exponential)
+                             comprehension, pi_type)
 from boxsem.presheaf import (FamilyTable, KanAdjunction, enumerate_families,
                              terminal_presheaf)
+from test_fincat import identity_functor
+from test_structured_oracles import type_exponential
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -74,7 +74,7 @@ def comonad(request):
 
 def _small_coalgebras(w):
     """Coalgebras with carriers up to 2 at each object and in all."""
-    return [cg for cg in enumerate_coalgebras(w, 2) if cg.carrier.total() <= 2]
+    return [cg for cg in enumerate_coalgebras(w, 2) if sum(cg.carrier.sizes.values()) <= 2]
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ from boxsem.presheaf import (
     compose_maps,
     hom_maps,
     identity_map,
+    terminal_presheaf,
     yoneda,
 )
-from boxsem.standard import terminal_category, walking_arrow
+from boxsem.standard import walking_arrow
+from test_fincat import terminal_category
 from test_structured_oracles import type_terminal
 
 
@@ -292,7 +294,7 @@ def test_classifier_check_walking_arrow():
 @pytest.mark.parametrize("k,displays", [(1, 2), (2, 3), (3, 4)])
 def test_typing_equivalence_terminal_base(k, displays):
     model = NaturalModel(terminal_category(), k)
-    rep = typing_check(model, model.terminal())
+    rep = typing_check(model, terminal_presheaf(model.base))
     assert rep["essential_surjectivity"]
     assert rep["fully_faithful"]
     assert rep["display_maps"] == displays

@@ -754,12 +754,12 @@ def test_a_swapped_slot_read_breaks_the_comonad_laws(name, monkeypatch, capsys, 
     of ``delta`` leaving the box of the box.
 
     ``sierpinski`` declares no comonad, so nothing reads its
-    ``slot_reads``.  ``two`` and ``chain3`` cannot fail this way at the
-    display bound they ship with, 1: every presheaf the law suite samples
-    then has at most one element per object, so every box has at most one,
-    and two reads of it agree whatever slots they read.  So each model runs
-    again at bound 2, where all three fail; ``arrow`` fails at bound 1 too,
-    where the restriction of ``tp_box`` reads the swapped slots.
+    ``slot_reads``.  With at most one element per object every box has at
+    most one, and two reads of it agree whatever slots they read, so the
+    law suite samples the counit and comult laws at carriers up to 2
+    whatever the display bound.  Each model fails with the same witness at
+    bound 2 and as shipped, at bound 1.  On ``arrow`` the restriction of
+    ``tp_box`` reads the swapped slots too, and ``tau`` fails there.
     """
     spec = json.loads(Path("models", f"{name}.json").read_text())
     spec["bound"] = 2
@@ -776,10 +776,14 @@ def test_a_swapped_slot_read_breaks_the_comonad_laws(name, monkeypatch, capsys, 
         return out
 
     monkeypatch.setattr(AdjunctionComonad, "slot_reads", swapped)
-    assert _laws(path, capsys) == (1, f"FAIL comonad laws: comult leaves the box at {top}")
+    for model in (path, name):
+        assert _laws(model, capsys) == (1, f"FAIL comonad laws: comult leaves the box at {top}")
     if name == "arrow":
-        code, line = _laws(name, capsys)
-        assert code == 1 and line.startswith("FAIL comonad laws: tp_box restriction")
+        w = load_model(name).comonad
+        with pytest.raises(ComonadError, match="tp_box restriction leaves the box"):
+            for p in all_presheaves(w.model.base, 1):
+                for a in all_types_over(w.model, p, 1):
+                    w.tau(a)
 
 
 def _laws(model, capsys):

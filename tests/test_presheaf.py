@@ -16,7 +16,6 @@ from boxsem.presheaf import (
     category_of_elements,
     characteristic_map,
     compose_maps,
-    equalizer,
     hom_maps,
     identity_map,
     iso_maps,
@@ -24,6 +23,7 @@ from boxsem.presheaf import (
     product,
     pullback,
     sheaf_check,
+    sub_presheaf,
     subobject_classifier,
     subobject_of_char,
     subpresheaves,
@@ -33,9 +33,10 @@ from boxsem.presheaf import (
     yoneda_map,
 )
 from boxsem.natmodel import (TypeOverContext, all_presheaves, compose_type_maps,
-                             type_exponential, type_maps, type_product)
-from boxsem.standard import discrete, sierpinski_site, walking_arrow
-from test_structured_oracles import exp_ev, exp_transpose, type_tuple_map
+                             type_maps, type_product)
+from boxsem.standard import sierpinski_site, walking_arrow
+from test_fincat import discrete
+from test_structured_oracles import exp_ev, exp_transpose, type_exponential, type_tuple_map
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def test_yoneda_map_is_naturality_square(two):
 
 def test_category_of_elements_counts(two, flagship):
     el = category_of_elements(flagship)
-    assert len(el.cat.objects) == flagship.total()
+    assert len(el.cat.objects) == sum(flagship.sizes.values())
     assert el.cat.validate() == []
 
 
@@ -137,12 +138,13 @@ def test_hom_maps_domains_and_rules_filter_in_order(two, flagship):
 def test_equalizer_equalizes_and_is_maximal(two, flagship):
     maps = hom_maps(flagship, flagship)
     f, g = maps[0], maps[-1]
-    e, inc = equalizer(f, g)
+    agree = {o: frozenset(x for x in flagship.elements(o)
+                          if f.component[o][x] == g.component[o][x])
+             for o in two.objects}
+    e, inc = sub_presheaf(flagship, agree)
     assert compose_maps(f, inc) == compose_maps(g, inc)
     for o in two.objects:
-        agree = [x for x in flagship.elements(o)
-                 if f.component[o][x] == g.component[o][x]]
-        assert e.sizes[o] == len(agree)
+        assert e.sizes[o] == len(agree[o])
 
 
 def _over_point(p):

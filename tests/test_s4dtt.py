@@ -10,32 +10,31 @@ from hypothesis import strategies as st
 from boxsem.s4dtt import (
     BaseType,
     BoxType,
+    CheckDirective,
     CheckError,
     Const,
+    Derivation,
     LetBox,
+    Module,
     ParseError,
     Shut,
     Signature,
     Telescope,
+    TermExpr,
     Var,
-    alpha_equal,
-    beta_normalize,
-    beta_step,
     canonicalize,
     check_module,
     check_term,
     defeq,
-    format_module,
+    format_telescope,
     format_term,
     format_type,
     free_vars,
     infer_type,
     parse,
-    parse_term,
     recheck,
-    redex_count,
-    substitute,
 )
+from test_defeq_oracle import beta_normalize, beta_step, substitute
 
 CORPUS = (Path(__file__).resolve().parent.parent / "corpus" / "t4.s4").read_text()
 
@@ -60,6 +59,36 @@ ILL_TYPED = [
 ]
 
 
+def parse_term(text: str, sig: Signature) -> TermExpr:
+    """Parse one term, its names resolved against ``sig``'s constants."""
+    decls = "".join(f"const {n} : {format_type(ty)};\n" for n, ty in sig.constants)
+    return parse(f"{decls}check |- {text} : A;").directives[0].term
+
+
+def format_module(mod: Module) -> str:
+    lines = []
+    for b in mod.signature.base_types:
+        lines.append(f"type {b};")
+    for n, ty in mod.signature.constants:
+        lines.append(f"const {n} : {format_type(ty)};")
+    for d in mod.directives:
+        tele = format_telescope(d.telescope)
+        tele = tele + " " if tele else ""
+        if isinstance(d, CheckDirective):
+            lines.append(f"check {tele}|- {format_term(d.term)} : {format_type(d.type)};")
+        else:
+            lines.append(f"equal {tele}|- {format_term(d.left)} == "
+                         f"{format_term(d.right)} : {format_type(d.type)};")
+    return "\n".join(lines) + "\n"
+
+
+def all_rules(d: Derivation):
+    """The rule of ``d`` and of each premise, depth first."""
+    yield d.rule
+    for p in d.premises:
+        yield from all_rules(p)
+
+
 # parsing ------------------------------------------------------------------
 
 def test_corpus_parses_and_prints_back():
@@ -81,6 +110,12 @@ def test_constants_resolve_against_the_signature():
     mod = parse(HEADER + "check | y : Box A |- let box a0 := y in a0 : A;")
     body = mod.directives[0].term.body
     assert body == Var("a0")
+
+
+def test_constants_declared_after_a_directive_resolve_too():
+    mod = parse("type A;\ncheck |- c : A;\nconst c : A;\n")
+    assert mod.directives[0].term == Const("c")
+    assert check_module(mod)
 
 
 def test_punctuation_longest_match():
@@ -137,7 +172,6 @@ def test_format_parse_round_trip(tm):
 def test_canonicalize_is_idempotent(tm):
     c = canonicalize(tm)
     assert canonicalize(c) == c
-    assert alpha_equal(tm, c)
 
 
 @given(_terms, st.sampled_from(["p", "q"]))
@@ -146,13 +180,12 @@ def test_binder_renaming_preserves_alpha_class(tm, fresh):
         return
     renamed = LetBox(fresh, tm.scrutinee,
                      substitute(tm.body, tm.binder, Var(fresh)))
-    assert alpha_equal(tm, renamed)
+    assert canonicalize(tm) == canonicalize(renamed)
 
 
 @given(_terms)
 def test_beta_normalize_reaches_a_normal_form(tm):
     n = beta_normalize(tm)
-    assert redex_count(n) == 0
     assert beta_normalize(n) == n
     assert beta_step(n) is None
 
@@ -184,7 +217,7 @@ def test_corpus_exercises_every_rule():
     mod = parse(CORPUS)
     rules = set()
     for d in check_module(mod):
-        rules.update(d.all_rules())
+        rules.update(all_rules(d))
     assert rules == {
         "empty-modal", "extend-modal", "empty-ordinary", "extend-ordinary",
         "base-form", "box-form",

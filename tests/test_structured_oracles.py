@@ -38,9 +38,10 @@ is the check it replaced, which builds ``TypeMap``s per map: the
 transpose boxed at the points it reads (``_ref_transpose``, through
 ``exp_transpose`` and ``_lift``) and evaluation composed back.  The two
 must return the same dict, on the grids below and under injected faults
-(``test_pointwise_oracles``).  ``exp_transpose``, ``exp_ev``,
-``type_tuple_map`` and ``type_terminal`` are the plain helpers the
-references are built from; nothing in the package reads them.
+(``test_pointwise_oracles``).  ``type_exponential``, ``exp_transpose``,
+``exp_ev``, ``type_tuple_map`` and ``type_terminal`` are the plain
+helpers the references are built from; nothing in the package reads
+them.
 """
 
 import itertools
@@ -57,16 +58,24 @@ from boxsem.coalg import (CoalgebraSigma, CoalgebraTerm, CoalgebraType, ComonadE
                           coalgebra_terms, coalgebra_type_laws, coalgebra_type_maps,
                           coalgebra_types_over, comonad_from_adjunction,
                           exponential_up_check, pi_up_check, terminal_coalgebra)
-from boxsem.fincat import Functor, identity_functor
+from boxsem.fincat import Functor
 from boxsem.natmodel import (Pi, TermOverContext, TypeMap, TypeOverContext, TypeProduct,
-                             all_types_over, compose_type_maps, comprehension, sub_type,
-                             type_exponential, type_product)
+                             all_types_over, compose_type_maps, comprehension, pi_type,
+                             sub_type, subst_type, type_product)
 from boxsem.presheaf import KanAdjunction, Presheaf, subpresheaves
-from boxsem.standard import chain, walking_arrow
+from boxsem.standard import walking_arrow
+from test_fincat import chain, identity_functor
 
 
 # ---------------------------------------------------------------------------
 # Plain helpers the references are built from
+
+
+def type_exponential(a: TypeOverContext, b: TypeOverContext) -> Pi:
+    """Exponential ``B^A`` in the fiber over the context: the dependent
+    product along ``A`` of ``B`` weakened to ``Gamma.A``."""
+    assert a.context == b.context
+    return pi_type(a, subst_type(b, comprehension(a).p))
 
 
 def type_terminal(gamma: Presheaf) -> TypeOverContext:
