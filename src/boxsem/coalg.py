@@ -818,7 +818,12 @@ def validate_comonad(w: NaturalModelComonad) -> dict:
     with carriers up to 2 whatever the display bound: with one element
     per object every box has at most one, and two reads of it agree
     whichever slots they read.  The other parts sample the first 24 with
-    carriers up to the display bound (at least 1, at most 2)."""
+    carriers up to the display bound (at least 1, at most 2).
+
+    Each part fails when it notes a witness.  A structure map that cannot
+    be built raises ``ComonadError`` inside its part; the error becomes a
+    witness of that part and the remaining parts still run, so the caller
+    gets every part's verdict."""
     ps = all_presheaves(w.model.base, min(max(w.model.bound, 1), 2))[:24]
     law_ps = all_presheaves(w.model.base, 2)[:24]
     witnesses = []
@@ -827,96 +832,95 @@ def validate_comonad(w: NaturalModelComonad) -> dict:
         if not cond:
             witnesses.append(msg)
 
-    for p in law_ps:
-        bp = w.box(p)
-        eps, dlt = w.counit(p), w.comult(p)
-        note(eps.source == bp and eps.target == p and not eps.validate(),
-             f"counit malformed on {p.sizes}")
-        note(dlt.source == bp and dlt.target == w.box(bp) and not dlt.validate(),
-             f"comult malformed on {p.sizes}")
-        note(w.box_map(identity_map(p)) == identity_map(bp),
-             f"box of identity is not identity on {p.sizes}")
-        note(compose_maps(w.counit(bp), dlt) == identity_map(bp),
-             f"counit law fails on {p.sizes}")
-        note(compose_maps(w.box_map(eps), dlt) == identity_map(bp),
-             f"boxed-counit law fails on {p.sizes}")
-        note(compose_maps(w.comult(bp), dlt) == compose_maps(w.box_map(dlt), dlt),
-             f"coassociativity fails on {p.sizes}")
-    laws_ok = not witnesses
+    def part(check: Callable[[], None]) -> bool:
+        before = len(witnesses)
+        try:
+            check()
+        except ComonadError as e:
+            witnesses.append(str(e))
+        return len(witnesses) == before
 
-    for p, q in zip(law_ps, law_ps[1:]):
-        for h in hom_maps(p, q)[:8]:
-            bh = w.box_map(h)
-            note(not bh.validate(), f"box map not natural for a map {p.sizes} -> {q.sizes}")
-            note(compose_maps(w.counit(q), bh) == compose_maps(h, w.counit(p)),
-                 f"counit not natural at a map {p.sizes} -> {q.sizes}")
-            note(compose_maps(w.comult(q), bh) ==
-                 compose_maps(w.box_map(bh), w.comult(p)),
-                 f"comult not natural at a map {p.sizes} -> {q.sizes}")
+    def laws():
+        for p in law_ps:
+            bp = w.box(p)
+            eps, dlt = w.counit(p), w.comult(p)
+            note(eps.source == bp and eps.target == p and not eps.validate(),
+                 f"counit malformed on {p.sizes}")
+            note(dlt.source == bp and dlt.target == w.box(bp) and not dlt.validate(),
+                 f"comult malformed on {p.sizes}")
+            note(w.box_map(identity_map(p)) == identity_map(bp),
+                 f"box of identity is not identity on {p.sizes}")
+            note(compose_maps(w.counit(bp), dlt) == identity_map(bp),
+                 f"counit law fails on {p.sizes}")
+            note(compose_maps(w.box_map(eps), dlt) == identity_map(bp),
+                 f"boxed-counit law fails on {p.sizes}")
+            note(compose_maps(w.comult(bp), dlt) == compose_maps(w.box_map(dlt), dlt),
+                 f"coassociativity fails on {p.sizes}")
+        for p, q in zip(law_ps, law_ps[1:]):
+            for h in hom_maps(p, q)[:8]:
+                bh = w.box_map(h)
+                note(not bh.validate(), f"box map not natural for a map {p.sizes} -> {q.sizes}")
+                note(compose_maps(w.counit(q), bh) == compose_maps(h, w.counit(p)),
+                     f"counit not natural at a map {p.sizes} -> {q.sizes}")
+                note(compose_maps(w.comult(q), bh) ==
+                     compose_maps(w.box_map(bh), w.comult(p)),
+                     f"comult not natural at a map {p.sizes} -> {q.sizes}")
 
-    one = terminal_presheaf(w.model.base)
-    note(all(n == 1 for n in w.box(one).sizes.values()),
-         "box does not preserve the terminal presheaf")
-    cartesian_ok = True
-    for p, q in list(zip(ps, ps[1:]))[:6]:
-        pr = product(p, q)
-        prb = product(w.box(p), w.box(q))
-        cmp = prb.tuple_map(w.box_map(pr.fst), w.box_map(pr.snd))
-        if not cmp.is_iso():
-            cartesian_ok = False
-            witnesses.append(f"box breaks the product of {p.sizes} and {q.sizes}")
-    for p, q in list(zip(ps, ps[1:]))[:3]:
-        for m in hom_maps(p, q)[:2]:
-            for n in hom_maps(p, q)[:2]:
-                pb = pullback(m, n)
-                pbb = pullback(w.box_map(m), w.box_map(n))
-                bl, br = w.box_map(pb.to_left).component, w.box_map(pb.to_right).component
-                cmp_map = PresheafMap(w.box(pb.presheaf), pbb.presheaf, {
-                    o: tuple(pbb.pair_index(o, x, y) for x, y in zip(bl[o], br[o]))
-                    for o in w.model.base.objects})
-                if not cmp_map.is_iso():
-                    cartesian_ok = False
-                    witnesses.append(f"box breaks a pullback over {q.sizes}")
+    def cartesian():
+        one = terminal_presheaf(w.model.base)
+        note(all(n == 1 for n in w.box(one).sizes.values()),
+             "box does not preserve the terminal presheaf")
+        for p, q in list(zip(ps, ps[1:]))[:6]:
+            pr = product(p, q)
+            prb = product(w.box(p), w.box(q))
+            cmp = prb.tuple_map(w.box_map(pr.fst), w.box_map(pr.snd))
+            note(cmp.is_iso(), f"box breaks the product of {p.sizes} and {q.sizes}")
+        for p, q in list(zip(ps, ps[1:]))[:3]:
+            for m in hom_maps(p, q)[:2]:
+                for n in hom_maps(p, q)[:2]:
+                    pb = pullback(m, n)
+                    pbb = pullback(w.box_map(m), w.box_map(n))
+                    bl, br = w.box_map(pb.to_left).component, w.box_map(pb.to_right).component
+                    cmp_map = PresheafMap(w.box(pb.presheaf), pbb.presheaf, {
+                        o: tuple(pbb.pair_index(o, x, y) for x, y in zip(bl[o], br[o]))
+                        for o in w.model.base.objects})
+                    note(cmp_map.is_iso(), f"box breaks a pullback over {q.sizes}")
 
-    display_ok = True
-    for p in ps[:8]:
-        for dmap in all_display_maps_into(w.model, p, w.model.bound)[:12]:
-            if not is_display(w.box_map(dmap), w.model.bound):
-                display_ok = False
-                witnesses.append(
-                    f"box of a display map over {p.sizes} exceeds bound {w.model.bound}")
-                break
-        if not display_ok:
-            break
+    def display():
+        for p in ps[:8]:
+            for dmap in all_display_maps_into(w.model, p, w.model.bound)[:12]:
+                if not is_display(w.box_map(dmap), w.model.bound):
+                    witnesses.append(f"box of a display map over {p.sizes} exceeds bound "
+                                     f"{w.model.bound}")
+                    return
 
-    tau_ok, fiber_ok = True, True
     sample = [p for p in ps if all(n > 0 for n in p.sizes.values())][:2]
-    for p in sample:
-        for a in all_types_over(w.model, p, w.model.bound)[:3]:
-            t = w.tau(a)
-            if t.validate() or not t.is_iso():
-                tau_ok = False
-                witnesses.append(f"tau not an iso for a type over {p.sizes}")
-            if w.tp_counit(a).validate() or w.tp_comult(a).validate():
-                tau_ok = False
-                witnesses.append(f"type-level structure maps not natural over {p.sizes}")
-        cg = cofree_coalgebra(w, p)
-        for a in all_types_over(w.model, cg.carrier, w.model.bound)[:2]:
-            errs = _fiber_laws(w, cg, a)
-            if errs:
-                fiber_ok = False
-                witnesses.append(f"fiber laws fail over cofree({p.sizes}): {errs[0]}")
 
-    faithful = True
-    if isinstance(w, AdjunctionComonad):
-        faithful, fw = left_adjoint_faithful(w.adj, min(w.model.bound, 2))
-        if not faithful:
-            witnesses.append(f"left adjoint not faithful: {fw}")
+    def tau():
+        for p in sample:
+            for a in all_types_over(w.model, p, w.model.bound)[:3]:
+                t = w.tau(a)
+                note(not t.validate() and t.is_iso(), f"tau not an iso for a type over {p.sizes}")
+                note(not w.tp_counit(a).validate() and not w.tp_comult(a).validate(),
+                     f"type-level structure maps not natural over {p.sizes}")
 
-    ok = not witnesses
-    return {"ok": ok, "laws": laws_ok, "cartesian": cartesian_ok,
-            "display": display_ok, "tau": tau_ok, "fiber_laws": fiber_ok,
-            "faithful": faithful, "witnesses": witnesses}
+    def fiber_laws():
+        for p in sample:
+            cg = cofree_coalgebra(w, p)
+            for a in all_types_over(w.model, cg.carrier, w.model.bound)[:2]:
+                errs = _fiber_laws(w, cg, a)
+                if errs:
+                    witnesses.append(f"fiber laws fail over cofree({p.sizes}): {errs[0]}")
+
+    def faithful():
+        if isinstance(w, AdjunctionComonad):
+            ok, fw = left_adjoint_faithful(w.adj, min(w.model.bound, 2))
+            note(ok, f"left adjoint not faithful: {fw}")
+
+    report = {name: part(check) for name, check in (
+        ("laws", laws), ("cartesian", cartesian), ("display", display), ("tau", tau),
+        ("fiber_laws", fiber_laws), ("faithful", faithful))}
+    return {"ok": not witnesses, **report, "witnesses": witnesses}
 
 
 def comonad_from_adjunction(adj: KanAdjunction, bound: int = 1) -> AdjunctionComonad:

@@ -43,6 +43,8 @@ class FinCat:
     table: Mapping[tuple[str, str], str]
     _hom: dict = field(default_factory=dict, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    # the layout of functors on this category as tables, built by ``presheaf``
+    _shape: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "src", dict(self.src))

@@ -7,9 +7,12 @@ elements.  Everything is strictified: carriers are canonical ranges,
 substitution is literal reindexing, and the universe is the usual
 slice-functor one, so all the coherence laws hold as data equality.
 
-Types, type maps and sections are enumerated at their keys ``(I, g)``,
-as functors and natural maps on the category of elements, without that
-category being built.
+A type over ``Gamma`` is a presheaf on its category of elements, stored
+at the keys ``(I, g)`` without that category being built, and shares the
+table core of :mod:`boxsem.presheaf` with presheaves: validation,
+naturality of type maps and sections, the algebra of components,
+enumeration of types, maps and sections, products and subtypes all run
+on the shape of the context.
 
 Types deliberately carry no size bound of their own.  Dependent sums
 and products can outgrow the display bound; they are still perfectly
@@ -21,13 +24,14 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Slice, slice_category
-from .presheaf import (FamilyTable, Presheaf, PresheafMap, compose_maps, hom_maps,
-                       mono_maps, natural_components, yoneda,
-                       yoneda_map)
+from .presheaf import (FamilyTable, Presheaf, PresheafMap, _compose, _elements_shape,
+                       _functor_errors, _functors, _identity, _inverse, _is_iso,
+                       _natural_components, _natural_errors, _point, _product,
+                       _projections, _sections, _shape, _subfunctor, compose_maps,
+                       hom_maps, mono_maps, yoneda, yoneda_map)
 
 
 class BoundExceeded(Exception):
@@ -84,41 +88,7 @@ class TypeOverContext:
         return max(self.fiber.values(), default=0)
 
     def validate(self) -> list[str]:
-        c = self.context.base
-        errs = []
-        for i in c.objects:
-            for g in self.context.elements(i):
-                if (i, g) not in self.fiber:
-                    errs.append(f"missing fiber at ({i!r}, {g})")
-        for f in c.morphisms:
-            i = c.dst[f]
-            for g in self.context.elements(i):
-                t = self.restriction.get((f, g))
-                if t is None or len(t) != self.fiber.get((i, g), -1):
-                    errs.append(f"bad restriction along ({f!r}, {g})")
-                    continue
-                tgt = self.fiber[(c.src[f], self.context.act(f, g))]
-                if any(not (0 <= v < tgt) for v in t):
-                    errs.append(f"restriction along ({f!r}, {g}) escapes its fiber")
-        if errs:
-            return errs
-        for i in c.objects:
-            for g in self.context.elements(i):
-                if self.restriction[(c.id(i), g)] != tuple(range(self.fiber[(i, g)])):
-                    errs.append(f"identity restriction at ({i!r}, {g}) not identity")
-        for m2 in c.morphisms:
-            for m1 in c.morphisms:
-                if c.dst[m1] != c.src[m2]:
-                    continue
-                m21 = c.compose(m2, m1)
-                for g in self.context.elements(c.dst[m2]):
-                    lhs = self.restriction[(m21, g)]
-                    step = self.restriction[(m2, g)]
-                    g2 = self.context.act(m2, g)
-                    rhs = tuple(self.restriction[(m1, g2)][v] for v in step)
-                    if lhs != rhs:
-                        errs.append(f"functoriality fails at ({m2!r}, {m1!r}, {g})")
-        return errs
+        return _functor_errors(_elements_shape(self.context), self.fiber, self.restriction)
 
     def assert_valid(self):
         errs = self.validate()
@@ -151,23 +121,11 @@ class TermOverContext:
         return self._hash
 
     def validate(self) -> list[str]:
+        """A section is a map from the one-point type."""
         a = self.type
-        c = a.context.base
-        errs = []
-        for i in c.objects:
-            for g in a.context.elements(i):
-                v = self.pick.get((i, g), -1)
-                if not (0 <= v < a.fiber[(i, g)]):
-                    errs.append(f"pick at ({i!r}, {g}) out of fiber")
-        if errs:
-            return errs
-        for f in c.morphisms:
-            i = c.dst[f]
-            for g in a.context.elements(i):
-                if a.restrict(f, g, self.pick[(i, g)]) != \
-                        self.pick[(c.src[f], a.context.act(f, g))]:
-                    errs.append(f"section not natural along ({f!r}, {g})")
-        return errs
+        shape = _elements_shape(a.context)
+        return _natural_errors(shape, *_point(shape), a.fiber, a.restriction,
+                               {k: (v,) for k, v in self.pick.items()})
 
     def assert_valid(self):
         errs = self.validate()
@@ -206,31 +164,11 @@ class TypeMap:
         return self.component[(obj, g)][a]
 
     def validate(self) -> list[str]:
-        if self.source.context != self.target.context:
+        a, b = self.source, self.target
+        if a.context != b.context:
             return ["source and target sit over different contexts"]
-        c = self.source.context.base
-        ctx = self.source.context
-        errs = []
-        for i in c.objects:
-            for g in ctx.elements(i):
-                t = self.component.get((i, g))
-                if t is None or len(t) != self.source.fiber[(i, g)]:
-                    errs.append(f"bad component at ({i!r}, {g})")
-                elif any(not (0 <= v < self.target.fiber[(i, g)]) for v in t):
-                    errs.append(f"component at ({i!r}, {g}) escapes the target fiber")
-        if errs:
-            return errs
-        for f in c.morphisms:
-            i = c.dst[f]
-            for g in ctx.elements(i):
-                g2 = ctx.act(f, g)
-                for a in range(self.source.fiber[(i, g)]):
-                    lhs = self.component[(c.src[f], g2)][self.source.restrict(f, g, a)]
-                    rhs = self.target.restrict(f, g, self.component[(i, g)][a])
-                    if lhs != rhs:
-                        errs.append(f"fiber map not natural along ({f!r}, {g})")
-                        break
-        return errs
+        return _natural_errors(_elements_shape(a.context), a.fiber, a.restriction,
+                               b.fiber, b.restriction, self.component)
 
     def assert_valid(self):
         errs = self.validate()
@@ -239,29 +177,20 @@ class TypeMap:
         return self
 
     def is_iso(self) -> bool:
-        return all(len(set(t)) == len(t) == self.target.fiber[k]
-                   for k, t in self.component.items())
+        return _is_iso(self.component, self.target.fiber)
 
     def inverse(self) -> "TypeMap":
         assert self.is_iso(), "not an isomorphism of types"
-        comp = {}
-        for k, t in self.component.items():
-            inv = [0] * len(t)
-            for a, b in enumerate(t):
-                inv[b] = a
-            comp[k] = tuple(inv)
-        return TypeMap(self.target, self.source, comp)
+        return TypeMap(self.target, self.source, _inverse(self.component))
 
 
 def identity_type_map(a: TypeOverContext) -> TypeMap:
-    return TypeMap(a, a, {k: tuple(range(n)) for k, n in a.fiber.items()})
+    return TypeMap(a, a, _identity(a.fiber, a.fiber))
 
 
 def compose_type_maps(g: TypeMap, f: TypeMap) -> TypeMap:
     assert f.target == g.source, "type maps not composable"
-    return TypeMap(f.source, g.target,
-                   {k: tuple(g.component[k][v] for v in t)
-                    for k, t in f.component.items()})
+    return TypeMap(f.source, g.target, _compose(g.component, f.component))
 
 
 def apply_type_map(m: TypeMap, t: TermOverContext) -> TermOverContext:
@@ -382,38 +311,24 @@ def comprehension(a: TypeOverContext) -> Comprehension:
 # Maps and sections, enumerated at the keys (I, g)
 
 
-def _elements(gamma: Presheaf) -> tuple[list[tuple[str, int]], list[tuple]]:
-    """The category of elements at its keys: the objects ``(I, g)``, ``I``
-    in object order and ``g`` ascending, and the non-identity arrows
-    ``((f, g), (dst f, g), (src f, g.f))`` in morphism order."""
-    c = gamma.base
-    return ([(i, g) for i in c.objects for g in gamma.elements(i)],
-            [((f, g), (c.dst[f], g), (c.src[f], gamma.act(f, g)))
-             for f in c.morphisms if not c.is_identity(f) for g in gamma.elements(c.dst[f])])
-
-
 def type_maps(a: TypeOverContext, b: TypeOverContext,
               domains: Mapping[tuple[tuple[str, int], int], Sequence[int]] | None = None,
               rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()) -> list[TypeMap]:
     """All fiberwise natural maps ``a -> b``, canonically ordered: the
-    :func:`~boxsem.presheaf.natural_components` at the keys ``k = (obj, g)``,
-    one arrow per non-identity ``(f, g)``.  Slot ``(k, x)`` holds the value
-    at ``x`` in ``a[k]``; ``domains`` (sorted, drawn from ``b[k]``) and
-    ``rules`` on these slots narrow the enumeration and keep its order."""
-    keys, arrows = _elements(a.context)
-    return [TypeMap(a, b, comp) for comp in natural_components(
-        {k: a.fiber[k] for k in keys}, b.fiber,
-        [(k, k2, a.restriction[fg], b.restriction[fg]) for fg, k, k2 in arrows],
+    natural maps of functors on the context's shape.  Slot ``(k, x)``
+    holds the value at ``x`` in ``a[k]``; ``domains`` (sorted, drawn from
+    ``b[k]``) and ``rules`` on these slots narrow the enumeration and keep
+    its order."""
+    return [TypeMap(a, b, comp) for comp in _natural_components(
+        _elements_shape(a.context), a.fiber, a.restriction, b.fiber, b.restriction,
         domains, rules)]
 
 
 def terms_of(a: TypeOverContext) -> list[TermOverContext]:
     """All sections of a type, canonically ordered: the maps into ``a``
     from the one-point type."""
-    keys, arrows = _elements(a.context)
-    return [TermOverContext(a, {k: col[0] for k, col in comp.items()})
-            for comp in natural_components({k: 1 for k in keys}, a.fiber, [
-                (k, k2, (0,), a.restriction[fg]) for fg, k, k2 in arrows])]
+    return [TermOverContext(a, pick)
+            for pick in _sections(_elements_shape(a.context), a.fiber, a.restriction)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +373,12 @@ def sigma_type(a: TypeOverContext, b: TypeOverContext) -> Sigma:
                 acc += b.fiber[(i, ca.encode(i, g, x))]
             fiber[(i, g)] = acc
     restriction = {}
-    for f in c.morphisms:
-        i, j = c.src[f], c.dst[f]
-        for g in gamma.elements(j):
-            g2 = gamma.act(f, g)
-            vals = []
-            for x in range(a.fiber[(j, g)]):
-                x2 = a.restrict(f, g, x)
-                rb = b.restriction[(f, ca.encode(j, g, x))]
-                for y in range(b.fiber[(j, ca.encode(j, g, x))]):
-                    vals.append(offsets[(i, g2, x2)] + rb[y])
-            restriction[(f, g)] = tuple(vals)
+    for (f, g), (j, _), k2 in _elements_shape(gamma).arrows:
+        vals = []
+        for x in range(a.fiber[(j, g)]):
+            start = offsets[(*k2, a.restrict(f, g, x))]
+            vals += [start + y for y in b.restriction[(f, ca.encode(j, g, x))]]
+        restriction[(f, g)] = tuple(vals)
     t = TypeOverContext(gamma, fiber, restriction)
     return Sigma(t, a, b, ca, offsets)
 
@@ -556,60 +466,30 @@ class TypeProduct:
 
     @property
     def fst(self) -> TypeMap:
-        comp = {k: tuple(self.split(k[0], k[1], v)[0] for v in range(n))
-                for k, n in self.type.fiber.items()}
-        return TypeMap(self.type, self.left, comp)
+        return TypeMap(self.type, self.left,
+                       _projections(self.type.fiber, self.left.fiber, self.right.fiber)[0])
 
     @property
     def snd(self) -> TypeMap:
-        comp = {k: tuple(self.split(k[0], k[1], v)[1] for v in range(n))
-                for k, n in self.type.fiber.items()}
-        return TypeMap(self.type, self.right, comp)
+        return TypeMap(self.type, self.right,
+                       _projections(self.type.fiber, self.left.fiber, self.right.fiber)[1])
 
 
 def type_product(a: TypeOverContext, b: TypeOverContext) -> TypeProduct:
     assert a.context == b.context
-    gamma = a.context
-    c = gamma.base
-    fiber = {k: a.fiber[k] * b.fiber[k] for k in a.fiber}
-    restriction = {}
-    for f in c.morphisms:
-        j = c.dst[f]
-        for g in gamma.elements(j):
-            ra, rb = a.restriction[(f, g)], b.restriction[(f, g)]
-            n2 = b.fiber[(c.src[f], gamma.act(f, g))]
-            vals = []
-            for x in range(a.fiber[(j, g)]):
-                for y in range(b.fiber[(j, g)]):
-                    vals.append(ra[x] * n2 + rb[y])
-            restriction[(f, g)] = tuple(vals)
-    return TypeProduct(TypeOverContext(gamma, fiber, restriction), a, b)
+    return TypeProduct(TypeOverContext(a.context, *_product(
+        _elements_shape(a.context), a.fiber, a.restriction, b.fiber, b.restriction)), a, b)
 
 
 def sub_type(a: TypeOverContext,
              keep: Mapping[tuple[str, int], frozenset[int]]) -> tuple[TypeOverContext, TypeMap]:
     """Carve out a fiberwise subset closed under restriction, renumbered
-    canonically, together with its inclusion into ``a``."""
-    gamma = a.context
-    c = gamma.base
-    kept = {k: tuple(sorted(keep.get(k, frozenset()))) for k in a.fiber}
-    index = {k: {x: n for n, x in enumerate(v)} for k, v in kept.items()}
-    fiber = {k: len(v) for k, v in kept.items()}
-    restriction = {}
-    for f in c.morphisms:
-        j = c.dst[f]
-        for g in gamma.elements(j):
-            key = (c.src[f], gamma.act(f, g))
-            table = a.restriction[(f, g)]
-            vals = []
-            for x in kept[(j, g)]:
-                if table[x] not in index[key]:
-                    raise ModelError(f"subset not closed under {f!r} at {(j, g, x)}")
-                vals.append(index[key][table[x]])
-            restriction[(f, g)] = tuple(vals)
-    s = TypeOverContext(gamma, fiber, restriction)
-    inc = TypeMap(s, a, {k: kept[k] for k in kept})
-    return s, inc
+    canonically, together with its inclusion into ``a``; a subset that is
+    not closed raises ``ModelError``."""
+    fiber, restriction, kept = _subfunctor(_elements_shape(a.context), a.restriction, keep,
+                                           ModelError)
+    s = TypeOverContext(a.context, fiber, restriction)
+    return s, TypeMap(s, a, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +517,8 @@ def straighten(m: PresheafMap) -> tuple[TypeOverContext, PresheafMap]:
     lists = {(i, g): xs for i in c.objects for g, xs in enumerate(_fiber_lists(m, i))}
     pos = {k: {x: n for n, x in enumerate(v)} for k, v in lists.items()}
     fiber = {k: len(v) for k, v in lists.items()}
-    restriction = {}
-    for f in c.morphisms:
-        i, j = c.src[f], c.dst[f]
-        for g in gamma.elements(j):
-            g2 = gamma.act(f, g)
-            restriction[(f, g)] = tuple(pos[(i, g2)][e.act(f, x)] for x in lists[(j, g)])
+    restriction = {fg: tuple(pos[k2][e.action[fg[0]][x]] for x in lists[k])
+                   for fg, k, k2 in _elements_shape(gamma).arrows}
     a = TypeOverContext(gamma, fiber, restriction)
     ca = comprehension(a)
     comp = {}
@@ -668,37 +544,16 @@ class NaturalModel:
     bound: int
 
 
-def _action_tables(objs: Sequence, arrows: Sequence[tuple], identities: Sequence[tuple],
-                   bound: int):
-    """Every choice of sizes ``<= bound`` at ``objs`` and of a table per arrow
-    ``(name, s, t)`` from ``range(sizes[t])`` into ``range(sizes[s])``, plus
-    the identity table at each ``(name, o)`` of ``identities``: sizes, then
-    tables, lexicographically."""
-    for sizes_t in iproduct(range(bound + 1), repeat=len(objs)):
-        sizes = dict(zip(objs, sizes_t))
-        choices = [list(iproduct(range(sizes[s]), repeat=sizes[t])) for (_, s, t) in arrows]
-        for combo in iproduct(*choices):
-            tables = {name: tb for (name, _, _), tb in zip(arrows, combo)}
-            tables.update((name, tuple(range(sizes[o]))) for name, o in identities)
-            yield sizes, tables
-
-
 def all_presheaves(c: FinCat, bound: int) -> list[Presheaf]:
     """Every presheaf on ``c`` with all carriers of size <= bound, in a
     deterministic order (sizes, then actions, lexicographically)."""
-    tables = _action_tables(c.objects, [(m, c.src[m], c.dst[m]) for m in c.morphisms
-                                        if not c.is_identity(m)],
-                            [(c.id(o), o) for o in c.objects], bound)
-    return [p for p in (Presheaf(c, *st) for st in tables) if not p.validate()]
+    return [Presheaf(c, *st) for st in _functors(_shape(c), bound)]
 
 
 def all_types_over(model: NaturalModel, gamma: Presheaf, bound: int) -> list[TypeOverContext]:
     """Every type over ``gamma`` with all fibers of size <= bound: the
     functors on its category of elements, enumerated at the keys."""
-    keys, arrows = _elements(gamma)
-    tables = _action_tables(keys, [(fg, k2, k) for fg, k, k2 in arrows],
-                            [((gamma.base.id(i), g), (i, g)) for (i, g) in keys], bound)
-    return [a for a in (TypeOverContext(gamma, *st) for st in tables) if not a.validate()]
+    return [TypeOverContext(gamma, *st) for st in _functors(_elements_shape(gamma), bound)]
 
 
 @dataclass(frozen=True)
@@ -726,19 +581,12 @@ class Universe:
     def decode(self, code_map: PresheafMap) -> TypeOverContext:
         """The type classified by a map ``Gamma -> U``."""
         assert code_map.target == self.presheaf
-        gamma = code_map.source
-        c = self.model.base
-        fiber, restriction = {}, {}
-        for i in c.objects:
-            for g in gamma.elements(i):
-                x = self.codes[i][code_map.apply(i, g)]
-                fiber[(i, g)] = x.sizes[c.id(i)]
-        for f in c.morphisms:
-            i, j = c.src[f], c.dst[f]
-            for g in gamma.elements(j):
-                x = self.codes[j][code_map.apply(j, g)]
-                restriction[(f, g)] = x.action[f"{f}@{c.id(j)}"]
-        return TypeOverContext(gamma, fiber, restriction)
+        gamma, c = code_map.source, self.model.base
+        sh = _elements_shape(gamma)
+        code = {(i, g): self.codes[i][code_map.component[i][g]] for i, g in sh.keys}
+        return TypeOverContext(gamma, {(i, g): x.sizes[c.id(i)] for (i, g), x in code.items()},
+                               {(f, g): code[k].action[f"{f}@{c.id(k[0])}"]
+                                for (f, g), k, _ in sh.arrows})
 
     def encode(self, a: TypeOverContext) -> PresheafMap:
         """The classifying map of a bounded type; raises on fat fibers."""
@@ -921,37 +769,25 @@ def realign(u: Universe, mono: PresheafMap, a_code: PresheafMap,
     tb = u.decode(b_code)
     assert phi.source == ta and phi.target == subst_type(tb, mono)
     phi_inv = phi.inverse()
-    preimage = {(i, mono.apply(i, d)): d
-                for i in c.objects for d in delta.elements(i)}
+    sh = _elements_shape(gamma)
+    # the key of Gamma over which each key of Delta lies
+    pre = {(i, mono.component[i][d]): (i, d) for i in c.objects for d in delta.elements(i)}
 
-    fiber, restriction = {}, {}
-    for i in c.objects:
-        for g in gamma.elements(i):
-            d = preimage.get((i, g))
-            fiber[(i, g)] = ta.fiber[(i, d)] if d is not None else tb.fiber[(i, g)]
-    for f in c.morphisms:
-        i, j = c.src[f], c.dst[f]
-        for g in gamma.elements(j):
-            g2 = gamma.act(f, g)
-            d, d2 = preimage.get((j, g)), preimage.get((i, g2))
-            if d is not None:
-                # image is closed under restriction
-                restriction[(f, g)] = ta.restriction[(f, d)]
-            elif d2 is None:
-                restriction[(f, g)] = tb.restriction[(f, g)]
-            else:
-                rb = tb.restriction[(f, g)]
-                restriction[(f, g)] = tuple(phi_inv.component[(i, d2)][v] for v in rb)
+    fiber = {k: ta.fiber[pre[k]] if k in pre else tb.fiber[k] for k in sh.keys}
+    restriction = {}
+    for (f, g), k, k2 in sh.arrows:
+        if k in pre:
+            # image is closed under restriction
+            restriction[(f, g)] = ta.restriction[(f, pre[k][1])]
+        elif k2 in pre:
+            restriction[(f, g)] = tuple(map(phi_inv.component[pre[k2]].__getitem__,
+                                            tb.restriction[(f, g)]))
+        else:
+            restriction[(f, g)] = tb.restriction[(f, g)]
     tb2 = TypeOverContext(gamma, fiber, restriction).assert_valid()
     b2_code = u.encode(tb2)
-    comp = {}
-    for i in c.objects:
-        for g in gamma.elements(i):
-            d = preimage.get((i, g))
-            if d is not None:
-                comp[(i, g)] = phi.component[(i, d)]
-            else:
-                comp[(i, g)] = tuple(range(tb.fiber[(i, g)]))
+    comp = {k: phi.component[pre[k]] if k in pre else tuple(range(tb.fiber[k]))
+            for k in sh.keys}
     phi2 = TypeMap(tb2, tb, comp).assert_valid()
     return b2_code, phi2
 

@@ -1,26 +1,36 @@
-"""Finite-set-valued presheaves over a table category.
+"""Finite-set-valued presheaves over a table category, and the table
+core they share with dependent types.
 
 Carriers are always the canonical sets ``{0, ..., n-1}``; every
 construction renumbers its result canonically, which is what makes all
 the strictness claims downstream (substitution, universes, comonads)
 hold as data equality rather than up to isomorphism.
 
+A finite functor is stored as tables: a carrier size per key and a
+restriction table per arrow.  The private shape of a category lays out
+its keys, arrows and composable triples, once per :class:`FinCat` (keys
+its objects) and once per context ``Gamma`` (keys ``(I, g)``, the objects
+of its category of elements).  A presheaf is a functor on the first, a
+type over ``Gamma`` (:mod:`boxsem.natmodel`) one on the second, and each
+job on functors (validation, naturality, enumeration, natural maps,
+products, subfunctors) has one body here that both levels call.
+
 The workhorse is :func:`enumerate_families`, a small backtracking
 enumerator for tuples with per-slot domains subject to
 ``fam[j] == table[fam[i]]`` rules.  Right Kan extensions, dependent
-products and natural maps (:func:`natural_components`) are all the same
-enumeration with different slots;
-:class:`FamilyTable` packages one such enumeration with dict indexes on
-both its slots and its families.
+products and natural maps are all the same enumeration with different
+slots; :class:`FamilyTable` packages one such enumeration with dict
+indexes on both its slots and its families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from itertools import product as iproduct
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .fincat import FinCat, Functor, Site
+from .fincat import FinCat, Functor, Site, all_sieves, maximal_sieve, pullback_sieve
 
 
 class PresheafError(Exception):
@@ -107,6 +117,226 @@ class FamilyTable:
         return tuple(pos[tuple(fam[k] for k in sel)] for fam in self.families)
 
 
+# ---------------------------------------------------------------------------
+# Functors stored as tables
+
+
+class _Shape(NamedTuple):
+    """How a functor on one finite category is stored as tables.
+
+    A functor gives each key a carrier size and each arrow ``(name, dst,
+    src)`` a table from the carrier at ``dst`` into the one at ``src``
+    (restriction is contravariant).  ``arrows`` include the identities,
+    which ``ids`` pairs with their keys; ``proper`` lists the other arrows
+    in order, and ``triples`` lists every composable ``(a2, a1, a2 . a1)``
+    by name.
+    """
+
+    keys: Sequence
+    arrows: Sequence[tuple]
+    ids: Sequence[tuple]
+    proper: Sequence[tuple]
+    triples: Sequence[tuple]
+
+
+def _shape(c: FinCat) -> _Shape:
+    """The shape of ``c`` at its objects, built once per category."""
+    if c._shape is None:
+        arrows = [(f, c.dst[f], c.src[f]) for f in c.morphisms]
+        object.__setattr__(c, "_shape", _Shape(
+            c.objects, arrows, [(c.id(o), o) for o in c.objects],
+            [a for a in arrows if not c.is_identity(a[0])],
+            [(g, f, c.compose(g, f)) for g in c.morphisms for f in c.morphisms
+             if c.dst[f] == c.src[g]]))
+    return c._shape
+
+
+def _elements_shape(gamma: Presheaf) -> _Shape:
+    """The shape of the category of elements of ``gamma`` at its keys
+    ``(I, g)``, ``I`` in object order and ``g`` ascending; the arrow
+    ``(f, g)`` runs from ``(dst f, g)`` to ``(src f, g.f)``.  Built once per
+    context."""
+    if gamma._shape is None:
+        c, base, n, act = gamma.base, _shape(gamma.base), gamma.sizes, gamma.action
+
+        def over(arrows):
+            return [((f, g), (d, g), (s, act[f][g])) for f, d, s in arrows for g in range(n[d])]
+
+        object.__setattr__(gamma, "_shape", _Shape(
+            [(i, g) for i in base.keys for g in range(n[i])], over(base.arrows),
+            [((f, g), (i, g)) for f, i in base.ids for g in range(n[i])], over(base.proper),
+            [((f2, g), (f1, act[f2][g]), (f21, g))
+             for f2, f1, f21 in base.triples for g in range(n[c.dst[f2]])]))
+    return gamma._shape
+
+
+def _point(shape: _Shape) -> tuple[dict, dict]:
+    """Sizes and tables of the one-point functor on ``shape``."""
+    return dict.fromkeys(shape.keys, 1), dict.fromkeys((n for n, _, _ in shape.arrows), (0,))
+
+
+def _functor_errors(shape: _Shape, sizes: Mapping, tables: Mapping) -> list[str]:
+    """Why ``sizes`` and ``tables`` are no functor on ``shape``: missing or
+    ill-sized data first, then the identity and composition laws, read
+    off the composable triples."""
+    errs = [f"missing carrier size at {k!r}" for k in shape.keys if sizes.get(k, -1) < 0]
+    for name, dst, src in shape.arrows:
+        t = tables.get(name)
+        if t is None:
+            errs.append(f"missing action along {name!r}")
+            continue
+        if len(t) != sizes.get(dst, -1):
+            errs.append(f"action along {name!r} has wrong domain size")
+            continue
+        n = sizes.get(src, 0)
+        if any(not (0 <= v < n) for v in t):
+            errs.append(f"action along {name!r} escapes its codomain")
+    if errs:
+        return errs
+    for name, k in shape.ids:
+        if tables[name] != tuple(range(sizes[k])):
+            errs.append(f"identity action at {k!r} is not the identity")
+    for a2, a1, a21 in shape.triples:
+        if tuple(map(tables[a1].__getitem__, tables[a2])) != tables[a21]:
+            errs.append(f"contravariant functoriality fails at ({a2!r}, {a1!r})")
+    return errs
+
+
+def _natural_errors(shape: _Shape, sizes: Mapping, tables: Mapping, tgt_sizes: Mapping,
+                    tgt_tables: Mapping, comps: Mapping) -> list[str]:
+    """Why ``comps`` is no natural map between two functors on ``shape``."""
+    errs = []
+    for k in shape.keys:
+        t = comps.get(k)
+        if t is None or len(t) != sizes[k]:
+            errs.append(f"bad component at {k!r}")
+            continue
+        if t and (min(t) < 0 or max(t) >= tgt_sizes[k]):
+            errs.append(f"component at {k!r} escapes the target")
+    if errs:
+        return errs
+    for name, dst, src in shape.arrows:
+        here, there, t = comps[dst], comps[src], tgt_tables[name]
+        for x, y in enumerate(tables[name]):
+            if there[y] != t[here[x]]:
+                errs.append(f"naturality fails along {name!r} at {x}")
+                break
+    return errs
+
+
+def _is_iso(comps: Mapping, tgt_sizes: Mapping) -> bool:
+    return all(len(set(t)) == len(t) == tgt_sizes[k] for k, t in comps.items())
+
+
+def _inverse(comps: Mapping) -> dict:
+    out = {}
+    for k, t in comps.items():
+        inv = [0] * len(t)
+        for x, y in enumerate(t):
+            inv[y] = x
+        out[k] = tuple(inv)
+    return out
+
+
+def _compose(g: Mapping, f: Mapping) -> dict:
+    """Components of ``g . f``."""
+    return {k: tuple(map(g[k].__getitem__, t)) for k, t in f.items()}
+
+
+def _identity(keys: Iterable, sizes: Mapping) -> dict:
+    return {k: tuple(range(sizes[k])) for k in keys}
+
+
+def _functors(shape: _Shape, bound: int) -> Iterator[tuple[dict, dict]]:
+    """Every functor on ``shape`` with carriers of size at most ``bound``,
+    as sizes and tables: sizes, then the tables of the proper arrows,
+    lexicographically."""
+    names = [n for n, _, _ in shape.proper]
+    for sizes_t in iproduct(range(bound + 1), repeat=len(shape.keys)):
+        sizes = dict(zip(shape.keys, sizes_t))
+        ids = [(n, tuple(range(sizes[k]))) for n, k in shape.ids]
+        for combo in iproduct(*[iproduct(range(sizes[s]), repeat=sizes[d])
+                                for _, d, s in shape.proper]):
+            tables = dict(zip(names, combo))
+            tables.update(ids)
+            if not _functor_errors(shape, sizes, tables):
+                yield sizes, tables
+
+
+def _product(shape: _Shape, sizes: Mapping, tables: Mapping, sizes2: Mapping,
+             tables2: Mapping) -> tuple[dict, dict]:
+    """Sizes and tables of the product of two functors on ``shape``; the
+    pair ``(x, y)`` is numbered ``x * sizes2[k] + y``."""
+    out = {}
+    for name, _, src in shape.arrows:
+        t2, n = tables2[name], sizes2[src]
+        out[name] = tuple(x * n + y for x in tables[name] for y in t2)
+    return {k: sizes[k] * sizes2[k] for k in shape.keys}, out
+
+
+def _projections(keys: Iterable, sizes: Mapping, sizes2: Mapping) -> tuple[dict, dict]:
+    """Components of the two projections out of :func:`_product`."""
+    return ({k: tuple(x for x in range(sizes[k]) for _ in range(sizes2[k])) for k in keys},
+            {k: tuple(range(sizes2[k])) * sizes[k] for k in keys})
+
+
+def _subfunctor(shape: _Shape, tables: Mapping, sel: Mapping,
+                error: type[Exception] = ValueError) -> tuple[dict, dict, dict]:
+    """The subfunctor at the elements ``sel[k]``, renumbered canonically:
+    sizes, tables and the components of its inclusion.  A selection not
+    closed under restriction raises ``error``."""
+    keep = {k: tuple(sorted(sel.get(k, frozenset()))) for k in shape.keys}
+    index = {k: {x: n for n, x in enumerate(v)} for k, v in keep.items()}
+    out = {}
+    for name, dst, src in shape.arrows:
+        t, pos = tables[name], index[src]
+        col = []
+        for x in keep[dst]:
+            y = pos.get(t[x])
+            if y is None:
+                raise error(f"selection not closed under {name!r} at {x}")
+            col.append(y)
+        out[name] = tuple(col)
+    return {k: len(v) for k, v in keep.items()}, out, keep
+
+
+def _natural_components(shape: _Shape, sizes: Mapping, tables: Mapping, tgt_sizes: Mapping,
+                        tgt_tables: Mapping,
+                        domains: Mapping[tuple, Sequence[int]] | None = None,
+                        rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()
+                        ) -> list[dict]:
+    """Every natural map between two functors on ``shape``, as one column
+    of components per key, in canonical order.
+
+    Slot ``(k, x)`` holds the value at ``x < sizes[k]``, slots in key
+    order; each proper arrow asks naturality at each ``x``.  ``domains``
+    may narrow a slot to a sorted sequence drawn from
+    ``range(tgt_sizes[k])``, and a rule ``(s, t, table)`` on slots asks
+    ``m[t] == table[m[s]]``.  :func:`enumerate_families` is lexicographic
+    over the slots and narrowing only drops families, so those left keep
+    their order.
+    """
+    slots = [(k, x) for k in shape.keys for x in range(sizes[k])]
+    index = {s: n for n, s in enumerate(slots)}
+    doms = [range(tgt_sizes[k]) for (k, _) in slots]
+    for s, dom in (domains or {}).items():
+        doms[index[s]] = dom
+    checks = [(index[s], index[t], table) for (s, t, table) in rules]
+    for name, dst, src in shape.proper:
+        t, t2 = tables[name], tgt_tables[name]
+        checks += [(index[(dst, x)], index[(src, y)], t2) for x, y in enumerate(t)]
+    ends = list(accumulate((sizes[k] for k in shape.keys), initial=0))
+    return [{k: fam[a:b] for k, a, b in zip(shape.keys, ends, ends[1:])}
+            for fam in enumerate_families(len(slots), doms, checks)]
+
+
+def _sections(shape: _Shape, sizes: Mapping, tables: Mapping) -> list[dict]:
+    """Every natural choice of one element per key: the maps from the
+    one-point functor, canonically ordered."""
+    return [{k: col[0] for k, col in comp.items()}
+            for comp in _natural_components(shape, *_point(shape), sizes, tables)]
+
+
 @dataclass(frozen=True)
 class Presheaf:
     """A presheaf ``P`` on ``base`` with ``P(I) = range(sizes[I])``.
@@ -119,6 +349,8 @@ class Presheaf:
     sizes: Mapping[str, int]
     action: Mapping[str, tuple[int, ...]]
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    # the shape of types over this presheaf as a context
+    _shape: _Shape | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", dict(self.sizes))
@@ -150,36 +382,7 @@ class Presheaf:
         return self.action[f][x]
 
     def validate(self) -> list[str]:
-        c = self.base
-        errs = []
-        for o in c.objects:
-            if self.sizes.get(o, -1) < 0:
-                errs.append(f"missing carrier size at {o!r}")
-        for f in c.morphisms:
-            t = self.action.get(f)
-            if t is None:
-                errs.append(f"missing action along {f!r}")
-                continue
-            if len(t) != self.sizes[c.dst[f]]:
-                errs.append(f"action along {f!r} has wrong domain size")
-                continue
-            if any(not (0 <= v < self.sizes[c.src[f]]) for v in t):
-                errs.append(f"action along {f!r} escapes its codomain")
-        if errs:
-            return errs
-        for o in c.objects:
-            if self.action[c.id(o)] != tuple(range(self.sizes[o])):
-                errs.append(f"identity action at {o!r} is not the identity")
-        for g in c.morphisms:
-            for f in c.morphisms:
-                if c.dst[f] != c.src[g]:
-                    continue
-                gf = c.compose(g, f)
-                got = tuple(self.action[f][self.action[g][z]]
-                            for z in range(self.sizes[c.dst[g]]))
-                if got != self.action[gf]:
-                    errs.append(f"contravariant functoriality fails at ({g!r}, {f!r})")
-        return errs
+        return _functor_errors(_shape(self.base), self.sizes, self.action)
 
     def assert_valid(self):
         errs = self.validate()
@@ -218,26 +421,11 @@ class PresheafMap:
         return self.component[obj][x]
 
     def validate(self) -> list[str]:
-        if self.source.base != self.target.base:
+        p, q = self.source, self.target
+        if p.base != q.base:
             return ["source and target live over different categories"]
-        c = self.source.base
-        errs = []
-        for o in c.objects:
-            t = self.component.get(o)
-            if t is None or len(t) != self.source.sizes[o]:
-                errs.append(f"bad component at {o!r}")
-            elif any(not (0 <= v < self.target.sizes[o]) for v in t):
-                errs.append(f"component at {o!r} escapes the target")
-        if errs:
-            return errs
-        for f in c.morphisms:
-            i, j = c.src[f], c.dst[f]
-            for x in range(self.source.sizes[j]):
-                if self.component[i][self.source.act(f, x)] != \
-                        self.target.act(f, self.component[j][x]):
-                    errs.append(f"naturality fails along {f!r} at {x}")
-                    break
-        return errs
+        return _natural_errors(_shape(p.base), p.sizes, p.action, q.sizes, q.action,
+                               self.component)
 
     def assert_valid(self):
         errs = self.validate()
@@ -250,30 +438,20 @@ class PresheafMap:
                    for o in self.source.base.objects)
 
     def is_iso(self) -> bool:
-        return self.is_mono() and all(
-            self.source.sizes[o] == self.target.sizes[o]
-            for o in self.source.base.objects)
+        return _is_iso(self.component, self.target.sizes)
 
     def inverse(self) -> "PresheafMap":
         assert self.is_iso(), "not an isomorphism"
-        comp = {}
-        for o in self.source.base.objects:
-            inv = [0] * self.target.sizes[o]
-            for x, y in enumerate(self.component[o]):
-                inv[y] = x
-            comp[o] = tuple(inv)
-        return PresheafMap(self.target, self.source, comp)
+        return PresheafMap(self.target, self.source, _inverse(self.component))
 
 
 def identity_map(p: Presheaf) -> PresheafMap:
-    return PresheafMap(p, p, {o: tuple(range(p.sizes[o])) for o in p.base.objects})
+    return PresheafMap(p, p, _identity(p.base.objects, p.sizes))
 
 
 def compose_maps(g: PresheafMap, f: PresheafMap) -> PresheafMap:
     assert f.target == g.source, "presheaf maps not composable"
-    return PresheafMap(f.source, g.target,
-                       {o: tuple(g.component[o][v] for v in f.component[o])
-                        for o in f.source.base.objects})
+    return PresheafMap(f.source, g.target, _compose(g.component, f.component))
 
 
 def constant_presheaf(c: FinCat, n: int) -> Presheaf:
@@ -331,27 +509,15 @@ class Elements:
 
 
 def category_of_elements(p: Presheaf) -> Elements:
-    c = p.base
-    objs = [f"{o}#{x}" for o in c.objects for x in p.elements(o)]
-    src, dst, arrows = {}, {}, []
-    for f in c.morphisms:
-        i, j = c.src[f], c.dst[f]
-        for y in p.elements(j):
-            n = f"{f}#{y}"
-            arrows.append(n)
-            src[n] = f"{i}#{p.act(f, y)}"
-            dst[n] = f"{j}#{y}"
-    identity = {f"{o}#{x}": f"{c.id(o)}#{x}" for o in c.objects for x in p.elements(o)}
-    table = {}
-    for g in c.morphisms:
-        for f in c.morphisms:
-            if c.dst[f] != c.src[g]:
-                continue
-            gf = c.compose(g, f)
-            for z in p.elements(c.dst[g]):
-                # g#z : (dst f, P(g) z) -> (dst g, z), precompose with f#(P(g) z)
-                table[(f"{g}#{z}", f"{f}#{p.act(g, z)}")] = f"{gf}#{z}"
-    cat = FinCat(f"el[{c.name}]", tuple(objs), tuple(arrows), src, dst, identity, table)
+    """The category of elements built from the shape of ``p`` as a context,
+    the key ``(I, x)`` and the arrow ``(f, y)`` named ``"I#x"`` and ``"f#y"``."""
+    sh = _elements_shape(p)
+    name = "{0[0]}#{0[1]}".format
+    src = {name(a): name(s) for a, _, s in sh.arrows}
+    dst = {name(a): name(d) for a, d, _ in sh.arrows}
+    cat = FinCat(f"el[{p.base.name}]", tuple(map(name, sh.keys)), tuple(src), src, dst,
+                 {name(k): name(a) for a, k in sh.ids},
+                 {(name(a2), name(a1)): name(a21) for a2, a1, a21 in sh.triples})
     return Elements(cat, p)
 
 
@@ -359,48 +525,15 @@ def category_of_elements(p: Presheaf) -> Elements:
 # Hom-set enumeration, subobjects
 
 
-def natural_components(src: Mapping, dst: Mapping,
-                       arrows: Iterable[tuple[object, object, Sequence[int], Sequence[int]]],
-                       domains: Mapping[tuple, Sequence[int]] | None = None,
-                       rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()
-                       ) -> list[dict]:
-    """Every natural family of functions ``m[k] : src[k] -> dst[k]`` on
-    canonical carriers, as one column per key of ``src``, in canonical order.
-
-    Slot ``(k, x)`` holds ``m[k][x]`` for ``x < src[k]``, slots in the key
-    order of ``src``; an arrow ``(k, k2, s, t)`` asks ``m[k2][s[x]] ==
-    t[m[k][x]]``.  ``domains`` may narrow a slot to a sorted sequence drawn
-    from ``range(dst[k])``, and a rule ``(s, t, table)`` on slots asks
-    ``m[t] == table[m[s]]``.  :func:`enumerate_families` is lexicographic
-    over the slots and narrowing only drops families, so those left keep
-    their order.
-    """
-    slots = [(k, x) for k, n in src.items() for x in range(n)]
-    index = {s: n for n, s in enumerate(slots)}
-    doms = [range(dst[k]) for (k, _) in slots]
-    for s, dom in (domains or {}).items():
-        doms[index[s]] = dom
-    checks = [(index[s], index[t], table) for (s, t, table) in rules]
-    checks += [(index[(k, x)], index[(k2, s[x])], t)
-               for (k, k2, s, t) in arrows for x in range(src[k])]
-    ends = list(accumulate(src.values(), initial=0))
-    return [{k: fam[a:b] for k, a, b in zip(src, ends, ends[1:])}
-            for fam in enumerate_families(len(slots), doms, checks)]
-
-
 def hom_maps(p: Presheaf, q: Presheaf,
              domains: Mapping[tuple[str, int], Sequence[int]] | None = None,
              rules: Iterable[tuple[tuple[str, int], tuple[str, int], Sequence[int]]] = ()
              ) -> list[PresheafMap]:
-    """Every natural transformation ``p -> q``, canonically ordered: the
-    :func:`natural_components` at the objects, one arrow per non-identity
-    morphism.  ``domains`` and ``rules`` on the slots ``(o, x)`` narrow the
-    enumeration and keep its order."""
-    c = p.base
-    arrows = [(c.dst[f], c.src[f], p.action[f], q.action[f])
-              for f in c.morphisms if not c.is_identity(f)]
-    return [PresheafMap(p, q, comp) for comp in natural_components(
-        {o: p.sizes[o] for o in c.objects}, q.sizes, arrows, domains, rules)]
+    """Every natural transformation ``p -> q``, canonically ordered.
+    ``domains`` and ``rules`` on the slots ``(o, x)`` narrow the
+    enumeration and keep its order (:func:`_natural_components`)."""
+    return [PresheafMap(p, q, comp) for comp in _natural_components(
+        _shape(p.base), p.sizes, p.action, q.sizes, q.action, domains, rules)]
 
 
 def iso_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:
@@ -437,23 +570,9 @@ def mono_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:
 
 def sub_presheaf(p: Presheaf, sel: Mapping[str, frozenset[int]]) -> tuple[Presheaf, PresheafMap]:
     """Renumber a subpresheaf canonically and return it with its inclusion."""
-    c = p.base
-    keep = {o: tuple(sorted(sel.get(o, frozenset()))) for o in c.objects}
-    index = {o: {x: k for k, x in enumerate(keep[o])} for o in c.objects}
-    sizes = {o: len(keep[o]) for o in c.objects}
-    action = {}
-    for m in c.morphisms:
-        i, j = c.src[m], c.dst[m]
-        column = []
-        for x in keep[j]:
-            y = p.act(m, x)
-            if y not in index[i]:
-                raise ValueError(f"selection not closed under {m!r} at {x}")
-            column.append(index[i][y])
-        action[m] = tuple(column)
-    s = Presheaf(c, sizes, action)
-    inc = PresheafMap(s, p, {o: keep[o] for o in c.objects})
-    return s, inc.assert_valid()
+    sizes, action, keep = _subfunctor(_shape(p.base), p.action, sel)
+    s = Presheaf(p.base, sizes, action)
+    return s, PresheafMap(s, p, keep).assert_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +601,9 @@ class Product:
 
 def product(p: Presheaf, q: Presheaf) -> Product:
     c = p.base
-    sizes = {o: p.sizes[o] * q.sizes[o] for o in c.objects}
-    action = {}
-    for f in c.morphisms:
-        j = c.dst[f]
-        action[f] = tuple(p.act(f, v // q.sizes[j]) * q.sizes[c.src[f]] + q.act(f, v % q.sizes[j])
-                          for v in range(sizes[j]))
-    pr = Presheaf(c, sizes, action)
-    fst = PresheafMap(pr, p, {o: tuple(v // q.sizes[o] for v in range(sizes[o]))
-                              for o in c.objects})
-    snd = PresheafMap(pr, q, {o: tuple(v % q.sizes[o] for v in range(sizes[o]))
-                              for o in c.objects})
-    return Product(pr, p, q, fst, snd)
+    pr = Presheaf(c, *_product(_shape(c), p.sizes, p.action, q.sizes, q.action))
+    fst, snd = _projections(c.objects, p.sizes, q.sizes)
+    return Product(pr, p, q, PresheafMap(pr, p, fst), PresheafMap(pr, q, snd))
 
 
 @dataclass(frozen=True)
@@ -547,13 +657,11 @@ class Omega:
     def truth(self) -> PresheafMap:
         c = self.presheaf.base
         one = terminal_presheaf(c)
-        from .fincat import maximal_sieve
         return PresheafMap(one, self.presheaf,
                            {o: (self.index(o, maximal_sieve(c, o)),) for o in c.objects})
 
 
 def subobject_classifier(c: FinCat) -> Omega:
-    from .fincat import all_sieves, pullback_sieve
     sieves = {o: all_sieves(c, o) for o in c.objects}
     sizes = {o: len(sieves[o]) for o in c.objects}
     action = {}
@@ -579,7 +687,6 @@ def characteristic_map(om: Omega, p: Presheaf, sub: Mapping[str, frozenset[int]]
 def subobject_of_char(om: Omega, chi: PresheafMap) -> dict[str, frozenset[int]]:
     """The subpresheaf classified by ``chi : P -> Omega`` (pullback of truth)."""
     c = chi.source.base
-    from .fincat import maximal_sieve
     top = {o: om.index(o, maximal_sieve(c, o)) for o in c.objects}
     return {o: frozenset(x for x in chi.source.elements(o)
                          if chi.component[o][x] == top[o])
@@ -712,13 +819,15 @@ class SheafReport:
 
 def matching_families(site: Site, p: Presheaf, obj: str, sieve: frozenset[str]) -> list[dict[str, int]]:
     """All matching families for a sieve, as maps from member morphisms:
-    the natural maps from the sieve, one point per member, into ``p``."""
+    the sections of ``p`` over the elements of the sieve, whose keys are
+    its members and whose arrow ``(m, g)`` runs from ``m`` to ``m . g``."""
     c = site.cat
     members = sorted(sieve)
-    arrows = [(m, c.compose(m, g), (0,), p.action[g]) for m in members for g in c.morphisms
+    arrows = [((m, g), m, c.compose(m, g)) for m in members for g in c.morphisms
               if c.dst[g] == c.src[m] and not c.is_identity(g)]
-    return [{m: col[0] for m, col in comp.items()} for comp in natural_components(
-        {m: 1 for m in members}, {m: p.sizes[c.src[m]] for m in members}, arrows)]
+    return _sections(_Shape(members, arrows, (), arrows, ()),
+                     {m: p.sizes[c.src[m]] for m in members},
+                     {(m, g): p.action[g] for (m, g), _, _ in arrows})
 
 
 def amalgamations(p: Presheaf, obj: str, family: Mapping[str, int]) -> list[int]:

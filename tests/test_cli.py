@@ -189,6 +189,18 @@ MALFORMED = {
     "bound-not-an-integer": lambda spec: spec.update(bound="x"),
     "actions-not-integers":
         lambda spec: spec["presheaves"]["flagship"].update(actions={"0->1": ["a", "b", "c"]}),
+    "functor-without-source": lambda spec: spec.update(comonad={"functor": {
+        "obj_map": {"0": "0", "1": "1"},
+        "mor_map": {"id_0": "id_0", "id_1": "id_1", "0->1": "0->1"}}}),
+    "comonad-a-string": lambda spec: spec.update(comonad="points"),
+    "presheaves-a-string": lambda spec: spec.update(presheaves="flagship"),
+    "covers-name-an-unknown-morphism":
+        lambda spec: spec.update(site={"covers": {"1": [["1->0"]]}}),
+    "negative-bound": lambda spec: spec.update(bound=-1),
+    "sizes-name-an-unknown-object":
+        lambda spec: spec["presheaves"]["flagship"]["sizes"].update({"2": 1}),
+    "actions-name-an-unknown-morphism":
+        lambda spec: spec["presheaves"]["flagship"]["actions"].update({"1->0": [0, 0]}),
 }
 
 

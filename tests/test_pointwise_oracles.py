@@ -750,8 +750,8 @@ def test_a_fault_at_one_image_element_is_rejected(name):
 def test_a_swapped_slot_read_breaks_the_comonad_laws(name, monkeypatch, capsys, tmp_path):
     """Swap the reads of the first two slots over the top object, so that
     ``delta`` restricts along each slot where the other should be read:
-    ``model laws`` prints FAIL for the comonad laws and exits 1, the points
-    of ``delta`` leaving the box of the box.
+    ``model laws`` prints FAIL for the comonad laws and exits 1, and its
+    report names the points of ``delta`` leaving the box of the box.
 
     ``sierpinski`` declares no comonad, so nothing reads its
     ``slot_reads``.  With at most one element per object every box has at
@@ -776,8 +776,11 @@ def test_a_swapped_slot_read_breaks_the_comonad_laws(name, monkeypatch, capsys, 
         return out
 
     monkeypatch.setattr(AdjunctionComonad, "slot_reads", swapped)
+    report = tmp_path / "laws.json"
     for model in (path, name):
-        assert _laws(model, capsys) == (1, f"FAIL comonad laws: comult leaves the box at {top}")
+        assert _laws(model, capsys, report) == (1, "FAIL comonad laws")
+        assert f"comult leaves the box at {top}" in \
+            json.loads(report.read_text())["sections"]["comonad"]["witnesses"]
     if name == "arrow":
         w = load_model(name).comonad
         with pytest.raises(ComonadError, match="tp_box restriction leaves the box"):
@@ -786,9 +789,10 @@ def test_a_swapped_slot_read_breaks_the_comonad_laws(name, monkeypatch, capsys, 
                     w.tau(a)
 
 
-def _laws(model, capsys):
-    """Exit code and comonad line of ``model laws``."""
-    code = main(["model", "laws", str(model)])
+def _laws(model, capsys, out=None):
+    """Exit code and first comonad line of ``model laws``, writing its
+    report to ``out`` when given."""
+    code = main(["model", "laws", str(model), *(["--out", str(out)] if out else [])])
     lines = capsys.readouterr().out.splitlines()
     return code, next(x for x in lines if x.split()[1] == "comonad")
 
