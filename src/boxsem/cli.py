@@ -120,8 +120,11 @@ def _load_category(name: str, spec: dict) -> FinCat:
                 table[(m, i)] = m
             if dst[m] == o:
                 table[(i, m)] = m
-    for triple in spec.get("composition", []):
-        if len(triple) != 3:
+    composition = spec.get("composition", [])
+    if not isinstance(composition, list):
+        raise BadInput(f"composition must be a list of [g, f, gf], got {composition!r}")
+    for triple in composition:
+        if not isinstance(triple, list) or len(triple) != 3:
             raise BadInput(f"composition entries are [g, f, gf], got {triple!r}")
         g, f, gf = triple
         table[(g, f)] = gf
@@ -134,7 +137,10 @@ def _load_category(name: str, spec: dict) -> FinCat:
 
 def _load_presheaf(cat: FinCat, spec: dict) -> Presheaf:
     try:
-        sizes = {o: int(n) for o, n in spec["sizes"].items()}
+        sizes = dict(spec["sizes"])
+        bad = {o: n for o, n in sizes.items() if type(n) is not int}
+        if bad:
+            raise BadInput(f"presheaf sizes must be integers, got {bad}")
         action = {f: tuple(v) for f, v in spec.get("actions", {}).items()}
         for o in cat.objects:
             i = cat.id(o)
@@ -216,10 +222,9 @@ def load_model(path: str) -> ModelBundle:
         raise BadInput(f"{found}: missing the category block")
     name = os.path.splitext(os.path.basename(found))[0]
     cat = _load_category(name, spec["category"])
-    try:
-        bound = int(spec.get("bound", 1))
-    except (TypeError, ValueError):
-        raise BadInput(f"{found}: bound must be an integer, got {spec['bound']!r}")
+    bound = spec.get("bound", 1)
+    if type(bound) is not int:
+        raise BadInput(f"{found}: bound must be an integer, got {bound!r}")
     _check_bound(bound)
     presheaves = {pname: _load_presheaf(cat, pspec) for pname, pspec in
                   _object(spec.get("presheaves", {}), "the presheaves block").items()}

@@ -126,8 +126,13 @@ class SemanticTarget:
 
     Base types get constant fibers, two points each unless configured
     otherwise; constants denote the first section of their type over
-    the terminal coalgebra.  All context prefixes are cached write-once
-    so that shared prefixes reuse the same semantic objects.
+    the terminal coalgebra.  Each semantic object is built once per
+    target and then reused, so the value-keyed memos downstream
+    (``bbox_type``, ``fiber_counit``, ``subst_type``) hit on identity:
+    context prefixes by their syntax, a type over a coalgebra by the
+    coalgebra object and the type's syntax, the weakening ``!`` of a
+    constant by its context, and constants by name.  Keys on an object
+    hold that object, so its id is not reused while the target lives.
     """
 
     def __init__(self, comonad: NaturalModelComonad, name: str = "target",
@@ -141,6 +146,8 @@ class SemanticTarget:
         self._modal_cache: dict[tuple, tuple[Coalgebra, tuple[ModalEntry, ...]]] = {}
         self._ctx_cache: dict[tuple, ContextInterp] = {}
         self._const_cache: dict[str, TermOverContext] = {}
+        self._type_cache: dict[tuple, tuple[Coalgebra, TypeOverContext]] = {}
+        self._bang_cache: dict[int, tuple[ContextInterp, PresheafMap]] = {}
 
     def base_size(self, name: str) -> int:
         return self.base_sizes.get(name, self.default_base_size)
@@ -149,10 +156,15 @@ class SemanticTarget:
 
     def type_over_coalgebra(self, cg: Coalgebra, ty: TypeExpr) -> TypeOverContext:
         """A syntactic type as a plain type over a carrier."""
-        if isinstance(ty, BaseType):
-            return constant_type(cg.carrier, self.base_size(ty.name))
-        inner = self.type_over_coalgebra(cg, ty.inner)
-        return self.comonad.bbox_type(cg, inner)
+        key = (id(cg), ty)
+        hit = self._type_cache.get(key)
+        if hit is None:
+            if isinstance(ty, BaseType):
+                a = constant_type(cg.carrier, self.base_size(ty.name))
+            else:
+                a = self.comonad.bbox_type(cg, self.type_over_coalgebra(cg, ty.inner))
+            hit = self._type_cache[key] = (cg, a)
+        return hit[1]
 
     def type_over(self, ci: ContextInterp, ty: TypeExpr) -> TypeOverContext:
         over_carrier = self.type_over_coalgebra(ci.coalg, ty)
@@ -240,12 +252,7 @@ class SemanticTarget:
                     return self._weaken_tail(ci, entry.comp.v, k + 1), ()
             return self._modal_var(ci, tm.name), ()
         if isinstance(tm, Const):
-            section = self.constant_section(sig, tm.name)
-            bang = PresheafMap(
-                ci.presheaf, self.empty_modal.carrier,
-                {o: (0,) * ci.presheaf.sizes[o]
-                 for o in ci.presheaf.base.objects})
-            return subst_term(section, bang), ()
+            return subst_term(self.constant_section(sig, tm.name), self._bang(ci)), ()
         if isinstance(tm, Shut):
             inner_tele = tele.without_ordinary()
             inner_ci = self.context(inner_tele)
@@ -255,6 +262,15 @@ class SemanticTarget:
         if isinstance(tm, LetBox):
             return self._letbox(sig, tele, ci, tm, ty)
         raise InterpretationGap(f"no clause for {tm!r}")
+
+    def _bang(self, ci: ContextInterp) -> PresheafMap:
+        """The map into the terminal carrier that weakens a constant."""
+        hit = self._bang_cache.get(id(ci))
+        if hit is None:
+            p = ci.presheaf
+            hit = self._bang_cache[id(ci)] = (ci, PresheafMap(
+                p, self.empty_modal.carrier, {o: (0,) * p.sizes[o] for o in p.base.objects}))
+        return hit[1]
 
     def _modal_var(self, ci: ContextInterp, name: str) -> TermOverContext:
         entries = ci.modal
@@ -384,11 +400,15 @@ def soundness_harness(tgt: SemanticTarget, mod: Module) -> dict:
     sig = mod.signature
     report = {"target": tgt.name, "directives": [], "ok": True,
               "near_misses": 0, "notes": []}
+    # the law errors of each context coalgebra, by id, with the coalgebra
+    laws: dict[int, tuple[Coalgebra, list[str]]] = {}
     for d in mod.directives:
         entry = {"line": d.line}
         ctx = interpret(tgt, sig, Judgment("context", d.telescope))
-        entry["context_ok"] = ctx.defined and \
-            not coalgebra_laws(tgt.comonad, ctx.value.coalg) and \
+        cg = ctx.value.coalg if ctx.defined else None
+        if cg is not None and id(cg) not in laws:
+            laws[id(cg)] = (cg, coalgebra_laws(tgt.comonad, cg))
+        entry["context_ok"] = cg is not None and not laws[id(cg)][1] and \
             not ctx.value.presheaf.validate()
         if isinstance(d, CheckDirective):
             entry["kind"] = "check"

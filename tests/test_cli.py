@@ -201,6 +201,13 @@ MALFORMED = {
         lambda spec: spec["presheaves"]["flagship"]["sizes"].update({"2": 1}),
     "actions-name-an-unknown-morphism":
         lambda spec: spec["presheaves"]["flagship"]["actions"].update({"1->0": [0, 0]}),
+    "composition-entry-not-a-list": lambda spec: spec["category"].update(composition=[1]),
+    "composition-not-a-list": lambda spec: spec["category"].update(composition=5),
+    "bound-not-a-whole-number": lambda spec: spec.update(bound=1.9),
+    "size-not-an-integer": lambda spec: spec["presheaves"]["flagship"]["sizes"].update({"0": 2.7}),
+    # loaded as one point each with int(), so that edit validated
+    "size-a-boolean": lambda spec: spec["presheaves"].update(
+        flagship={"sizes": {"0": True, "1": True}, "actions": {"0->1": [0]}}),
 }
 
 

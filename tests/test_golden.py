@@ -31,6 +31,8 @@ RUNS = (
        ("check_t4.json", ["check", "corpus/t4.s4"])]
     + [(f"interpret_t4_{m}.json", ["interpret", "corpus/t4.s4", "--model", m])
        for m in ["two", "one", "disc2", "arrow", "chain3"]]
+    + [(f"interpret_depth2_{m}.json", ["interpret", "corpus/depth2.s4", "--model", m])
+       for m in ["two", "chain3"]]
     + [("demo_stack_failure.json", ["demo", "stack-failure"]),
        ("demo_sheaves_as_coalgebras.json", ["demo", "sheaves-as-coalgebras"])]
 )

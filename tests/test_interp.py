@@ -1,10 +1,13 @@
 """Interpretation of kernel judgments in comonad models."""
 
+import gc
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from boxsem import interp
 from boxsem.cli import load_model
 from boxsem.coalg import KanAdjunction, comonad_from_adjunction, identity_comonad
 from boxsem.fincat import Functor
@@ -12,6 +15,7 @@ from boxsem.interp import (
     InterpretationGap,
     SemanticTarget,
     _near_miss,
+    constant_type,
     interpret,
     soundness_harness,
 )
@@ -33,6 +37,7 @@ from boxsem.s4dtt import (
     Var,
     check_module,
     defeq,
+    infer_type,
     parse,
 )
 from boxsem.standard import walking_arrow
@@ -290,3 +295,113 @@ def test_near_miss_agrees_with_the_full_endomap_search(base):
                     assert got == _ref_near_miss(left, right)
                     verdicts[got] += 1
     assert verdicts[True] and verdicts[False]
+
+
+# ---------------------------------------------------------------------------
+# One object per semantic type, per target
+
+A = BaseType("A")
+TYPES = [A, BoxType(A), BoxType(BoxType(A))]
+
+
+def _ref_type_over_coalgebra(tgt, cg, ty):
+    """The construction before types were kept on the target: a fresh
+    constant type per base type, boxed outward, here past the comonad's
+    memo of ``bbox_type`` so that every call builds anew."""
+    if isinstance(ty, BaseType):
+        return constant_type(cg.carrier, tgt.base_size(ty.name))
+    inner = _ref_type_over_coalgebra(tgt, cg, ty.inner)
+    return type(tgt.comonad).bbox_type.__wrapped__(tgt.comonad, cg, inner)
+
+
+def _modal_contexts(mod):
+    """The modal zones that interpreting ``mod`` builds: each
+    directive's, and each that a ``let box`` extends one by."""
+    out = set()
+
+    def walk(tele, tm):
+        out.add(tele.modal)
+        if isinstance(tm, LetBox):
+            walk(tele, tm.scrutinee)
+            inner = infer_type(mod.signature, tele, tm.scrutinee).inner
+            walk(Telescope(tele.modal + ((tm.binder, inner),), tele.ordinary), tm.body)
+        elif isinstance(tm, Shut):
+            walk(tele.without_ordinary(), tm.body)
+
+    for d in mod.directives:
+        for tm in (getattr(d, "term", None), getattr(d, "left", None),
+                   getattr(d, "right", None)):
+            walk(d.telescope, tm)
+    return out
+
+
+def _model_target(model):
+    return SemanticTarget(load_model(str(ROOT / "models" / f"{model}.json")).comonad, model)
+
+
+@pytest.mark.parametrize("model", ["one", "two", "disc2", "chain3", "arrow"])
+def test_types_over_coalgebras_agree_with_a_fresh_build(model, corpus):
+    """Over every modal context of the corpus, each of ``A``, ``Box A``
+    and ``Box Box A`` equals the type built anew, and asking again gives
+    back the same object."""
+    tgt = _model_target(model)
+    assert soundness_harness(tgt, corpus)["ok"]
+    coalgebras = [tgt.modal_context(modal)[0] for modal in _modal_contexts(corpus)]
+    # seven modal zones; those that differ in names only share a coalgebra
+    assert len(coalgebras) == 7 and len({id(cg) for cg in coalgebras}) <= 5
+    for cg in coalgebras:
+        for ty in TYPES:
+            got = tgt.type_over_coalgebra(cg, ty)
+            assert got == _ref_type_over_coalgebra(tgt, cg, ty)
+            assert tgt.type_over_coalgebra(cg, ty) is got
+
+
+def _semantic_objects(tgt, mod):
+    """What interpreting ``mod`` in ``tgt`` builds, coalgebras to types."""
+    soundness_harness(tgt, mod)
+    out = []
+    for modal in _modal_contexts(mod):
+        cg, _ = tgt.modal_context(modal)
+        out += [cg, cg.carrier, cg.structure]
+        out += [tgt.type_over_coalgebra(cg, ty) for ty in TYPES]
+    for d in mod.directives:
+        ci = tgt.context(d.telescope)
+        out += [ci, ci.presheaf, ci.to_carrier, tgt.type_over(ci, d.type)]
+    return out
+
+
+def test_targets_on_fresh_comonads_share_no_semantic_objects(corpus):
+    first, second = _model_target("two"), _model_target("two")
+    shared = {id(o) for o in _semantic_objects(first, corpus)} & \
+        {id(o) for o in _semantic_objects(second, corpus)}
+    assert not shared
+
+
+def test_what_a_target_builds_dies_with_it(corpus):
+    tgt = _model_target("two")
+    refs = [weakref.ref(o) for o in _semantic_objects(tgt, corpus)]
+    del tgt
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_a_failing_context_coalgebra_fails_every_directive_over_it(corpus, monkeypatch):
+    """The harness checks each context coalgebra once; a coalgebra that
+    fails its laws still fails every directive over it, and only those."""
+    tgt = _model_target("two")
+    bad, _ = tgt.modal_context((("u", A),))
+    real, calls = interp.coalgebra_laws, Counter()
+
+    def laws(w, cg):
+        calls[id(cg)] += 1
+        return ["injected fault"] if cg is bad else real(w, cg)
+
+    monkeypatch.setattr(interp, "coalgebra_laws", laws)
+    report = soundness_harness(tgt, corpus)
+    over_bad = [tgt.context(d.telescope).coalg is bad for d in corpus.directives]
+    assert over_bad.count(True) == 5 and over_bad.count(False) == 7
+    for flag, entry in zip(over_bad, report["directives"]):
+        assert entry["context_ok"] is not flag
+        assert entry["ok"] is not flag
+    assert report["ok"] is False
+    assert len(calls) == 2 and set(calls.values()) == {1}
