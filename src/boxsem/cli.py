@@ -109,6 +109,8 @@ def _load_category(name: str, spec: dict) -> FinCat:
         dst = {m["name"]: m["dst"] for m in spec.get("morphisms", [])}
     except (KeyError, TypeError) as e:
         raise BadInput(f"category block malformed: {e}")
+    if not all(isinstance(i, str) for i in identities.values()):
+        raise BadInput(f"identities must name morphisms, got {identities!r}")
     for o, i in identities.items():
         if i not in morphisms:
             morphisms.append(i)
@@ -124,7 +126,8 @@ def _load_category(name: str, spec: dict) -> FinCat:
     if not isinstance(composition, list):
         raise BadInput(f"composition must be a list of [g, f, gf], got {composition!r}")
     for triple in composition:
-        if not isinstance(triple, list) or len(triple) != 3:
+        if not (isinstance(triple, list) and len(triple) == 3
+                and all(isinstance(m, str) for m in triple)):
             raise BadInput(f"composition entries are [g, f, gf], got {triple!r}")
         g, f, gf = triple
         table[(g, f)] = gf

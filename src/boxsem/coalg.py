@@ -48,7 +48,7 @@ from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
 from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
                        TypeOverContext, TypeProduct, Universe,
                        all_display_maps_into, all_presheaves, all_types_over,
-                       apply_type_map, comprehension, compose_type_maps,
+                       apply_type_map, comprehension,
                        hs_universe, identity_type_map, is_display,
                        pi_type, sigma_type, sub_type, subst_type,
                        subst_type_map, terms_of, type_maps, type_product)
@@ -801,12 +801,12 @@ def _fiber_laws(w: NaturalModelComonad, cg: Coalgebra, a: TypeOverContext) -> li
     errs.extend("comult: " + e for e in dlt.validate())
     if errs:
         return errs
-    if compose_type_maps(w.fiber_counit(cg, ba), dlt) != identity_type_map(ba):
+    if compose_maps(w.fiber_counit(cg, ba), dlt) != identity_type_map(ba):
         errs.append("counit-comult law fails in the fiber")
-    if compose_type_maps(w.bbox_type_map(cg, eps), dlt) != identity_type_map(ba):
+    if compose_maps(w.bbox_type_map(cg, eps), dlt) != identity_type_map(ba):
         errs.append("boxed-counit law fails in the fiber")
-    if compose_type_maps(w.fiber_comult(cg, ba), dlt) != \
-            compose_type_maps(w.bbox_type_map(cg, dlt), dlt):
+    if compose_maps(w.fiber_comult(cg, ba), dlt) != \
+            compose_maps(w.bbox_type_map(cg, dlt), dlt):
         errs.append("coassociativity fails in the fiber")
     return errs
 

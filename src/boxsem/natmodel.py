@@ -27,11 +27,10 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Slice, slice_category
-from .presheaf import (FamilyTable, Presheaf, PresheafMap, _compose, _elements_shape,
-                       _functor_errors, _functors, _identity, _inverse, _is_iso,
-                       _natural_components, _natural_errors, _point, _product,
-                       _projections, _sections, _shape, _subfunctor, compose_maps,
-                       hom_maps, mono_maps, yoneda, yoneda_map)
+from .presheaf import (FamilyTable, Presheaf, PresheafMap, _elements_shape, _functor_errors,
+                       _functors, _identity, _NaturalMap, _natural_components,
+                       _natural_errors, _point, _product, _projections, _sections, _shape,
+                       _subfunctor, compose_maps, hom_maps, mono_maps, yoneda, yoneda_map)
 
 
 class BoundExceeded(Exception):
@@ -87,6 +86,11 @@ class TypeOverContext:
     def max_fiber(self) -> int:
         return max(self.fiber.values(), default=0)
 
+    def _tables(self) -> tuple:
+        """What the table core reads: the context, the shape of its
+        category of elements, the fibers and the restriction tables."""
+        return self.context, _elements_shape(self.context), self.fiber, self.restriction
+
     def validate(self) -> list[str]:
         return _functor_errors(_elements_shape(self.context), self.fiber, self.restriction)
 
@@ -134,63 +138,18 @@ class TermOverContext:
         return self
 
 
-@dataclass(frozen=True)
-class TypeMap:
+class TypeMap(_NaturalMap):
     """A fiberwise map between two types over the same context."""
 
-    source: TypeOverContext
-    target: TypeOverContext
-    component: Mapping[tuple[str, int], tuple[int, ...]]
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "component",
-                           {k: tuple(v) for k, v in dict(self.component).items()})
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, TypeMap):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.component == other.component)
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(tuple(sorted(self.component.items()))))
-        return self._hash
+    _error, _label = ModelError, "type map"
+    _apart = "source and target sit over different contexts"
 
     def apply(self, obj: str, g: int, a: int) -> int:
         return self.component[(obj, g)][a]
 
-    def validate(self) -> list[str]:
-        a, b = self.source, self.target
-        if a.context != b.context:
-            return ["source and target sit over different contexts"]
-        return _natural_errors(_elements_shape(a.context), a.fiber, a.restriction,
-                               b.fiber, b.restriction, self.component)
-
-    def assert_valid(self):
-        errs = self.validate()
-        if errs:
-            raise ModelError("type map: " + "; ".join(errs[:8]))
-        return self
-
-    def is_iso(self) -> bool:
-        return _is_iso(self.component, self.target.fiber)
-
-    def inverse(self) -> "TypeMap":
-        assert self.is_iso(), "not an isomorphism of types"
-        return TypeMap(self.target, self.source, _inverse(self.component))
-
 
 def identity_type_map(a: TypeOverContext) -> TypeMap:
     return TypeMap(a, a, _identity(a.fiber, a.fiber))
-
-
-def compose_type_maps(g: TypeMap, f: TypeMap) -> TypeMap:
-    assert f.target == g.source, "type maps not composable"
-    return TypeMap(f.source, g.target, _compose(g.component, f.component))
 
 
 def apply_type_map(m: TypeMap, t: TermOverContext) -> TermOverContext:
@@ -749,24 +708,25 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
     return report
 
 
-def realign(u: Universe, mono: PresheafMap, a_code: PresheafMap,
-            b_code: PresheafMap, phi: TypeMap) -> tuple[PresheafMap, TypeMap]:
+def realign(u: Universe, mono: PresheafMap, ta: TypeOverContext,
+            tb: TypeOverContext, phi: TypeMap) -> tuple[PresheafMap, TypeMap]:
     """Strict realignment along a monomorphism.
 
-    Given codes ``A`` on the subobject and ``B`` on the whole context
-    and an iso ``phi : decode(A) -> decode(B)[mono]``, produce a code
-    ``B'`` on the whole context restricting to ``A`` on the nose and an
-    iso ``phi' : decode(B') -> decode(B)`` restricting to ``phi``.
+    Given the decoded types ``ta`` of a code ``A`` on the subobject and
+    ``tb`` of a code ``B`` on the whole context, and an iso
+    ``phi : ta -> tb[mono]``, produce a code ``B'`` on the whole context
+    restricting to ``A`` on the nose and an iso ``phi' : decode(B') -> tb``
+    restricting to ``phi``.
 
-    The realigned type copies ``decode(A)`` fibers over the image of the
-    mono and keeps ``decode(B)`` fibers elsewhere; restrictions crossing
-    into the image are rerouted through ``phi`` inverse.
+    The realigned type copies ``ta`` fibers over the image of the mono and
+    keeps ``tb`` fibers elsewhere; restrictions crossing into the image
+    are rerouted through ``phi`` inverse.  A caller that has pulled the
+    same ``tb`` back along the same ``mono`` already finds that pullback
+    in the :func:`subst_type` memo when the endpoints are checked.
     """
     assert mono.is_mono(), "realignment needs a monomorphism"
     delta, gamma = mono.source, mono.target
     c = gamma.base
-    ta = u.decode(a_code)
-    tb = u.decode(b_code)
     assert phi.source == ta and phi.target == subst_type(tb, mono)
     phi_inv = phi.inverse()
     sh = _elements_shape(gamma)
@@ -841,7 +801,7 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
                             cases += 1
                             if max_cases is not None and cases > max_cases:
                                 return {"ok": True, "cases": cases - 1, "truncated": True}
-                            b2, phi2 = realign(u, mono, a_code, b_code, phi)
+                            b2, phi2 = realign(u, mono, ta, decoded(b_code), phi)
                             if compose_maps(b2, mono) != a_code:
                                 return {"ok": False, "cases": cases,
                                         "reason": "code does not restrict on the nose"}

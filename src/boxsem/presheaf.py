@@ -13,7 +13,8 @@ its objects) and once per context ``Gamma`` (keys ``(I, g)``, the objects
 of its category of elements).  A presheaf is a functor on the first, a
 type over ``Gamma`` (:mod:`boxsem.natmodel`) one on the second, and each
 job on functors (validation, naturality, enumeration, natural maps,
-products, subfunctors) has one body here that both levels call.
+products, subfunctors) has one body here that both levels call.  Their
+maps, :class:`PresheafMap` and ``TypeMap``, share one class body too.
 
 The workhorse is :func:`enumerate_families`, a small backtracking
 enumerator for tuples with per-slot domains subject to
@@ -224,25 +225,6 @@ def _natural_errors(shape: _Shape, sizes: Mapping, tables: Mapping, tgt_sizes: M
     return errs
 
 
-def _is_iso(comps: Mapping, tgt_sizes: Mapping) -> bool:
-    return all(len(set(t)) == len(t) == tgt_sizes[k] for k, t in comps.items())
-
-
-def _inverse(comps: Mapping) -> dict:
-    out = {}
-    for k, t in comps.items():
-        inv = [0] * len(t)
-        for x, y in enumerate(t):
-            inv[y] = x
-        out[k] = tuple(inv)
-    return out
-
-
-def _compose(g: Mapping, f: Mapping) -> dict:
-    """Components of ``g . f``."""
-    return {k: tuple(map(g[k].__getitem__, t)) for k, t in f.items()}
-
-
 def _identity(keys: Iterable, sizes: Mapping) -> dict:
     return {k: tuple(range(sizes[k])) for k in keys}
 
@@ -381,6 +363,11 @@ class Presheaf:
         """Restriction of ``x in P(dst f)`` along ``f``."""
         return self.action[f][x]
 
+    def _tables(self) -> tuple:
+        """What the table core reads: the category, its shape, the
+        carrier sizes and the restriction tables."""
+        return self.base, _shape(self.base), self.sizes, self.action
+
     def validate(self) -> list[str]:
         return _functor_errors(_shape(self.base), self.sizes, self.action)
 
@@ -392,22 +379,29 @@ class Presheaf:
 
 
 @dataclass(frozen=True)
-class PresheafMap:
-    """A natural transformation, one function per object."""
+class _NaturalMap:
+    """A natural map between two functors on one shape, one component
+    table per key.
 
-    source: Presheaf
-    target: Presheaf
-    component: Mapping[str, tuple[int, ...]]
+    A subclass names its error class ``_error``, its ``_label`` and the
+    ``_apart`` message for functors on different shapes; its source and
+    target give their anchor (the category or the context), shape, sizes
+    and tables through ``_tables()``.
+    """
+
+    source: object
+    target: object
+    component: Mapping[object, tuple[int, ...]]
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "component",
-                           {o: tuple(t) for o, t in dict(self.component).items()})
+                           {k: tuple(t) for k, t in dict(self.component).items()})
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, PresheafMap):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.component == other.component)
@@ -417,41 +411,53 @@ class PresheafMap:
             object.__setattr__(self, "_hash", hash(tuple(sorted(self.component.items()))))
         return self._hash
 
-    def apply(self, obj: str, x: int) -> int:
-        return self.component[obj][x]
-
     def validate(self) -> list[str]:
-        p, q = self.source, self.target
-        if p.base != q.base:
-            return ["source and target live over different categories"]
-        return _natural_errors(_shape(p.base), p.sizes, p.action, q.sizes, q.action,
-                               self.component)
+        anchor, shape, sizes, tables = self.source._tables()
+        tgt_anchor, _, tgt_sizes, tgt_tables = self.target._tables()
+        if anchor != tgt_anchor:
+            return [self._apart]
+        return _natural_errors(shape, sizes, tables, tgt_sizes, tgt_tables, self.component)
 
     def assert_valid(self):
         errs = self.validate()
         if errs:
-            raise PresheafError("presheaf map: " + "; ".join(errs[:8]))
+            raise self._error(f"{self._label}: " + "; ".join(errs[:8]))
         return self
+
+    def is_iso(self) -> bool:
+        sizes = self.target._tables()[2]
+        return all(len(set(t)) == len(t) == sizes[k] for k, t in self.component.items())
+
+    def inverse(self) -> "_NaturalMap":
+        assert self.is_iso(), f"{self._label} is not an isomorphism"
+        return type(self)(self.target, self.source,
+                          {k: tuple(sorted(range(len(t)), key=t.__getitem__))
+                           for k, t in self.component.items()})
+
+
+class PresheafMap(_NaturalMap):
+    """A natural transformation, one function per object."""
+
+    _error, _label = PresheafError, "presheaf map"
+    _apart = "source and target live over different categories"
+
+    def apply(self, obj: str, x: int) -> int:
+        return self.component[obj][x]
 
     def is_mono(self) -> bool:
         return all(len(set(self.component[o])) == self.source.sizes[o]
                    for o in self.source.base.objects)
-
-    def is_iso(self) -> bool:
-        return _is_iso(self.component, self.target.sizes)
-
-    def inverse(self) -> "PresheafMap":
-        assert self.is_iso(), "not an isomorphism"
-        return PresheafMap(self.target, self.source, _inverse(self.component))
 
 
 def identity_map(p: Presheaf) -> PresheafMap:
     return PresheafMap(p, p, _identity(p.base.objects, p.sizes))
 
 
-def compose_maps(g: PresheafMap, f: PresheafMap) -> PresheafMap:
-    assert f.target == g.source, "presheaf maps not composable"
-    return PresheafMap(f.source, g.target, _compose(g.component, f.component))
+def compose_maps(g: _NaturalMap, f: _NaturalMap) -> _NaturalMap:
+    """``g . f``, a map of the class of its arguments."""
+    assert f.target == g.source, f"{f._label}s not composable"
+    return type(f)(f.source, g.target,
+                   {k: tuple(map(g.component[k].__getitem__, t)) for k, t in f.component.items()})
 
 
 def constant_presheaf(c: FinCat, n: int) -> Presheaf:

@@ -203,6 +203,9 @@ MALFORMED = {
         lambda spec: spec["presheaves"]["flagship"]["actions"].update({"1->0": [0, 0]}),
     "composition-entry-not-a-list": lambda spec: spec["category"].update(composition=[1]),
     "composition-not-a-list": lambda spec: spec["category"].update(composition=5),
+    "composition-entry-holding-a-list":
+        lambda spec: spec["category"].update(composition=[[["id_0"], "id_0", "id_0"]]),
+    "identity-named-by-a-list": lambda spec: spec["category"]["identities"].update({"0": ["id_0"]}),
     "bound-not-a-whole-number": lambda spec: spec.update(bound=1.9),
     "size-not-an-integer": lambda spec: spec["presheaves"]["flagship"]["sizes"].update({"0": 2.7}),
     # loaded as one point each with int(), so that edit validated

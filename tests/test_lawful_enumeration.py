@@ -18,7 +18,7 @@ from boxsem.coalg import (Coalgebra, CoalgebraType, coalg_extension,
                           coalgebra_maps, coalgebra_type_laws, coalgebra_type_maps,
                           coalgebra_types_over, enumerate_coalgebras, is_coalgebra_map,
                           terminal_coalgebra)
-from boxsem.natmodel import all_presheaves, all_types_over, compose_type_maps, type_maps
+from boxsem.natmodel import all_presheaves, all_types_over, type_maps
 from boxsem.presheaf import compose_maps, hom_maps, identity_map
 
 # the shipped models that declare a comonad
@@ -63,8 +63,8 @@ def _ref_coalgebra_types_over(w, cg, size_bound):
 
 def _ref_coalgebra_type_maps(w, x, y):
     return [m for m in type_maps(x.type, y.type)
-            if compose_type_maps(y.theta, m) ==
-            compose_type_maps(w.bbox_type_map(x.coalg, m), x.theta)]
+            if compose_maps(y.theta, m) ==
+            compose_maps(w.bbox_type_map(x.coalg, m), x.theta)]
 
 
 @pytest.fixture(scope="module", params=MODELS)

@@ -7,12 +7,13 @@ import weakref
 import pytest
 
 from boxsem.natmodel import (
+    ModelError,
     NaturalModel,
+    TypeMap,
     all_presheaves,
     apply_type_map,
     classifier_check,
     comprehension,
-    compose_type_maps,
     hs_universe,
     identity_type_map,
     is_display,
@@ -28,10 +29,13 @@ from boxsem.natmodel import (
 )
 from boxsem.presheaf import (
     Presheaf,
+    PresheafError,
     PresheafMap,
     compose_maps,
+    constant_presheaf,
     hom_maps,
     identity_map,
+    iso_maps,
     terminal_presheaf,
     yoneda,
 )
@@ -174,10 +178,41 @@ def test_bar_of_a_term_is_a_section(gamma, a_type):
 def test_type_maps_compose_and_have_identities(gamma, a_type):
     ident = identity_type_map(a_type)
     for m in type_maps(a_type, a_type):
-        assert compose_type_maps(m, ident) == m
-        assert compose_type_maps(ident, m) == m
+        assert compose_maps(m, ident) == m
+        assert compose_maps(ident, m) == m
     for t in terms_of(a_type):
         assert apply_type_map(ident, t) == t
+
+
+def test_one_natural_map_body_serves_both_levels(two, gamma, a_type):
+    """Presheaf maps and type maps share composition, validation and
+    inverses; each keeps its own class, error and messages."""
+    maps = type_maps(a_type, a_type)
+    for g, f in itertools.product(maps, repeat=2):
+        gf = compose_maps(g, f)
+        assert type(gf) is TypeMap
+        assert gf == TypeMap(a_type, a_type, {k: tuple(g.component[k][x] for x in t)
+                                              for k, t in f.component.items()})
+
+    one, pt = terminal_presheaf(two), terminal_presheaf(terminal_category())
+    apart = PresheafMap(one, pt, {o: (0,) for o in two.objects})
+    assert apart.validate() == ["source and target live over different categories"]
+    with pytest.raises(PresheafError, match="^presheaf map: source and target live over"):
+        apart.assert_valid()
+    over = type_terminal(constant_presheaf(two, 2))
+    apart = TypeMap(a_type, over, {k: (0,) * n for k, n in a_type.fiber.items()})
+    assert apart.validate() == ["source and target sit over different contexts"]
+    with pytest.raises(ModelError, match="^type map: source and target sit over"):
+        apart.assert_valid()
+
+    p = constant_presheaf(two, 2)
+    for isos, ident in ((iso_maps(p, p), identity_map(p)),
+                        ([m for m in maps if m.is_iso()], identity_type_map(a_type))):
+        assert any(m != ident for m in isos)
+        for m in isos:
+            inv = m.inverse()
+            assert type(inv) is type(m) and inv.inverse() == m
+            assert compose_maps(inv, m) == compose_maps(m, inv) == ident
 
 
 def test_sigma_pairs_and_splits(gamma, a_type):

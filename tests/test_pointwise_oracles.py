@@ -57,7 +57,7 @@ from boxsem.coalg import (AdjunctionComonad, CoalgebraSigma,
                           coalgebra_type_maps, coalgebra_types_over, enumerate_coalgebras,
                           exponential_up_check, is_coalgebra_map, pi_up_check, terminal_coalgebra)
 from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, TypeProduct,
-                             all_presheaves, all_types_over, compose_type_maps, comprehension,
+                             all_presheaves, all_types_over, comprehension,
                              identity_type_map, sigma_type, subst_term, subst_type,
                              subst_type_map, terms_of, type_maps)
 from boxsem.presheaf import PresheafMap, compose_maps, hom_maps, identity_map
@@ -274,8 +274,8 @@ def _ref_coalg_sigma(w, xt, yb):
     proj = TypeMap(sg.type, xt.type,
                    {k: tuple(sg.split(k[0], k[1], v)[0] for v in range(n))
                     for k, n in sg.type.fiber.items()})
-    if compose_type_maps(xt.theta, proj) != \
-            compose_type_maps(w.bbox_type_map(cg, proj), th):
+    if compose_maps(xt.theta, proj) != \
+            compose_maps(w.bbox_type_map(cg, proj), th):
         raise ComonadError("first projection of the sum is not structured")
     return CoalgebraSigma(st, sg, proj)
 
@@ -529,8 +529,8 @@ def _ref_is_coalgebra_map(w, src, dst, h):
 
 def _ref_fiber_comult_holds(w, cg, a, th):
     """The comult filter of ``coalgebra_types_over``."""
-    return compose_type_maps(_ref_fiber_comult(w, cg, a), th) == \
-        compose_type_maps(w.bbox_type_map(cg, th), th)
+    return compose_maps(_ref_fiber_comult(w, cg, a), th) == \
+        compose_maps(w.bbox_type_map(cg, th), th)
 
 
 def _ref_coalgebra_type_laws(w, xt):
@@ -541,7 +541,7 @@ def _ref_coalgebra_type_laws(w, xt):
     errs = [*th.validate()]
     if errs:
         return errs
-    if compose_type_maps(_ref_fiber_counit(w, cg, a), th) != identity_type_map(a):
+    if compose_maps(_ref_fiber_counit(w, cg, a), th) != identity_type_map(a):
         errs.append("fiber counit law fails")
     if not _ref_fiber_comult_holds(w, cg, a, th):
         errs.append("fiber comult law fails")
@@ -560,8 +560,8 @@ def _ref_coalgebra_types_over(w, cg, bound):
 
 def _ref_projection_structured(w, xt, sg, th, proj):
     """The structured-projection check of ``coalg_sigma``."""
-    return compose_type_maps(xt.theta, proj) == \
-        compose_type_maps(w.bbox_type_map(xt.coalg, proj), th)
+    return compose_maps(xt.theta, proj) == \
+        compose_maps(w.bbox_type_map(xt.coalg, proj), th)
 
 
 def _projection_structured(w, xt, sg, th, proj):

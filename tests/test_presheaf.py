@@ -32,8 +32,7 @@ from boxsem.presheaf import (
     yoneda_index,
     yoneda_map,
 )
-from boxsem.natmodel import (TypeOverContext, all_presheaves, compose_type_maps,
-                             type_maps, type_product)
+from boxsem.natmodel import TypeOverContext, all_presheaves, type_maps, type_product
 from boxsem.standard import sierpinski_site, walking_arrow
 from test_fincat import discrete
 from test_structured_oracles import exp_ev, exp_transpose, type_exponential, type_tuple_map
@@ -166,8 +165,8 @@ def test_exponential_curry_ev_round_trip(two):
     for m in maps:
         h = exp_transpose(e, rp, m)
         # ev after (h x id) recovers m
-        hx = type_tuple_map(pr_ep, compose_type_maps(h, rp.fst), rp.snd)
-        assert compose_type_maps(ev, hx) == m
+        hx = type_tuple_map(pr_ep, compose_maps(h, rp.fst), rp.snd)
+        assert compose_maps(ev, hx) == m
     # and distinct maps curry apart
     assert len({exp_transpose(e, rp, m) for m in maps}) == len(maps)
 

@@ -60,9 +60,9 @@ from boxsem.coalg import (CoalgebraSigma, CoalgebraTerm, CoalgebraType, ComonadE
                           exponential_up_check, pi_up_check, terminal_coalgebra)
 from boxsem.fincat import Functor
 from boxsem.natmodel import (Pi, TermOverContext, TypeMap, TypeOverContext, TypeProduct,
-                             all_types_over, compose_type_maps, comprehension, pi_type,
+                             all_types_over, comprehension, pi_type,
                              sub_type, subst_type, type_product)
-from boxsem.presheaf import KanAdjunction, Presheaf, subpresheaves
+from boxsem.presheaf import KanAdjunction, Presheaf, compose_maps, subpresheaves
 from boxsem.standard import walking_arrow
 from test_fincat import chain, identity_functor
 
@@ -155,8 +155,8 @@ def _ref_coalg_product(w, x, y):
     cg = x.coalg
     pr = type_product(x.type, y.type)
     pack, prb = _ref_pack_map(w, cg, pr)
-    th = compose_type_maps(pack, type_tuple_map(
-        prb, compose_type_maps(x.theta, pr.fst), compose_type_maps(y.theta, pr.snd)))
+    th = compose_maps(pack, type_tuple_map(
+        prb, compose_maps(x.theta, pr.fst), compose_maps(y.theta, pr.snd)))
     xt = CoalgebraType(cg, pr.type, th)
     errs = coalgebra_type_laws(w, xt)
     if errs:
@@ -214,7 +214,7 @@ class _RefExponential:
     def transpose(self, w, z, pr, m):
         cg = self.source.coalg
         lam = exp_transpose(self.plain, pr, m)
-        t = compose_type_maps(w.bbox_type_map(cg, lam), z.theta)
+        t = compose_maps(w.bbox_type_map(cg, lam), z.theta)
         return TypeMap(z.type, self.type.type, _lift(
             self.inclusion.component, t.component,
             lambda k, n: "transpose of an unstructured map"))
@@ -232,16 +232,16 @@ def _ref_coalg_exponential(w, x, y, drops=None):
 
     pr_ea = type_product(e_plain.type, a)
     ev_plain = exp_ev(e_plain, pr_ea, b)
-    v1 = compose_type_maps(
-        exp_transpose(exp_bb, pr_ea, compose_type_maps(y.theta, ev_plain)),
+    v1 = compose_maps(
+        exp_transpose(exp_bb, pr_ea, compose_maps(y.theta, ev_plain)),
         w.fiber_counit(cg, e_plain.type))
 
     pack, prb = _ref_pack_map(w, cg, pr_ea)
     pr_box = type_product(box_exp, a)
     into_pack = type_tuple_map(prb, pr_box.fst,
-                               compose_type_maps(x.theta, pr_box.snd))
-    applied = compose_type_maps(w.bbox_type_map(cg, ev_plain),
-                                compose_type_maps(pack, into_pack))
+                               compose_maps(x.theta, pr_box.snd))
+    applied = compose_maps(w.bbox_type_map(cg, ev_plain),
+                           compose_maps(pack, into_pack))
     v2 = exp_transpose(exp_bb, pr_box, applied)
 
     keep = {k: frozenset(v for v in range(n)
@@ -250,9 +250,9 @@ def _ref_coalg_exponential(w, x, y, drops=None):
     xt, inclusion = _ref_sub_theta(w, cg, box_exp, w.fiber_comult(cg, e_plain.type),
                                    keep, "exponential of structured types", drops)
     pr_sub = type_product(xt.type, a)
-    first = compose_type_maps(w.fiber_counit(cg, e_plain.type),
-                              compose_type_maps(inclusion, pr_sub.fst))
-    ev = compose_type_maps(ev_plain, type_tuple_map(pr_ea, first, pr_sub.snd))
+    first = compose_maps(w.fiber_counit(cg, e_plain.type),
+                         compose_maps(inclusion, pr_sub.fst))
+    ev = compose_maps(ev_plain, type_tuple_map(pr_ea, first, pr_sub.snd))
     return _RefExponential(x, y, xt, e_plain, inclusion, ev, pr_sub)
 
 
@@ -317,7 +317,7 @@ def _ref_coalg_pi(w, x, yb):
     pr_sa = type_product(es.plain.type, a)
     post_plain = exp_transpose(
         ea.plain, pr_sa,
-        compose_type_maps(sm.proj, exp_ev(es.plain, pr_sa, sm.type.type)))
+        compose_maps(sm.proj, exp_ev(es.plain, pr_sa, sm.type.type)))
     bpost = w.bbox_type_map(cg, post_plain)
 
     t1 = type_terminal(cg.carrier)
@@ -359,7 +359,7 @@ def _ref_transpose(w, exp, z, pr, m):
 def _ref_exponential_up_check(w, exp, z):
     """``exponential_up_check`` as it was, by ``TypeMap``s: the transpose
     through ``exp_transpose`` and ``_lift``, evaluation composed back with
-    ``compose_type_maps`` and ``type_tuple_map``, and membership of the
+    ``compose_maps`` and ``type_tuple_map``, and membership of the
     transpose in a set of ``TypeMap``s."""
     zx, pr_zx = coalg_product(w, z, exp.source)
     ev_product = type_product(exp.type.type, exp.source.type)
@@ -372,8 +372,8 @@ def _ref_exponential_up_check(w, exp, z):
             return {"ok": False, "witness": f"transpose leaves the box: {e}"}
         if tr not in curried:
             return {"ok": False, "witness": "transpose is not structured"}
-        back = compose_type_maps(exp.ev, type_tuple_map(
-            ev_product, compose_type_maps(tr, pr_zx.fst), pr_zx.snd))
+        back = compose_maps(exp.ev, type_tuple_map(
+            ev_product, compose_maps(tr, pr_zx.fst), pr_zx.snd))
         if back != m:
             return {"ok": False, "witness": "evaluation does not undo currying"}
     return {"ok": len(uncurried) == len(curried), "uncurried": len(uncurried),
@@ -390,13 +390,13 @@ def _ref_two_sided_up_check(w, exp, z):
         tr = exp.transpose(w, z, pr_zx, m)
         if tr not in curried:
             return {"ok": False, "witness": "transpose is not structured"}
-        back = compose_type_maps(exp.ev, type_tuple_map(
-            exp.ev_product, compose_type_maps(tr, pr_zx.fst), pr_zx.snd))
+        back = compose_maps(exp.ev, type_tuple_map(
+            exp.ev_product, compose_maps(tr, pr_zx.fst), pr_zx.snd))
         if back != m:
             return {"ok": False, "witness": "evaluation does not undo currying"}
     for h in curried:
-        u_h = compose_type_maps(exp.ev, type_tuple_map(
-            exp.ev_product, compose_type_maps(h, pr_zx.fst), pr_zx.snd))
+        u_h = compose_maps(exp.ev, type_tuple_map(
+            exp.ev_product, compose_maps(h, pr_zx.fst), pr_zx.snd))
         if u_h not in uncurried:
             return {"ok": False, "witness": "uncurrying leaves the structured maps"}
         if exp.transpose(w, z, pr_zx, u_h) != h:

@@ -111,14 +111,15 @@ def _ref_realignment_check(u, size_bound, max_cases=None):
                 for a_code in hom_maps(delta, u.presheaf):
                     ta = u.decode(a_code)
                     for b_code in hom_maps(gamma, u.presheaf):
-                        tbm = subst_type(u.decode(b_code), mono)
+                        tb = u.decode(b_code)
+                        tbm = subst_type(tb, mono)
                         for phi in type_maps(ta, tbm):
                             if not phi.is_iso():
                                 continue
                             cases += 1
                             if max_cases is not None and cases > max_cases:
                                 return {"ok": True, "cases": cases - 1, "truncated": True}
-                            b2, phi2 = natmodel.realign(u, mono, a_code, b_code, phi)
+                            b2, phi2 = natmodel.realign(u, mono, ta, tb, phi)
                             if compose_maps(b2, mono) != a_code:
                                 return {"ok": False, "cases": cases,
                                         "reason": "code does not restrict on the nose"}
@@ -168,8 +169,8 @@ def _realign_failing_at(n):
     same context in place of the realigned one."""
     calls = {"n": 0, "fired": False}
 
-    def realign(u, mono, a_code, b_code, phi):
-        b2, phi2 = REALIGN(u, mono, a_code, b_code, phi)
+    def realign(u, mono, ta, tb, phi):
+        b2, phi2 = REALIGN(u, mono, ta, tb, phi)
         calls["n"] += 1
         if calls["n"] == n:
             other = next((m for m in hom_maps(mono.target, u.presheaf) if m != b2), None)
