@@ -37,17 +37,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, wraps
+from itertools import islice
 from operator import getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
-                       Product, PullbackSquare, Ran, characteristic_map, compose_maps,
-                       hom_maps, identity_map, iso_maps, product, pullback,
+                       Product, PullbackSquare, Ran, _flat_maps, characteristic_map,
+                       compose_maps, hom_maps, identity_map, iso_maps, product, pullback,
                        sub_presheaf, subobject_classifier, subobject_of_char,
                        subpresheaves, terminal_presheaf)
 from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
-                       TypeOverContext, TypeProduct, Universe,
-                       all_display_maps_into, all_presheaves, all_types_over,
+                       TypeOverContext, TypeProduct, Universe, _display_maps, _presheaves,
+                       _types_over, all_presheaves, all_types_over,
                        apply_type_map, comprehension,
                        hs_universe, identity_type_map, is_display,
                        pi_type, sigma_type, sub_type, subst_type,
@@ -710,18 +711,25 @@ def comparison_object(w: AdjunctionComonad, p: Presheaf) -> Coalgebra:
     return Coalgebra(w.adj.restrict(p), w.adj.restrict_map(w.adj.unit(p)))
 
 
+def _restricted_homs(adj: KanAdjunction, ps: Sequence[Presheaf]):
+    """Each pair of ``ps``, the maps between them and the set of their
+    restrictions, as flat families: restricting keeps the segment of
+    ``u(x)`` for each object ``x`` of the small category, in its order."""
+    big = {o: n for n, o in enumerate(adj.big.objects)}
+    for i, p in enumerate(ps):
+        for j, q in enumerate(ps):
+            ends, maps = _flat_maps(p, q)
+            kept = [s for x in adj.small.objects for k in (big[adj.u.obj_map[x]],)
+                    for s in range(ends[k], ends[k + 1])]
+            yield i, j, maps, {tuple(map(h.__getitem__, kept)) for h in maps}
+
+
 def left_adjoint_faithful(adj: KanAdjunction, size_bound: int) -> tuple[bool, str | None]:
     """Check restriction for faithfulness on the bounded fragment."""
     ps = all_presheaves(adj.big, size_bound)
-    for p in ps:
-        for q in ps:
-            seen: dict[PresheafMap, PresheafMap] = {}
-            for h in hom_maps(p, q):
-                rh = adj.restrict_map(h)
-                if rh in seen and seen[rh] != h:
-                    return False, (f"maps {seen[rh].component} and {h.component} "
-                                   f"between {p.sizes} and {q.sizes} restrict equally")
-                seen[rh] = h
+    for i, j, maps, image in _restricted_homs(adj, ps):
+        if len(image) != len(maps):
+            return False, f"maps between {ps[i].sizes} and {ps[j].sizes} restrict equally"
     return True, None
 
 
@@ -763,19 +771,16 @@ def comparison_check(adj: KanAdjunction, w: AdjunctionComonad,
     imaged = set(images)
     surjective = all(any(cgs[k] in imaged for k in cl) for cl in c_classes)
     faithful, hom_ok, witness = True, True, None
-    for i, p in enumerate(ps):
-        for j, q in enumerate(ps):
-            upstairs = hom_maps(p, q)
-            image = {PresheafMap(images[i].carrier, images[j].carrier,
-                                 {x: h.component[y] for x, y in adj.u.obj_map.items()})
-                     for h in upstairs}
-            if len(image) != len(upstairs):
-                faithful = hom_ok = False
-                witness = witness or (f"distinct maps between {p.sizes} and {q.sizes} "
-                                      f"restrict equally")
-            elif image != set(coalgebra_maps(w, images[i], images[j])):
-                hom_ok = False
-                witness = witness or f"hom sets differ between {p.sizes} and {q.sizes}"
+    for i, j, upstairs, image in _restricted_homs(adj, ps):
+        ci, cj, p, q = images[i], images[j], ps[i].sizes, ps[j].sizes
+        if len(image) != len(upstairs):
+            faithful = hom_ok = False
+            witness = witness or f"distinct maps between {p} and {q} restrict equally"
+        elif image != set(_flat_maps(ci.carrier, cj.carrier, rules=_commuting_rules(
+                ci.structure.component, cj.structure.component,
+                _box_pair(w, ci.carrier, cj.carrier)))[1]):
+            hom_ok = False
+            witness = witness or f"hom sets differ between {p} and {q}"
     ok = faithful and surjective and hom_ok and len(p_classes) == len(c_classes)
     return {"ok": ok,
             "faithful": faithful,
@@ -888,7 +893,8 @@ def validate_comonad(w: NaturalModelComonad) -> dict:
 
     def display():
         for p in ps[:8]:
-            for dmap in all_display_maps_into(w.model, p, w.model.bound)[:12]:
+            sources = _presheaves(w.model.base, w.model.bound)
+            for dmap in islice(_display_maps(w.model, p, sources), 12):
                 if not is_display(w.box_map(dmap), w.model.bound):
                     witnesses.append(f"box of a display map over {p.sizes} exceeds bound "
                                      f"{w.model.bound}")
@@ -898,7 +904,7 @@ def validate_comonad(w: NaturalModelComonad) -> dict:
 
     def tau():
         for p in sample:
-            for a in all_types_over(w.model, p, w.model.bound)[:3]:
+            for a in islice(_types_over(p, w.model.bound), 3):
                 t = w.tau(a)
                 note(not t.validate() and t.is_iso(), f"tau not an iso for a type over {p.sizes}")
                 note(not w.tp_counit(a).validate() and not w.tp_comult(a).validate(),
@@ -907,7 +913,7 @@ def validate_comonad(w: NaturalModelComonad) -> dict:
     def fiber_laws():
         for p in sample:
             cg = cofree_coalgebra(w, p)
-            for a in all_types_over(w.model, cg.carrier, w.model.bound)[:2]:
+            for a in islice(_types_over(cg.carrier, w.model.bound), 2):
                 errs = _fiber_laws(w, cg, a)
                 if errs:
                     witnesses.append(f"fiber laws fail over cofree({p.sizes}): {errs[0]}")

@@ -24,13 +24,14 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fincat import FinCat, Slice, slice_category
-from .presheaf import (FamilyTable, Presheaf, PresheafMap, _elements_shape, _functor_errors,
-                       _functors, _identity, _NaturalMap, _natural_components,
-                       _natural_errors, _point, _product, _projections, _sections, _shape,
-                       _subfunctor, compose_maps, hom_maps, mono_maps, yoneda, yoneda_map)
+from .presheaf import (FamilyTable, Presheaf, PresheafMap, _components, _elements_shape,
+                       _fibers_within, _flat_maps, _functor_errors, _functors, _identity,
+                       _NaturalMap, _natural_errors, _point, _product, _projections, _sections,
+                       _shape, _subfunctor, compose_maps, hom_maps, mono_maps, yoneda, yoneda_map)
 
 
 class BoundExceeded(Exception):
@@ -56,6 +57,7 @@ class TypeOverContext:
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
     # subst_type results, keyed by the id of the substitution (held weakly)
     _subst: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _comp: "Comprehension | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fiber", dict(self.fiber))
@@ -75,9 +77,6 @@ class TypeOverContext:
             object.__setattr__(self, "_hash", hash((tuple(sorted(self.fiber.items())),
                                                     tuple(sorted(self.restriction.items())))))
         return self._hash
-
-    def size(self, obj: str, g: int) -> int:
-        return self.fiber[(obj, g)]
 
     def restrict(self, f: str, g: int, a: int) -> int:
         """Restrict ``a in A(dst f, g)`` along ``f`` to ``A(src f, g.f)``."""
@@ -236,34 +235,23 @@ class Comprehension:
 
 
 def comprehension(a: TypeOverContext) -> Comprehension:
-    gamma = a.context
-    c = gamma.base
-    offsets, sizes = {}, {}
-    for i in c.objects:
-        acc = 0
-        for g in gamma.elements(i):
-            offsets[(i, g)] = acc
-            acc += a.fiber[(i, g)]
-        sizes[i] = acc
-    action = {}
-    for f in c.morphisms:
-        i, j = c.src[f], c.dst[f]
-        vals = []
-        for g in gamma.elements(j):
-            g2 = gamma.act(f, g)
-            for x in range(a.fiber[(j, g)]):
-                vals.append(offsets[(i, g2)] + a.restrict(f, g, x))
-        action[f] = tuple(vals)
-    ext = Presheaf(c, sizes, action)
-    p = PresheafMap(ext, gamma,
-                    {i: tuple(g for g in gamma.elements(i)
-                              for _ in range(a.fiber[(i, g)]))
-                     for i in c.objects})
-    va = subst_type(a, p)
-    v = TermOverContext(va, {(i, offsets[(i, g)] + x): x
-                             for i in c.objects for g in gamma.elements(i)
-                             for x in range(a.fiber[(i, g)])})
-    return Comprehension(gamma, a, ext, p, v, offsets)
+    """``Gamma.A``, built once per type object and kept on it."""
+    if a._comp is not None:
+        return a._comp
+    gamma, sh = a.context, _elements_shape(a.context)
+    offsets, proj = {}, {i: [] for i in gamma.base.objects}
+    for i, g in sh.keys:
+        offsets[(i, g)] = len(proj[i])
+        proj[i] += [g] * a.fiber[(i, g)]
+    action = {f: [] for f in gamma.base.morphisms}
+    for (f, g), _, k2 in sh.arrows:
+        action[f] += [offsets[k2] + y for y in a.restriction[(f, g)]]
+    ext = Presheaf(gamma.base, {i: len(col) for i, col in proj.items()}, action)
+    p = PresheafMap(ext, gamma, proj)
+    v = TermOverContext(subst_type(a, p), {(i, offsets[(i, g)] + x): x for i, g in sh.keys
+                                           for x in range(a.fiber[(i, g)])})
+    object.__setattr__(a, "_comp", Comprehension(gamma, a, ext, p, v, offsets))
+    return a._comp
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +266,9 @@ def type_maps(a: TypeOverContext, b: TypeOverContext,
     holds the value at ``x`` in ``a[k]``; ``domains`` (sorted, drawn from
     ``b[k]``) and ``rules`` on these slots narrow the enumeration and keep
     its order."""
-    return [TypeMap(a, b, comp) for comp in _natural_components(
-        _elements_shape(a.context), a.fiber, a.restriction, b.fiber, b.restriction,
-        domains, rules)]
+    ends, families = _flat_maps(a, b, domains, rules)
+    keys = _elements_shape(a.context).keys
+    return [TypeMap(a, b, _components(keys, ends, f)) for f in families]
 
 
 def terms_of(a: TypeOverContext) -> list[TermOverContext]:
@@ -479,16 +467,9 @@ def straighten(m: PresheafMap) -> tuple[TypeOverContext, PresheafMap]:
     restriction = {fg: tuple(pos[k2][e.action[fg[0]][x]] for x in lists[k])
                    for fg, k, k2 in _elements_shape(gamma).arrows}
     a = TypeOverContext(gamma, fiber, restriction)
-    ca = comprehension(a)
-    comp = {}
-    for i in c.objects:
-        vals = []
-        for v in range(ca.presheaf.sizes[i]):
-            g, x = ca.decode(i, v)
-            vals.append(lists[(i, g)][x])
-        comp[i] = tuple(vals)
-    iso = PresheafMap(ca.presheaf, e, comp)
-    return a, iso
+    # Gamma.A is numbered g-major: the iso lists each fiber in turn
+    return a, PresheafMap(comprehension(a).presheaf, e, {
+        i: tuple(x for g in gamma.elements(i) for x in lists[(i, g)]) for i in c.objects})
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +484,24 @@ class NaturalModel:
     bound: int
 
 
+def _presheaves(c: FinCat, bound: int) -> Iterator[Presheaf]:
+    return (Presheaf(c, *st) for st in _functors(_shape(c), bound))
+
+
+def _types_over(gamma: Presheaf, bound: int) -> Iterator[TypeOverContext]:
+    return (TypeOverContext(gamma, *st) for st in _functors(_elements_shape(gamma), bound))
+
+
 def all_presheaves(c: FinCat, bound: int) -> list[Presheaf]:
     """Every presheaf on ``c`` with all carriers of size <= bound, in a
     deterministic order (sizes, then actions, lexicographically)."""
-    return [Presheaf(c, *st) for st in _functors(_shape(c), bound)]
+    return list(_presheaves(c, bound))
 
 
 def all_types_over(model: NaturalModel, gamma: Presheaf, bound: int) -> list[TypeOverContext]:
     """Every type over ``gamma`` with all fibers of size <= bound: the
     functors on its category of elements, enumerated at the keys."""
-    return [TypeOverContext(gamma, *st) for st in _functors(_elements_shape(gamma), bound)]
+    return list(_types_over(gamma, bound))
 
 
 @dataclass(frozen=True)
@@ -598,15 +587,26 @@ def hs_universe(model: NaturalModel) -> Universe:
 # Checks: typing equivalence, classifier, realignment
 
 
+def _display_maps(model: NaturalModel, gamma: Presheaf,
+                   sources: Iterable[Presheaf]) -> Iterator[PresheafMap]:
+    """The display maps into ``gamma`` from each source in turn."""
+    for e in sources:
+        ends, families = _flat_maps(e, gamma)
+        for fam in families:
+            if _fibers_within(ends, fam, model.bound):
+                yield PresheafMap(e, gamma, _components(e.base.objects, ends, fam))
+
+
 def all_display_maps_into(model: NaturalModel, gamma: Presheaf, size_bound: int) -> list[PresheafMap]:
     """Every display map with target ``gamma`` whose source has carriers
     of size at most ``size_bound``."""
-    out = []
-    for e in all_presheaves(model.base, size_bound):
-        for m in hom_maps(e, gamma):
-            if is_display(m, model.bound):
-                out.append(m)
-    return out
+    return list(_display_maps(model, gamma, all_presheaves(model.base, size_bound)))
+
+
+def _block_starts(a: TypeOverContext, cb: Comprehension) -> tuple[int, ...]:
+    """Where ``Gamma.B`` numbers ``(k, 0)``, per flat slot ``(k, x)`` out of ``a``."""
+    return tuple(cb.offsets[k] for k in _elements_shape(a.context).keys
+                 for _ in range(a.fiber[k]))
 
 
 def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = None) -> dict:
@@ -623,6 +623,8 @@ def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = 
     indices ``offsets[(I, g)] + range(B(I, g))``.  Narrowing each slot to
     its block drops exactly the maps ``h`` with ``p_B . h != p_A``, and
     keeps the rest in order.
+    ``Gamma.A`` is numbered g-major, so a type map's flat family plus
+    :func:`_block_starts` is the flat family of the map it induces.
     """
     if size_bound is None:
         size_bound = model.bound * max(1, max(gamma.sizes.values(), default=1))
@@ -631,32 +633,23 @@ def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = 
     for m in all_display_maps_into(model, gamma, size_bound):
         report["display_maps"] += 1
         a, iso = straighten(m)
-        ca = comprehension(a)
         iso.assert_valid()
-        if not iso.is_iso() or compose_maps(m, iso) != ca.p:
+        if not iso.is_iso() or compose_maps(m, iso) != comprehension(a).p:
             report["essential_surjectivity"] = False
             report["witness"] = (m, a)
             return report
     types = all_types_over(model, gamma, model.bound)
     comps = [comprehension(t) for t in types]
+    keys = _elements_shape(gamma).keys
     for a, ca in zip(types, comps):
         for b, cb in zip(types, comps):
             report["type_pairs"] += 1
-            tms = type_maps(a, b)
-            blocks = {}
-            for i in gamma.base.objects:
-                for v in ca.presheaf.elements(i):
-                    g = ca.p.apply(i, v)
-                    start = cb.offsets[(i, g)]
-                    blocks[(i, v)] = range(start, start + b.fiber[(i, g)])
-            over = hom_maps(ca.presheaf, cb.presheaf, blocks)
-            induced = set()
-            for tm in tms:
-                comp = {i: tuple(cb.encode(i, g, tm.apply(i, g, x))
-                                 for g in gamma.elements(i)
-                                 for x in range(a.fiber[(i, g)]))
-                        for i in gamma.base.objects}
-                induced.add(PresheafMap(ca.presheaf, cb.presheaf, comp))
+            _, tms = _flat_maps(a, b)
+            blocks = {(k[0], ca.offsets[k] + x): range(s, s + b.fiber[k])
+                      for k in keys for s in (cb.offsets[k],) for x in range(a.fiber[k])}
+            _, over = _flat_maps(ca.presheaf, cb.presheaf, blocks)
+            starts = _block_starts(a, cb)
+            induced = {tuple(map(add, starts, fam)) for fam in tms}
             if induced != set(over) or len(induced) != len(tms):
                 report["fully_faithful"] = False
                 report["witness"] = (a, b)
@@ -762,11 +755,12 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
 
     A pair whose decoded types differ in some fiber is skipped at once:
     an iso of types is a bijection on every fiber, so no map between them
-    is a case.  Each context's codes, and each code's type, are built
-    once, at first use, and never ahead of it, since a run cut short by
-    ``max_cases`` may stop early inside one large context.  The cases come
-    in the same order as in a plain loop over all pairs and maps, so a
-    truncated or failing run stops at the same case.
+    is a case; between equal fibers, an injective flat family is one.
+    Each context's codes, and each code's type, are built once, at first
+    use, and never ahead of it, since a run cut short by ``max_cases`` may
+    stop early inside one large context.  The cases come in the same order
+    as in a plain loop over all pairs and maps, so a truncated or failing
+    run stops at the same case.
     """
     model = u.model
     c = model.base
@@ -787,6 +781,7 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
         return types[id(code)]
 
     for kd, delta in enumerate(contexts):
+        keys = _elements_shape(delta).keys
         for kg, gamma in enumerate(contexts):
             for mono in mono_maps(delta, gamma):
                 for a_code in codes_of(kd):
@@ -795,12 +790,14 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
                         tbm = subst_type(decoded(b_code), mono)
                         if ta.fiber != tbm.fiber:
                             continue
-                        for phi in type_maps(ta, tbm):
-                            if not phi.is_iso():
+                        ends, families = _flat_maps(ta, tbm)
+                        for fam in families:
+                            if not _fibers_within(ends, fam, 1):
                                 continue
                             cases += 1
                             if max_cases is not None and cases > max_cases:
                                 return {"ok": True, "cases": cases - 1, "truncated": True}
+                            phi = TypeMap(ta, tbm, _components(keys, ends, fam))
                             b2, phi2 = realign(u, mono, ta, decoded(b_code), phi)
                             if compose_maps(b2, mono) != a_code:
                                 return {"ok": False, "cases": cases,

@@ -282,41 +282,56 @@ def _subfunctor(shape: _Shape, tables: Mapping, sel: Mapping,
     return {k: len(v) for k, v in keep.items()}, out, keep
 
 
-def _natural_components(shape: _Shape, sizes: Mapping, tables: Mapping, tgt_sizes: Mapping,
-                        tgt_tables: Mapping,
-                        domains: Mapping[tuple, Sequence[int]] | None = None,
-                        rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()
-                        ) -> list[dict]:
-    """Every natural map between two functors on ``shape``, as one column
-    of components per key, in canonical order.
+def _natural_families(shape: _Shape, sizes: Mapping, tables: Mapping, tgt_sizes: Mapping,
+                      tgt_tables: Mapping,
+                      domains: Mapping[tuple, Sequence[int]] | None = None,
+                      rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()
+                      ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Every natural map between two functors on ``shape``, as the flat
+    families of :func:`enumerate_families` in canonical order, with the
+    ``ends`` that cut them into components: slot ``(k, x)``, the value at
+    ``x < sizes[k]``, sits at ``ends[n] + x`` for ``k`` the ``n``-th key.
 
-    Slot ``(k, x)`` holds the value at ``x < sizes[k]``, slots in key
-    order; each proper arrow asks naturality at each ``x``.  ``domains``
-    may narrow a slot to a sorted sequence drawn from
-    ``range(tgt_sizes[k])``, and a rule ``(s, t, table)`` on slots asks
-    ``m[t] == table[m[s]]``.  :func:`enumerate_families` is lexicographic
-    over the slots and narrowing only drops families, so those left keep
-    their order.
+    Each proper arrow asks naturality at each ``x``.  ``domains`` may
+    narrow a slot to a sorted sequence drawn from ``range(tgt_sizes[k])``,
+    and a rule ``(s, t, table)`` on slots asks ``m[t] == table[m[s]]``.
+    Narrowing only drops families, so those left keep their order.
     """
-    slots = [(k, x) for k in shape.keys for x in range(sizes[k])]
-    index = {s: n for n, s in enumerate(slots)}
-    doms = [range(tgt_sizes[k]) for (k, _) in slots]
-    for s, dom in (domains or {}).items():
-        doms[index[s]] = dom
-    checks = [(index[s], index[t], table) for (s, t, table) in rules]
-    for name, dst, src in shape.proper:
-        t, t2 = tables[name], tgt_tables[name]
-        checks += [(index[(dst, x)], index[(src, y)], t2) for x, y in enumerate(t)]
     ends = list(accumulate((sizes[k] for k in shape.keys), initial=0))
-    return [{k: fam[a:b] for k, a, b in zip(shape.keys, ends, ends[1:])}
-            for fam in enumerate_families(len(slots), doms, checks)]
+    at = dict(zip(shape.keys, ends))
+    doms = [range(tgt_sizes[k]) for k in shape.keys for _ in range(sizes[k])]
+    for (k, x), dom in (domains or {}).items():
+        doms[at[k] + x] = dom
+    checks = [(at[s[0]] + s[1], at[t[0]] + t[1], table) for (s, t, table) in rules]
+    for name, dst, src in shape.proper:
+        a, b, t2 = at[dst], at[src], tgt_tables[name]
+        checks += [(a + x, b + y, t2) for x, y in enumerate(tables[name])]
+    return ends, enumerate_families(ends[-1], doms, checks)
+
+
+def _components(keys: Sequence, ends: Sequence[int], fam: tuple[int, ...]) -> dict:
+    """The components of a flat family, cut at ``ends``, by key."""
+    return {k: fam[a:b] for k, a, b in zip(keys, ends, ends[1:])}
+
+
+def _fibers_within(ends: Sequence[int], fam: tuple[int, ...], bound: int) -> bool:
+    """Whether no component of a flat family repeats a value over ``bound`` times."""
+    return all(b - a <= bound or max(map(fam[a:b].count, fam[a:b])) <= bound
+               for a, b in zip(ends, ends[1:]))
+
+
+def _flat_maps(source, target, domains: Mapping | None = None,
+               rules: Iterable = ()) -> tuple[list[int], list[tuple[int, ...]]]:
+    """:func:`_natural_families` between two presheaves, or two types."""
+    _, shape, sizes, tables = source._tables()
+    return _natural_families(shape, sizes, tables, *target._tables()[2:], domains, rules)
 
 
 def _sections(shape: _Shape, sizes: Mapping, tables: Mapping) -> list[dict]:
     """Every natural choice of one element per key: the maps from the
-    one-point functor, canonically ordered."""
-    return [{k: col[0] for k, col in comp.items()}
-            for comp in _natural_components(shape, *_point(shape), sizes, tables)]
+    one-point functor, one slot per key, canonically ordered."""
+    return [dict(zip(shape.keys, fam))
+            for fam in _natural_families(shape, *_point(shape), sizes, tables)[1]]
 
 
 @dataclass(frozen=True)
@@ -352,9 +367,6 @@ class Presheaf:
             object.__setattr__(self, "_hash", hash((tuple(sorted(self.sizes.items())),
                                                     tuple(sorted(self.action.items())))))
         return self._hash
-
-    def size(self, obj: str) -> int:
-        return self.sizes[obj]
 
     def elements(self, obj: str) -> range:
         return range(self.sizes[obj])
@@ -537,9 +549,9 @@ def hom_maps(p: Presheaf, q: Presheaf,
              ) -> list[PresheafMap]:
     """Every natural transformation ``p -> q``, canonically ordered.
     ``domains`` and ``rules`` on the slots ``(o, x)`` narrow the
-    enumeration and keep its order (:func:`_natural_components`)."""
-    return [PresheafMap(p, q, comp) for comp in _natural_components(
-        _shape(p.base), p.sizes, p.action, q.sizes, q.action, domains, rules)]
+    enumeration and keep its order (:func:`_natural_families`)."""
+    ends, families = _flat_maps(p, q, domains, rules)
+    return [PresheafMap(p, q, _components(p.base.objects, ends, f)) for f in families]
 
 
 def iso_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:

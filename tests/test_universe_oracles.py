@@ -13,6 +13,14 @@ Each pair must give the same report on every shipped model at bounds 1
 and 2, without its witness: for ``realignment_check`` at every case
 ceiling tried, and when ``realign`` is made to fail at a chosen call, so
 that a truncated or failing run stops at the same case on both sides.
+
+The checks compare maps as flat families and build a map object only
+where they return one.  ``_obj_typing_check``, ``_ref_display_maps_into``
+and ``_ref_isos`` are the object-based bodies they had before: the
+induced maps as ``PresheafMap`` sets, display maps and isos filtered as
+built maps.  A fault injected into the flat comparison (an induced
+family shifted by one, a family that is not a bijection let through the
+iso filter) must make the check fail.
 """
 
 import pytest
@@ -21,10 +29,10 @@ from boxsem import natmodel
 from boxsem.cli import load_model
 from boxsem.natmodel import (NaturalModel, TypeOverContext, all_display_maps_into,
                              all_presheaves, all_types_over, classifier_check,
-                             comprehension, hs_universe, realignment_check, straighten,
-                             subst_type, subst_type_map, type_maps, typing_check)
-from boxsem.presheaf import (PresheafMap, compose_maps, hom_maps, mono_maps, yoneda,
-                             yoneda_map)
+                             comprehension, hs_universe, is_display, realignment_check,
+                             straighten, subst_type, subst_type_map, type_maps, typing_check)
+from boxsem.presheaf import (PresheafMap, _flat_maps, _fibers_within, compose_maps, hom_maps,
+                             mono_maps, yoneda, yoneda_map)
 
 MODELS = ["one", "two", "disc2", "chain3", "sierpinski"]
 CONFIGS = [(name, bound) for name in MODELS for bound in (1, 2)]
@@ -66,6 +74,54 @@ def _ref_typing_check(model, gamma, size_bound=None):
                 report["witness"] = (a, b)
                 return report
     return report
+
+
+def _ref_display_maps_into(model, gamma, size_bound):
+    return [m for e in all_presheaves(model.base, size_bound) for m in hom_maps(e, gamma)
+            if is_display(m, model.bound)]
+
+
+def _obj_typing_check(model, gamma, size_bound=None):
+    """``typing_check`` with the maps over ``gamma`` enumerated by block
+    and compared as ``PresheafMap`` sets."""
+    if size_bound is None:
+        size_bound = model.bound * max(1, max(gamma.sizes.values(), default=1))
+    report = {"essential_surjectivity": True, "fully_faithful": True,
+              "display_maps": 0, "type_pairs": 0}
+    for m in _ref_display_maps_into(model, gamma, size_bound):
+        report["display_maps"] += 1
+        a, iso = straighten(m)
+        if not iso.is_iso() or compose_maps(m, iso) != comprehension(a).p:
+            report["essential_surjectivity"] = False
+            return report
+    types = all_types_over(model, gamma, model.bound)
+    for a in types:
+        ca = comprehension(a)
+        for b in types:
+            report["type_pairs"] += 1
+            cb = comprehension(b)
+            tms = type_maps(a, b)
+            blocks = {}
+            for i in gamma.base.objects:
+                for v in ca.presheaf.elements(i):
+                    g = ca.p.apply(i, v)
+                    start = cb.offsets[(i, g)]
+                    blocks[(i, v)] = range(start, start + b.fiber[(i, g)])
+            over = hom_maps(ca.presheaf, cb.presheaf, blocks)
+            induced = {PresheafMap(ca.presheaf, cb.presheaf,
+                                   {i: tuple(cb.encode(i, g, tm.apply(i, g, x))
+                                             for g in gamma.elements(i)
+                                             for x in range(a.fiber[(i, g)]))
+                                    for i in gamma.base.objects})
+                       for tm in tms}
+            if induced != set(over) or len(induced) != len(tms):
+                report["fully_faithful"] = False
+                return report
+    return report
+
+
+def _ref_isos(a, b):
+    return [m for m in type_maps(a, b) if m.is_iso()]
 
 
 def _ref_classifier_check(u, size_bound=None):
@@ -148,6 +204,54 @@ def test_typing_check_agrees(name, bound):
         want = _ref_typing_check(NaturalModel(cat, bound), gamma)
         assert _unwitnessed(got) == _unwitnessed(want)
         assert got["type_pairs"] > 0
+
+
+@pytest.mark.parametrize("name,bound", CONFIGS)
+def test_flat_checks_agree_with_their_object_bodies(name, bound):
+    cat = load_model(name).category
+    model = NaturalModel(cat, bound)
+    for gamma in all_presheaves(cat, 1)[:6]:
+        # sources of size 2 over a fiber bound of 1 exercise the filter
+        got = all_display_maps_into(model, gamma, 2)
+        assert got == _ref_display_maps_into(model, gamma, 2)
+        assert _unwitnessed(typing_check(model, gamma)) == _obj_typing_check(model, gamma)
+        types = all_types_over(model, gamma, bound)
+        for a in types:
+            for b in types:
+                if a.fiber != b.fiber:
+                    continue
+                ends, families = _flat_maps(a, b)
+                kept = [f for f in families if _fibers_within(ends, f, 1)]
+                assert kept == [tuple(x for col in m.component.values() for x in col)
+                                for m in _ref_isos(a, b)]
+
+
+@pytest.mark.parametrize("name,bound", CONFIGS)
+def test_realignment_case_counts_agree(name, bound):
+    want = _ref_realignment_check(_universe(name, bound), bound, max_cases=300)
+    assert realignment_check(_universe(name, bound), bound, max_cases=300) == want
+    assert want["ok"] and want["cases"] > 0
+
+
+def test_a_shifted_offset_breaks_full_faithfulness(monkeypatch):
+    cat = load_model("chain3").category
+    gamma = next(g for g in all_presheaves(cat, 1) if sum(g.sizes.values()) == 2)
+    assert typing_check(NaturalModel(cat, 2), gamma)["fully_faithful"]
+    starts = natmodel._block_starts
+
+    def shifted(a, cb):
+        s = starts(a, cb)
+        return s[:1] and (s[0] + 1, *s[1:])
+    monkeypatch.setattr(natmodel, "_block_starts", shifted)
+    report = typing_check(NaturalModel(cat, 2), gamma)
+    assert report["essential_surjectivity"] and not report["fully_faithful"]
+
+
+def test_a_non_bijection_through_the_iso_filter_fails_realignment(monkeypatch):
+    assert realignment_check(_universe("two", 2), 1)["ok"]
+    monkeypatch.setattr(natmodel, "_fibers_within", lambda ends, fam, bound: True)
+    with pytest.raises(AssertionError, match="not an isomorphism"):
+        realignment_check(_universe("two", 2), 1)
 
 
 @pytest.mark.parametrize("name,bound", CONFIGS)
