@@ -13,13 +13,19 @@ restriction followed by right Kan extension along a functor between
 finite categories.
 
 Over a coalgebra ``(Gamma, theta)`` only points at the image of
-``theta`` are read, and no box of a box is built.  They suffice:
-``tp_box(A)`` at ``(x, pi)`` depends on ``A``, ``x`` and ``pi`` alone,
-so built at ``pi = theta(g)`` it is ``subst_type(tp_box(A), theta)`` at
-``g``; and point ``k`` of ``delta(e)`` is the restriction of ``e`` along
-slot ``k`` (``ran(P).presheaf.action[f][e]`` at slot ``(j, f)`` of the
-Kan comonad), so the comult law holds at ``v`` exactly when that
+``theta`` are read.  They suffice: ``tp_box(A)`` at ``(x, pi)`` depends
+on ``A``, ``x`` and ``pi`` alone, so built at ``pi = theta(g)`` it is
+``subst_type(tp_box(A), theta)`` at ``g``; and point ``k`` of
+``delta(e)`` is the restriction of ``e`` along slot ``k``
+(``ran(P).presheaf.action[f][e]`` at slot ``(j, f)`` of the Kan
+comonad), so the comult law holds at ``v`` exactly when that
 restriction of ``theta(v)`` is ``theta_j`` of its point ``k``.
+Coalgebras and the structured types over one are two levels with the
+same laws (Kock and Wraith), checked by one body (:class:`_Level`) that
+builds no box of a box.  Only ``comult``, ``tp_comult`` and
+``fiber_comult`` build one, as their target, read by the cofree
+coalgebra, the classifiers, the action on codes, ``cofree_type``,
+:func:`coalg_pi` and the law suite of :func:`validate_comonad`.
 
 On top of that the module builds the bounded category of coalgebras
 with its forgetful and cofree adjunction, the comparison with the
@@ -38,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import islice
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
@@ -46,7 +52,7 @@ from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
                        compose_maps, hom_maps, identity_map, iso_maps, product, pullback,
                        sub_presheaf, subobject_classifier, subobject_of_char,
                        subpresheaves, terminal_presheaf)
-from .natmodel import (NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
+from .natmodel import (ModelError, NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
                        TypeOverContext, TypeProduct, Universe, _display_maps, _presheaves,
                        _types_over, all_presheaves, all_types_over,
                        apply_type_map, comprehension,
@@ -154,24 +160,15 @@ class NaturalModelComonad:
 
     # derived: maps and terms, counits and comultiplications, by points -------
     def box_map(self, m: PresheafMap) -> PresheafMap:
-        comp = {}
-        for x in self.model.base.objects:
-            fibers, pts, _ = self.box_points(m.source, x)
-            cols = [m.component[j] for j in fibers]
-            comp[x] = _positions(self.box_points(m.target, x)[2],
-                                 (tuple(map(getitem, cols, pt)) for pt in pts),
-                                 "box_map leaves the box", x)
-        return PresheafMap(self.box(m.source), self.box(m.target), comp)
+        return PresheafMap(self.box(m.source), self.box(m.target), _boxed_columns(
+            m.component, self.model.base.objects, partial(self.box_points, m.source),
+            partial(self.box_points, m.target), "box_map leaves the box"))
 
     def tp_box_map(self, m: TypeMap) -> TypeMap:
-        src, dst = self.tp_box_points(m.source), self.tp_box_points(m.target)
-        comp = {}
-        for key in self.tp_box(m.source).fiber:
-            fibers, pts, _ = src(key)
-            cols = [m.component[f] for f in fibers]
-            comp[key] = _positions(dst(key)[2], (tuple(map(getitem, cols, pt)) for pt in pts),
-                                   "tp_box_map leaves the box", key)
-        return TypeMap(self.tp_box(m.source), self.tp_box(m.target), comp)
+        ba = self.tp_box(m.source)
+        return TypeMap(ba, self.tp_box(m.target), _boxed_columns(
+            m.component, ba.fiber, self.tp_box_points(m.source), self.tp_box_points(m.target),
+            "tp_box_map leaves the box"))
 
     def tm_box(self, t: TermOverContext) -> TermOverContext:
         return _boxed_term(t, self.tp_box(t.type), self.tp_box_points(t.type), "tm_box")
@@ -201,33 +198,32 @@ class NaturalModelComonad:
     @_once
     def counit(self, p: Presheaf) -> PresheafMap:
         """The component ``box(P) -> P``."""
-        return PresheafMap(self.box(p), p, {x: tuple(
-            pt[self.counit_slot(x)] for pt in self.box_points(p, x)[1])
-            for x in self.model.base.objects})
+        return PresheafMap(self.box(p), p, _counit_columns(
+            self.model.base.objects, partial(self.box_points, p), self.counit_slot))
 
     @_once
     def comult(self, p: Presheaf) -> PresheafMap:
         """The component ``box(P) -> box(box(P))``."""
         bp = self.box(p)
-        return PresheafMap(bp, self.box(bp), {x: _positions(
-            self.box_points(bp, x)[2], self.delta_points(p, x), "comult leaves the box", x)
-            for x in self.model.base.objects})
+        return PresheafMap(bp, self.box(bp), _comult_columns(
+            self.model.base.objects, partial(self.box_points, bp),
+            partial(self.delta_points, p), "comult leaves the box"))
 
     @_once
     def tp_counit(self, a: TypeOverContext) -> TypeMap:
         """``tp_box(A) -> A[counit]`` over ``box(Gamma)``."""
-        ba, points = self.tp_box(a), self.tp_box_points(a)
-        return TypeMap(ba, subst_type(a, self.counit(a.context)), {
-            key: tuple(pt[self.counit_slot(key[0])] for pt in points(key)[1]) for key in ba.fiber})
+        ba = self.tp_box(a)
+        return TypeMap(ba, subst_type(a, self.counit(a.context)), _counit_columns(
+            ba.fiber, self.tp_box_points(a), lambda key: self.counit_slot(key[0])))
 
     @_once
     def tp_comult(self, a: TypeOverContext) -> TypeMap:
         """``tp_box(A) -> tp_box(tp_box(A))[comult]`` over ``box(Gamma)``."""
         b, dlt = self.tp_box(a), self.comult(a.context)
         points = self.tp_box_points(b)
-        return TypeMap(b, subst_type(self.tp_box(b), dlt), {key: _positions(
-            points((key[0], dlt.apply(*key)))[2], self.tp_delta_points(a, key),
-            "tp_comult leaves the box", key) for key in b.fiber})
+        return TypeMap(b, subst_type(self.tp_box(b), dlt), _comult_columns(
+            b.fiber, lambda key: points((key[0], dlt.apply(*key))),
+            partial(self.tp_delta_points, a), "tp_comult leaves the box"))
 
     def tau(self, a: TypeOverContext) -> PresheafMap:
         """The iso ``box(Gamma.A) -> box(Gamma).tp_box(A)``: the pair of
@@ -260,7 +256,9 @@ class NaturalModelComonad:
         return self._tp_box_along(a, cg.carrier, cg.structure.component)
 
     def bbox_type_map(self, cg: "Coalgebra", m: TypeMap) -> TypeMap:
-        return subst_type_map(self.tp_box_map(m), cg.structure)
+        return TypeMap(self.bbox_type(cg, m.source), self.bbox_type(cg, m.target), _boxed_columns(
+            m.component, m.source.fiber, self.bbox_points(cg, m.source),
+            self.bbox_points(cg, m.target), "bbox_type_map leaves the box"))
 
     def bbox_points(self, cg: "Coalgebra",
                     a: TypeOverContext) -> Callable[[tuple[str, int]], Points]:
@@ -268,6 +266,17 @@ class NaturalModelComonad:
         returned takes a fiber key of ``a`` to those over it."""
         points, s = self.tp_box_points(a), cg.structure.component
         return lambda key: points((key[0], s[key[0]][key[1]]))
+
+    @_once
+    def bbox_delta_points(self, cg: "Coalgebra") -> Callable[[TypeOverContext, tuple], list]:
+        """:meth:`tp_delta_points` at the image of the structure, by type and
+        fiber key.  Point ``k`` lies over point ``k`` of ``delta(theta(g))``,
+        which the comult law of ``cg``, checked, makes ``theta`` of that of
+        ``theta(g)``."""
+        s = cg.structure.component
+        if not _commutes(s, s, _presheaf_level(self).cofree(cg.carrier)):
+            raise ComonadError("fiber comult is not strict over this coalgebra")
+        return lambda a, key: self.tp_delta_points(a, (key[0], s[key[0]][key[1]]))
 
     def bbox_term(self, cg: "Coalgebra", t: TermOverContext) -> TermOverContext:
         return _boxed_term(t, self.bbox_type(cg, t.type), self.bbox_points(cg, t.type),
@@ -279,31 +288,46 @@ class NaturalModelComonad:
         ``cg``, checked, makes ``a[counit . theta]`` equal ``a``."""
         if not _counit_holds(self.counit(cg.carrier).component, cg.structure.component):
             raise ComonadError("fiber counit does not land back in its type")
-        points = self.bbox_points(cg, a)
-        return TypeMap(self.bbox_type(cg, a), a, {key: tuple(
-            pt[self.counit_slot(key[0])] for pt in points(key)[1]) for key in a.fiber})
+        return TypeMap(self.bbox_type(cg, a), a, _counit_columns(
+            a.fiber, self.bbox_points(cg, a), lambda key: self.counit_slot(key[0])))
 
     @_once
     def fiber_comult(self, cg: "Coalgebra", a: TypeOverContext) -> TypeMap:
-        """At ``g``, ``e`` goes to the element whose point ``k`` is the
-        restriction of ``e`` along slot ``k`` (:meth:`tp_delta_points`).
-        The check, that the slot-``k`` restriction of ``theta(g)`` is
-        ``theta_j(point k)``, gives ``tp_box(tp_box(A))[delta . theta] ==
-        bbox(bbox(A))``: the right side is ``tp_box(tp_box(A))[box(theta) .
-        theta]``, the type action being strict, and an element is
-        determined by its points, so the check makes the two maps one."""
-        s = cg.structure.component
-        if not _commutes(s, s, *_delta_pair(self, cg.carrier)):
-            raise ComonadError("fiber comult is not strict over this coalgebra")
+        """The cofree structure ``bbox(A) -> bbox(bbox(A))``: ``e`` goes to
+        the element whose point ``k`` is its restriction along slot ``k``."""
         ba = self.bbox_type(cg, a)
-        points = self.bbox_points(cg, ba)
-        return TypeMap(ba, self.bbox_type(cg, ba), {key: _positions(
-            points(key)[2], self.tp_delta_points(a, (key[0], s[key[0]][key[1]])),
-            "fiber comult leaves the box", key) for key in a.fiber})
+        return TypeMap(ba, self.bbox_type(cg, ba), _comult_columns(
+            a.fiber, self.bbox_points(cg, ba), partial(self.bbox_delta_points(cg), a),
+            "fiber comult leaves the box"))
 
     def cofree_type(self, cg: "Coalgebra", a: TypeOverContext) -> "CoalgebraType":
         """The cofree coalgebra type on a plain type over the carrier."""
         return CoalgebraType(cg, self.bbox_type(cg, a), self.fiber_comult(cg, a))
+
+
+def _boxed_columns(m: Mapping, keys: Iterable, src: Callable[[object], Points],
+                   dst: Callable[[object], Points], error: str) -> dict:
+    """The box of the map with columns ``m``: at ``key``, ``e`` goes to the
+    element of ``dst(key)`` whose point ``k`` is ``m`` at point ``k`` of ``e``."""
+    comp = {}
+    for key in keys:
+        fibers, pts, _ = src(key)
+        cols = [m[f] for f in fibers]
+        comp[key] = _positions(dst(key)[2], (tuple(map(getitem, cols, pt)) for pt in pts),
+                               error, key)
+    return comp
+
+
+def _counit_columns(keys: Iterable, points: Callable[[object], Points],
+                    slot: Callable[[object], int]) -> dict:
+    """The counit: point ``slot(key)`` of each element of ``points(key)``."""
+    return {key: tuple(map(itemgetter(slot(key)), points(key)[1])) for key in keys}
+
+
+def _comult_columns(keys: Iterable, outer: Callable[[object], Points],
+                    delta: Callable[[object], Sequence[tuple[int, ...]]], error: str) -> dict:
+    """The comultiplication: ``delta(key)`` looked up in the box of the box."""
+    return {key: _positions(outer(key)[2], delta(key), error, key) for key in keys}
 
 
 def _boxed_term(t: TermOverContext, ba: TypeOverContext, points: Callable,
@@ -442,83 +466,30 @@ class Coalgebra:
     structure: PresheafMap
 
 
-def _box_pair(w: NaturalModelComonad, p: Presheaf,
-              q: Presheaf) -> Callable[[str], tuple]:
-    """``points(x)``: ``(fibers, points of box(p), points of box(q))`` at
-    ``x``, as :func:`_commutes` and :func:`_commuting_rules` read them."""
-    return lambda x: (*w.box_points(p, x)[:2], w.box_points(q, x)[1])
-
-
-def _delta_pair(w: NaturalModelComonad, p: Presheaf) -> tuple[dict, Callable[[str], tuple]]:
-    """``delta`` on ``box(p)`` for :func:`_commutes`, as the identity whose
-    points are those of ``delta`` (``delta_points``)."""
-    return ({x: range(n) for x, n in w.box(p).sizes.items()},
-            lambda x: (*w.box_points(p, x)[:2], w.delta_points(p, x)))
-
-
-def _bbox_pair(w: NaturalModelComonad, cg: "Coalgebra", a: TypeOverContext,
-               b: TypeOverContext) -> Callable[[tuple[str, int]], tuple]:
-    """:func:`_box_pair` for the box over ``cg`` of types over its carrier."""
-    src, dst = w.bbox_points(cg, a), w.bbox_points(cg, b)
-    return lambda key: (*src(key)[:2], dst(key)[1])
-
-
 def _counit_holds(eps: Mapping, theta: Mapping) -> bool:
     """``eps . theta == id``, column by column."""
     return all(eps[key][e] == v for key, col in theta.items() for v, e in enumerate(col))
 
 
-def _commutes(m: Mapping, src_theta: Mapping, dst_theta: Mapping,
-              points: Callable[[object], tuple]) -> bool:
+def _commutes(m: Mapping, src_theta: Mapping, square: Mapping) -> bool:
     """``dst_theta . m == box(m) . src_theta`` for a natural ``m``, checked
-    at the box points of each ``src_theta(v)``; ``points`` is as in
-    :func:`_commuting_rules`.  The comult law reads ``delta`` at its
-    points (:func:`_delta_pair`).
+    at the box points of each ``src_theta(v)``; ``square`` is as in
+    :func:`_commuting_rules`.  The comult law is the square into the
+    cofree structure, read at its points (:meth:`_Level.cofree`).
 
-    This is the equation of the two composed maps on the nose.  Their
-    endpoints agree, and ``box(m)`` sends ``e`` to the element whose
-    point ``k`` is ``m`` at ``fibers[k]`` of point ``k`` of ``e``; the
-    derived ``box_map`` looks that tuple up in ``pos``, and ``pos`` and
-    the points are mutually inverse, so the composite at ``v`` is
-    ``dst_theta(m(v))`` exactly when that tuple is its points.  The
-    composite reads ``box(m)`` only at the image of ``src_theta``, and
-    where it is not read ``box(m)`` could fail only by leaving the box,
-    which a natural ``m`` never does: each caller validates ``m`` first
-    or builds it natural.
+    This is the equation of the two composites on the nose: ``box(m)``
+    sends ``e`` to the element whose point ``k`` is ``m`` at point ``k`` of
+    ``e`` (``box_map``), and an element is determined by its points.  The
+    composite reads ``box(m)`` only at the image of ``src_theta``; elsewhere
+    it could fail only by leaving the box, which a natural ``m`` never does:
+    each caller validates ``m`` first or builds it natural.
     """
     for key, col in src_theta.items():
-        fibers, pts_src, pts_dst = points(key)
-        out, mk = dst_theta[key], m[key]
-        cols = [m[f] for f in fibers]
-        if any(pts_dst[out[mk[v]]] != tuple(map(getitem, cols, pts_src[e]))
-               for v, e in enumerate(col)):
+        fibers, pts, after = square[key]
+        mk, cols = m[key], [m[f] for f in fibers]
+        if any(after[mk[v]] != tuple(map(getitem, cols, pts[e])) for v, e in enumerate(col)):
             return False
     return True
-
-
-def coalgebra_laws(w: NaturalModelComonad, cg: Coalgebra) -> list[str]:
-    p = cg.carrier
-    if cg.structure.source != p or cg.structure.target != w.box(p):
-        return ["structure map has the wrong endpoints"]
-    errs = [*cg.structure.validate()]
-    if errs:
-        return errs
-    th = cg.structure.component
-    if not _counit_holds(w.counit(p).component, th):
-        errs.append("counit law fails")
-    if not _commutes(th, th, *_delta_pair(w, p)):
-        errs.append("comult law fails")
-    return errs
-
-
-def is_coalgebra_map(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra,
-                     h: PresheafMap) -> bool:
-    """Whether ``h`` is a natural map of carriers commuting with the two
-    structures (:func:`_commutes`)."""
-    if h.source != src.carrier or h.target != dst.carrier or h.validate():
-        return False
-    return _commutes(h.component, src.structure.component, dst.structure.component,
-                     _box_pair(w, src.carrier, dst.carrier))
 
 
 def _counit_domains(eps: Mapping, sizes: Mapping) -> dict:
@@ -536,33 +507,137 @@ def _counit_domains(eps: Mapping, sizes: Mapping) -> dict:
     return domains
 
 
-def _commuting_rules(src_theta: Mapping, dst_theta: Mapping,
-                     points: Callable[[object], tuple]) -> list:
+def _commuting_rules(src_theta: Mapping, square: Mapping) -> list:
     """Slot rules that build in ``dst_theta . m == box(m) . src_theta``.
 
-    ``points(key)`` gives ``(fibers, src_points, dst_points)``, the two
-    boxes at ``key`` as tuples of points (see ``box_points``).  Since box
-    acts pointwise and an element is determined by its points, the
-    equation at ``x`` over ``key`` is one rule per point ``k``:
-    ``m[(fibers[k], src_points[src_theta(x)][k])] == T_k[m[(key, x)]]``
-    with ``T_k[y] = dst_points[dst_theta(y)][k]``.
+    ``square[key]`` gives ``(fibers, src_points, after)``: the source box
+    at ``key`` as points (``box_points``), and the points of
+    ``dst_theta(y)`` by ``y`` (:meth:`_Level.square`).  The box acts
+    pointwise, so the equation at ``x`` over ``key`` is one rule per point
+    ``k``: ``m[(fibers[k], src_points[src_theta(x)][k])] == after[m[(key, x)]][k]``.
     """
     rules = []
     for key, col in src_theta.items():
-        fibers, pts_src, pts_dst = points(key)
-        col_dst = dst_theta[key]
+        fibers, pts, after = square[key]
         for k, fiber in enumerate(fibers):
-            table = tuple(pts_dst[e][k] for e in col_dst)
-            rules.extend(((key, x), (fiber, pts_src[e][k]), table) for x, e in enumerate(col))
+            table = tuple(pt[k] for pt in after)
+            rules.extend(((key, x), (fiber, pts[e][k]), table) for x, e in enumerate(col))
     return rules
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Structures ``x -> box(x)`` of coalgebras (:func:`_presheaf_level`) or
+    of types over a coalgebra (:func:`_type_level`), read at the points of
+    the box: ``points(x)(key)`` gives ``box(x)`` at a key as points,
+    ``counit(x)`` the counit's columns, ``delta(x)(key)`` the points of
+    ``delta`` there.  ``maps`` enumerates natural maps of class ``map_type``
+    and ``sub`` carves out subobjects, with their inclusions."""
+
+    box: Callable
+    points: Callable
+    counit: Callable
+    delta: Callable
+    maps: Callable
+    sub: Callable
+    map_type: type
+    law: str    # the prefix naming its laws
+
+    def cofree(self, x) -> dict:
+        """The square of the comult law: into ``delta``, at its points."""
+        points, delta = self.points(x), self.delta(x)
+        return {key: (*points(key)[:2], delta(key)) for key in x._tables()[2]}
+
+    def square(self, x, y, theta_y: Mapping) -> dict:
+        """The square of a map ``x -> y`` into the structure ``theta_y``."""
+        points_x, points_y = self.points(x), self.points(y)
+        return {key: (*points_x(key)[:2], [*map(points_y(key)[1].__getitem__, col)])
+                for key, col in theta_y.items()}
+
+    def laws(self, x, theta) -> list[str]:
+        """The counit and comult laws of a structure, once it is natural
+        with the right endpoints."""
+        if theta.source != x or theta.target != self.box(x):
+            return ["structure map has the wrong endpoints"]
+        errs = [*theta.validate()]
+        if errs:
+            return errs
+        col = theta.component
+        if not _counit_holds(self.counit(x), col):
+            errs.append(f"{self.law}counit law fails")
+        if not _commutes(col, col, self.cofree(x)):
+            errs.append(f"{self.law}comult law fails")
+        return errs
+
+    def structure(self, x, comp: Mapping, what: str):
+        """The structure with columns ``comp``; a broken law raises."""
+        th = self.map_type(x, self.box(x), comp)
+        errs = self.laws(x, th)
+        if errs:
+            raise ComonadError(f"{what}: " + errs[0])
+        return th
+
+    def lawful(self, x) -> list:
+        """The lawful structures on ``x``, in the order of ``maps``, with the
+        counit law built into the slot domains and the comult law tested."""
+        domains = _counit_domains(self.counit(x), x._tables()[2])
+        cofree = self.cofree(x)
+        return [th for th in self.maps(x, self.box(x), domains, ())
+                if _commutes(th.component, th.component, cofree)]
+
+    def restrict(self, x, theta: Mapping, keep: Mapping, what: str) -> tuple:
+        """``theta`` on the subobject ``keep`` of ``x``, with its inclusion:
+        ``theta(v)`` lies in its box when its box points lie in ``keep``."""
+        try:
+            sub, inc = self.sub(x, keep)
+        except (ValueError, ModelError) as e:
+            raise ComonadError(str(e)) from None
+        index = {k: {v: n for n, v in enumerate(col)} for k, col in inc.component.items()}
+        points, points_sub = self.points(x), self.points(sub)
+        comp = {}
+        for k, col in inc.component.items():
+            fibers, pts, _ = points(k)
+            comp[k] = _positions(points_sub(k)[2], (tuple(index[f].get(p) for f, p in zip(
+                fibers, pts[theta[k][v]])) for v in col),
+                f"{what} is not closed under its structure", k)
+        return self.structure(sub, comp, f"{what} carries no lawful structure"), inc
+
+
+# ``hom_maps`` and ``type_maps`` are looked up when called: a traced or patched one is used
+def _presheaf_level(w: NaturalModelComonad) -> _Level:
+    return _Level(w.box, lambda p: partial(w.box_points, p), lambda p: w.counit(p).component,
+                  lambda p: partial(w.delta_points, p), lambda *args: hom_maps(*args),
+                  sub_presheaf, PresheafMap, "")
+
+
+def _type_level(w: NaturalModelComonad, cg: Coalgebra) -> _Level:
+    """The types over the carrier of ``cg``, boxed at the image of its structure."""
+    return _Level(partial(w.bbox_type, cg), partial(w.bbox_points, cg),
+                  lambda a: w.fiber_counit(cg, a).component,
+                  lambda a: partial(w.bbox_delta_points(cg), a),
+                  lambda *args: type_maps(*args), sub_type, TypeMap, "fiber ")
+
+
+def coalgebra_laws(w: NaturalModelComonad, cg: Coalgebra) -> list[str]:
+    return _presheaf_level(w).laws(cg.carrier, cg.structure)
+
+
+def is_coalgebra_map(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra,
+                     h: PresheafMap) -> bool:
+    """Whether ``h`` is a natural map of carriers commuting with the two
+    structures (:func:`_commutes`)."""
+    if h.source != src.carrier or h.target != dst.carrier or h.validate():
+        return False
+    return _commutes(h.component, src.structure.component, _presheaf_level(w).square(
+        src.carrier, dst.carrier, dst.structure.component))
 
 
 def coalgebra_maps(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra) -> list[PresheafMap]:
     """The coalgebra maps ``src -> dst``, in the order of ``hom_maps``:
     the structure equation is enumerated as slot rules, not tested."""
     return hom_maps(src.carrier, dst.carrier, rules=_commuting_rules(
-        src.structure.component, dst.structure.component,
-        _box_pair(w, src.carrier, dst.carrier)))
+        src.structure.component, _presheaf_level(w).square(
+            src.carrier, dst.carrier, dst.structure.component)))
 
 
 def cofree_coalgebra(w: NaturalModelComonad, q: Presheaf) -> Coalgebra:
@@ -628,16 +703,9 @@ def sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
                   sel: Mapping[str, frozenset[int]]) -> tuple[Coalgebra, PresheafMap]:
     """Restrict a coalgebra to a subpresheaf closed under its structure;
     a selection that is not closed raises ``ComonadError``."""
-    try:
-        sub, inc = sub_presheaf(cg.carrier, sel)
-    except ValueError as e:
-        raise ComonadError(str(e)) from None
-    s = cg.structure.component
-    comp = _lift(w.box_map(inc).component,
-                 {o: tuple(s[o][x] for x in col) for o, col in inc.component.items()},
-                 lambda o, n: f"subpresheaf not closed under structure at "
-                              f"({o!r}, {inc.component[o][n]})")
-    return Coalgebra(sub, PresheafMap(sub, w.box(sub), comp)), inc
+    th, inc = _presheaf_level(w).restrict(cg.carrier, cg.structure.component, sel,
+                                         "subpresheaf")
+    return Coalgebra(th.source, th), inc
 
 
 def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, frozenset[int]]]:
@@ -651,23 +719,14 @@ def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, f
 
 def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
                          max_carriers: int | None = None) -> list[Coalgebra]:
-    """All coalgebras on carriers with value sizes up to the bound.
-
-    Structure maps are enumerated with the counit law built into their
-    slot domains; the comult law is tested on each of them.
-    """
-    out = []
+    """All coalgebras on carriers with value sizes up to the bound
+    (:meth:`_Level.lawful`)."""
     carriers = all_presheaves(w.model.base, size_bound)
     if max_carriers is not None and len(carriers) > max_carriers:
         raise EnumerationCeiling(
             f"{len(carriers)} carriers exceed the guard {max_carriers}")
-    for p in carriers:
-        ident, points = _delta_pair(w, p)
-        domains = _counit_domains(w.counit(p).component, p.sizes)
-        for h in hom_maps(p, w.box(p), domains):
-            if _commutes(h.component, h.component, ident, points):
-                out.append(Coalgebra(p, h))
-    return out
+    level = _presheaf_level(w)
+    return [Coalgebra(p, h) for p in carriers for h in level.lawful(p)]
 
 
 @dataclass(frozen=True)
@@ -770,15 +829,15 @@ def comparison_check(adj: KanAdjunction, w: AdjunctionComonad,
         cgs, lambda a, b: any(h.is_iso() for h in coalgebra_maps(w, a, b)))
     imaged = set(images)
     surjective = all(any(cgs[k] in imaged for k in cl) for cl in c_classes)
-    faithful, hom_ok, witness = True, True, None
+    faithful, hom_ok, witness, level = True, True, None, _presheaf_level(w)
     for i, j, upstairs, image in _restricted_homs(adj, ps):
         ci, cj, p, q = images[i], images[j], ps[i].sizes, ps[j].sizes
         if len(image) != len(upstairs):
             faithful = hom_ok = False
             witness = witness or f"distinct maps between {p} and {q} restrict equally"
         elif image != set(_flat_maps(ci.carrier, cj.carrier, rules=_commuting_rules(
-                ci.structure.component, cj.structure.component,
-                _box_pair(w, ci.carrier, cj.carrier)))[1]):
+                ci.structure.component, level.square(
+                    ci.carrier, cj.carrier, cj.structure.component)))[1]):
             hom_ok = False
             witness = witness or f"hom sets differ between {p} and {q}"
     ok = faithful and surjective and hom_ok and len(p_classes) == len(c_classes)
@@ -799,20 +858,14 @@ def comparison_check(adj: KanAdjunction, w: AdjunctionComonad,
 
 def _fiber_laws(w: NaturalModelComonad, cg: Coalgebra, a: TypeOverContext) -> list[str]:
     """The comonad laws of the comonad induced on types over the carrier
-    of ``cg``, at the type ``a``."""
-    ba = w.bbox_type(cg, a)
+    of ``cg``, at the type ``a``: the counit-comult law and coassociativity
+    are the laws of the cofree structure ``fiber_comult``, read at its
+    points (:meth:`_Level.laws`); then the boxed-counit law."""
     eps, dlt = w.fiber_counit(cg, a), w.fiber_comult(cg, a)
     errs = ["counit: " + e for e in eps.validate()]
-    errs.extend("comult: " + e for e in dlt.validate())
-    if errs:
-        return errs
-    if compose_maps(w.fiber_counit(cg, ba), dlt) != identity_type_map(ba):
-        errs.append("counit-comult law fails in the fiber")
-    if compose_maps(w.bbox_type_map(cg, eps), dlt) != identity_type_map(ba):
+    errs.extend("cofree structure: " + e for e in _type_level(w, cg).laws(dlt.source, dlt))
+    if not errs and compose_maps(w.bbox_type_map(cg, eps), dlt) != identity_type_map(dlt.source):
         errs.append("boxed-counit law fails in the fiber")
-    if compose_maps(w.fiber_comult(cg, ba), dlt) != \
-            compose_maps(w.bbox_type_map(cg, dlt), dlt):
-        errs.append("coassociativity fails in the fiber")
     return errs
 
 
@@ -955,22 +1008,8 @@ class CoalgebraType:
 
 
 def coalgebra_type_laws(w: NaturalModelComonad, xt: CoalgebraType) -> list[str]:
-    """The fiber counit and comult laws of a structure map, once it is
-    natural with the right endpoints; the comult law is checked at the
-    box points of its image (:func:`_commutes`)."""
-    cg, a, th = xt.coalg, xt.type, xt.theta
-    ba = w.bbox_type(cg, a)
-    if th.source != a or th.target != ba:
-        return ["structure map has the wrong endpoints"]
-    errs = [*th.validate()]
-    if errs:
-        return errs
-    col = th.component
-    if not _counit_holds(w.fiber_counit(cg, a).component, col):
-        errs.append("fiber counit law fails")
-    if not _commutes(col, col, w.fiber_comult(cg, a).component, _bbox_pair(w, cg, a, ba)):
-        errs.append("fiber comult law fails")
-    return errs
+    """The fiber counit and comult laws of a structure map (:meth:`_Level.laws`)."""
+    return _type_level(w, xt.coalg).laws(xt.type, xt.theta)
 
 
 @dataclass(frozen=True)
@@ -997,8 +1036,8 @@ def coalgebra_type_maps(w: NaturalModelComonad, x: CoalgebraType,
                         y: CoalgebraType) -> list[TypeMap]:
     """Fiberwise maps commuting with the two structures, in the order of
     ``type_maps``; the commuting square is enumerated as slot rules."""
-    return type_maps(x.type, y.type, rules=_commuting_rules(
-        x.theta.component, y.theta.component, _bbox_pair(w, x.coalg, x.type, y.type)))
+    return type_maps(x.type, y.type, rules=_commuting_rules(x.theta.component, _type_level(
+        w, x.coalg).square(x.type, y.type, y.theta.component)))
 
 
 def coalgebra_terms(w: NaturalModelComonad, xt: CoalgebraType) -> list[CoalgebraTerm]:
@@ -1012,21 +1051,11 @@ def coalgebra_terms(w: NaturalModelComonad, xt: CoalgebraType) -> list[Coalgebra
 
 def coalgebra_types_over(w: NaturalModelComonad, cg: Coalgebra,
                          size_bound: int) -> list[CoalgebraType]:
-    """All structured types over a coalgebra with fibers up to the bound.
-
-    Structure maps are enumerated with the fiber counit law built into
-    their slot domains; the fiber comult law is tested on each of them,
-    at the box points of its image (:func:`_commutes`).
-    """
-    out = []
-    for a in all_types_over(w.model, cg.carrier, size_bound):
-        ba = w.bbox_type(cg, a)
-        dlt, points = w.fiber_comult(cg, a).component, _bbox_pair(w, cg, a, ba)
-        domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
-        for th in type_maps(a, ba, domains=domains):
-            if _commutes(th.component, th.component, dlt, points):
-                out.append(CoalgebraType(cg, a, th))
-    return out
+    """All structured types over a coalgebra with fibers up to the bound
+    (:meth:`_Level.lawful`)."""
+    level = _type_level(w, cg)
+    return [CoalgebraType(cg, a, th) for a in all_types_over(w.model, cg.carrier, size_bound)
+            for th in level.lawful(a)]
 
 
 def coalg_subst(w: NaturalModelComonad, xt: CoalgebraType, dst: Coalgebra,
@@ -1081,10 +1110,8 @@ def coalg_extension(w: NaturalModelComonad,
                       for e in th.component[(o, g)])
             vals.extend(_positions(pos, points, "extension leaves the box", (o, g)))
         comp[o] = tuple(vals)
-    cge = Coalgebra(ext.presheaf, PresheafMap(ext.presheaf, w.box(ext.presheaf), comp))
-    errs = coalgebra_laws(w, cge)
-    if errs:
-        raise ComonadError("extension is not a coalgebra: " + errs[0])
+    cge = Coalgebra(ext.presheaf, _presheaf_level(w).structure(
+        ext.presheaf, comp, "extension is not a coalgebra"))
     weak = coalg_subst(w, xt, cge, ext.p)
     generic = CoalgebraTerm(weak, ext.v)
     if coalgebra_term_laws(w, generic):
@@ -1144,20 +1171,17 @@ def coalg_sigma(w: NaturalModelComonad, xt: CoalgebraType,
                 fibers, pts_x[u], pts_y[v])) for v in yb.theta.component[(o, e)]),
                 "sum leaves the box", (o, g)))
         comp[(o, g)] = tuple(vals)
-    th = TypeMap(sg.type, w.bbox_type(cg, sg.type), comp)
-    st = CoalgebraType(cg, sg.type, th)
-    errs = coalgebra_type_laws(w, st)
-    if errs:
-        raise ComonadError("sum structure is broken: " + errs[0])
+    level = _type_level(w, cg)
+    th = level.structure(sg.type, comp, "sum structure is broken")
     proj = TypeMap(sg.type, xt.type,
                    {k: tuple(sg.split(k[0], k[1], v)[0] for v in range(n))
                     for k, n in sg.type.fiber.items()})
     # the projection is natural: restriction in the sum restricts the
     # first half of each pair in A (``sigma_type``)
-    if not _commutes(proj.component, th.component, xt.theta.component,
-                     _bbox_pair(w, cg, sg.type, xt.type)):
+    if not _commutes(proj.component, th.component,
+                     level.square(sg.type, xt.type, xt.theta.component)):
         raise ComonadError("first projection of the sum is not structured")
-    return CoalgebraSigma(st, sg, proj)
+    return CoalgebraSigma(CoalgebraType(cg, sg.type, th), sg, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -1183,36 +1207,8 @@ def coalg_product(w: NaturalModelComonad, x: CoalgebraType,
         comp[k] = _positions(pos, (tuple(pr.pair(*f, p, q) for f, p, q in zip(
             fibers, pts_x[u], pts_y[v])) for u in col_x for v in y.theta.component[k]),
             "box does not preserve this fiberwise product", k)
-    xt = CoalgebraType(cg, pr.type, TypeMap(pr.type, w.bbox_type(cg, pr.type), comp))
-    errs = coalgebra_type_laws(w, xt)
-    if errs:
-        raise ComonadError("product structure is broken: " + errs[0])
-    return xt, pr
-
-
-def _sub_theta(w: NaturalModelComonad, cg: Coalgebra, big: TypeOverContext,
-               theta: TypeMap, keep: Mapping[tuple[str, int], frozenset[int]],
-               what: str) -> tuple[CoalgebraType, TypeMap]:
-    """Equip the subtype ``keep`` of ``(big, theta)`` with the induced
-    structure.  The box acts pointwise, so ``theta(v)`` lies in the box of
-    the subtype exactly when its box points lie in ``keep``.  The callers
-    prove their ``keep`` closed; one that is not raises ``ComonadError``
-    here, or ``ModelError`` in ``sub_type`` if restriction leaves it."""
-    sub, inc = sub_type(big, keep)
-    index = {k: {v: n for n, v in enumerate(col)} for k, col in inc.component.items()}
-    points_big, points_sub = w.bbox_points(cg, big), w.bbox_points(cg, sub)
-    comp = {}
-    for k, col in inc.component.items():
-        fibers, pts, _ = points_big(k)
-        pos = points_sub(k)[2]
-        comp[k] = _positions(pos, (tuple(index[f].get(p) for f, p in zip(
-            fibers, pts[theta.component[k][v]])) for v in col),
-            f"{what} is not closed under its structure", k)
-    xt = CoalgebraType(cg, sub, TypeMap(sub, w.bbox_type(cg, sub), comp))
-    errs = coalgebra_type_laws(w, xt)
-    if errs:
-        raise ComonadError(f"{what} carries no lawful structure: " + errs[0])
-    return xt, inc
+    return CoalgebraType(cg, pr.type, _type_level(w, cg).structure(
+        pr.type, comp, "product structure is broken")), pr
 
 
 @dataclass(frozen=True)
@@ -1394,8 +1390,9 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
             tuple(app(*f, e, p) for f, e, p in zip(fibers, pts_p[v], pts_t))
             == pts_b[tb[app(o, g, ec[v], t)]] for t, pts_t, pts_b, tb in args))
     keep = _with_points_in(holds, dlt.component, w.bbox_points(cg, box_pi))
-    xt, inc = _sub_theta(w, cg, box_pi, dlt, keep, "dependent product of structured types")
-    return CoalgebraPi(x, yb, xt, plain, inc, eps)
+    th, inc = _type_level(w, cg).restrict(box_pi, dlt.component, keep,
+                                          "dependent product of structured types")
+    return CoalgebraPi(x, yb, CoalgebraType(cg, th.source, th), plain, inc, eps)
 
 
 def pi_up_check(w: NaturalModelComonad, cp: CoalgebraPi) -> dict:
@@ -1694,10 +1691,10 @@ def classifier_report(w: NaturalModelComonad, clf: CoalgebraClassifier,
     for cg in enumerate_coalgebras(w, size_bound):
         xts = coalgebra_types_over(w, cg, w.model.bound)
         maps = coalgebra_maps(w, cg, clf.coalgebra)
-        seen = []
+        members, seen = set(maps), []
         for xt in xts:
             h = clf.encode_point(xt)
-            if h not in maps:
+            if h not in members:
                 witnesses.append(f"classifying map of a type over {cg.carrier.sizes} "
                                  "is not a coalgebra map")
                 continue
@@ -1796,13 +1793,14 @@ def kock_wraith_report(w: NaturalModelComonad, kw: KockWraithClassifier,
     for cg in enumerate_coalgebras(w, size_bound):
         subs = sub_coalgebras(w, cg)
         maps = coalgebra_maps(w, cg, kw.coalgebra)
+        members = set(maps)
         if len(subs) != len(maps):
             witnesses.append(f"{len(subs)} sub-coalgebras vs {len(maps)} points "
                              f"over {cg.carrier.sizes}")
         seen = set()
         for sel in subs:
             h = kw.classify(cg, sel)
-            if h not in maps:
+            if h not in members:
                 witnesses.append("classifying map is not a coalgebra map")
                 continue
             seen.add(h)

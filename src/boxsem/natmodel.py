@@ -717,7 +717,8 @@ def realign(u: Universe, mono: PresheafMap, ta: TypeOverContext,
     same ``tb`` back along the same ``mono`` already finds that pullback
     in the :func:`subst_type` memo when the endpoints are checked.
     """
-    assert mono.is_mono(), "realignment needs a monomorphism"
+    assert all(len(set(col)) == len(col) for col in mono.component.values()), \
+        "realignment needs a monomorphism"
     delta, gamma = mono.source, mono.target
     c = gamma.base
     assert phi.source == ta and phi.target == subst_type(tb, mono)

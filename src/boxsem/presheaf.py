@@ -456,10 +456,6 @@ class PresheafMap(_NaturalMap):
     def apply(self, obj: str, x: int) -> int:
         return self.component[obj][x]
 
-    def is_mono(self) -> bool:
-        return all(len(set(self.component[o])) == self.source.sizes[o]
-                   for o in self.source.base.objects)
-
 
 def identity_map(p: Presheaf) -> PresheafMap:
     return PresheafMap(p, p, _identity(p.base.objects, p.sizes))
@@ -554,8 +550,16 @@ def hom_maps(p: Presheaf, q: Presheaf,
     return [PresheafMap(p, q, _components(p.base.objects, ends, f)) for f in families]
 
 
+def mono_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:
+    """The maps of ``hom_maps`` with injective components; only those are built."""
+    ends, families = _flat_maps(p, q)
+    return [PresheafMap(p, q, _components(p.base.objects, ends, f))
+            for f in families if _fibers_within(ends, f, 1)]
+
+
 def iso_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:
-    return [m for m in hom_maps(p, q) if m.is_iso()]
+    """The isomorphisms ``p -> q``: monos between carriers of equal sizes."""
+    return mono_maps(p, q) if p.sizes == q.sizes else []
 
 
 def subpresheaves(p: Presheaf) -> list[dict[str, frozenset[int]]]:
@@ -580,10 +584,6 @@ def subpresheaves(p: Presheaf) -> list[dict[str, frozenset[int]]]:
 
     go(0, {})
     return out
-
-
-def mono_maps(p: Presheaf, q: Presheaf) -> list[PresheafMap]:
-    return [m for m in hom_maps(p, q) if m.is_mono()]
 
 
 def sub_presheaf(p: Presheaf, sel: Mapping[str, frozenset[int]]) -> tuple[Presheaf, PresheafMap]:

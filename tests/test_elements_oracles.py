@@ -22,7 +22,7 @@ from itertools import product as iproduct
 import pytest
 
 from boxsem.cli import load_model
-from boxsem.coalg import (_bbox_pair, _commuting_rules, _counit_domains, coalgebra_types_over,
+from boxsem.coalg import (_commuting_rules, _counit_domains, _type_level, coalgebra_types_over,
                           enumerate_coalgebras)
 from boxsem.fincat import Site, all_sieves
 from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, TypeOverContext,
@@ -250,8 +250,8 @@ def test_counit_domains_and_commuting_rules_match_the_oracle(name):
         types = coalgebra_types_over(w, cg, 2)[:6]
         for x in types:
             for y in types:
-                rules = _commuting_rules(x.theta.component, y.theta.component,
-                                         _bbox_pair(w, cg, x.type, y.type))
+                rules = _commuting_rules(x.theta.component, _type_level(w, cg).square(
+                    x.type, y.type, y.theta.component))
                 assert type_maps(x.type, y.type, rules=rules) == \
                     _ref_type_maps(x.type, y.type, rules=rules)
     assert structures

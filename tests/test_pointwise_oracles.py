@@ -42,6 +42,7 @@ hand-written table forms of them.
 import itertools
 import json
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -50,8 +51,8 @@ from boxsem import coalg
 from boxsem.cli import load_model, main
 from boxsem.coalg import (AdjunctionComonad, CoalgebraSigma,
                           CoalgebraTerm, CoalgebraType, Coalgebra, ComonadError,
-                          IdentityComonad, _bbox_pair, _box_pair, _commutes, _counit_domains,
-                          _delta_pair, cofree_coalgebra, coalg_exponential, coalg_extension,
+                          IdentityComonad, _presheaf_level, _type_level, _commutes,
+                          _counit_domains, cofree_coalgebra, coalg_exponential, coalg_extension,
                           coalg_pi, coalg_product, coalg_sigma, coalg_subst, coalgebra_laws,
                           coalgebra_maps, coalgebra_term_laws, coalgebra_type_laws,
                           coalgebra_type_maps, coalgebra_types_over, enumerate_coalgebras,
@@ -151,7 +152,7 @@ def _ref_comult_law(w, cg):
     """``delta . theta == box(theta) . theta``, reading ``delta`` off the
     ``comult`` table at the image of ``theta``."""
     p, th = cg.carrier, cg.structure.component
-    return _commutes(th, th, w.comult(p).component, _box_pair(w, p, w.box(p)))
+    return _commutes(th, th, _presheaf_level(w).square(p, w.box(p), w.comult(p).component))
 
 
 def _ref_kan_comult(w, p):
@@ -401,7 +402,7 @@ def test_the_indexed_comonad_agrees_with_its_whole_box_forms(name, bound):
         for cg in [*(Coalgebra(p, h) for h in hom_maps(p, w.box(p), domains)),
                    cofree_coalgebra(w, p)]:
             th = cg.structure.component
-            got = _commutes(th, th, *_delta_pair(w, cg.carrier))
+            got = _commutes(th, th, _presheaf_level(w).cofree(cg.carrier))
             assert got == _ref_comult_law(w, cg)
             laws += got
     assert n > 0 and laws > 0
@@ -565,8 +566,8 @@ def _ref_projection_structured(w, xt, sg, th, proj):
 
 
 def _projection_structured(w, xt, sg, th, proj):
-    return _commutes(proj.component, th.component, xt.theta.component,
-                     _bbox_pair(w, xt.coalg, sg.type, xt.type))
+    return _commutes(proj.component, th.component, _type_level(w, xt.coalg).square(
+        sg.type, xt.type, xt.theta.component))
 
 
 LAW_CASES = [(n, b) for n in ("two", "chain3", "arrow", "one", "disc2") for b in (1, 2)]
@@ -991,3 +992,99 @@ def test_a_broken_construction_raises_every_time():
             with pytest.raises(ComonadError):
                 build()
     assert all(broken not in key for key in w._built)
+
+
+# ---------------------------------------------------------------------------
+# Structured types read at the points of delta
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "arrow"])
+def test_the_cofree_structured_type_is_lawful(name):
+    """``cofree_type``, which ``interpret`` reads for every modal
+    hypothesis, over the terminal coalgebra and over its extension by the
+    last structured type of fiber up to 2: on every type of fiber up to 2
+    its structure is ``fiber_comult`` into the box of the box, and obeys
+    the fiber laws."""
+    w = _comonad(name)
+    one = terminal_coalgebra(w)
+    ext = coalg_extension(w, coalgebra_types_over(w, one, 2)[-1])[0]
+    n = 0
+    for cg in (one, ext):
+        for a in all_types_over(w.model, cg.carrier, 2):
+            xt = w.cofree_type(cg, a)
+            assert xt.type == w.bbox_type(cg, a) and xt.theta == w.fiber_comult(cg, a)
+            assert coalgebra_type_laws(w, xt) == []
+            n += 1
+    assert n > 81
+
+
+def test_the_structured_type_checks_build_no_box_of_a_box(monkeypatch):
+    """With ``fiber_comult``, whose target is the box of a box, made to
+    raise, ``coalgebra_types_over`` and ``coalgebra_type_laws`` on ``two``
+    at fiber up to 2, over the terminal coalgebra and over the extensions
+    by its first five structured types, give what they gave before on
+    the first maps of each type into its box, with and without the
+    counit built into their slots: the comult law is read at the points
+    of ``delta``."""
+    base = _comonad("two")
+    one = terminal_coalgebra(base)
+    over = [one, *(coalg_extension(base, xt)[0]
+                   for xt in coalgebra_types_over(base, one, 2)[:5])]
+
+    def verdicts(w):
+        types, laws = [], []
+        for cg in over:
+            types.append(coalgebra_types_over(w, cg, 2))
+            for a in all_types_over(w.model, cg.carrier, 2)[:8]:
+                ba = w.bbox_type(cg, a)
+                domains = _counit_domains(w.fiber_counit(cg, a).component, a.fiber)
+                laws.extend(coalgebra_type_laws(w, CoalgebraType(cg, a, th))
+                            for th in [*type_maps(a, ba, domains)[:16], *type_maps(a, ba)[:16]])
+        return types, laws
+
+    before = verdicts(_fresh(base))
+
+    def boom(self, cg, a):
+        raise AssertionError("fiber_comult builds the box of a box")
+
+    monkeypatch.setattr(coalg.NaturalModelComonad, "fiber_comult", boom)
+    types, laws = verdicts(_fresh(base))
+    assert (types, laws) == before
+    assert all(types) and [] in laws
+    assert any("fiber comult law fails" in errs for errs in laws)
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "arrow", "one"])
+def test_the_structured_type_checks_refuse_a_structure_that_breaks_a_law(name):
+    """Over the first 64 natural maps of each carrier up to 2 into its
+    box, as in the test of ``fiber_counit`` and ``fiber_comult`` above,
+    and the first 64 of those with the counit built into their slots, as
+    in the test of ``coalgebra_laws``:
+    ``coalgebra_types_over`` and ``coalgebra_type_laws`` raise that the
+    fiber counit does not land back in its type where the counit law
+    fails, that the fiber comult is not strict where only the comult law
+    fails, and nothing where both hold.  Only on ``chain3`` does a
+    candidate that keeps the counit law break the comult law; on the
+    others, at carriers up to 2, every such candidate is a coalgebra."""
+    w = _comonad(name)
+    seen = set()
+    for p in all_presheaves(w.model.base, 2):
+        bp = w.box(p)
+        domains = _counit_domains(w.counit(p).component, p.sizes)
+        for h in [*hom_maps(p, bp)[:64], *hom_maps(p, bp, domains)[:64]]:
+            cg = Coalgebra(p, h)
+            laws = coalgebra_laws(w, cg)
+            error = ("fiber counit does not land back" if "counit law fails" in laws else
+                     "fiber comult is not strict" if "comult law fails" in laws else None)
+            seen.add(error)
+            checks = [lambda: coalgebra_types_over(w, cg, 1)]
+            for a in all_types_over(w.model, p, 1)[:3]:
+                checks.extend(partial(coalgebra_type_laws, w, CoalgebraType(cg, a, th))
+                              for th in type_maps(a, w.bbox_type(cg, a))[:2])
+            for check in checks:
+                if error is None:
+                    check()
+                else:
+                    with pytest.raises(ComonadError, match=error):
+                        check()
+    assert len(seen) == (3 if name == "chain3" else 2)

@@ -7,8 +7,8 @@ the box of the plain dependent product when its equation, read at the
 identity slot of each function, holds at every box point of its
 comultiplication, which is closed by construction; ``coalg_exponential``
 is ``coalg_pi`` of the target weakened to the extension by the source.
-``_sub_theta`` only equips a closed subtype with its structure, and
-raises ``ComonadError`` on one that is not closed.  The ``_ref_*``
+``_Level.restrict`` only equips a closed subtype with its structure,
+and raises ``ComonadError`` on one that is not closed.  The ``_ref_*``
 versions below are the earlier ones, which box whole maps: the product
 through the inverse of the comparison map (``_ref_pack_map``), the
 exponential by comparing two maps into a second exponential over the
@@ -52,7 +52,7 @@ import pytest
 from boxsem import coalg
 from boxsem.cli import load_model
 from boxsem.coalg import (CoalgebraSigma, CoalgebraTerm, CoalgebraType, ComonadError, _lift,
-                          _positions, _sub_theta, _with_points_in, coalg_exponential,
+                          _type_level, _positions, _with_points_in, coalg_exponential,
                           coalg_extension, coalg_pi, coalg_product, coalg_sigma,
                           coalgebra_term_laws,
                           coalgebra_terms, coalgebra_type_laws, coalgebra_type_maps,
@@ -602,15 +602,16 @@ def test_transposes_agree_on_every_structured_map(flagship, types2, reps3):
 
 
 @pytest.mark.parametrize("name, bound", [("two", 2), ("chain3", 1)])
-def test_sub_theta_agrees_on_every_closed_selection(name, bound):
-    """``_sub_theta`` under a cofree structure, from every selection
-    closed under restriction of every boxed type over the terminal
-    coalgebra.  Unlike the kept sets of exponentials and dependent
-    products, many of these are not closed under the structure: where
-    the earlier fixed point drops elements, ``_sub_theta`` must raise,
+def test_restrict_agrees_on_every_closed_selection(name, bound):
+    """``_Level.restrict`` of structured types under a cofree structure,
+    from every selection closed under restriction of every boxed type over
+    the terminal coalgebra.  Unlike the kept sets of exponentials and
+    dependent products, many of these are not closed under the structure:
+    where the earlier fixed point drops elements, ``restrict`` must raise,
     and where it keeps them all, agree with it."""
     w = load_model(name).comonad
     one = terminal_coalgebra(w)
+    level = _type_level(w, one)
     cases, shrunk = 0, 0
     for a in all_types_over(w.model, one.carrier, bound):
         big, dlt = w.bbox_type(one, a), w.fiber_comult(one, a)
@@ -626,11 +627,11 @@ def test_sub_theta_agrees_on_every_closed_selection(name, bound):
             if sum(ref.type.fiber.values()) < sum(map(len, keep.values())):
                 shrunk += 1
                 with pytest.raises(ComonadError, match="not closed under its structure"):
-                    _sub_theta(w, one, big, dlt, keep, "a subtype")
+                    level.restrict(big, dlt.component, keep, "a subtype")
                 continue
-            xt, inc = _sub_theta(w, one, big, dlt, keep, "a subtype")
+            th, inc = level.restrict(big, dlt.component, keep, "a subtype")
             assert inc == ref_inc
-            assert xt.type == ref.type and xt.theta == ref.theta
+            assert th.source == ref.type and th == ref.theta
     assert (cases, shrunk) == {"two": (101, 50), "chain3": (20, 5)}[name]
 
 
