@@ -1477,13 +1477,11 @@ class UniverseCategory:
     universe: Universe
     cat: InternalCategory
     mor_table: Mapping[str, tuple[tuple[int, int, PresheafMap], ...]]
-    lookup: Mapping[str, Mapping[tuple[int, int, PresheafMap], int]]
+    # (c1, c2, the columns of the map in slice-object order) -> position
+    lookup: Mapping[str, Mapping[tuple[int, int, tuple], int]]
 
     def mor_data(self, obj: str, k: int) -> tuple[int, int, PresheafMap]:
         return self.mor_table[obj][k]
-
-    def mor_index(self, obj: str, c1: int, c2: int, pm: PresheafMap) -> int:
-        return self.lookup[obj][(c1, c2, pm)]
 
     def encode_map(self, m: TypeMap) -> PresheafMap:
         """The classifying map ``Gamma -> U1`` of a map between bounded
@@ -1491,19 +1489,14 @@ class UniverseCategory:
         of source and target at ``g`` whose component at ``f`` in the
         slice is ``m`` at the restriction of ``g`` along ``f``."""
         u = self.universe
-        c = u.model.base
         gamma = m.source.context
         src, tgt = u.encode(m.source), u.encode(m.target)
         comp = {}
-        for i in c.objects:
-            vals = []
-            for g in gamma.elements(i):
-                c1, c2 = src.apply(i, g), tgt.apply(i, g)
-                pm = PresheafMap(u.code(i, c1), u.code(i, c2),
-                                 {f: m.component[(c.src[f], gamma.act(f, g))]
-                                  for f in u.slices[i].cat.objects})
-                vals.append(self.mor_index(i, c1, c2, pm))
-            comp[i] = tuple(vals)
+        for i, (objs, _) in u.reads.items():
+            lookup = self.lookup[i]
+            comp[i] = tuple(lookup[src.component[i][g], tgt.component[i][g],
+                                   tuple(m.component[(s, gamma.action[f][g])] for s, f in objs)]
+                            for g in gamma.elements(i))
         return PresheafMap(gamma, self.cat.mor, comp)
 
 
@@ -1511,6 +1504,7 @@ def universe_internal_category(u: Universe) -> UniverseCategory:
     """Internalize the universe: codes as objects, presheaf maps between
     codes as morphisms, with the strict slice reindexing as restriction."""
     c = u.model.base
+    objs = {i: u.slices[i].cat.objects for i in c.objects}
     mor_table = {}
     for i in c.objects:
         triples = []
@@ -1519,22 +1513,16 @@ def universe_internal_category(u: Universe) -> UniverseCategory:
                 for pm in hom_maps(x1, x2):
                     triples.append((n1, n2, pm))
         mor_table[i] = tuple(triples)
-    lookup = {i: {t: k for k, t in enumerate(mor_table[i])} for i in c.objects}
+    lookup = {i: {(n1, n2, tuple(map(pm.component.__getitem__, objs[i]))): k
+                  for k, (n1, n2, pm) in enumerate(mor_table[i])} for i in c.objects}
     sizes = {i: len(mor_table[i]) for i in c.objects}
-
-    def restrict_mor(f: str, t: tuple[int, int, PresheafMap]) -> tuple[int, int, PresheafMap]:
-        i, j = c.src[f], c.dst[f]
-        n1, n2, pm = t
-        r1 = u.presheaf.act(f, n1)
-        r2 = u.presheaf.act(f, n2)
-        sl = u.slices[i].cat
-        comp = {g: pm.component[c.compose(f, g)] for g in sl.objects}
-        return r1, r2, PresheafMap(u.codes[i][r1], u.codes[i][r2], comp)
 
     action = {}
     for f in c.morphisms:
-        action[f] = tuple(lookup[c.src[f]][restrict_mor(f, t)]
-                          for t in mor_table[c.dst[f]])
+        # the columns at f.g, for g in the slice over src(f)
+        at, r = [c.compose(f, g) for g in objs[c.src[f]]], u.presheaf.action[f]
+        action[f] = tuple(lookup[c.src[f]][r[n1], r[n2], tuple(map(pm.component.__getitem__, at))]
+                          for n1, n2, pm in mor_table[c.dst[f]])
     mor = Presheaf(c, sizes, action).assert_valid()
 
     src = PresheafMap(mor, u.presheaf,
@@ -1542,7 +1530,7 @@ def universe_internal_category(u: Universe) -> UniverseCategory:
     tgt = PresheafMap(mor, u.presheaf,
                       {i: tuple(t[1] for t in mor_table[i]) for i in c.objects})
     ident = PresheafMap(u.presheaf, mor,
-                        {i: tuple(lookup[i][(n, n, identity_map(x))]
+                        {i: tuple(lookup[i][n, n, tuple(tuple(range(x.sizes[f])) for f in objs[i])]
                                   for n, x in enumerate(u.codes[i]))
                          for i in c.objects})
     pairs = pullback(src, tgt)
@@ -1552,7 +1540,8 @@ def universe_internal_category(u: Universe) -> UniverseCategory:
         for (m2, m1) in pairs.pairs[i]:
             a1, _, pm1 = mor_table[i][m1]
             _, b2, pm2 = mor_table[i][m2]
-            vals.append(lookup[i][(a1, b2, compose_maps(pm2, pm1))])
+            vals.append(lookup[i][a1, b2, tuple(
+                tuple(map(pm2.component[f].__getitem__, pm1.component[f])) for f in objs[i])])
         comp_vals[i] = tuple(vals)
     comp = PresheafMap(pairs.presheaf, mor, comp_vals)
     cat = InternalCategory(u.presheaf, mor, src, tgt, ident, pairs, comp)

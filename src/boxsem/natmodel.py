@@ -511,19 +511,23 @@ class Universe:
     A code at ``I`` is a presheaf on ``C/I`` with carriers of size at
     most the bound; restriction precomposes with the postcomposition
     functor between slices, which is strictly functorial on the nose.
+
+    ``index[I]`` finds a code by its tables (:func:`_code_key`), so a
+    lookup reads tables and builds no presheaf; ``reads[I]`` lists, per
+    object ``f`` of ``C/I``, the pair ``(src f, f)`` and, per proper
+    morphism ``h@f``, the pair ``(h, f)``, which is where a type's tables
+    at ``g`` hold the code of ``g``.
     """
 
     model: NaturalModel
     presheaf: Presheaf
     slices: Mapping[str, Slice]
     codes: Mapping[str, tuple[Presheaf, ...]]
-    code_pos: Mapping[str, Mapping[Presheaf, int]]
+    index: Mapping[str, Mapping[tuple, int]]
+    reads: Mapping[str, tuple[tuple, tuple]]
 
     def code(self, obj: str, idx: int) -> Presheaf:
         return self.codes[obj][idx]
-
-    def code_index(self, obj: str, code: Presheaf) -> int:
-        return self.code_pos[obj][code]
 
     # decode / encode ------------------------------------------------------
     def decode(self, code_map: PresheafMap) -> TypeOverContext:
@@ -542,45 +546,45 @@ class Universe:
             raise BoundExceeded(
                 f"fiber of size {a.max_fiber()} exceeds display bound {self.model.bound}")
         gamma = a.context
-        c = self.model.base
+        fiber, restriction, act = a.fiber, a.restriction, gamma.action
         comp = {}
-        for i in c.objects:
-            sl = self.slices[i].cat
-            vals = []
-            for g in gamma.elements(i):
-                sizes = {f: a.fiber[(c.src[f], gamma.act(f, g))] for f in sl.objects}
-                action = {}
-                for n in sl.morphisms:
-                    h, f = n.split("@", 1)
-                    action[n] = a.restriction[(h, gamma.act(f, g))]
-                vals.append(self.code_index(i, Presheaf(sl, sizes, action)))
-            comp[i] = tuple(vals)
+        for i, (objs, mors) in self.reads.items():
+            index = self.index[i]
+            comp[i] = tuple(index[tuple(fiber[(s, act[f][g])] for s, f in objs),
+                                  tuple(restriction[(h, act[f][g])] for h, f in mors)]
+                            for g in gamma.elements(i))
         return PresheafMap(gamma, self.presheaf, comp)
+
+
+def _code_key(x: Presheaf) -> tuple:
+    """A functor's tables as one key: its sizes in object order and the
+    tables of its proper morphisms in morphism order."""
+    sh = _shape(x.base)
+    return tuple(map(x.sizes.__getitem__, sh.keys)), tuple(x.action[n] for n, _, _ in sh.proper)
 
 
 def hs_universe(model: NaturalModel) -> Universe:
     c = model.base
     slices = {i: slice_category(c, i) for i in c.objects}
     codes = {i: tuple(all_presheaves(slices[i].cat, model.bound)) for i in c.objects}
-    code_index = {i: {p: n for n, p in enumerate(codes[i])} for i in c.objects}
+    index = {i: {_code_key(x): n for n, x in enumerate(codes[i])} for i in c.objects}
     sizes = {i: len(codes[i]) for i in c.objects}
-
-    def restrict_code(f: str, x: Presheaf) -> Presheaf:
-        # precompose with C/src(f) -> C/dst(f)
-        j, i = c.src[f], c.dst[f]
-        sl_j = slices[j].cat
-        new_sizes = {g: x.sizes[c.compose(f, g)] for g in sl_j.objects}
-        new_action = {}
-        for n in sl_j.morphisms:
-            h, g = n.split("@", 1)
-            new_action[n] = x.action[f"{h}@{c.compose(f, g)}"]
-        return Presheaf(sl_j, new_sizes, new_action)
+    proper = {i: tuple(tuple(n.split("@", 1)) for n, _, _ in _shape(slices[i].cat).proper)
+              for i in c.objects}
+    reads = {i: (tuple((c.src[f], f) for f in slices[i].cat.objects), proper[i])
+             for i in c.objects}
 
     action = {}
     for f in c.morphisms:
-        i = c.dst[f]
-        action[f] = tuple(code_index[c.src[f]][restrict_code(f, x)] for x in codes[i])
-    return Universe(model, Presheaf(c, sizes, action), slices, codes, code_index)
+        # precompose with C/src(f) -> C/dst(f): the key at src(f) of a code
+        # at dst(f) reads it at f.g and h@(f.g)
+        j = c.src[f]
+        objs = [c.compose(f, g) for g in slices[j].cat.objects]
+        mors = [f"{h}@{c.compose(f, g)}" for h, g in proper[j]]
+        action[f] = tuple(index[j][tuple(map(x.sizes.__getitem__, objs)),
+                                   tuple(map(x.action.__getitem__, mors))]
+                          for x in codes[c.dst[f]])
+    return Universe(model, Presheaf(c, sizes, action), slices, codes, index, reads)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +674,7 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
     report = {"bijective": True, "natural": True}
     ys = {i: yoneda(c, i) for i in c.objects}
 
-    def code_to_type(i: str, idx: int) -> TypeOverContext:
-        x = u.codes[i][idx]
+    def code_to_type(i: str, x: Presheaf) -> TypeOverContext:
         fiber, restriction = {}, {}
         for j in c.objects:
             for n, f in enumerate(c.hom(j, i)):
@@ -681,8 +684,10 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
                 restriction[(g, n)] = x.action[f"{g}@{f}"]
         return TypeOverContext(ys[i], fiber, restriction)
 
+    code_types = {}
     for i in c.objects:
-        types = {t for t in (code_to_type(i, n) for n in range(len(u.codes[i])))}
+        code_types[i] = [code_to_type(i, x) for x in u.codes[i]]
+        types = set(code_types[i])
         bounded = set(all_types_over(model, ys[i], model.bound))
         if types != bounded or len(u.codes[i]) != len(types):
             report["bijective"] = False
@@ -692,8 +697,8 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
         j, i = c.src[f], c.dst[f]
         yf = yoneda_map(c, f)
         for n in range(len(u.codes[i])):
-            lhs = code_to_type(j, u.presheaf.act(f, n))
-            rhs = subst_type(code_to_type(i, n), yf)
+            lhs = code_types[j][u.presheaf.act(f, n)]
+            rhs = subst_type(code_types[i][n], yf)
             if lhs != rhs:
                 report["natural"] = False
                 report["witness"] = (f, n)

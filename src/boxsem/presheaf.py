@@ -15,6 +15,9 @@ type over ``Gamma`` (:mod:`boxsem.natmodel`) one on the second, and each
 job on functors (validation, naturality, enumeration, natural maps,
 products, subfunctors) has one body here that both levels call.  Their
 maps, :class:`PresheafMap` and ``TypeMap``, share one class body too.
+Functors are enumerated by a search that checks each composition law as
+soon as its tables are chosen, not by filtering every combination of
+tables; :func:`_functor_errors` validates the functors read from input.
 
 The workhorse is :func:`enumerate_families`, a small backtracking
 enumerator for tuples with per-slot domains subject to
@@ -231,18 +234,43 @@ def _identity(keys: Iterable, sizes: Mapping) -> dict:
 
 def _functors(shape: _Shape, bound: int) -> Iterator[tuple[dict, dict]]:
     """Every functor on ``shape`` with carriers of size at most ``bound``,
-    as sizes and tables: sizes, then the tables of the proper arrows,
-    lexicographically."""
+    as sizes and tables (the proper arrows', then the identities'): sizes,
+    then the tables of the proper arrows, lexicographically.
+
+    Functors are searched with their laws, not filtered: the proper arrows
+    take their tables in turn, and a law between two of them is checked
+    as soon as its last arrow has a table.  A composite whose factors have
+    tables takes theirs composed, the one table that law keeps.
+    """
     names = [n for n, _, _ in shape.proper]
+    step = {n: k for k, n in enumerate(names)}
+    checks, forced = [[] for _ in names], [None] * len(names)
+    for a2, a1, a21 in shape.triples:
+        if a2 in step and a1 in step:
+            k = max(step[a2], step[a1], step.get(a21, -1))
+            if forced[k] is None and step.get(a21) == k > max(step[a2], step[a1]):
+                forced[k] = (a2, a1)
+            else:
+                checks[k].append((a2, a1, a21))
+    tables: dict = dict.fromkeys(names)
+
+    def fill(k: int, domains: list) -> Iterator[dict]:
+        if k == len(names):
+            yield dict(tables)
+            return
+        a = forced[k]
+        for t in domains[k] if a is None else [tuple(map(tables[a[1]].__getitem__, tables[a[0]]))]:
+            tables[names[k]] = t
+            if all(tuple(map(tables[a1].__getitem__, tables[a2])) == tables[a21]
+                   for a2, a1, a21 in checks[k]):
+                yield from fill(k + 1, domains)
+
     for sizes_t in iproduct(range(bound + 1), repeat=len(shape.keys)):
         sizes = dict(zip(shape.keys, sizes_t))
-        ids = [(n, tuple(range(sizes[k]))) for n, k in shape.ids]
-        for combo in iproduct(*[iproduct(range(sizes[s]), repeat=sizes[d])
-                                for _, d, s in shape.proper]):
-            tables = dict(zip(names, combo))
-            tables.update(ids)
-            if not _functor_errors(shape, sizes, tables):
-                yield sizes, tables
+        tables.update((n, tuple(range(sizes[k]))) for n, k in shape.ids)
+        domains = [list(iproduct(range(sizes[s]), repeat=sizes[d])) for _, d, s in shape.proper]
+        for t in fill(0, domains):
+            yield sizes, t
 
 
 def _product(shape: _Shape, sizes: Mapping, tables: Mapping, sizes2: Mapping,

@@ -64,7 +64,7 @@ def _ref_code_box_data(w, u):
                 action_z[mname] = tables[(x, pi, gpart)].restriction(
                     tables[(x, pi, d.compose(gpart, hpart))],
                     [(j2, c.compose(uh, f3)) for (j2, f3) in bd.tables[d.src[hpart]].slots])
-            vals.append(u.code_index(x, Presheaf(slx, sizes_z, action_z)))
+            vals.append(u.codes[x].index(Presheaf(slx, sizes_z, action_z)))
         comp[x] = tuple(vals)
     return PresheafMap(bd.presheaf, u.presheaf, comp), tables
 
@@ -96,7 +96,7 @@ def _ref_box_code_mor(w, uc):
                 comps[gname] = tuple(pos[tuple(sm[v] for sm, v in zip(slot_maps, fam))]
                                      for fam in cbd_tables[(x, p1, gname)].families)
             pm = PresheafMap(u.codes[x][z1], u.codes[x][z2], comps)
-            vals.append(uc.mor_index(x, z1, z2, pm))
+            vals.append(uc.mor_table[x].index((z1, z2, pm)))
         comp[x] = tuple(vals)
     return PresheafMap(bd1.presheaf, uc.cat.mor, comp)
 
@@ -121,7 +121,7 @@ def _ref_code_counit(w, uc):
                 comps[gname] = tuple(fam[k_y]
                                      for fam in cbd_tables[(x, pi, gname)].families)
             pm = PresheafMap(u.codes[x][z], u.codes[x][tgt], comps)
-            vals.append(uc.mor_index(x, z, tgt, pm))
+            vals.append(uc.mor_table[x].index((z, tgt, pm)))
         comp[x] = tuple(vals)
     return PresheafMap(bd.presheaf, uc.cat.mor, comp)
 
@@ -162,7 +162,7 @@ def _ref_code_comult(w, uc):
                     pos[tuple(fp[tuple(fam[k] for k in sel)] for fp, sel in entries)]
                     for fam in cbd_tables[(x, pi, gname)].families)
             pm = PresheafMap(u.codes[x][z1], u.codes[x][z2], comps)
-            vals.append(uc.mor_index(x, z1, z2, pm))
+            vals.append(uc.mor_table[x].index((z1, z2, pm)))
         comp[x] = tuple(vals)
     return PresheafMap(bd.presheaf, uc.cat.mor, comp)
 

@@ -8,13 +8,22 @@ before, kept as a differential oracle, with the raw candidate tables of
 the earlier ``_action_tables``.
 
 Inputs: every raw candidate at bound 2 on each shipped category and on
-its slices, and over each context of at most 3 elements on ``two`` and
-``chain3``, plus hand-made tables that are missing, the wrong length or
-out of range.  Presheaf error lists must equal the oracle's; type error
-lists must be empty exactly when the oracle's are, and when the type read
-as a presheaf on the category of elements is lawful (``_to_elements``).
+its slices, and over each context of at most 3 elements on ``two``,
+``chain3``, ``sierpinski``, ``arrow`` and ``disc2``, plus hand-made
+tables that are missing, the wrong length or out of range.  Presheaf
+error lists must equal the oracle's; type error lists must be empty
+exactly when the oracle's are, and when the type read as a presheaf on
+the category of elements is lawful (``_to_elements``).
 Map and section validators, products and subfunctors must agree on every
 raw component tuple between the small lawful functors, natural or not.
+
+Presheaves and types are searched with their laws, not filtered, so the
+lawful raw candidates, in their order, are what ``all_presheaves`` and
+``all_types_over`` must return, each table dict listing the proper arrows
+and then the identities.  ``Universe.encode`` finds codes by their
+tables; on every type within the bound over each context of at most 2
+elements it must give the position, in the universe's list, of the slice
+presheaf that the type stands for at each element.
 """
 
 from itertools import product as iproduct
@@ -25,7 +34,7 @@ from boxsem.cli import load_model
 from boxsem.fincat import slice_category
 from boxsem.natmodel import (ModelError, NaturalModel, TermOverContext, TypeMap,
                              TypeOverContext, TypeProduct, all_presheaves, all_types_over,
-                             sub_type, type_product)
+                             hs_universe, sub_type, type_product)
 from boxsem.presheaf import (Presheaf, PresheafMap, Product, category_of_elements, product,
                              sub_presheaf)
 from test_elements_oracles import _to_elements
@@ -309,10 +318,11 @@ CATEGORIES = _categories()
 
 
 def _contexts():
-    """The lawful contexts with one to three elements on ``two`` and
-    ``chain3``, read off the oracle."""
+    """The lawful contexts with one to three elements on ``two``,
+    ``chain3``, ``sierpinski``, ``arrow`` and ``disc2``, read off the
+    oracle."""
     out = []
-    for name in ("two", "chain3"):
+    for name in ("two", "chain3", "sierpinski", "arrow", "disc2"):
         c = load_model(name).category
         for sizes, tables in _ref_presheaf_candidates(c, 3):
             p = Presheaf(c, sizes, tables)
@@ -474,3 +484,44 @@ def test_a_missing_carrier_size_is_reported_not_raised():
     with pytest.raises(KeyError):
         _ref_presheaf_validate(p)
     assert p.validate()[0] == "missing carrier size at '0'"
+
+
+@pytest.mark.parametrize("c", CATEGORIES, ids=lambda c: c.name)
+def test_enumerated_presheaves_list_proper_arrows_then_identities(c):
+    order = [m for m in c.morphisms if not c.is_identity(m)] + [c.id(o) for o in c.objects]
+    for p in all_presheaves(c, 2):
+        assert list(p.sizes) == list(c.objects) and list(p.action) == order
+
+
+@pytest.mark.parametrize("gamma", CONTEXTS, ids=lambda g: f"{g.base.name}{g.sizes}")
+def test_enumerated_types_list_proper_arrows_then_identities(gamma):
+    keys, arrows = _ref_elements(gamma)
+    order = [fg for fg, _, _ in arrows] + [(gamma.base.id(i), g) for i, g in keys]
+    for a in all_types_over(NaturalModel(gamma.base, 2), gamma, 2):
+        assert list(a.fiber) == keys and list(a.restriction) == order
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_encode_finds_the_code_of_each_slice_presheaf(name):
+    """The code of a type at ``(I, g)`` is the presheaf on ``C/I`` whose
+    carrier at ``f`` is the fiber at ``g.f`` and whose action along
+    ``h@f`` is the restriction along ``h`` at ``g.f``."""
+    model = load_model(name)
+    c = model.category
+    u = hs_universe(NaturalModel(c, model.bound))
+    types = 0
+    for gamma in all_presheaves(c, 2):
+        if sum(gamma.sizes.values()) > 2:
+            continue
+        for a in all_types_over(u.model, gamma, model.bound):
+            code = u.encode(a)
+            for i in c.objects:
+                sl = u.slices[i].cat
+                for g in gamma.elements(i):
+                    x = Presheaf(sl, {f: a.fiber[(c.src[f], gamma.act(f, g))]
+                                      for f in sl.objects},
+                                 {n: a.restriction[(h, gamma.act(f, g))]
+                                  for n in sl.morphisms for h, f in [n.split("@", 1)]})
+                    assert code.apply(i, g) == u.codes[i].index(x)
+            types += 1
+    assert types > 0

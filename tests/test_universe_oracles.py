@@ -20,13 +20,15 @@ and ``_ref_isos`` are the object-based bodies they had before: the
 induced maps as ``PresheafMap`` sets, display maps and isos filtered as
 built maps.  A fault injected into the flat comparison (an induced
 family shifted by one, a family that is not a bijection let through the
-iso filter) must make the check fail.
+iso filter) must make the check fail.  So must two entries of the code
+index exchanged, after the universe is built or while it is.
 """
 
 import pytest
 
 from boxsem import natmodel
 from boxsem.cli import load_model
+from boxsem.fincat import slice_category
 from boxsem.natmodel import (NaturalModel, TypeOverContext, all_display_maps_into,
                              all_presheaves, all_types_over, classifier_check,
                              comprehension, hs_universe, is_display, realignment_check,
@@ -302,3 +304,30 @@ def test_realignment_check_stops_at_the_same_fault(name, bound, monkeypatch):
             assert not got["ok"] and got["cases"] == n
             faults += 1
     assert faults > 0
+
+
+def test_a_swapped_code_index_fails_realignment():
+    """``encode`` finds codes through the index alone: with two of its
+    entries exchanged after the universe is built, realigned codes come
+    back wrong and realignment fails."""
+    u = _universe("two", 2)
+    assert realignment_check(u, 1)["ok"]
+    index = u.index["1"]
+    k0, k1 = [k for k, n in index.items() if n in (0, 1)]
+    index[k0], index[k1] = 1, 0
+    assert not realignment_check(u, 1)["ok"]
+
+
+def test_a_code_index_swapped_while_building_fails_both_checks(monkeypatch):
+    """``hs_universe`` restricts codes through the index: with two entries
+    exchanged as it is built, code restriction is no longer substitution
+    along the Yoneda action, and realignment fails too."""
+    build = natmodel._code_key
+    cat = load_model("two").category
+    first = [build(x) for x in all_presheaves(slice_category(cat, "0").cat, 2)[:2]]
+    swap = dict(zip(first, reversed(first)))
+    monkeypatch.setattr(natmodel, "_code_key", lambda x: swap.get(build(x), build(x)))
+    u = _universe("two", 2)
+    assert u.index["0"][first[0]] == 1
+    assert classifier_check(u, 2)["natural"] is False
+    assert not realignment_check(u, 1)["ok"]
