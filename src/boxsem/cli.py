@@ -422,14 +422,14 @@ def cmd_model_coalgebras(args) -> int:
         ok &= tri["ok"]
 
         clf = coalgebra_classifier(w)
-        cr = classifier_report(w, clf, size_bound=min(bound, 1))
+        cr = classifier_report(w, clf, size_bound=min(bound, 2))
         print(f"{_status(cr['ok'])} structured types classified"
               f" (carrier sizes {dict(sorted(clf.coalgebra.carrier.sizes.items()))})")
         report["classifier"] = {k: v for k, v in cr.items() if k != "instances"}
         ok &= cr["ok"]
 
         kw = kock_wraith_classifier(w)
-        kr = kock_wraith_report(w, kw, size_bound=min(bound, 1))
+        kr = kock_wraith_report(w, kw, size_bound=min(bound, 2))
         print(f"{_status(kr['ok'])} sub-coalgebra classifier"
               f" (carrier sizes {dict(sorted(kw.coalgebra.carrier.sizes.items()))})")
         report["kock_wraith"] = {k: v for k, v in kr.items() if k != "instances"}

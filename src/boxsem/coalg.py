@@ -24,16 +24,16 @@ Coalgebras and the structured types over one are two levels with the
 same laws (Kock and Wraith), checked by one body (:class:`_Level`) that
 builds no box of a box.  Only ``comult``, ``tp_comult`` and
 ``fiber_comult`` build one, as their target, read by the cofree
-coalgebra, the classifiers, the action on codes, ``cofree_type``,
-:func:`coalg_pi` and the law suite of :func:`validate_comonad`.
+coalgebra, the action on codes, ``cofree_type`` and the law suite of
+:func:`validate_comonad`.
 
 On top of that the module builds the bounded category of coalgebras
 with its forgetful and cofree adjunction, the comparison with the
-presheaf category upstairs, the natural model whose contexts are
-coalgebras, and the two classifiers living in that model: the type
-classifier obtained from coalgebras of the internalized comonad on the
-cofree universe, and the subobject classifier obtained as the fixed
-points of the induced map on the cofree sieve classifier.
+presheaf category upstairs, and the natural model whose contexts are
+coalgebras.  Its structured dependent product, type classifier and
+subobject classifier are each carved out of a cofree box as an
+equalizer of cofree transposes, read at the points of ``delta``
+(:meth:`_Level.carve`).
 
 Everything is evaluated elementwise and all laws are decidable checks;
 no structure is trusted without being run through its validator.
@@ -585,21 +585,30 @@ class _Level:
         return [th for th in self.maps(x, self.box(x), domains, ())
                 if _commutes(th.component, th.component, cofree)]
 
-    def restrict(self, x, theta: Mapping, keep: Mapping, what: str) -> tuple:
-        """``theta`` on the subobject ``keep`` of ``x``, with its inclusion:
-        ``theta(v)`` lies in its box when its box points lie in ``keep``."""
+    def carve(self, x, holds: Mapping, what: str) -> tuple:
+        """The largest subobject of the cofree ``box(x)`` inside ``holds``
+        whose delta-points all lie in ``holds``, with its structure and
+        inclusion.  Point ``k`` of ``delta(v)`` is read from ``delta(x)``,
+        over fiber ``k`` of ``points(x)``, which depends on the key alone;
+        no box of ``box(x)`` is built.  The set kept is closed, since the
+        delta-points of a delta-point of ``v`` are delta-points of ``v``
+        (coassociativity), and it holds every closed set inside ``holds``,
+        since ``v`` is the counit-slot point of ``delta(v)``.  A set kept
+        that is not closed raises ``ComonadError``."""
+        points, delta = self.points(x), self.delta(x)
+
+        def read(key):
+            return points(key)[0], delta(key)
         try:
-            sub, inc = self.sub(x, keep)
+            sub, inc = self.sub(self.box(x), _with_points_in(holds, read))
         except (ValueError, ModelError) as e:
             raise ComonadError(str(e)) from None
         index = {k: {v: n for n, v in enumerate(col)} for k, col in inc.component.items()}
-        points, points_sub = self.points(x), self.points(sub)
-        comp = {}
+        points_sub, comp = self.points(sub), {}
         for k, col in inc.component.items():
-            fibers, pts, _ = points(k)
+            fibers, dlt = read(k)
             comp[k] = _positions(points_sub(k)[2], (tuple(index[f].get(p) for f, p in zip(
-                fibers, pts[theta[k][v]])) for v in col),
-                f"{what} is not closed under its structure", k)
+                fibers, dlt[v])) for v in col), f"{what} is not closed under its structure", k)
         return self.structure(sub, comp, f"{what} carries no lawful structure"), inc
 
 
@@ -674,10 +683,9 @@ def _lift(mono: Mapping, values: Mapping, error: Callable[[object, int], str]) -
     return out
 
 
-def _with_points_in(holds: Mapping, structure: Mapping,
-                    points: Callable[[object], Points]) -> dict:
-    """The elements of ``holds`` whose structure has every box point in
-    ``holds``; ``points(key)`` gives the box at ``key`` as points.
+def _with_points_in(holds: Mapping, read: Callable[[object], tuple]) -> dict:
+    """The elements of ``holds`` whose points all lie in ``holds``;
+    ``read(key)`` gives ``(fibers, points by element)`` at ``key``.
 
     Every comonad built here, the identity or restriction after right
     Kan extension, acts pointwise on elements determined by their points
@@ -686,35 +694,28 @@ def _with_points_in(holds: Mapping, structure: Mapping,
     ``theta(v)``, both giving the target's structure at ``f(v)``, so ``f``
     and ``g`` agree at each box point of ``theta(v)``: their equalizer is
     closed under the structure, and under restriction by naturality
-    (Kock and Wraith).  When ``holds`` solves ``L == R`` for plain natural maps out
-    of ``X``, the result is the equalizer of the cofree transposes
-    ``box(L) . theta`` and ``box(R) . theta``: the largest closed set
-    inside ``holds``, found in one pass.
+    (Kock and Wraith).  When ``holds`` solves ``L == R`` for plain natural
+    maps out of ``X`` and the points are those of ``theta``, the result is
+    the equalizer of the cofree transposes ``box(L) . theta`` and
+    ``box(R) . theta``: the largest closed set inside ``holds``, in one pass.
     """
     out = {}
-    for key, col in structure.items():
-        fibers, pts, _ = points(key)
-        out[key] = frozenset(v for v in holds[key]
-                             if all(p in holds[f] for f, p in zip(fibers, pts[col[v]])))
+    for key, vs in holds.items():
+        fibers, pts = read(key)
+        out[key] = frozenset(v for v in vs if all(p in holds[f] for f, p in zip(fibers, pts[v])))
     return out
-
-
-def sub_coalgebra(w: NaturalModelComonad, cg: Coalgebra,
-                  sel: Mapping[str, frozenset[int]]) -> tuple[Coalgebra, PresheafMap]:
-    """Restrict a coalgebra to a subpresheaf closed under its structure;
-    a selection that is not closed raises ``ComonadError``."""
-    th, inc = _presheaf_level(w).restrict(cg.carrier, cg.structure.component, sel,
-                                         "subpresheaf")
-    return Coalgebra(th.source, th), inc
 
 
 def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, frozenset[int]]]:
     """Subpresheaves of the carrier closed under the structure map: the
     box acts pointwise, so the structure of ``x`` lies in the box of a
     subpresheaf exactly when its box points do."""
-    boxed = {o: w.box_points(cg.carrier, o) for o in cg.carrier.base.objects}
+    boxed = {}
+    for o, col in cg.structure.component.items():
+        fibers, pts, _ = w.box_points(cg.carrier, o)
+        boxed[o] = fibers, [pts[e] for e in col]
     return [sel for sel in subpresheaves(cg.carrier)
-            if _with_points_in(sel, cg.structure.component, boxed.__getitem__) == sel]
+            if _with_points_in(sel, boxed.__getitem__) == sel]
 
 
 def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
@@ -1363,9 +1364,9 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
     solutions need not be closed: under the points comonad of a
     three-object chain, at fiber 2, the equation at the top stage leaves
     the middle function of ``E`` free at arguments no ``theta_A(t)``
-    reaches.  So ``E`` is kept when the equation holds at every box point
-    of ``delta(E)``, the equalizer of the maps' cofree transposes
-    (:func:`_with_points_in`).  Under the identity comonad every structure
+    reaches.  So ``E`` is kept when the equation holds at every point of
+    ``delta(E)``, the equalizer of the maps' cofree transposes
+    (:meth:`_Level.carve`).  Under the identity comonad every structure
     is an identity and all pass.
     """
     cg, a = x.coalg, x.type
@@ -1373,25 +1374,22 @@ def coalg_pi(w: NaturalModelComonad, x: CoalgebraType,
     if yb.coalg != cge:
         raise ComonadError("family is not structured over the extension")
     plain = pi_type(a, yb.type)
-    box_pi = w.bbox_type(cg, plain.type)
-    eps, dlt = w.fiber_counit(cg, plain.type), w.fiber_comult(cg, plain.type)
+    eps = w.fiber_counit(cg, plain.type)
     app, encode = plain.app, plain.comp.encode
     points_p, points_a = w.bbox_points(cg, plain.type), w.bbox_points(cg, a)
     points_b = w.bbox_points(cge, yb.type)
     holds = {}
-    for (o, g), n in box_pi.fiber.items():
+    for (o, g), ec in eps.component.items():
         fibers, pts_p, _ = points_p((o, g))
-        pts_a, ta, ec = points_a((o, g))[1], x.theta.component[(o, g)], eps.component[(o, g)]
+        pts_a, ta = points_a((o, g))[1], x.theta.component[(o, g)]
         args = []
         for t in range(a.fiber[(o, g)]):
             gt = encode(o, g, t)
             args.append((t, pts_a[ta[t]], points_b((o, gt))[1], yb.theta.component[(o, gt)]))
-        holds[(o, g)] = frozenset(v for v in range(n) if all(
+        holds[(o, g)] = frozenset(v for v in range(len(ec)) if all(
             tuple(app(*f, e, p) for f, e, p in zip(fibers, pts_p[v], pts_t))
             == pts_b[tb[app(o, g, ec[v], t)]] for t, pts_t, pts_b, tb in args))
-    keep = _with_points_in(holds, dlt.component, w.bbox_points(cg, box_pi))
-    th, inc = _type_level(w, cg).restrict(box_pi, dlt.component, keep,
-                                          "dependent product of structured types")
+    th, inc = _type_level(w, cg).carve(plain.type, holds, "dependent product of structured types")
     return CoalgebraPi(x, yb, CoalgebraType(cg, th.source, th), plain, inc, eps)
 
 
@@ -1555,6 +1553,15 @@ def universe_internal_category(u: Universe) -> UniverseCategory:
 # The classifier of structured types
 
 
+def _transpose(clf, cg: Coalgebra, chi: PresheafMap, error: str) -> PresheafMap:
+    """The cofree transpose ``box(chi) . theta`` of ``chi`` out of the
+    carrier of ``cg``, lifted through the inclusion of the classifier
+    ``clf``; a value outside it raises ``ComonadError``."""
+    kappa = compose_maps(clf.comonad.box_map(chi), cg.structure)
+    return PresheafMap(cg.carrier, clf.coalgebra.carrier, _lift(
+        clf.inclusion.component, kappa.component, lambda o, x: f"{error} at ({o!r}, {x})"))
+
+
 @dataclass(frozen=True)
 class CoalgebraClassifier:
     """The classifying coalgebra for structured types at the display
@@ -1570,15 +1577,9 @@ class CoalgebraClassifier:
 
     def encode_point(self, xt: CoalgebraType) -> PresheafMap:
         """The classifying coalgebra map of a structured type."""
-        w = self.comonad
-        cg = xt.coalg
         mu = self.ucat.encode_map(xt.theta)
-        chi = compose_maps(self.ucat.cat.src, mu)
-        paired = self.pairing.tuple_map(chi, mu)
-        kappa = compose_maps(w.box_map(paired), cg.structure)
-        return PresheafMap(cg.carrier, self.coalgebra.carrier, _lift(
-            self.inclusion.component, kappa.component,
-            lambda o, x: f"structured type escapes the classifier at ({o!r}, {x})"))
+        paired = self.pairing.tuple_map(compose_maps(self.ucat.cat.src, mu), mu)
+        return _transpose(self, xt.coalg, paired, "structured type escapes the classifier")
 
     def decode_point(self, cg: Coalgebra, h: PresheafMap) -> CoalgebraType:
         """The structured type classified by a coalgebra map into the
@@ -1625,49 +1626,39 @@ def coalgebra_classifier(w: NaturalModelComonad) -> CoalgebraClassifier:
     """Build the classifier of structured types inside the coalgebras.
 
     The carrier is carved out of the box of codes paired with code
-    morphisms by four stage-wise conditions: the morphism runs from the
-    code to the boxed code, composing with the code-level counit gives
-    the identity, and composing with the code-level comultiplication
-    agrees with boxing the morphism itself.  The code-level maps come
-    from :func:`code_actions`.
-
-    The endpoint conditions equalize coalgebra maps between cofree
-    coalgebras (boxed maps, ``box(beta) . delta``); the laws compare plain
-    maps into ``Mor`` at the counit, leaving other slots free.  So an
-    element is kept when all four hold at every box point of its
-    comultiplication: the equalizer of the cofree transposes, closed
-    (:func:`_with_points_in`).
+    morphisms (:meth:`_Level.carve`).  With ``(x, m)`` the counit of an
+    element ``v`` and ``phi`` its box of codes, ``v`` holds when ``m`` runs
+    from ``x`` to ``beta(phi)``, composing it with the code-level counit
+    gives the identity, and composing it with the code-level
+    comultiplication agrees with composing it with the boxed morphism
+    (where that composite is defined): plain maps at the counit, with the
+    code-level maps from :func:`code_actions`.  The boxed endpoint
+    conditions ``box(src) . snd == fst`` and ``box(tgt) . snd == box(beta)
+    . delta . fst`` hold at ``v`` exactly when the plain ones hold at every
+    delta-point of ``v``, since the box acts pointwise and point ``k`` of
+    ``delta(phi)`` is the box of codes of point ``k`` of ``delta(v)``.  The
+    delta-points of a delta-point are delta-points (coassociativity), so
+    on the carved set the boxed conditions hold and every composite above
+    is defined.
     """
     u = hs_universe(w.model)
     uc = universe_internal_category(u)
-    c = w.model.base
-    q = product(u.presheaf, uc.cat.mor)
-    bq = w.box(q.presheaf)
-    bfst = w.box_map(q.fst)
-    bsnd = w.box_map(q.snd)
-    bsrc = w.box_map(uc.cat.src)
-    btgt = w.box_map(uc.cat.tgt)
+    cat, q = uc.cat, product(u.presheaf, uc.cat.mor)
     beta, eps_code, dlt_code, bmor = code_actions(w, uc)
-    bbeta = w.box_map(beta)
-    dlt0 = w.comult(u.presheaf)
-    eps0 = w.counit(u.presheaf)
-    eps1 = w.counit(uc.cat.mor)
+    bfst, bsnd, eps = w.box_map(q.fst), w.box_map(q.snd), w.counit(q.presheaf)
 
     def lawful(o, v):
-        phi, psi = bfst.apply(o, v), bsnd.apply(o, v)
-        if bsrc.apply(o, psi) != phi or btgt.apply(o, psi) != bbeta.apply(o, dlt0.apply(o, phi)):
-            return False
-        m = eps1.apply(o, psi)
-        return (uc.cat.compose_at(o, eps_code.apply(o, phi), m)
-                == uc.cat.ident.apply(o, eps0.apply(o, phi))
-                and uc.cat.compose_at(o, dlt_code.apply(o, phi), m)
-                == uc.cat.compose_at(o, bmor.apply(o, psi), m))
+        phi, psi, e = bfst.apply(o, v), bsnd.apply(o, v), eps.apply(o, v)
+        x, m, n = q.fst.apply(o, e), q.snd.apply(o, e), bmor.apply(o, psi)
+        return (cat.src.apply(o, m) == x and cat.tgt.apply(o, m) == beta.apply(o, phi)
+                and cat.src.apply(o, n) == cat.tgt.apply(o, m)
+                and cat.compose_at(o, eps_code.apply(o, phi), m) == cat.ident.apply(o, x)
+                and cat.compose_at(o, dlt_code.apply(o, phi), m) == cat.compose_at(o, n, m))
 
-    holds = {o: frozenset(v for v in bq.elements(o) if lawful(o, v)) for o in c.objects}
-    cofree = cofree_coalgebra(w, q.presheaf)
-    members = _with_points_in(holds, cofree.structure.component, lambda o: w.box_points(bq, o))
-    wcg, inc = sub_coalgebra(w, cofree, members)
-    return CoalgebraClassifier(w, u, uc, wcg, inc, q)
+    holds = {o: frozenset(v for v in range(len(col)) if lawful(o, v))
+             for o, col in eps.component.items()}
+    th, inc = _presheaf_level(w).carve(q.presheaf, holds, "structured-type classifier")
+    return CoalgebraClassifier(w, u, uc, Coalgebra(th.source, th), inc, q)
 
 
 def classifier_report(w: NaturalModelComonad, clf: CoalgebraClassifier,
@@ -1733,12 +1724,8 @@ class KockWraithClassifier:
 
     def classify(self, cg: Coalgebra, sel: Mapping[str, frozenset[int]]) -> PresheafMap:
         """The classifying coalgebra map of a sub-coalgebra selection."""
-        w = self.comonad
-        chi = characteristic_map(self.omega, cg.carrier, sel)
-        kappa = compose_maps(w.box_map(chi), cg.structure)
-        return PresheafMap(cg.carrier, self.coalgebra.carrier, _lift(
-            self.inclusion.component, kappa.component,
-            lambda o, x: f"selection is not a sub-coalgebra at ({o!r}, {x})"))
+        return _transpose(self, cg, characteristic_map(self.omega, cg.carrier, sel),
+                          "selection is not a sub-coalgebra")
 
     def subobject(self, cg: Coalgebra, h: PresheafMap) -> dict[str, frozenset[int]]:
         """The sub-coalgebra selection classified by a coalgebra map."""
@@ -1757,20 +1744,19 @@ def sieve_action(w: NaturalModelComonad, om: Omega) -> PresheafMap:
 
 
 def kock_wraith_classifier(w: NaturalModelComonad) -> KockWraithClassifier:
-    """The classifier of sub-coalgebras, as the equalizer of the induced
-    sieve endomap (:func:`sieve_action`) against the identity on the
-    cofree coalgebra.  The endomap ``box(b) . delta`` is the cofree
-    transpose of ``b``, a coalgebra map, so the equalizer is closed
-    (:func:`_with_points_in`)."""
+    """The classifier of sub-coalgebras: the fixed points of the cofree
+    transpose ``box(b) . delta`` of the induced sieve map ``b``
+    (:func:`sieve_action`), carved as the elements ``v`` whose every
+    delta-point ``u`` has ``b(u) == counit(u)`` (:meth:`_Level.carve`).
+    The two agree: point ``k`` of ``box(b)(delta(v))`` is ``b`` at point
+    ``k`` of ``delta(v)``, and by ``box(counit) . delta == id`` point ``k``
+    of ``v`` is the counit there."""
     om = subobject_classifier(w.model.base)
-    b = sieve_action(w, om)
-    dlt = w.comult(om.presheaf)
-    endo = compose_maps(w.box_map(b), dlt)
-    members = {o: frozenset(x for x in w.box(om.presheaf).elements(o)
-                            if endo.apply(o, x) == x)
-               for o in w.model.base.objects}
-    wcg, inc = sub_coalgebra(w, cofree_coalgebra(w, om.presheaf), members)
-    return KockWraithClassifier(w, om, wcg, inc)
+    b, eps = sieve_action(w, om).component, w.counit(om.presheaf).component
+    holds = {o: frozenset(v for v, e in enumerate(col) if b[o][v] == e)
+             for o, col in eps.items()}
+    th, inc = _presheaf_level(w).carve(om.presheaf, holds, "sub-coalgebra classifier")
+    return KockWraithClassifier(w, om, Coalgebra(th.source, th), inc)
 
 
 def kock_wraith_report(w: NaturalModelComonad, kw: KockWraithClassifier,
