@@ -41,14 +41,14 @@ no structure is trusted without being run through its validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, wraps
-from itertools import islice
+from itertools import chain, islice
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
-                       Product, PullbackSquare, Ran, _flat_maps, characteristic_map,
+                       Product, PullbackSquare, Ran, _components, _flat_maps, characteristic_map,
                        compose_maps, hom_maps, identity_map, iso_maps, product, pullback,
                        sub_presheaf, subobject_classifier, subobject_of_char,
                        subpresheaves, terminal_presheaf)
@@ -260,12 +260,13 @@ class NaturalModelComonad:
             m.component, m.source.fiber, self.bbox_points(cg, m.source),
             self.bbox_points(cg, m.target), "bbox_type_map leaves the box"))
 
+    @_once
     def bbox_points(self, cg: "Coalgebra",
                     a: TypeOverContext) -> Callable[[tuple[str, int]], Points]:
         """The elements of ``bbox_type(cg, a)`` as points: the function
         returned takes a fiber key of ``a`` to those over it."""
         points, s = self.tp_box_points(a), cg.structure.component
-        return lambda key: points((key[0], s[key[0]][key[1]]))
+        return {key: points((key[0], s[key[0]][key[1]])) for key in a.fiber}.__getitem__
 
     @_once
     def bbox_delta_points(self, cg: "Coalgebra") -> Callable[[TypeOverContext, tuple], list]:
@@ -274,7 +275,7 @@ class NaturalModelComonad:
         which the comult law of ``cg``, checked, makes ``theta`` of that of
         ``theta(g)``."""
         s = cg.structure.component
-        if not _commutes(s, s, _presheaf_level(self).cofree(cg.carrier)):
+        if not _commutes(s, _halves(self, cg), _presheaf_level(self).cofree(cg.carrier)):
             raise ComonadError("fiber comult is not strict over this coalgebra")
         return lambda a, key: self.tp_delta_points(a, (key[0], s[key[0]][key[1]]))
 
@@ -464,6 +465,12 @@ class Coalgebra:
 
     carrier: Presheaf
     structure: PresheafMap
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.carrier, self.structure)))
+        return self._hash
 
 
 def _counit_holds(eps: Mapping, theta: Mapping) -> bool:
@@ -471,11 +478,11 @@ def _counit_holds(eps: Mapping, theta: Mapping) -> bool:
     return all(eps[key][e] == v for key, col in theta.items() for v, e in enumerate(col))
 
 
-def _commutes(m: Mapping, src_theta: Mapping, square: Mapping) -> bool:
+def _commutes(m: Mapping, src: Mapping, dst: Mapping) -> bool:
     """``dst_theta . m == box(m) . src_theta`` for a natural ``m``, checked
-    at the box points of each ``src_theta(v)``; ``square`` is as in
-    :func:`_commuting_rules`.  The comult law is the square into the
-    cofree structure, read at its points (:meth:`_Level.cofree`).
+    at the points of each ``src_theta(v)``, from the two structures read at
+    their points (:func:`_halves`); the comult law is the square into the
+    cofree structure (:meth:`_Level.cofree`).
 
     This is the equation of the two composites on the nose: ``box(m)``
     sends ``e`` to the element whose point ``k`` is ``m`` at point ``k`` of
@@ -484,10 +491,9 @@ def _commutes(m: Mapping, src_theta: Mapping, square: Mapping) -> bool:
     it could fail only by leaving the box, which a natural ``m`` never does:
     each caller validates ``m`` first or builds it natural.
     """
-    for key, col in src_theta.items():
-        fibers, pts, after = square[key]
-        mk, cols = m[key], [m[f] for f in fibers]
-        if any(after[mk[v]] != tuple(map(getitem, cols, pts[e])) for v, e in enumerate(col)):
+    for key, (fibers, pts, *_) in src.items():
+        mk, cols, after = m[key], [m[f] for f in fibers], dst[key][1]
+        if any(after[mk[v]] != tuple(map(getitem, cols, pt)) for v, pt in enumerate(pts)):
             return False
     return True
 
@@ -507,21 +513,16 @@ def _counit_domains(eps: Mapping, sizes: Mapping) -> dict:
     return domains
 
 
-def _commuting_rules(src_theta: Mapping, square: Mapping) -> list:
-    """Slot rules that build in ``dst_theta . m == box(m) . src_theta``.
-
-    ``square[key]`` gives ``(fibers, src_points, after)``: the source box
-    at ``key`` as points (``box_points``), and the points of
-    ``dst_theta(y)`` by ``y`` (:meth:`_Level.square`).  The box acts
-    pointwise, so the equation at ``x`` over ``key`` is one rule per point
-    ``k``: ``m[(fibers[k], src_points[src_theta(x)][k])] == after[m[(key, x)]][k]``.
+def _commuting_rules(src: Mapping, dst: Mapping) -> list:
+    """Slot rules that build in ``dst_theta . m == box(m) . src_theta``, from
+    the source's half and the target's (:func:`_halves`).  The box acts
+    pointwise, so the equation at ``v`` over ``key`` is one rule per point
+    ``k``: ``m[(fibers[k], points[v][k])] == tables[k][m[(key, v)]]``.
     """
     rules = []
-    for key, col in src_theta.items():
-        fibers, pts, after = square[key]
-        for k, fiber in enumerate(fibers):
-            table = tuple(pt[k] for pt in after)
-            rules.extend(((key, x), (fiber, pts[e][k]), table) for x, e in enumerate(col))
+    for key, (fibers, pts, _) in src.items():
+        for k, (fiber, table) in enumerate(zip(fibers, dst[key][2])):
+            rules.extend(((key, v), (fiber, pt[k]), table) for v, pt in enumerate(pts))
     return rules
 
 
@@ -543,16 +544,20 @@ class _Level:
     map_type: type
     law: str    # the prefix naming its laws
 
-    def cofree(self, x) -> dict:
-        """The square of the comult law: into ``delta``, at its points."""
-        points, delta = self.points(x), self.delta(x)
-        return {key: (*points(key)[:2], delta(key)) for key in x._tables()[2]}
+    def read(self, x, theta: Mapping) -> dict:
+        """The structure on ``x`` with columns ``theta`` at its points: by
+        key, the fibers of the box and the points of ``theta(v)`` by ``v``."""
+        points, out = self.points(x), {}
+        for key, col in theta.items():
+            fibers, pts, _ = points(key)
+            out[key] = fibers, [*map(pts.__getitem__, col)]
+        return out
 
-    def square(self, x, y, theta_y: Mapping) -> dict:
-        """The square of a map ``x -> y`` into the structure ``theta_y``."""
-        points_x, points_y = self.points(x), self.points(y)
-        return {key: (*points_x(key)[:2], [*map(points_y(key)[1].__getitem__, col)])
-                for key, col in theta_y.items()}
+    def cofree(self, x) -> dict:
+        """The cofree structure ``delta`` on ``box(x)``, read as :meth:`read`
+        reads a structure; no box of ``box(x)`` is built."""
+        points, delta = self.points(x), self.delta(x)
+        return {key: (points(key)[0], delta(key)) for key in x._tables()[2]}
 
     def laws(self, x, theta) -> list[str]:
         """The counit and comult laws of a structure, once it is natural
@@ -565,7 +570,7 @@ class _Level:
         col = theta.component
         if not _counit_holds(self.counit(x), col):
             errs.append(f"{self.law}counit law fails")
-        if not _commutes(col, col, self.cofree(x)):
+        if not _commutes(col, self.read(x, col), self.cofree(x)):
             errs.append(f"{self.law}comult law fails")
         return errs
 
@@ -580,33 +585,28 @@ class _Level:
     def lawful(self, x) -> list:
         """The lawful structures on ``x``, in the order of ``maps``, with the
         counit law built into the slot domains and the comult law tested."""
-        domains = _counit_domains(self.counit(x), x._tables()[2])
-        cofree = self.cofree(x)
-        return [th for th in self.maps(x, self.box(x), domains, ())
-                if _commutes(th.component, th.component, cofree)]
+        maps = self.maps(x, self.box(x), _counit_domains(self.counit(x), x._tables()[2]), ())
+        cofree = maps and self.cofree(x)
+        return [th for th in maps if _commutes(th.component, self.read(x, th.component), cofree)]
 
     def carve(self, x, holds: Mapping, what: str) -> tuple:
         """The largest subobject of the cofree ``box(x)`` inside ``holds``
         whose delta-points all lie in ``holds``, with its structure and
-        inclusion.  Point ``k`` of ``delta(v)`` is read from ``delta(x)``,
-        over fiber ``k`` of ``points(x)``, which depends on the key alone;
-        no box of ``box(x)`` is built.  The set kept is closed, since the
+        inclusion, read at the points of ``delta`` (:meth:`cofree`): no box
+        of ``box(x)`` is built.  The set kept is closed, since the
         delta-points of a delta-point of ``v`` are delta-points of ``v``
         (coassociativity), and it holds every closed set inside ``holds``,
         since ``v`` is the counit-slot point of ``delta(v)``.  A set kept
         that is not closed raises ``ComonadError``."""
-        points, delta = self.points(x), self.delta(x)
-
-        def read(key):
-            return points(key)[0], delta(key)
+        cofree = self.cofree(x)
         try:
-            sub, inc = self.sub(self.box(x), _with_points_in(holds, read))
+            sub, inc = self.sub(self.box(x), _with_points_in(holds, cofree.__getitem__))
         except (ValueError, ModelError) as e:
             raise ComonadError(str(e)) from None
         index = {k: {v: n for n, v in enumerate(col)} for k, col in inc.component.items()}
         points_sub, comp = self.points(sub), {}
         for k, col in inc.component.items():
-            fibers, dlt = read(k)
+            fibers, dlt = cofree[k]
             comp[k] = _positions(points_sub(k)[2], (tuple(index[f].get(p) for f, p in zip(
                 fibers, dlt[v])) for v in col), f"{what} is not closed under its structure", k)
         return self.structure(sub, comp, f"{what} carries no lawful structure"), inc
@@ -631,22 +631,40 @@ def coalgebra_laws(w: NaturalModelComonad, cg: Coalgebra) -> list[str]:
     return _presheaf_level(w).laws(cg.carrier, cg.structure)
 
 
+@_once
+def _halves(w: NaturalModelComonad, s) -> dict:
+    """Both halves of the square of a map out of or into ``s``, a coalgebra
+    or a structured type: by key, ``(fibers, points, tables)``, ``points``
+    as :meth:`_Level.read` reads them, table ``k`` their points ``k``."""
+    read = _presheaf_level(w).read(s.carrier, s.structure.component) if isinstance(
+        s, Coalgebra) else _type_level(w, s.coalg).read(s.type, s.theta.component)
+    return {key: (fibers, pts, [*zip(*pts)] or [()] * len(fibers))
+            for key, (fibers, pts) in read.items()}
+
+
+def _structured_families(w: NaturalModelComonad, src, dst) -> tuple[list[int], list[tuple]]:
+    """The maps ``src -> dst`` of coalgebras or of structured types, as the
+    flat families of :func:`_flat_maps` with their ``ends``, the structure
+    equation enumerated as slot rules (:func:`_commuting_rules`)."""
+    x, y = (src.carrier, dst.carrier) if isinstance(src, Coalgebra) else (src.type, dst.type)
+    return _flat_maps(x, y, rules=_commuting_rules(_halves(w, src), _halves(w, dst)))
+
+
 def is_coalgebra_map(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra,
                      h: PresheafMap) -> bool:
     """Whether ``h`` is a natural map of carriers commuting with the two
     structures (:func:`_commutes`)."""
     if h.source != src.carrier or h.target != dst.carrier or h.validate():
         return False
-    return _commutes(h.component, src.structure.component, _presheaf_level(w).square(
-        src.carrier, dst.carrier, dst.structure.component))
+    return _commutes(h.component, _halves(w, src), _halves(w, dst))
 
 
 def coalgebra_maps(w: NaturalModelComonad, src: Coalgebra, dst: Coalgebra) -> list[PresheafMap]:
-    """The coalgebra maps ``src -> dst``, in the order of ``hom_maps``:
-    the structure equation is enumerated as slot rules, not tested."""
-    return hom_maps(src.carrier, dst.carrier, rules=_commuting_rules(
-        src.structure.component, _presheaf_level(w).square(
-            src.carrier, dst.carrier, dst.structure.component)))
+    """The coalgebra maps ``src -> dst``, in the order of ``hom_maps``
+    (:func:`_structured_families`)."""
+    ends, families = _structured_families(w, src, dst)
+    return [PresheafMap(src.carrier, dst.carrier, _components(w.model.base.objects, ends, f))
+            for f in families]
 
 
 def cofree_coalgebra(w: NaturalModelComonad, q: Presheaf) -> Coalgebra:
@@ -673,13 +691,9 @@ def _lift(mono: Mapping, values: Mapping, error: Callable[[object, int], str]) -
     out = {}
     for key, vals in values.items():
         pos = {v: k for k, v in enumerate(mono[key])}
-        lifted = []
-        for n, v in enumerate(vals):
-            k = pos.get(v)
-            if k is None:
-                raise ComonadError(error(key, n))
-            lifted.append(k)
-        out[key] = tuple(lifted)
+        out[key] = lifted = tuple(map(pos.get, vals))
+        if None in lifted:
+            raise ComonadError(error(key, lifted.index(None)))
     return out
 
 
@@ -701,7 +715,7 @@ def _with_points_in(holds: Mapping, read: Callable[[object], tuple]) -> dict:
     """
     out = {}
     for key, vs in holds.items():
-        fibers, pts = read(key)
+        fibers, pts = read(key)[:2]
         out[key] = frozenset(v for v in vs if all(p in holds[f] for f, p in zip(fibers, pts[v])))
     return out
 
@@ -710,12 +724,9 @@ def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, f
     """Subpresheaves of the carrier closed under the structure map: the
     box acts pointwise, so the structure of ``x`` lies in the box of a
     subpresheaf exactly when its box points do."""
-    boxed = {}
-    for o, col in cg.structure.component.items():
-        fibers, pts, _ = w.box_points(cg.carrier, o)
-        boxed[o] = fibers, [pts[e] for e in col]
+    half = _halves(w, cg)
     return [sel for sel in subpresheaves(cg.carrier)
-            if _with_points_in(sel, boxed.__getitem__) == sel]
+            if _with_points_in(sel, half.__getitem__) == sel]
 
 
 def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
@@ -830,15 +841,13 @@ def comparison_check(adj: KanAdjunction, w: AdjunctionComonad,
         cgs, lambda a, b: any(h.is_iso() for h in coalgebra_maps(w, a, b)))
     imaged = set(images)
     surjective = all(any(cgs[k] in imaged for k in cl) for cl in c_classes)
-    faithful, hom_ok, witness, level = True, True, None, _presheaf_level(w)
+    faithful, hom_ok, witness = True, True, None
     for i, j, upstairs, image in _restricted_homs(adj, ps):
         ci, cj, p, q = images[i], images[j], ps[i].sizes, ps[j].sizes
         if len(image) != len(upstairs):
             faithful = hom_ok = False
             witness = witness or f"distinct maps between {p} and {q} restrict equally"
-        elif image != set(_flat_maps(ci.carrier, cj.carrier, rules=_commuting_rules(
-                ci.structure.component, level.square(
-                    ci.carrier, cj.carrier, cj.structure.component)))[1]):
+        elif image != set(_structured_families(w, ci, cj)[1]):
             hom_ok = False
             witness = witness or f"hom sets differ between {p} and {q}"
     ok = faithful and surjective and hom_ok and len(p_classes) == len(c_classes)
@@ -1006,6 +1015,12 @@ class CoalgebraType:
     coalg: Coalgebra
     type: TypeOverContext
     theta: TypeMap
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.coalg, self.type, self.theta)))
+        return self._hash
 
 
 def coalgebra_type_laws(w: NaturalModelComonad, xt: CoalgebraType) -> list[str]:
@@ -1033,21 +1048,9 @@ def coalgebra_term_laws(w: NaturalModelComonad, ct: CoalgebraTerm) -> list[str]:
     return errs
 
 
-def coalgebra_type_maps(w: NaturalModelComonad, x: CoalgebraType,
-                        y: CoalgebraType) -> list[TypeMap]:
-    """Fiberwise maps commuting with the two structures, in the order of
-    ``type_maps``; the commuting square is enumerated as slot rules."""
-    return type_maps(x.type, y.type, rules=_commuting_rules(x.theta.component, _type_level(
-        w, x.coalg).square(x.type, y.type, y.theta.component)))
-
-
 def coalgebra_terms(w: NaturalModelComonad, xt: CoalgebraType) -> list[CoalgebraTerm]:
-    out = []
-    for t in terms_of(xt.type):
-        ct = CoalgebraTerm(xt, t)
-        if not coalgebra_term_laws(w, ct):
-            out.append(ct)
-    return out
+    terms = (CoalgebraTerm(xt, t) for t in terms_of(xt.type))
+    return [ct for ct in terms if not coalgebra_term_laws(w, ct)]
 
 
 def coalgebra_types_over(w: NaturalModelComonad, cg: Coalgebra,
@@ -1157,32 +1160,25 @@ def coalg_sigma(w: NaturalModelComonad, xt: CoalgebraType,
     cge, _, _ = coalg_extension(w, xt)
     if yb.coalg != cge:
         raise ComonadError("family is not structured over the extension")
-    sg = sigma_type(xt.type, yb.type)
-    points_x, points_y = w.bbox_points(cg, xt.type), w.bbox_points(cge, yb.type)
-    points_s = w.bbox_points(cg, sg.type)
-    comp = {}
-    for (o, g), col_x in xt.theta.component.items():
-        fibers, pts_x, _ = points_x((o, g))
-        pos = points_s((o, g))[2]
-        vals = []
-        for x, u in enumerate(col_x):
-            e = sg.comp.encode(o, g, x)
-            pts_y = points_y((o, e))[1]
+    sg, level, half = sigma_type(xt.type, yb.type), _type_level(w, cg), _halves(w, xt)
+    read_y = _type_level(w, cge).read(yb.type, yb.theta.component)
+    points_s, comp = w.bbox_points(cg, sg.type), {}
+    for (o, g), (fibers, pts_x, _) in half.items():
+        pos, vals = points_s((o, g))[2], []
+        for x, px in enumerate(pts_x):
             vals.extend(_positions(pos, (tuple(sg.pair(*f, p, q) for f, p, q in zip(
-                fibers, pts_x[u], pts_y[v])) for v in yb.theta.component[(o, e)]),
+                fibers, px, py)) for py in read_y[(o, sg.comp.encode(o, g, x))][1]),
                 "sum leaves the box", (o, g)))
         comp[(o, g)] = tuple(vals)
-    level = _type_level(w, cg)
-    th = level.structure(sg.type, comp, "sum structure is broken")
+    st = CoalgebraType(cg, sg.type, level.structure(sg.type, comp, "sum structure is broken"))
     proj = TypeMap(sg.type, xt.type,
                    {k: tuple(sg.split(k[0], k[1], v)[0] for v in range(n))
                     for k, n in sg.type.fiber.items()})
     # the projection is natural: restriction in the sum restricts the
     # first half of each pair in A (``sigma_type``)
-    if not _commutes(proj.component, th.component,
-                     level.square(sg.type, xt.type, xt.theta.component)):
+    if not _commutes(proj.component, level.read(sg.type, st.theta.component), half):
         raise ComonadError("first projection of the sum is not structured")
-    return CoalgebraSigma(CoalgebraType(cg, sg.type, th), sg, proj)
+    return CoalgebraSigma(st, sg, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -1198,17 +1194,13 @@ def coalg_product(w: NaturalModelComonad, x: CoalgebraType,
     without it does not preserve the product.  Built once per comonad
     and pair of types."""
     cg = x.coalg
-    pr = type_product(x.type, y.type)
-    points_x, points_y = w.bbox_points(cg, x.type), w.bbox_points(cg, y.type)
-    points_p = w.bbox_points(cg, pr.type)
-    comp = {}
-    for k, col_x in x.theta.component.items():
-        fibers, pts_x, _ = points_x(k)
-        pts_y, pos = points_y(k)[1], points_p(k)[2]
-        comp[k] = _positions(pos, (tuple(pr.pair(*f, p, q) for f, p, q in zip(
-            fibers, pts_x[u], pts_y[v])) for u in col_x for v in y.theta.component[k]),
+    pr, level = type_product(x.type, y.type), _type_level(w, cg)
+    read_y, points_p, comp = level.read(y.type, y.theta.component), w.bbox_points(cg, pr.type), {}
+    for k, (fibers, pts_x) in level.read(x.type, x.theta.component).items():
+        comp[k] = _positions(points_p(k)[2], (tuple(pr.pair(*f, p, q) for f, p, q in zip(
+            fibers, px, py)) for px in pts_x for py in read_y[k][1]),
             "box does not preserve this fiberwise product", k)
-    return CoalgebraType(cg, pr.type, _type_level(w, cg).structure(
+    return CoalgebraType(cg, pr.type, level.structure(
         pr.type, comp, "product structure is broken")), pr
 
 
@@ -1249,55 +1241,51 @@ def coalg_exponential(w: NaturalModelComonad, x: CoalgebraType,
 def exponential_up_check(w: NaturalModelComonad, exp: CoalgebraExponential,
                          z: CoalgebraType) -> dict:
     """Verify the exponential's universal property against one structured
-    type, by enumerating both hom sets.
+    type, by enumerating both hom sets as flat families
+    (:func:`_structured_families`).
 
-    One pass over the uncurried maps suffices.  It shows that currying
+    One pass over the uncurried maps suffices: it shows that currying
     lands in the curried maps and that evaluation undoes it, so currying
     is injective; with the two hom sets of equal size it is a bijection,
-    and evaluation is its inverse on every curried map as well.
+    inverse to evaluation.
 
-    Each ``m`` is curried by lookups, the ``TypeMap`` forms on the nose:
-    slot ``(j, f, t)`` of the plain transpose at ``(i, g)`` reads ``m`` at
-    ``(j, g.f)``, pair ``(c.f, t)``; its box reads the points of
-    ``theta_z(v)`` in the ``pos`` of the box of the plain product, then in
-    the inclusion.  Products number pairs left-major, so ``ev`` undoes
-    currying when its row ``tr(v)`` is row ``v`` of ``m``, rows ``A[k]`` long.
+    Each family ``m`` is curried by lookups: slot ``(j, f, t)`` of the plain
+    transpose at ``(i, g)`` reads ``m``, cut at ``ends``, at ``(j, g.f)``, pair
+    ``(c.f, t)``; its box reads the points of ``theta_z(v)`` in the ``pos`` of
+    the box of the plain product, then in the inclusion.  Products number
+    pairs left-major, so ``ev`` undoes currying when its row ``tr(v)`` is row
+    ``v`` of ``m``, rows ``A[k]`` long.
     """
     zx, pr_zx = coalg_product(w, z, exp.source)
-    uncurried = coalgebra_type_maps(w, zx, exp.target)
-    keys, gamma = list(z.type.fiber), z.type.context
-    curried = {tuple(map(h.component.__getitem__, keys))
-               for h in coalgebra_type_maps(w, z, exp.type)}
-    plain = []
-    for (i, g), n in z.type.fiber.items():
-        t = exp.plain.tables[(i, g)]
+    ends, uncurried = _structured_families(w, zx, exp.target)
+    curried = set(_structured_families(w, z, exp.type)[1])
+    gamma, keys, half = z.type.context, z.type._tables()[1].keys, _halves(w, z)
+    at, points_e = dict(zip(keys, ends)), w.bbox_points(exp.source.coalg, exp.plain.type)
+    plain, box, lam = [], [], {}
+    for k in keys:
+        t, g = exp.plain.tables[k], k[1]
         reads = [((j, gamma.act(f, g)), f, x) for j, f, x in t.slots]
-        plain.append(((i, g), [r for r, _, _ in reads], t.family_pos, [tuple(
-            pr_zx.pair(*r, z.type.restrict(f, g, c), x) for r, f, x in reads) for c in range(n)]))
-    points_z, points_e = (w.bbox_points(exp.source.coalg, t) for t in (z.type, exp.plain.type))
-    box = [(k, points_z(k)[0], [points_z(k)[1][e] for e in col], points_e(k)[2],
-            {e: n for n, e in enumerate(exp.inclusion.component[k])})
-           for k, col in z.theta.component.items()]
-    ev, n_a = exp.ev.component, exp.source.type.fiber
+        plain.append((k, t.family_pos, [tuple(at[r] + pr_zx.pair(*r, z.type.restrict(f, g, c), x)
+                                              for r, f, x in reads) for c in range(z.type.fiber[k])]))
+        box.append((k, *half[k][:2], points_e(k)[2], {e: n for n, e in enumerate(
+            exp.inclusion.component[k])}, at[k], exp.source.type.fiber[k], exp.ev.component[k]))
     for m in uncurried:
-        lam = {}
-        for k, reads, fpos, idx in plain:
-            cols = [m.component[r] for r in reads]
-            lam[k] = [fpos[tuple(map(getitem, cols, row))] for row in idx]
-        tr = {}
+        for k, fpos, rows in plain:
+            lam[k] = [fpos[tuple(map(m.__getitem__, row))] for row in rows]
+        tr = []
         try:
-            for k, fibers, thetas, pos, inv in box:
+            for k, fibers, thetas, pos, inv, *_ in box:
                 cols = [lam[f] for f in fibers]
                 boxed = (tuple(map(getitem, cols, pt)) for pt in thetas)
-                tr[k] = tuple(map(inv.get, _positions(pos, boxed, "transpose leaves the box", k)))
-            if any(None in col for col in tr.values()):
+                tr.append(tuple(map(inv.get, _positions(pos, boxed, "transpose leaves the box", k))))
+            if any(None in col for col in tr):
                 raise ComonadError("transpose of an unstructured map")
         except ComonadError as e:
             return {"ok": False, "witness": f"transpose leaves the box: {e}"}
-        if tuple(map(tr.__getitem__, keys)) not in curried:
+        if tuple(chain.from_iterable(tr)) not in curried:
             return {"ok": False, "witness": "transpose is not structured"}
-        if any(ev[k][h * n_a[k]:(h + 1) * n_a[k]] != m.component[k][v * n_a[k]:(v + 1) * n_a[k]]
-               for k in keys for v, h in enumerate(tr[k])):
+        if any(ev[h * n:(h + 1) * n] != m[a + v * n:a + (v + 1) * n]
+               for (*_, a, n, ev), col in zip(box, tr) for v, h in enumerate(col)):
             return {"ok": False, "witness": "evaluation does not undo currying"}
     return {"ok": len(uncurried) == len(curried), "uncurried": len(uncurried),
             "curried": len(curried)}
@@ -1329,13 +1317,10 @@ class CoalgebraPi:
     def app_term(self, ct: CoalgebraTerm) -> CoalgebraTerm:
         """Evaluate a structured product term to a structured family term."""
         cext = comprehension(self.base.type)
-        pick = {}
-        for o in cext.presheaf.base.objects:
-            for e in range(cext.presheaf.sizes[o]):
-                g, x = cext.decode(o, e)
-                pick[(o, e)] = self.app(o, g, ct.term.pick[(o, g)], x)
-        return CoalgebraTerm(self.family,
-                             TermOverContext(self.family.type, pick))
+        pick = {(o, e): self.app(o, g, ct.term.pick[(o, g)], x)
+                for o in cext.presheaf.base.objects for e in range(cext.presheaf.sizes[o])
+                for g, x in [cext.decode(o, e)]}
+        return CoalgebraTerm(self.family, TermOverContext(self.family.type, pick))
 
     def intro_term(self, w: NaturalModelComonad, ct: CoalgebraTerm) -> CoalgebraTerm:
         """Abstract a structured family term into a structured product
@@ -1459,11 +1444,13 @@ class InternalCategory:
                 re = self.ident.apply(o, self.src.apply(o, m))
                 if self.compose_at(o, le, m) != m or self.compose_at(o, m, re) != m:
                     errs.append(f"unit law fails at ({o!r}, {m})")
+            # associativity at composable triples only, m1 found by its target
+            into, comp = {}, dict(zip(self.pairs.pairs[o], self.comp.component[o]))
+            for m1, x in enumerate(self.tgt.component[o]):
+                into.setdefault(x, []).append(m1)
             for m3, m2 in self.pairs.pairs[o]:
-                for m1 in self.mor.elements(o):
-                    if self.src.apply(o, m2) == self.tgt.apply(o, m1) and \
-                            self.compose_at(o, self.compose_at(o, m3, m2), m1) != \
-                            self.compose_at(o, m3, self.compose_at(o, m2, m1)):
+                for m1 in into.get(self.src.apply(o, m2), ()):
+                    if comp[comp[m3, m2], m1] != comp[m3, comp[m2, m1]]:
                         errs.append(f"associativity fails at ({o!r})")
         return errs
 
@@ -1591,14 +1578,9 @@ class CoalgebraClassifier:
         chi = compose_maps(self.pairing.fst, down)
         mu = compose_maps(self.pairing.snd, down)
         a = u.decode(chi)
-        ba = w.bbox_type(cg, a)
-        comp = {}
-        for i in c.objects:
-            for g in cg.carrier.elements(i):
-                _, _, pm = self.ucat.mor_data(i, mu.apply(i, g))
-                comp[(i, g)] = pm.component[c.id(i)]
-        th = TypeMap(a, ba, comp)
-        return CoalgebraType(cg, a, th)
+        comp = {(i, g): self.ucat.mor_data(i, mu.apply(i, g))[2].component[c.id(i)]
+                for i in c.objects for g in cg.carrier.elements(i)}
+        return CoalgebraType(cg, a, TypeMap(a, w.bbox_type(cg, a), comp))
 
 
 def code_actions(w: NaturalModelComonad, uc: UniverseCategory

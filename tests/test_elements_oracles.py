@@ -13,8 +13,8 @@ versions that scan the source once per target element.
 
 Every pair must give the same results in the same order: on every
 shipped model, at bounds 1 and 2, and with the counit domains of
-``coalgebra_types_over`` and the commuting rules of
-``coalgebra_type_maps``.
+``coalgebra_types_over`` and the commuting rules of the maps between
+structured types.
 """
 
 from itertools import product as iproduct
@@ -22,7 +22,7 @@ from itertools import product as iproduct
 import pytest
 
 from boxsem.cli import load_model
-from boxsem.coalg import (_commuting_rules, _counit_domains, _type_level, coalgebra_types_over,
+from boxsem.coalg import (_commuting_rules, _counit_domains, _halves, coalgebra_types_over,
                           enumerate_coalgebras)
 from boxsem.fincat import Site, all_sieves
 from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, TypeOverContext,
@@ -250,8 +250,7 @@ def test_counit_domains_and_commuting_rules_match_the_oracle(name):
         types = coalgebra_types_over(w, cg, 2)[:6]
         for x in types:
             for y in types:
-                rules = _commuting_rules(x.theta.component, _type_level(w, cg).square(
-                    x.type, y.type, y.theta.component))
+                rules = _commuting_rules(_halves(w, x), _halves(w, y))
                 assert type_maps(x.type, y.type, rules=rules) == \
                     _ref_type_maps(x.type, y.type, rules=rules)
     assert structures

@@ -1,25 +1,31 @@
 """Lawful enumeration against generate-and-test.
 
 ``enumerate_coalgebras``, ``coalgebra_maps``, ``coalgebra_types_over`` and
-``coalgebra_type_maps`` build only lawful candidates: the counit law is a
-slot domain and the structure-map equation a set of slot rules.  The
-``_ref_*`` functions below are their earlier versions, kept as a
-differential oracle: they enumerate every natural map and filter it by
-the laws.  Both must give the same lists in the same order, because
-canonical order is load-bearing downstream (reports, classifiers).
+the maps between structured types build only lawful candidates: the
+counit law is a slot domain and the structure-map equation a set of slot
+rules.  Maps of both levels come from one body, ``_structured_families``,
+as flat families; ``coalgebra_type_maps`` (``test_structured_oracles``)
+cuts them into ``TypeMap``s.  The ``_ref_*`` functions below are the
+earlier versions, kept as a differential oracle: they enumerate every
+natural map and filter it by the laws.  Both must give the same lists in
+the same order, because canonical order is load-bearing downstream
+(reports, classifiers), and the flat families must be the columns of the
+reference maps.
 """
 
 from collections import Counter
+from itertools import accumulate, chain, product
 
 import pytest
 
 from boxsem.cli import load_model
-from boxsem.coalg import (Coalgebra, CoalgebraType, coalg_extension,
-                          coalgebra_maps, coalgebra_type_laws, coalgebra_type_maps,
+from boxsem.coalg import (Coalgebra, CoalgebraType, _structured_families, coalg_extension,
+                          coalgebra_maps, coalgebra_type_laws,
                           coalgebra_types_over, enumerate_coalgebras, is_coalgebra_map,
                           terminal_coalgebra)
 from boxsem.natmodel import all_presheaves, all_types_over, type_maps
 from boxsem.presheaf import compose_maps, hom_maps, identity_map
+from test_structured_oracles import coalgebra_type_maps
 
 # the shipped models that declare a comonad
 MODELS = ["one", "two", "chain3", "disc2"]
@@ -108,6 +114,36 @@ def test_structured_types_and_their_maps_match_the_oracle(comonad):
             for y in types:
                 assert coalgebra_type_maps(comonad, x, y) == \
                     _ref_coalgebra_type_maps(comonad, x, y)
+
+
+def _columns(maps, keys):
+    """Each map's columns at ``keys``, in order, as one flat tuple."""
+    return [tuple(chain.from_iterable(map(m.component.__getitem__, keys))) for m in maps]
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "arrow"])
+def test_structured_families_are_the_oracle_maps_columns(name):
+    """The one flat-family body of structured maps, on every pair of
+    coalgebras with carriers up to 2 and every pair of structured types
+    with fibers up to 2 over the terminal coalgebra: its families are the
+    columns of the generate-and-test maps, cut at its ``ends``, in order."""
+    w = load_model(name).comonad
+    cgs, objects = enumerate_coalgebras(w, 2), w.model.base.objects
+    found = 0
+    for src, dst in product(cgs, repeat=2):
+        ends, got = _structured_families(w, src, dst)
+        assert ends == [0, *accumulate(src.carrier.sizes[o] for o in objects)]
+        assert got == _columns(_ref_coalgebra_maps(w, src, dst), objects)
+        found += len(got)
+    types = coalgebra_types_over(w, terminal_coalgebra(w), 2)
+    keys = list(types[0].type.fiber)
+    for x, y in product(types, repeat=2):
+        ends, got = _structured_families(w, x, y)
+        assert ends == [0, *accumulate(map(x.type.fiber.__getitem__, keys))]
+        assert got == _columns(_ref_coalgebra_type_maps(w, x, y), keys)
+        found += len(got)
+    # every coalgebra and every type has at least its identity
+    assert found >= len(cgs) + len(types)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,11 @@ from boxsem import coalg
 from boxsem.cli import load_model, main
 from boxsem.coalg import (AdjunctionComonad, CoalgebraSigma,
                           CoalgebraTerm, CoalgebraType, Coalgebra, ComonadError,
-                          IdentityComonad, _presheaf_level, _type_level, _commutes,
+                          IdentityComonad, _halves, _presheaf_level, _commutes,
                           _counit_domains, cofree_coalgebra, coalg_exponential, coalg_extension,
                           coalg_pi, coalg_product, coalg_sigma, coalg_subst, coalgebra_laws,
                           coalgebra_maps, coalgebra_term_laws, coalgebra_type_laws,
-                          coalgebra_type_maps, coalgebra_types_over, enumerate_coalgebras,
+                          coalgebra_types_over, enumerate_coalgebras,
                           exponential_up_check, is_coalgebra_map, pi_up_check, terminal_coalgebra)
 from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, TypeProduct,
                              all_presheaves, all_types_over, comprehension,
@@ -64,7 +64,8 @@ from boxsem.natmodel import (NaturalModel, TermOverContext, TypeMap, TypeProduct
 from boxsem.presheaf import PresheafMap, compose_maps, hom_maps, identity_map
 from boxsem.standard import walking_arrow
 from test_structured_oracles import (FUNCTORS, _comonad, _ref_coalg_pi,
-                                     _ref_exponential_up_check, type_terminal)
+                                     _ref_exponential_up_check, coalgebra_type_maps,
+                                     type_terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +152,8 @@ def _ref_fiber_comult(w, cg, a):
 def _ref_comult_law(w, cg):
     """``delta . theta == box(theta) . theta``, reading ``delta`` off the
     ``comult`` table at the image of ``theta``."""
-    p, th = cg.carrier, cg.structure.component
-    return _commutes(th, th, _presheaf_level(w).square(p, w.box(p), w.comult(p).component))
+    return _commutes(cg.structure.component, _halves(w, cg),
+                     _halves(w, cofree_coalgebra(w, cg.carrier)))
 
 
 def _ref_kan_comult(w, p):
@@ -402,7 +403,8 @@ def test_the_indexed_comonad_agrees_with_its_whole_box_forms(name, bound):
         for cg in [*(Coalgebra(p, h) for h in hom_maps(p, w.box(p), domains)),
                    cofree_coalgebra(w, p)]:
             th = cg.structure.component
-            got = _commutes(th, th, _presheaf_level(w).cofree(cg.carrier))
+            level = _presheaf_level(w)
+            got = _commutes(th, level.read(cg.carrier, th), level.cofree(cg.carrier))
             assert got == _ref_comult_law(w, cg)
             laws += got
     assert n > 0 and laws > 0
@@ -566,8 +568,8 @@ def _ref_projection_structured(w, xt, sg, th, proj):
 
 
 def _projection_structured(w, xt, sg, th, proj):
-    return _commutes(proj.component, th.component, _type_level(w, xt.coalg).square(
-        sg.type, xt.type, xt.theta.component))
+    return _commutes(proj.component, _halves(w, CoalgebraType(xt.coalg, sg.type, th)),
+                     _halves(w, xt))
 
 
 LAW_CASES = [(n, b) for n in ("two", "chain3", "arrow", "one", "disc2") for b in (1, 2)]
@@ -962,17 +964,17 @@ def test_a_transpose_that_reads_a_wrong_pair_fails_evaluation(monkeypatch):
 def test_a_transpose_outside_the_curried_maps_is_not_structured(monkeypatch):
     """With the last structured map into the exponential left out of the
     curried hom set, the map that curries to it is reported, by both
-    checks."""
+    checks: both read the hom sets from ``_structured_families``."""
     w, types = _grid_two()
     e, z = coalg_exponential(w, types[2], types[2]), types[3]
     assert exponential_up_check(w, e, z)["ok"]
-    enumerate_maps = coalg.type_maps
+    enumerate_maps = coalg._structured_families
 
-    def short(a, b, *args, **kwargs):
-        maps = enumerate_maps(a, b, *args, **kwargs)
-        return maps[:-1] if b is e.type.type else maps
+    def short(w, x, y):
+        ends, families = enumerate_maps(w, x, y)
+        return ends, families[:-1] if y is e.type else families
 
-    monkeypatch.setattr(coalg, "type_maps", short)
+    monkeypatch.setattr(coalg, "_structured_families", short)
     out = {"ok": False, "witness": "transpose is not structured"}
     assert exponential_up_check(w, e, z) == _ref_exponential_up_check(w, e, z) == out
 

@@ -32,16 +32,17 @@ bijection and compare sizes.  ``_ref_two_sided_up_check`` and
 other side, with list membership.  Both must give the same subtypes,
 structures and reports, on the nose.
 
-``exponential_up_check`` curries each map by lookups into index tables
-built once per exponential and test type.  ``_ref_exponential_up_check``
-is the check it replaced, which builds ``TypeMap``s per map: the
+``exponential_up_check`` reads both hom sets as flat families and
+curries each map by lookups into index tables built once per exponential
+and test type.  ``_ref_exponential_up_check`` is the check it replaced,
+which builds ``TypeMap``s per map, from ``coalgebra_type_maps``: the
 transpose boxed at the points it reads (``_ref_transpose``, through
 ``exp_transpose`` and ``_lift``) and evaluation composed back.  The two
 must return the same dict, on the grids below and under injected faults
-(``test_pointwise_oracles``).  ``type_exponential``, ``exp_transpose``,
-``exp_ev``, ``type_tuple_map`` and ``type_terminal`` are the plain
-helpers the references are built from; nothing in the package reads
-them.
+(``test_pointwise_oracles``).  ``coalgebra_type_maps``,
+``type_exponential``, ``exp_transpose``, ``exp_ev``, ``type_tuple_map``
+and ``type_terminal`` are the helpers the references are built from;
+nothing in the package reads them.
 """
 
 import itertools
@@ -55,20 +56,29 @@ from boxsem.coalg import (CoalgebraSigma, CoalgebraTerm, CoalgebraType, ComonadE
                           _type_level, _positions, _with_points_in, coalg_exponential,
                           coalg_extension, coalg_pi, coalg_product, coalg_sigma,
                           coalgebra_term_laws,
-                          coalgebra_terms, coalgebra_type_laws, coalgebra_type_maps,
+                          coalgebra_terms, coalgebra_type_laws,
                           coalgebra_types_over, comonad_from_adjunction,
                           exponential_up_check, pi_up_check, terminal_coalgebra)
 from boxsem.fincat import Functor
 from boxsem.natmodel import (Pi, TermOverContext, TypeMap, TypeOverContext, TypeProduct,
                              all_types_over, comprehension, pi_type,
                              sub_type, subst_type, type_product)
-from boxsem.presheaf import KanAdjunction, Presheaf, compose_maps, subpresheaves
+from boxsem.presheaf import KanAdjunction, Presheaf, _components, compose_maps, subpresheaves
 from boxsem.standard import walking_arrow
 from test_fincat import chain, identity_functor
 
 
 # ---------------------------------------------------------------------------
-# Plain helpers the references are built from
+# Helpers the references are built from
+
+
+def coalgebra_type_maps(w, x: CoalgebraType, y: CoalgebraType) -> list[TypeMap]:
+    """The structured maps ``x -> y`` as ``TypeMap``s, cut from the flat
+    families of ``coalg._structured_families`` (looked up when called, so
+    a patched enumerator is read), in their order."""
+    ends, families = coalg._structured_families(w, x, y)
+    keys = x.type._tables()[1].keys
+    return [TypeMap(x.type, y.type, _components(keys, ends, f)) for f in families]
 
 
 def type_exponential(a: TypeOverContext, b: TypeOverContext) -> Pi:

@@ -22,12 +22,21 @@ built maps.  A fault injected into the flat comparison (an induced
 family shifted by one, a family that is not a bijection let through the
 iso filter) must make the check fail.  So must two entries of the code
 index exchanged, after the universe is built or while it is.
+
+``InternalCategory.validate`` checks associativity at the composable
+triples alone, its morphisms grouped by target; ``_ref_validate`` is the
+loop it replaced, over every composable pair and every morphism.  Both
+must give the same error list, in order, on the universe category of
+every shipped model and on one with two composites exchanged.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from boxsem import natmodel
 from boxsem.cli import load_model
+from boxsem.coalg import universe_internal_category
 from boxsem.fincat import slice_category
 from boxsem.natmodel import (NaturalModel, TypeOverContext, all_display_maps_into,
                              all_presheaves, all_types_over, classifier_check,
@@ -196,6 +205,67 @@ def _universe(name, bound):
 
 def _unwitnessed(report):
     return {k: v for k, v in report.items() if k != "witness"}
+
+
+def _ref_validate(cat):
+    """``InternalCategory.validate`` as it was: associativity tried at
+    every composable pair and every morphism, whatever its target."""
+    errs = []
+    for m in (cat.src, cat.tgt, cat.ident, cat.comp):
+        errs.extend(m.validate())
+    if errs:
+        return errs
+    for o in cat.obj.base.objects:
+        for x in cat.obj.elements(o):
+            e = cat.ident.apply(o, x)
+            if cat.src.apply(o, e) != x or cat.tgt.apply(o, e) != x:
+                errs.append(f"identity at ({o!r}, {x}) has wrong endpoints")
+        for (m2, m1) in cat.pairs.pairs[o]:
+            v = cat.compose_at(o, m2, m1)
+            if cat.src.apply(o, v) != cat.src.apply(o, m1) or \
+                    cat.tgt.apply(o, v) != cat.tgt.apply(o, m2):
+                errs.append(f"composition at ({o!r}, {m2}, {m1}) has wrong endpoints")
+        for m in cat.mor.elements(o):
+            le = cat.ident.apply(o, cat.tgt.apply(o, m))
+            re = cat.ident.apply(o, cat.src.apply(o, m))
+            if cat.compose_at(o, le, m) != m or cat.compose_at(o, m, re) != m:
+                errs.append(f"unit law fails at ({o!r}, {m})")
+        for m3, m2 in cat.pairs.pairs[o]:
+            for m1 in cat.mor.elements(o):
+                if cat.src.apply(o, m2) == cat.tgt.apply(o, m1) and \
+                        cat.compose_at(o, cat.compose_at(o, m3, m2), m1) != \
+                        cat.compose_at(o, m3, cat.compose_at(o, m2, m1)):
+                    errs.append(f"associativity fails at ({o!r})")
+    return errs
+
+
+# each shipped model at its own bound, but sierpinski at 1: at its bound 2
+# the cubic reference runs for minutes
+@pytest.mark.parametrize("name,bound", [("arrow", 1), ("arrow", 2), ("chain3", 1), ("disc2", 2),
+                                        ("one", 3), ("sierpinski", 1), ("two", 1), ("two", 2)])
+def test_internal_category_validation_agrees_with_the_cubic_loop(name, bound):
+    cat = universe_internal_category(_universe(name, bound)).cat
+    assert cat.validate() == _ref_validate(cat) == []
+
+
+def test_exchanged_composites_fail_both_validations_alike():
+    """Two composites with the same endpoints and different values
+    exchanged, over the one-object category, where any column is
+    natural: the unit law and associativity fail, with the same list."""
+    cat = universe_internal_category(_universe("one", 2)).cat
+    o = cat.obj.base.objects[0]
+    pairs, col = cat.pairs.pairs[o], list(cat.comp.component[o])
+    src, tgt, seen = cat.src.component[o], cat.tgt.component[o], {}
+    for i, (m2, m1) in enumerate(pairs):
+        j = next((j for j in seen.get((src[m1], tgt[m2]), []) if col[j] != col[i]), None)
+        if j is not None:
+            break
+        seen.setdefault((src[m1], tgt[m2]), []).append(i)
+    col[i], col[j] = col[j], col[i]
+    bad = replace(cat, comp=replace(cat.comp, component={**cat.comp.component, o: tuple(col)}))
+    errs = bad.validate()
+    assert errs == _ref_validate(bad)
+    assert "associativity fails at ('*')" in errs and any("unit law" in e for e in errs)
 
 
 @pytest.mark.parametrize("name,bound", CONFIGS)
