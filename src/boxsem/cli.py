@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .coalg import (
@@ -271,10 +272,24 @@ def read_module(path: str) -> Module:
         raise BadInput(str(e))
 
 
+@contextmanager
+def _nesting(path: str):
+    """Refuse as bad input a module whose terms nest deeper than the
+    recursive checker, replay or interpreter can follow."""
+    try:
+        yield
+    except RecursionError:
+        raise BadInput(f"{path}: terms nest too deeply") from None
+
+
 def cmd_check(args) -> int:
     mod = read_module(args.file)
     try:
-        derivations = check_module(mod)
+        with _nesting(args.file):
+            derivations = check_module(mod)
+            replay = sorted(err for d in derivations
+                            for err in recheck(mod.signature, d))
+            shown = [(d.judgment.show(), d.rule) for d in derivations]
     except CheckError as e:
         print(f"FAIL {e}")
         print(f"  judgment: {e.judgment}")
@@ -282,19 +297,18 @@ def cmd_check(args) -> int:
         _emit({"ok": False, "judgment": e.judgment, "rule_gap": e.rule_gap,
                "message": str(e)}, args.out)
         return EXIT_FAIL
-    replay = [err for d in derivations for err in recheck(mod.signature, d)]
     if replay:
         print("FAIL derivations do not replay:")
-        for err in sorted(replay):
+        for err in replay:
             print("  " + err)
-        _emit({"ok": False, "replay_errors": sorted(replay)}, args.out)
+        _emit({"ok": False, "replay_errors": replay}, args.out)
         return EXIT_FAIL
-    for d in derivations:
-        print(f"PASS {d.judgment.show()}  [{d.rule}]")
+    for judgment, rule in shown:
+        print(f"PASS {judgment}  [{rule}]")
     print(f"ok: {len(derivations)} derivations, all replayed")
     _emit({"ok": True,
-           "derivations": [{"judgment": d.judgment.show(), "rule": d.rule}
-                           for d in derivations]}, args.out)
+           "derivations": [{"judgment": judgment, "rule": rule}
+                           for judgment, rule in shown]}, args.out)
     return EXIT_OK
 
 
@@ -304,12 +318,14 @@ def cmd_interpret(args) -> int:
         raise BadInput(f"model {bundle.name!r} declares no comonad")
     mod = read_module(args.file)
     try:
-        check_module(mod)
+        with _nesting(args.file):
+            check_module(mod)
     except CheckError as e:
         print(f"FAIL (ill-typed input) {e}")
         return EXIT_FAIL
     tgt = SemanticTarget(bundle.comonad, name=bundle.name)
-    report = soundness_harness(tgt, mod)
+    with _nesting(args.file):
+        report = soundness_harness(tgt, mod)
     for entry in report["directives"]:
         label = f"line {entry['line']}" if entry.get("line") else "directive"
         print(f"{_status(entry['ok'])} {entry['kind']} {label}"

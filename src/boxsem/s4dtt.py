@@ -13,6 +13,7 @@ normal forms under beta and eta (see ``normal_form``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterator, Mapping, Union
@@ -168,56 +169,46 @@ class Module:
 
 
 _KEYWORDS = {"type", "const", "check", "equal", "box", "let", "in", "Box"}
-_PUNCT = ("|-", "::", ":=", "==", ",", ";", ":", "|", "(", ")")
+
+# One lexeme per match, tried in this order: a line break, blanks, a
+# comment, a punctuation mark (longest first), a word, and any other
+# character, which is an error.  ``[^\W\d]`` also admits non-decimal
+# digits such as a superscript two, so a word's first character is
+# checked again.
+_LEXEME = re.compile(r"(\n)|[ \t\r]+|(--[^\n]*)|(\|-|::|:=|==|[,;:|()])"
+                     r"|([^\W\d][\w']*)|(.)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of ``text`` as ``(kind, text, line, col)``, the last of
+    kind ``eof``; columns count characters from 1."""
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
+    line, bol = 1, 0  # bol: the offset at which the current line begins
+    eof = len(text)
+    for m in _LEXEME.finditer(text):
+        group = m.lastindex
+        if group is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "ident"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+        if group == 3:
+            toks.append(("punct", m[3], line, m.start() - bol + 1))
+        elif group == 4:
+            word = m[4]
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}",
+                                 line, m.start() - bol + 1)
+            toks.append(("kw" if word in _KEYWORDS else "ident", word, line,
+                         m.start() - bol + 1))
+        elif group == 1:
+            line, bol = line + 1, m.end()
+        elif group == 2:
+            # a comment does not advance the column, so an end of input
+            # right after one sits where the comment began
+            if m.end() == len(text):
+                eof = m.start()
+        else:
+            raise ParseError(f"unexpected character {m[5]!r}",
+                             line, m.start() - bol + 1)
+    toks.append(("eof", "", line, eof - bol + 1))
     return toks
 
 
@@ -226,35 +217,32 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        """The text of the next token."""
+        return self.toks[self.pos][1]
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
+    def expect(self, text: str) -> None:
+        kind, found, line, col = self.toks[self.pos]
+        if found != text or kind == "eof":
+            raise ParseError(f"expected {text!r}, found {found or 'end of input'!r}",
+                             line, col)
         self.pos += 1
-        return t
-
-    def expect(self, text: str) -> _Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return self.next()
 
     def ident(self) -> str:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(f"expected a name, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return self.next().text
+        kind, found, line, col = self.toks[self.pos]
+        if kind != "ident":
+            raise ParseError(f"expected a name, found {found or 'end of input'!r}",
+                             line, col)
+        self.pos += 1
+        return found
 
     def type_expr(self) -> TypeExpr:
         t = self.peek()
-        if t.text == "Box":
-            self.next()
+        if t == "Box":
+            self.pos += 1
             return BoxType(self.type_expr())
-        if t.text == "(":
-            self.next()
+        if t == "(":
+            self.pos += 1
             ty = self.type_expr()
             self.expect(")")
             return ty
@@ -262,14 +250,14 @@ class _Parser:
 
     def term(self) -> TermExpr:
         t = self.peek()
-        if t.text == "box":
-            self.next()
+        if t == "box":
+            self.pos += 1
             self.expect("(")
             body = self.term()
             self.expect(")")
             return Shut(body)
-        if t.text == "let":
-            self.next()
+        if t == "let":
+            self.pos += 1
             self.expect("box")
             binder = self.ident()
             self.expect(":=")
@@ -277,8 +265,8 @@ class _Parser:
             self.expect("in")
             body = self.term()
             return LetBox(binder, scrutinee, body)
-        if t.text == "(":
-            self.next()
+        if t == "(":
+            self.pos += 1
             tm = self.term()
             self.expect(")")
             return tm
@@ -286,18 +274,18 @@ class _Parser:
 
     def telescope(self) -> Telescope:
         modal, ordinary = [], []
-        if self.peek().text not in ("|-", "|"):
+        if self.peek() not in ("|-", "|"):
             modal.extend(self._entries("::"))
-        if self.peek().text == "|":
-            self.next()
-            if self.peek().text != "|-":
+        if self.peek() == "|":
+            self.pos += 1
+            if self.peek() != "|-":
                 ordinary.extend(self._entries(":"))
         return Telescope(tuple(modal), tuple(ordinary))
 
     def _entries(self, sep: str) -> list[tuple[str, TypeExpr]]:
         out = [self._entry(sep)]
-        while self.peek().text == ",":
-            self.next()
+        while self.peek() == ",":
+            self.pos += 1
             out.append(self._entry(sep))
         return out
 
@@ -308,29 +296,28 @@ class _Parser:
 
     def module(self) -> Module:
         bases, consts, directives = [], [], []
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.text == "type":
-                self.next()
+        while True:
+            kind, t, line, col = self.toks[self.pos]
+            if kind == "eof":
+                break
+            self.pos += 1
+            if t == "type":
                 bases.append(self.ident())
                 self.expect(";")
-            elif t.text == "const":
-                self.next()
+            elif t == "const":
                 name = self.ident()
                 self.expect(":")
                 consts.append((name, self.type_expr()))
                 self.expect(";")
-            elif t.text == "check":
-                self.next()
+            elif t == "check":
                 tele = self.telescope()
                 self.expect("|-")
                 tm = self.term()
                 self.expect(":")
                 ty = self.type_expr()
                 self.expect(";")
-                directives.append(CheckDirective(tele, tm, ty, t.line))
-            elif t.text == "equal":
-                self.next()
+                directives.append(CheckDirective(tele, tm, ty, line))
+            elif t == "equal":
                 tele = self.telescope()
                 self.expect("|-")
                 left = self.term()
@@ -339,10 +326,9 @@ class _Parser:
                 self.expect(":")
                 ty = self.type_expr()
                 self.expect(";")
-                directives.append(EqualDirective(tele, left, right, ty, t.line))
+                directives.append(EqualDirective(tele, left, right, ty, line))
             else:
-                raise ParseError(f"expected a declaration, found {t.text!r}",
-                                 t.line, t.col)
+                raise ParseError(f"expected a declaration, found {t!r}", line, col)
         return Module(Signature(tuple(bases), tuple(consts)), tuple(directives))
 
 
@@ -564,8 +550,10 @@ def check_module(mod: Module) -> list[Derivation]:
     """Check every directive, stopping at the first failure.
 
     Each check directive contributes its context-formation derivation
-    followed by the typing derivation; equal directives contribute the
-    derivations of both sides and must then pass the equality decision.
+    followed by the typing derivation.  An equal directive contributes
+    the typing derivations of both sides, each side typed once, and its
+    sides must then have one normal form, which is what ``defeq``
+    decides for two terms it has checked.
     """
     sig = mod.signature
     out = []
@@ -577,7 +565,7 @@ def check_module(mod: Module) -> list[Derivation]:
             left = check_term(sig, d.telescope, d.left, d.type)
             right = check_term(sig, d.telescope, d.right, d.type)
             out.extend([left, right])
-            if not defeq(sig, d.telescope, d.left, d.right, d.type):
+            if normal_form(d.left) != normal_form(d.right):
                 raise CheckError(
                     f"terms are not definitionally equal at line {d.line}",
                     "conversion",

@@ -59,12 +59,24 @@ def test_check_missing_file_is_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _nested_equation(depth: int) -> str:
+    side = "box(" * depth + "a0" + ")" * depth
+    return (f"type A;\nconst a0 : A;\nequal |- {side} == {side} : "
+            + "Box " * depth + "A;\n")
+
+
 @pytest.mark.parametrize("write", [
     lambda path: path.write_bytes(b"type A;\n\xff\xfe check |- a : A;\n"),
     lambda path: path.write_text("type A;\nconst a0 : A;\ncheck |- "
                                  + "box(" * 1500 + "a0" + ")" * 1500 + " : A;\n"),
-], ids=["not-utf-8", "1500-nested-boxes"])
-@pytest.mark.parametrize("command", [["check"], ["interpret", "--model", "two"]],
+    # parsed, but too deep to normalize and compare the sides
+    lambda path: path.write_text(_nested_equation(330)),
+    lambda path: path.write_text(_nested_equation(900)),
+], ids=["not-utf-8", "1500-nested-boxes", "330-nested-equation",
+        "900-nested-equation"])
+# ``one``, whose boxes stay small: interpreting a deep box in ``two`` can
+# run for minutes, should a checker ever accept one of these inputs
+@pytest.mark.parametrize("command", [["check"], ["interpret", "--model", "one"]],
                          ids=["check", "interpret"])
 def test_unreadable_surface_input_is_bad_input(tmp_path, write, command):
     path = tmp_path / "input.s4"

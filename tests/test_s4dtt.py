@@ -142,14 +142,24 @@ def test_malformed_input_raises_parse_error(bad):
         parse(HEADER + bad)
 
 
-def test_parse_error_carries_position():
-    try:
-        parse("type A;\ncheck |- ! : A;")
-    except ParseError as e:
-        assert e.line == 2
-        assert e.col > 0
-    else:
-        pytest.fail("expected a parse error")
+@pytest.mark.parametrize("source, message, line, col", [
+    ("type A;\ncheck |- ! : A;", "unexpected character '!'", 2, 10),
+    # a tab is one column; after a \r\n line break columns start again at 1
+    ("type A;\n\tcheck |- a0 : A;\t!", "unexpected character '!'", 2, 19),
+    ("type A;\r\n  check |- ! : A;", "unexpected character '!'", 2, 12),
+    # the end of input sits where a trailing comment begins
+    ("type A -- no semicolon", "expected ';', found 'end of input'", 1, 8),
+    ("type A;\ncheck |- a0 : A --", "expected ';', found 'end of input'", 2, 17),
+    # a superscript digit is alphanumeric but starts no word
+    ("type A;\nconst \u00b2a : A;", "unexpected character '\u00b2'", 2, 7),
+    ("type A\u00b2;\nconst \u00b2a : A;", "unexpected character '\u00b2'", 2, 7),
+], ids=["after-text", "after-tab", "after-crlf", "trailing-comment",
+        "trailing-dashes", "superscript-word", "superscript-inside-word"])
+def test_parse_error_carries_position(source, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"{line}:{col}: {message}"
 
 
 # property tests over random terms -----------------------------------------
