@@ -53,7 +53,7 @@ from .presheaf import (FamilyTable, KanAdjunction, Omega, Presheaf, PresheafMap,
                        sub_presheaf, subobject_classifier, subobject_of_char,
                        subpresheaves, terminal_presheaf)
 from .natmodel import (ModelError, NaturalModel, Pi, Sigma, TermOverContext, TypeMap,
-                       TypeOverContext, TypeProduct, Universe, _display_maps, _presheaves,
+                       TypeOverContext, TypeProduct, Universe, _display_maps,
                        _types_over, all_presheaves, all_types_over,
                        apply_type_map, comprehension,
                        hs_universe, identity_type_map, is_display,
@@ -956,8 +956,7 @@ def validate_comonad(w: NaturalModelComonad) -> dict:
 
     def display():
         for p in ps[:8]:
-            sources = _presheaves(w.model.base, w.model.bound)
-            for dmap in islice(_display_maps(w.model, p, sources), 12):
+            for dmap in islice(_display_maps(w.model, p, w.model.bound), 12):
                 if not is_display(w.box_map(dmap), w.model.bound):
                     witnesses.append(f"box of a display map over {p.sizes} exceeds bound "
                                      f"{w.model.bound}")

@@ -36,9 +36,9 @@ from .natmodel import (
     subst_term,
     subst_type,
     terms_of,
-    type_maps,
 )
-from .presheaf import Presheaf, PresheafMap, compose_maps, identity_map
+from .presheaf import (Presheaf, PresheafMap, _fibers_within, _flat_maps, compose_maps,
+                       identity_map)
 from .s4dtt import (
     BaseType,
     CheckDirective,
@@ -377,15 +377,16 @@ def _near_miss(left: TermOverContext, right: TermOverContext) -> bool:
         return False
     # An automorphism phi with phi(left) == right sends left.pick[k] to
     # right.pick[k] and, being injective, nothing else there: enumerate
-    # only the endomaps with these values, then keep the bijections.
+    # only the endomaps with these values, as flat families, then look for
+    # one that is injective, and so bijective, on every fiber.
     domains = {}
     for k, n in left.type.fiber.items():
         hit = right.pick[k]
         rest = [v for v in range(n) if v != hit]
         for x in range(n):
             domains[(k, x)] = (hit,) if x == left.pick[k] else rest
-    return any(all(sorted(vals) == list(range(len(vals))) for vals in phi.component.values())
-               for phi in type_maps(left.type, left.type, domains=domains))
+    ends, families = _flat_maps(left.type, left.type, domains)
+    return any(_fibers_within(ends, fam, 1) for fam in families)
 
 
 def soundness_harness(tgt: SemanticTarget, mod: Module) -> dict:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -81,9 +81,6 @@ class TypeOverContext:
     def restrict(self, f: str, g: int, a: int) -> int:
         """Restrict ``a in A(dst f, g)`` along ``f`` to ``A(src f, g.f)``."""
         return self.restriction[(f, g)][a]
-
-    def max_fiber(self) -> int:
-        return max(self.fiber.values(), default=0)
 
     def _tables(self) -> tuple:
         """What the table core reads: the context, the shape of its
@@ -297,12 +294,8 @@ class Sigma:
         return self.offsets[(obj, g, a)] + b
 
     def split(self, obj: str, g: int, v: int) -> tuple[int, int]:
-        a = 0
-        fibers = self.base_type.fiber[(obj, g)]
-        for cand in range(fibers - 1, -1, -1):
-            if self.offsets[(obj, g, cand)] <= v:
-                a = cand
-                break
+        a = max((x for x in range(self.base_type.fiber[(obj, g)])
+                 if self.offsets[(obj, g, x)] <= v), default=0)
         return a, v - self.offsets[(obj, g, a)]
 
 
@@ -366,34 +359,23 @@ class Pi:
 def pi_type(a: TypeOverContext, b: TypeOverContext) -> Pi:
     ca = comprehension(a)
     assert b.context == ca.presheaf, "Pi needs B over Gamma.A"
-    gamma = a.context
+    gamma, sh = a.context, _elements_shape(a.context)
     c = gamma.base
     tables = {}
-    for i in c.objects:
-        for g in gamma.elements(i):
-            sl = [(j, f, x) for j in c.objects for f in c.hom(j, i)
-                  for x in range(a.fiber[(j, gamma.act(f, g))])]
-            sizes = [b.fiber[(j, ca.encode(j, gamma.act(f, g), x))] for (j, f, x) in sl]
-            rules = []
-            for (j, f, x) in sl:
-                gf = gamma.act(f, g)
-                for m in c.morphisms:
-                    if c.dst[m] != j or c.is_identity(m):
-                        continue
-                    rules.append(((j, f, x),
-                                  (c.src[m], c.compose(f, m), a.restrict(m, gf, x)),
-                                  b.restriction[(m, ca.encode(j, gf, x))]))
-            tables[(i, g)] = FamilyTable(sl, sizes, rules)
+    for i, g in sh.keys:
+        sl = [(j, f, x) for j in c.objects for f in c.hom(j, i)
+              for x in range(a.fiber[(j, gamma.act(f, g))])]
+        sizes = [b.fiber[(j, ca.encode(j, gamma.act(f, g), x))] for (j, f, x) in sl]
+        rules = [((j, f, x), (c.src[m], c.compose(f, m), a.restrict(m, gf, x)),
+                  b.restriction[(m, ca.encode(j, gf, x))])
+                 for (j, f, x) in sl for gf in (gamma.act(f, g),) for m in c.morphisms
+                 if c.dst[m] == j and not c.is_identity(m)]
+        tables[(i, g)] = FamilyTable(sl, sizes, rules)
     fiber = {k: len(t.families) for k, t in tables.items()}
-    restriction = {}
-    for h in c.morphisms:
-        i2, i = c.src[h], c.dst[h]
-        for g in gamma.elements(i):
-            t2 = tables[(i2, gamma.act(h, g))]
-            restriction[(h, g)] = tables[(i, g)].restriction(
-                t2, [(j, c.compose(h, f), x) for (j, f, x) in t2.slots])
-    t = TypeOverContext(gamma, fiber, restriction)
-    return Pi(t, a, b, ca, tables)
+    restriction = {hg: tables[k].restriction(
+        tables[k2], [(j, c.compose(hg[0], f), x) for (j, f, x) in tables[k2].slots])
+        for hg, k, k2 in sh.arrows}
+    return Pi(TypeOverContext(gamma, fiber, restriction), a, b, ca, tables)
 
 
 @dataclass(frozen=True)
@@ -484,18 +466,15 @@ class NaturalModel:
     bound: int
 
 
-def _presheaves(c: FinCat, bound: int) -> Iterator[Presheaf]:
-    return (Presheaf(c, *st) for st in _functors(_shape(c), bound))
-
-
 def _types_over(gamma: Presheaf, bound: int) -> Iterator[TypeOverContext]:
-    return (TypeOverContext(gamma, *st) for st in _functors(_elements_shape(gamma), bound))
+    sh = _elements_shape(gamma)
+    return (TypeOverContext(gamma, *st) for st in _functors(sh, [bound] * len(sh.keys)))
 
 
 def all_presheaves(c: FinCat, bound: int) -> list[Presheaf]:
     """Every presheaf on ``c`` with all carriers of size <= bound, in a
     deterministic order (sizes, then actions, lexicographically)."""
-    return list(_presheaves(c, bound))
+    return [Presheaf(c, *st) for st in _functors(_shape(c), [bound] * len(c.objects))]
 
 
 def all_types_over(model: NaturalModel, gamma: Presheaf, bound: int) -> list[TypeOverContext]:
@@ -542,9 +521,9 @@ class Universe:
 
     def encode(self, a: TypeOverContext) -> PresheafMap:
         """The classifying map of a bounded type; raises on fat fibers."""
-        if a.max_fiber() > self.model.bound:
-            raise BoundExceeded(
-                f"fiber of size {a.max_fiber()} exceeds display bound {self.model.bound}")
+        top = max(a.fiber.values(), default=0)
+        if top > self.model.bound:
+            raise BoundExceeded(f"fiber of size {top} exceeds display bound {self.model.bound}")
         gamma = a.context
         fiber, restriction, act = a.fiber, a.restriction, gamma.action
         comp = {}
@@ -591,10 +570,13 @@ def hs_universe(model: NaturalModel) -> Universe:
 # Checks: typing equivalence, classifier, realignment
 
 
-def _display_maps(model: NaturalModel, gamma: Presheaf,
-                   sources: Iterable[Presheaf]) -> Iterator[PresheafMap]:
-    """The display maps into ``gamma`` from each source in turn."""
-    for e in sources:
+def _display_maps(model: NaturalModel, gamma: Presheaf, size_bound: int) -> Iterator[PresheafMap]:
+    """The display maps into ``gamma`` from each source with carriers of
+    size at most ``size_bound`` in turn.  A source with more than
+    ``bound * |Gamma(I)|`` elements at ``I`` has none, and is not built."""
+    c = model.base
+    caps = [min(size_bound, model.bound * gamma.sizes[i]) for i in c.objects]
+    for e in (Presheaf(c, *st) for st in _functors(_shape(c), caps)):
         ends, families = _flat_maps(e, gamma)
         for fam in families:
             if _fibers_within(ends, fam, model.bound):
@@ -604,7 +586,7 @@ def _display_maps(model: NaturalModel, gamma: Presheaf,
 def all_display_maps_into(model: NaturalModel, gamma: Presheaf, size_bound: int) -> list[PresheafMap]:
     """Every display map with target ``gamma`` whose source has carriers
     of size at most ``size_bound``."""
-    return list(_display_maps(model, gamma, all_presheaves(model.base, size_bound)))
+    return list(_display_maps(model, gamma, size_bound))
 
 
 def _block_starts(a: TypeOverContext, cb: Comprehension) -> tuple[int, ...]:
@@ -675,14 +657,10 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
     ys = {i: yoneda(c, i) for i in c.objects}
 
     def code_to_type(i: str, x: Presheaf) -> TypeOverContext:
-        fiber, restriction = {}, {}
-        for j in c.objects:
-            for n, f in enumerate(c.hom(j, i)):
-                fiber[(j, n)] = x.sizes[f]
-        for g in c.morphisms:
-            for n, f in enumerate(c.hom(c.dst[g], i)):
-                restriction[(g, n)] = x.action[f"{g}@{f}"]
-        return TypeOverContext(ys[i], fiber, restriction)
+        return TypeOverContext(
+            ys[i], {(j, n): x.sizes[f] for j in c.objects for n, f in enumerate(c.hom(j, i))},
+            {(g, n): x.action[f"{g}@{f}"]
+             for g in c.morphisms for n, f in enumerate(c.hom(c.dst[g], i))})
 
     code_types = {}
     for i in c.objects:
@@ -697,13 +675,40 @@ def classifier_check(u: Universe, size_bound: int | None = None) -> dict:
         j, i = c.src[f], c.dst[f]
         yf = yoneda_map(c, f)
         for n in range(len(u.codes[i])):
-            lhs = code_types[j][u.presheaf.act(f, n)]
-            rhs = subst_type(code_types[i][n], yf)
-            if lhs != rhs:
+            if code_types[j][u.presheaf.act(f, n)] != subst_type(code_types[i][n], yf):
                 report["natural"] = False
                 report["witness"] = (f, n)
                 return report
     return report
+
+
+@lru_cache(maxsize=1)
+def _image(mono: PresheafMap) -> tuple[dict, list, list, list]:
+    """What realignment reads of a mono alone: ``pre`` sends each key of
+    Gamma in the image to the key of Delta over it; Gamma's arrows
+    ``(f, g)`` inside the image come with the arrow of Delta over them,
+    those crossing into it with the key of Delta they end over."""
+    assert all(len(set(col)) == len(col) for col in mono.component.values()), \
+        "realignment needs a monomorphism"
+    pre = {(i, x): (i, d) for i, col in mono.component.items() for d, x in enumerate(col)}
+    arrows = _elements_shape(mono.target).arrows
+    # the image is closed under restriction
+    return (pre, [(fg, (fg[0], pre[k][1])) for fg, k, _ in arrows if k in pre],
+            [(fg, pre[k2]) for fg, k, k2 in arrows if k not in pre and k2 in pre],
+            [fg for fg, k, k2 in arrows if k not in pre and k2 not in pre])
+
+
+@lru_cache(maxsize=1)
+def _realigned_parts(mono: PresheafMap, ta: TypeOverContext,
+                     tb: TypeOverContext) -> tuple[dict, dict, dict]:
+    """What :func:`realign` builds without reading the iso: the fibers, the
+    tables inside and outside the image, and ``phi'`` off the image."""
+    pre, inside, _, outside = _image(mono)
+    keys = _elements_shape(mono.target).keys
+    fiber = {k: ta.fiber[pre[k]] if k in pre else tb.fiber[k] for k in keys}
+    restriction = {fg: ta.restriction[fd] for fg, fd in inside}
+    restriction.update((fg, tb.restriction[fg]) for fg in outside)
+    return fiber, restriction, {k: tuple(range(tb.fiber[k])) for k in keys if k not in pre}
 
 
 def realign(u: Universe, mono: PresheafMap, ta: TypeOverContext,
@@ -718,37 +723,20 @@ def realign(u: Universe, mono: PresheafMap, ta: TypeOverContext,
 
     The realigned type copies ``ta`` fibers over the image of the mono and
     keeps ``tb`` fibers elsewhere; restrictions crossing into the image
-    are rerouted through ``phi`` inverse.  A caller that has pulled the
-    same ``tb`` back along the same ``mono`` already finds that pullback
-    in the :func:`subst_type` memo when the endpoints are checked.
+    are rerouted through ``phi`` inverse.  Only those and ``phi'`` over
+    the image read ``phi``; the rest is found once per mono
+    (:func:`_image`) and once per mono and pair of types.
     """
-    assert all(len(set(col)) == len(col) for col in mono.component.values()), \
-        "realignment needs a monomorphism"
-    delta, gamma = mono.source, mono.target
-    c = gamma.base
+    pre, _, crossing, _ = _image(mono)
     assert phi.source == ta and phi.target == subst_type(tb, mono)
     phi_inv = phi.inverse()
-    sh = _elements_shape(gamma)
-    # the key of Gamma over which each key of Delta lies
-    pre = {(i, mono.component[i][d]): (i, d) for i in c.objects for d in delta.elements(i)}
-
-    fiber = {k: ta.fiber[pre[k]] if k in pre else tb.fiber[k] for k in sh.keys}
-    restriction = {}
-    for (f, g), k, k2 in sh.arrows:
-        if k in pre:
-            # image is closed under restriction
-            restriction[(f, g)] = ta.restriction[(f, pre[k][1])]
-        elif k2 in pre:
-            restriction[(f, g)] = tuple(map(phi_inv.component[pre[k2]].__getitem__,
-                                            tb.restriction[(f, g)]))
-        else:
-            restriction[(f, g)] = tb.restriction[(f, g)]
-    tb2 = TypeOverContext(gamma, fiber, restriction).assert_valid()
+    fiber, restriction, comp = _realigned_parts(mono, ta, tb)
+    restriction = {**restriction, **{fg: tuple(map(phi_inv.component[d].__getitem__,
+                                                   tb.restriction[fg])) for fg, d in crossing}}
+    tb2 = TypeOverContext(mono.target, fiber, restriction).assert_valid()
     b2_code = u.encode(tb2)
-    comp = {k: phi.component[pre[k]] if k in pre else tuple(range(tb.fiber[k]))
-            for k in sh.keys}
-    phi2 = TypeMap(tb2, tb, comp).assert_valid()
-    return b2_code, phi2
+    phi2 = TypeMap(tb2, tb, {**comp, **{k: phi.component[d] for k, d in pre.items()}})
+    return b2_code, phi2.assert_valid()
 
 
 def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None) -> dict:
@@ -758,6 +746,11 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
     ``size_bound``, every pair of codes, every iso between the decoded
     types; checks that :func:`realign` returns data satisfying the two
     strict equations and the compatibility of the isos.
+
+    The realigned data is compared on columns, which is what pulling it
+    back along the mono compares: ``b2`` read at the image against
+    ``a_code``, and ``phi2`` and its source there against ``phi`` and
+    ``ta``; no composite or substituted map is built.
 
     A pair whose decoded types differ in some fiber is skipped at once:
     an iso of types is a bijection on every fiber, so no map between them
@@ -790,6 +783,7 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
         keys = _elements_shape(delta).keys
         for kg, gamma in enumerate(contexts):
             for mono in mono_maps(delta, gamma):
+                pre, inside, _, _ = _image(mono)
                 for a_code in codes_of(kd):
                     ta = decoded(a_code)
                     for b_code in codes_of(kg):
@@ -805,13 +799,18 @@ def realignment_check(u: Universe, size_bound: int, max_cases: int | None = None
                                 return {"ok": True, "cases": cases - 1, "truncated": True}
                             phi = TypeMap(ta, tbm, _components(keys, ends, fam))
                             b2, phi2 = realign(u, mono, ta, decoded(b_code), phi)
-                            if compose_maps(b2, mono) != a_code:
+                            if {i: tuple(map(b2.component[i].__getitem__, col))
+                                    for i, col in mono.component.items()} != a_code.component:
                                 return {"ok": False, "cases": cases,
                                         "reason": "code does not restrict on the nose"}
-                            if not phi2.is_iso() or subst_type_map(phi2, mono) != phi:
+                            tb2 = phi2.source
+                            if not phi2.is_iso() or subst_type(phi2.target, mono) != tbm \
+                                    or {d: phi2.component[k] for k, d in pre.items()} != phi.component \
+                                    or {d: tb2.fiber[k] for k, d in pre.items()} != ta.fiber \
+                                    or {fd: tb2.restriction[fg] for fg, fd in inside} != ta.restriction:
                                 return {"ok": False, "cases": cases,
                                         "reason": "iso does not restrict to phi"}
-                            if u.decode(b2) != phi2.source:
+                            if u.decode(b2) != tb2:
                                 return {"ok": False, "cases": cases,
                                         "reason": "decoded realigned code disagrees"}
     return {"ok": True, "cases": cases, "truncated": False}

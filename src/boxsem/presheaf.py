@@ -51,32 +51,35 @@ def enumerate_families(n_slots: int, domains: Sequence[Sequence[int]],
     are filled in index order with their domain values in that order, so
     the output is in lexicographic order (and therefore canonical); a
     narrower domain only drops tuples, never reorders the rest.  Rules are
-    checked as soon as both endpoints are assigned, which prunes hard
-    enough for every instance we build.
+    checked as soon as both endpoints are assigned, on a stack of iterators
+    over the slots that rules read; the slots after those take every
+    combination of their values, from one ``product``.
     """
     by_slot: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(n_slots)]
     for (i, j, table) in rules:
         by_slot[max(i, j)].append((i, j, table))
-    out = []
-    fam = [0] * n_slots
-
-    def consistent(k: int) -> bool:
-        for (i, j, table) in by_slot[k]:
-            if fam[j] != table[fam[i]]:
-                return False
-        return True
-
-    def go(k: int):
-        if k == n_slots:
-            out.append(tuple(fam))
-            return
-        for v in domains[k]:
-            fam[k] = v
-            if consistent(k):
-                go(k + 1)
-        fam[k] = 0
-
-    go(0)
+    head = max((k + 1 for k, checks in enumerate(by_slot) if checks), default=0)
+    tail = list(iproduct(*domains[head:]))
+    if not head or not tail:
+        return tail
+    out, fam, stack = [], [0] * head, [iter(domains[0])]
+    while stack:
+        k = len(stack) - 1
+        checks = by_slot[k]
+        # advance slot k to its next value that keeps every rule, or pop it
+        for fam[k] in stack[k]:
+            for i, j, table in checks:
+                if fam[j] != table[fam[i]]:
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        if k + 1 < head:
+            stack.append(iter(domains[k + 1]))
+        else:
+            out += map(tuple(fam).__add__, tail)
     return out
 
 
@@ -232,10 +235,11 @@ def _identity(keys: Iterable, sizes: Mapping) -> dict:
     return {k: tuple(range(sizes[k])) for k in keys}
 
 
-def _functors(shape: _Shape, bound: int) -> Iterator[tuple[dict, dict]]:
-    """Every functor on ``shape`` with carriers of size at most ``bound``,
-    as sizes and tables (the proper arrows', then the identities'): sizes,
-    then the tables of the proper arrows, lexicographically.
+def _functors(shape: _Shape, caps: Sequence[int]) -> Iterator[tuple[dict, dict]]:
+    """Every functor on ``shape`` with carriers of size at most ``caps``,
+    one cap per key in key order, as sizes and tables (the proper arrows',
+    then the identities'): sizes, then the tables of the proper arrows,
+    lexicographically.
 
     Functors are searched with their laws, not filtered: the proper arrows
     take their tables in turn, and a law between two of them is checked
@@ -265,7 +269,7 @@ def _functors(shape: _Shape, bound: int) -> Iterator[tuple[dict, dict]]:
                    for a2, a1, a21 in checks[k]):
                 yield from fill(k + 1, domains)
 
-    for sizes_t in iproduct(range(bound + 1), repeat=len(shape.keys)):
+    for sizes_t in iproduct(*(range(n + 1) for n in caps)):
         sizes = dict(zip(shape.keys, sizes_t))
         tables.update((n, tuple(range(sizes[k]))) for n, k in shape.ids)
         domains = [list(iproduct(range(sizes[s]), repeat=sizes[d])) for _, d, s in shape.proper]
@@ -888,12 +892,8 @@ def sheaf_check(site: Site, p: Presheaf) -> SheafReport:
         for sieve in site.covering(obj):
             for fam in matching_families(site, p, obj, sieve):
                 ams = amalgamations(p, obj, fam)
-                if len(ams) == 0:
-                    failures.append({"kind": "existence failure", "object": obj,
-                                     "sieve": tuple(sorted(sieve)), "family": fam,
-                                     "amalgamations": tuple(ams)})
-                elif len(ams) > 1:
-                    failures.append({"kind": "uniqueness failure", "object": obj,
-                                     "sieve": tuple(sorted(sieve)), "family": fam,
+                if len(ams) != 1:
+                    failures.append({"kind": "uniqueness failure" if ams else "existence failure",
+                                     "object": obj, "sieve": tuple(sorted(sieve)), "family": fam,
                                      "amalgamations": tuple(ams)})
     return SheafReport(not failures, tuple(failures))
