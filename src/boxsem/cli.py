@@ -17,23 +17,9 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
-from .coalg import (
-    ComonadError,
-    EnumerationCeiling,
-    NaturalModelComonad,
-    coalgebra_category,
-    coalgebra_classifier,
-    classifier_report,
-    comonad_from_adjunction,
-    comparison_check,
-    identity_comonad,
-    kock_wraith_classifier,
-    kock_wraith_report,
-    validate_comonad,
-)
 from .fincat import FinCat, FinCatError, Functor, Site, discrete_subcategory
-from .interp import SemanticTarget, soundness_harness
 from .natmodel import (
     BoundExceeded,
     ModelError,
@@ -51,8 +37,12 @@ from .presheaf import (
     sheaf_check,
     terminal_presheaf,
 )
-from .s4dtt import CheckError, Module, ParseError, check_module, parse, recheck
 from .standard import discrete_two_site, sierpinski_site, walking_arrow
+
+# The comonad (``coalg``), the interpreter (``interp``) and the kernel
+# (``s4dtt``) are imported by the commands that run them, so a command
+# compiles only the layers it reads; annotations do not name their types,
+# which would have to be imported here to resolve.
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,7 +81,22 @@ class ModelBundle:
     bound: int
     presheaves: dict[str, Presheaf]
     site: Site | None
-    comonad: NaturalModelComonad | None
+    # what the comonad block declares, checked when the file is loaded: the
+    # natural model of the identity comonad or the adjunction the comonad
+    # comes from; None when the file declares no comonad
+    _comonad_source: NaturalModel | KanAdjunction | None
+
+    @cached_property
+    def comonad(self):
+        """The declared ``coalg.NaturalModelComonad``, built when first
+        read; None when the file declares no comonad."""
+        source = self._comonad_source
+        if source is None:
+            return None
+        from .coalg import comonad_from_adjunction, identity_comonad
+        if isinstance(source, NaturalModel):
+            return identity_comonad(source)
+        return comonad_from_adjunction(source, self.bound)
 
 
 def _object(value, what: str) -> dict:
@@ -182,11 +187,12 @@ def _load_site(cat: FinCat, spec: dict) -> Site:
     return site
 
 
-def _load_comonad(cat: FinCat, bound: int, spec: dict) -> NaturalModelComonad:
+def _load_comonad(cat: FinCat, bound: int, spec: dict) -> NaturalModel | KanAdjunction:
+    """Check a comonad block; return what its comonad is built from."""
     if spec.get("identity"):
-        return identity_comonad(NaturalModel(cat, bound))
+        return NaturalModel(cat, bound)
     if spec.get("from_points"):
-        return comonad_from_adjunction(KanAdjunction(discrete_subcategory(cat)[1]), bound)
+        return KanAdjunction(discrete_subcategory(cat)[1])
     if "functor" in spec:
         f = _object(spec["functor"], "the comonad functor block")
         try:
@@ -200,7 +206,7 @@ def _load_comonad(cat: FinCat, bound: int, spec: dict) -> NaturalModelComonad:
         errs = u.validate()
         if errs:
             raise BadInput("functor does not validate: " + "; ".join(errs[:4]))
-        return comonad_from_adjunction(KanAdjunction(u), bound)
+        return KanAdjunction(u)
     raise BadInput("comonad block must declare identity, from_points, or a functor")
 
 
@@ -233,9 +239,9 @@ def load_model(path: str) -> ModelBundle:
     presheaves = {pname: _load_presheaf(cat, pspec) for pname, pspec in
                   _object(spec.get("presheaves", {}), "the presheaves block").items()}
     site = _load_site(cat, _object(spec["site"], "the site block")) if "site" in spec else None
-    comonad = _load_comonad(cat, bound, _object(spec["comonad"], "the comonad block")) \
+    comonad_source = _load_comonad(cat, bound, _object(spec["comonad"], "the comonad block")) \
         if "comonad" in spec else None
-    return ModelBundle(name, cat, bound, presheaves, site, comonad)
+    return ModelBundle(name, cat, bound, presheaves, site, comonad_source)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +250,17 @@ def load_model(path: str) -> ModelBundle:
 
 def _emit(report: dict, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
+        try:
+            with open(out, "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True, default=str)
+        except OSError as e:
+            raise BadInput(f"cannot write the report: {e}")
+
+
+def _at_ceiling(e: Exception) -> int:
+    """Report a check stopped by the enumeration ceiling."""
+    print(f"ceiling: {e}", file=sys.stderr)
+    return EXIT_CEILING
 
 
 def _status(ok: bool, truncated: bool = False) -> str:
@@ -257,8 +272,10 @@ def _status(ok: bool, truncated: bool = False) -> str:
 # Commands
 
 
-def read_module(path: str) -> Module:
-    """Read a surface module as UTF-8 and parse it; any failure is BadInput."""
+def read_module(path: str):
+    """Read a surface module as UTF-8 and parse it into an
+    ``s4dtt.Module``; any failure is BadInput."""
+    from .s4dtt import ParseError, parse
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
@@ -283,6 +300,7 @@ def _nesting(path: str):
 
 
 def cmd_check(args) -> int:
+    from .s4dtt import CheckError, check_module, recheck
     mod = read_module(args.file)
     try:
         with _nesting(args.file):
@@ -313,6 +331,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_interpret(args) -> int:
+    from .interp import SemanticTarget, soundness_harness
+    from .s4dtt import CheckError, check_module
     bundle = load_model(args.model)
     if bundle.comonad is None:
         raise BadInput(f"model {bundle.name!r} declares no comonad")
@@ -365,6 +385,7 @@ def cmd_model_laws(args) -> int:
         ok &= not errs
 
     if bundle.comonad is not None:
+        from .coalg import validate_comonad
         vr = validate_comonad(bundle.comonad)
         for part in ("laws", "cartesian", "display", "tau", "fiber_laws", "faithful"):
             print(f"{_status(bool(vr[part]))} comonad {part.replace('_', ' ')}")
@@ -400,8 +421,7 @@ def cmd_model_universe(args) -> int:
         print(f"{_status(rc['ok'], truncated)} realignment along monos"
               f" ({rc.get('cases', '?')} cases)")
     except BoundExceeded as e:
-        print(f"ceiling: {e}", file=sys.stderr)
-        return EXIT_CEILING
+        return _at_ceiling(e)
     report = {"model": bundle.name, "bound": bound, "sizes": sizes,
               "typing": {"essential_surjectivity": tc["essential_surjectivity"],
                          "fully_faithful": tc["fully_faithful"],
@@ -420,6 +440,16 @@ def cmd_model_universe(args) -> int:
 
 
 def cmd_model_coalgebras(args) -> int:
+    from .coalg import (
+        ComonadError,
+        EnumerationCeiling,
+        classifier_report,
+        coalgebra_category,
+        coalgebra_classifier,
+        comparison_check,
+        kock_wraith_classifier,
+        kock_wraith_report,
+    )
     bundle = load_model(args.model)
     if bundle.comonad is None:
         raise BadInput(f"model {bundle.name!r} declares no comonad")
@@ -459,8 +489,7 @@ def cmd_model_coalgebras(args) -> int:
             report["comparison"] = comp
             ok &= comp["ok"]
     except EnumerationCeiling as e:
-        print(f"ceiling: {e}", file=sys.stderr)
-        return EXIT_CEILING
+        return _at_ceiling(e)
     except (ComonadError, ModelError, BoundExceeded) as e:
         print(f"FAIL {e}")
         report["error"] = str(e)
@@ -518,6 +547,12 @@ def cmd_demo_sheaves_as_coalgebras(args) -> int:
     The demo counts all three at matching size bounds and certifies the
     comparison functor between presheaves upstairs and coalgebras.
     """
+    from .coalg import (
+        EnumerationCeiling,
+        coalgebra_category,
+        comonad_from_adjunction,
+        comparison_check,
+    )
     two = walking_arrow()
     adj = KanAdjunction(discrete_subcategory(two)[1])
     w = comonad_from_adjunction(adj)
@@ -527,7 +562,10 @@ def cmd_demo_sheaves_as_coalgebras(args) -> int:
     sheaves = [p for p in all_presheaves(site.cat, bound)
                if sheaf_check(site, p).is_sheaf]
     upstairs = all_presheaves(two, bound)
-    cat = coalgebra_category(w, bound, max_carriers=enumeration_ceiling())
+    try:
+        cat = coalgebra_category(w, bound, max_carriers=enumeration_ceiling())
+    except EnumerationCeiling as e:
+        return _at_ceiling(e)
     print(f"sheaves on the Sierpinski site (values up to {bound}): {len(sheaves)}")
     print(f"presheaves on the walking arrow (values up to {bound}): {len(upstairs)}")
     print(f"coalgebras for the points comonad (carriers up to {bound}): "
@@ -612,9 +650,6 @@ def main(argv: list[str] | None = None) -> int:
     except BadInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except EnumerationCeiling as e:
-        print(f"ceiling: {e}", file=sys.stderr)
-        return EXIT_CEILING
     except (FinCatError, PresheafError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT

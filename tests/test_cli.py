@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boxsem.cli import main
+from boxsem.cli import load_model, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,6 +57,15 @@ def test_check_parse_errors_are_bad_input(tmp_path, capsys):
 def test_check_missing_file_is_bad_input(tmp_path, capsys):
     assert main(["check", str(tmp_path / "ghost.s4")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["check", "corpus/t4.s4"],
+                                     ["model", "universe", "one", "--bound", "1"]],
+                         ids=["check", "universe"])
+def test_unwritable_report_is_bad_input(tmp_path, command, capsys):
+    assert main([*command, "--out", str(tmp_path / "missing" / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report") and len(err.splitlines()) == 1
 
 
 def _nested_equation(depth: int) -> str:
@@ -223,6 +232,11 @@ MALFORMED = {
     # loaded as one point each with int(), so that edit validated
     "size-a-boolean": lambda spec: spec["presheaves"].update(
         flagship={"sizes": {"0": True, "1": True}, "actions": {"0->1": [0]}}),
+    # refused when the file is loaded, though ``universe`` never builds the comonad
+    "functor-that-does-not-validate": lambda spec: spec.update(comonad={"functor": {
+        "source": spec["category"],
+        "obj_map": {"0": "1", "1": "0"},
+        "mor_map": {"id_0": "id_1", "id_1": "id_0", "0->1": "0->1"}}}),
 }
 
 
@@ -238,6 +252,12 @@ def test_malformed_model_files_are_bad_input(tmp_path, edit, command):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error:")
+
+
+def test_a_bundle_builds_its_comonad_once():
+    bundle = load_model("two")
+    assert bundle.comonad is bundle.comonad
+    assert load_model("sierpinski").comonad is None
 
 
 def test_coalgebras_over_the_display_bound_fail_cleanly(tmp_path):
@@ -287,6 +307,12 @@ def test_stack_failure_demo_exhibits_two_amalgamations(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["ok"] and report["object"] == "Oab"
     assert len(report["amalgamations"]) >= 2
+
+
+def test_sheaves_as_coalgebras_demo_stops_at_the_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("BOXSEM_CEILING", "2")
+    assert main(["demo", "sheaves-as-coalgebras"]) == 3
+    assert capsys.readouterr().err.startswith("ceiling:")
 
 
 def test_sheaves_as_coalgebras_demo_counts_agree(capsys):

@@ -118,12 +118,50 @@ def test_every_public_function_is_read():
         assert re.search(rf"\b{qual.split('.')[-1]}\b", (root / reader).read_text()), qual
 
 
+# what loading a model and reporting on its universe read
+BASE = ["boxsem", "boxsem.cli", "boxsem.fincat", "boxsem.natmodel", "boxsem.presheaf",
+        "boxsem.standard"]
+
+
+def _loaded_after(*steps: str) -> list[list[str]]:
+    """Run ``steps`` in order in a fresh interpreter at the repository
+    root; the ``boxsem`` modules loaded after each step."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    show = ("print('loaded:', *sorted(n for n in sys.modules "
+            "if n.split('.')[0] == 'boxsem'))")
+    code = "\n".join(["import sys", *(f"{step}\n{show}" for step in steps)])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=SRC.parent.parent, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return [line.split()[1:] for line in run.stdout.splitlines()
+            if line.startswith("loaded:")]
+
+
 def test_importing_the_kernel_loads_no_other_module():
     """The package root imports nothing, so ``boxsem.s4dtt`` comes alone."""
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = ("import sys, boxsem.s4dtt; "
-            "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'boxsem'))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["boxsem", "boxsem.s4dtt"]
+    assert _loaded_after("import boxsem.s4dtt") == [["boxsem", "boxsem.s4dtt"]]
+
+
+def test_importing_the_cli_loads_only_the_base_topos():
+    """Model loading and the universe report need no comonad, interpreter
+    or kernel, so ``boxsem.cli`` imports none of them."""
+    assert _loaded_after("import boxsem.cli") == [BASE]
+
+
+def test_a_model_builds_its_comonad_on_first_read():
+    imported, loaded, read = _loaded_after(
+        "from boxsem.cli import load_model", "bundle = load_model('two')",
+        "bundle.comonad")
+    assert imported == loaded == BASE
+    assert read == sorted(BASE + ["boxsem.coalg"])
+
+
+@pytest.mark.parametrize("argv,added", [
+    (["model", "universe", "two"], []),
+    (["model", "laws", "sierpinski"], []),
+    (["check", "corpus/t4.s4"], ["boxsem.s4dtt"]),
+], ids=["universe", "laws-without-a-comonad", "check"])
+def test_a_command_loads_only_the_layers_it_runs(argv, added):
+    _, ran = _loaded_after("from boxsem.cli import main",
+                           f"assert main({argv!r}) == 0")
+    assert ran == sorted(BASE + added)
