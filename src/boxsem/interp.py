@@ -84,7 +84,6 @@ class PartialResult:
 
 @dataclass(frozen=True)
 class ModalEntry:
-    name: str
     syntax: TypeExpr
     before: Coalgebra
     plain: TypeOverContext
@@ -94,7 +93,6 @@ class ModalEntry:
 
 @dataclass(frozen=True)
 class OrdinaryEntry:
-    name: str
     syntax: TypeExpr
     type: TypeOverContext
     comp: Comprehension
@@ -103,7 +101,9 @@ class OrdinaryEntry:
 @dataclass(frozen=True)
 class ContextInterp:
     """The semantics of one telescope: a coalgebra and a chain of
-    comprehensions over its carrier."""
+    comprehensions over its carrier.  It depends on the hypotheses'
+    types only, so its entries carry no names: a variable is found by
+    its position in the telescope being interpreted."""
 
     coalg: Coalgebra
     modal: tuple[ModalEntry, ...]
@@ -129,10 +129,12 @@ class SemanticTarget:
     the terminal coalgebra.  Each semantic object is built once per
     target and then reused, so the value-keyed memos downstream
     (``bbox_type``, ``fiber_counit``, ``subst_type``) hit on identity:
-    context prefixes by their syntax, a type over a coalgebra by the
-    coalgebra object and the type's syntax, the weakening ``!`` of a
-    constant by its context, and constants by name.  Keys on an object
-    hold that object, so its id is not reused while the target lives.
+    a modal zone and a context prefix by the types of their hypotheses,
+    names left out, so ``u :: A`` and ``p3 :: A`` share one coalgebra
+    and one ``ContextInterp``; a type over a coalgebra by the coalgebra
+    object and the type's syntax, the weakening ``!`` of a constant by
+    its context, and constants by name.  Keys on an object hold that
+    object, so its id is not reused while the target lives.
     """
 
     def __init__(self, comonad: NaturalModelComonad, name: str = "target",
@@ -174,32 +176,37 @@ class SemanticTarget:
 
     def modal_context(self, modal: tuple[tuple[str, TypeExpr], ...]
                       ) -> tuple[Coalgebra, tuple[ModalEntry, ...]]:
-        if modal in self._modal_cache:
-            return self._modal_cache[modal]
+        """The coalgebra of a modal zone and its entries, one per list of
+        hypothesis types."""
+        key = tuple(ty for _, ty in modal)
+        if key in self._modal_cache:
+            return self._modal_cache[key]
         if not modal:
             out = (self.empty_modal, ())
         else:
             prev, entries = self.modal_context(modal[:-1])
-            name, ty = modal[-1]
+            ty = key[-1]
             plain = self.type_over_coalgebra(prev, ty)
             ftype = self.comonad.cofree_type(prev, plain)
             ext, proj, generic = coalg_extension(self.comonad, ftype)
-            entry = ModalEntry(name, ty, prev, plain, proj, generic.term)
+            entry = ModalEntry(ty, prev, plain, proj, generic.term)
             out = (ext, entries + (entry,))
-        self._modal_cache[modal] = out
+        self._modal_cache[key] = out
         return out
 
     def context(self, tele: Telescope) -> ContextInterp:
-        key = (tele.modal, tele.ordinary)
+        """The semantics of a telescope, one per pair of lists of
+        hypothesis types, modal and ordinary."""
+        key = (tuple(ty for _, ty in tele.modal), tuple(ty for _, ty in tele.ordinary))
         if key in self._ctx_cache:
             return self._ctx_cache[key]
         cg, modal_entries = self.modal_context(tele.modal)
         if tele.ordinary:
             prev = self.context(Telescope(tele.modal, tele.ordinary[:-1]))
-            name, ty = tele.ordinary[-1]
+            ty = key[1][-1]
             a = self.type_over(prev, ty)
             comp = comprehension(a)
-            entry = OrdinaryEntry(name, ty, a, comp)
+            entry = OrdinaryEntry(ty, a, comp)
             ci = ContextInterp(cg, modal_entries, prev.ordinary + (entry,),
                                comp.presheaf,
                                compose_maps(prev.to_carrier, comp.p))
@@ -247,10 +254,13 @@ class SemanticTarget:
     def _term(self, sig: Signature, tele: Telescope, ci: ContextInterp,
               tm: TermExpr, ty: TypeExpr) -> tuple[TermOverContext, tuple[str, ...]]:
         if isinstance(tm, Var):
-            for k, entry in enumerate(ci.ordinary):
-                if entry.name == tm.name:
-                    return self._weaken_tail(ci, entry.comp.v, k + 1), ()
-            return self._modal_var(ci, tm.name), ()
+            k = _position(tele.ordinary, tm.name)
+            if k is not None:
+                return self._weaken_tail(ci, ci.ordinary[k].comp.v, k + 1), ()
+            k = _position(tele.modal, tm.name)
+            if k is None:
+                raise InterpretationGap(f"variable {tm.name!r} not in the context")
+            return self._modal_var(ci, k, tm.name), ()
         if isinstance(tm, Const):
             return subst_term(self.constant_section(sig, tm.name), self._bang(ci)), ()
         if isinstance(tm, Shut):
@@ -272,22 +282,20 @@ class SemanticTarget:
                 p, self.empty_modal.carrier, {o: (0,) * p.sizes[o] for o in p.base.objects}))
         return hit[1]
 
-    def _modal_var(self, ci: ContextInterp, name: str) -> TermOverContext:
+    def _modal_var(self, ci: ContextInterp, k: int, name: str) -> TermOverContext:
+        """The ``k``-th modal hypothesis, called ``name`` where it is used."""
         entries = ci.modal
-        for k, entry in enumerate(entries):
-            if entry.name != name:
-                continue
-            t = entry.generic
-            for later in entries[k + 1:]:
-                t = subst_term(t, later.projection)
-            plain = self.type_over_coalgebra(ci.coalg, entry.syntax)
-            eps = self.comonad.fiber_counit(ci.coalg, plain)
-            if t.type != eps.source:
-                raise InterpretationGap(
-                    f"modal variable {name!r} was not weakened strictly")
-            t = apply_type_map(eps, t)
-            return self._weaken_tail(ci, t, 0)
-        raise InterpretationGap(f"variable {name!r} not in the context")
+        entry = entries[k]
+        t = entry.generic
+        for later in entries[k + 1:]:
+            t = subst_term(t, later.projection)
+        plain = self.type_over_coalgebra(ci.coalg, entry.syntax)
+        eps = self.comonad.fiber_counit(ci.coalg, plain)
+        if t.type != eps.source:
+            raise InterpretationGap(
+                f"modal variable {name!r} was not weakened strictly")
+        t = apply_type_map(eps, t)
+        return self._weaken_tail(ci, t, 0)
 
     def _letbox(self, sig: Signature, tele: Telescope, ci: ContextInterp,
                 tm: LetBox, ty: TypeExpr) -> tuple[TermOverContext, tuple[str, ...]]:
@@ -334,6 +342,14 @@ class SemanticTarget:
             raise InterpretationGap("section substitution is not natural: "
                                     + errs[0])
         return sigma
+
+
+def _position(zone: tuple[tuple[str, TypeExpr], ...], name: str) -> int | None:
+    """Where ``name`` first occurs in a zone of a telescope, if it does."""
+    for k, (n, _) in enumerate(zone):
+        if n == name:
+            return k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +417,21 @@ def soundness_harness(tgt: SemanticTarget, mod: Module) -> dict:
     sig = mod.signature
     report = {"target": tgt.name, "directives": [], "ok": True,
               "near_misses": 0, "notes": []}
-    # the law errors of each context coalgebra, by id, with the coalgebra
+    # the law errors of each context coalgebra, and the verdict on each
+    # context, by id, with the object; contexts equal up to renaming are
+    # one object, so each is checked once
     laws: dict[int, tuple[Coalgebra, list[str]]] = {}
+    contexts: dict[int, tuple[ContextInterp, bool]] = {}
     for d in mod.directives:
         entry = {"line": d.line}
         ctx = interpret(tgt, sig, Judgment("context", d.telescope))
-        cg = ctx.value.coalg if ctx.defined else None
-        if cg is not None and id(cg) not in laws:
-            laws[id(cg)] = (cg, coalgebra_laws(tgt.comonad, cg))
-        entry["context_ok"] = cg is not None and not laws[id(cg)][1] and \
-            not ctx.value.presheaf.validate()
+        ci = ctx.value if ctx.defined else None
+        if ci is not None and id(ci) not in contexts:
+            cg = ci.coalg
+            if id(cg) not in laws:
+                laws[id(cg)] = (cg, coalgebra_laws(tgt.comonad, cg))
+            contexts[id(ci)] = (ci, not laws[id(cg)][1] and not ci.presheaf.validate())
+        entry["context_ok"] = ci is not None and contexts[id(ci)][1]
         if isinstance(d, CheckDirective):
             entry["kind"] = "check"
             res = interpret(tgt, sig, d)

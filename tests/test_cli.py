@@ -114,6 +114,20 @@ def test_deeply_boxed_type_is_checked_without_a_traceback(tmp_path, depth):
     assert "Traceback" not in run.stderr
 
 
+def test_a_900_deep_box_is_interpreted(tmp_path):
+    """``box(...)`` nested 900 times checks and interprets in ``one``:
+    finding variables by position adds no stack per level."""
+    path = tmp_path / "deep.s4"
+    path.write_text("type A;\nconst a0 : A;\ncheck |- " + "box(" * 900 + "a0"
+                    + ")" * 900 + " : " + "Box " * 900 + "A;\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "boxsem.cli", "interpret", str(path),
+                          "--model", "one"],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "PASS interpretation in 'one' (0 near misses)" in run.stdout
+
+
 @pytest.mark.parametrize("model", ["one", "two"])
 def test_interpret_corpus_in_shipped_comonads(model, capsys):
     assert main(["interpret", "corpus/t4.s4", "--model", model]) == 0

@@ -32,7 +32,7 @@ RUNS = (
     + [(f"interpret_t4_{m}.json", ["interpret", "corpus/t4.s4", "--model", m])
        for m in ["two", "one", "disc2", "arrow", "chain3"]]
     + [(f"interpret_depth2_{m}.json", ["interpret", "corpus/depth2.s4", "--model", m])
-       for m in ["two", "chain3"]]
+       for m in ["two", "chain3", "one", "disc2", "arrow"]]
     + [("demo_stack_failure.json", ["demo", "stack-failure"]),
        ("demo_sheaves_as_coalgebras.json", ["demo", "sheaves-as-coalgebras"])]
 )

@@ -1,5 +1,6 @@
 """Interpretation of kernel judgments in comonad models."""
 
+import dataclasses
 import gc
 import weakref
 from collections import Counter
@@ -27,11 +28,14 @@ from boxsem.natmodel import (
     terms_of,
     type_maps,
 )
+from boxsem.presheaf import Presheaf
 from boxsem.s4dtt import (
     BaseType,
     BoxType,
+    CheckDirective,
     Judgment,
     LetBox,
+    Module,
     Shut,
     Telescope,
     Var,
@@ -114,8 +118,8 @@ def test_context_judgment_yields_a_coalgebra_with_comprehensions(flagship, corpu
     res = interpret(flagship, corpus.signature, Judgment("context", tele))
     assert res.kind == "context" and res.defined
     ci = res.value
-    assert [e.name for e in ci.modal] == ["u"]
-    assert [e.name for e in ci.ordinary] == ["x"]
+    assert [e.syntax for e in ci.modal] == [BaseType("A")]
+    assert [e.syntax for e in ci.ordinary] == [BaseType("A")]
     assert ci.presheaf.validate() == []
     assert ci.to_carrier.source == ci.presheaf
 
@@ -405,3 +409,153 @@ def test_a_failing_context_coalgebra_fails_every_directive_over_it(corpus, monke
         assert entry["ok"] is not flag
     assert report["ok"] is False
     assert len(calls) == 2 and set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Interpretation up to renaming
+
+SOURCES = {
+    "t4": CORPUS,
+    "depth2": (ROOT / "corpus" / "depth2.s4").read_text(),
+    # one context up to renaming, read at both of its positions: a lookup
+    # by the names of the telescope that built it would give one
+    # projection for the other
+    "swap": "type A;\ncheck u :: A, v :: A |- u : A;\ncheck v :: A, u :: A |- u : A;\n"
+            "check u :: A, v :: A |- v : A;\ncheck v :: A, u :: A |- box(v) : Box A;\n",
+}
+
+
+def _rename_term(tm, ren):
+    if isinstance(tm, Var):
+        return Var(ren[tm.name])
+    if isinstance(tm, Shut):
+        return Shut(_rename_term(tm.body, ren))
+    if isinstance(tm, LetBox):
+        return LetBox(ren[tm.binder], _rename_term(tm.scrutinee, ren),
+                      _rename_term(tm.body, ren))
+    return tm
+
+
+def _renamed(mod):
+    """``mod`` with every hypothesis and binder renamed by one cyclic
+    shift of the names it uses, so names in use trade places."""
+    names = set()
+    for d in mod.directives:
+        names.update(d.telescope.names())
+        stack = [d.term] if isinstance(d, CheckDirective) else [d.left, d.right]
+        while stack:
+            tm = stack.pop()
+            if isinstance(tm, LetBox):
+                names.add(tm.binder)
+                stack += [tm.scrutinee, tm.body]
+            elif isinstance(tm, Shut):
+                stack.append(tm.body)
+    order = sorted(names)
+    ren = dict(zip(order, order[1:] + order[:1]))
+    out = []
+    for d in mod.directives:
+        tele = Telescope(tuple((ren[n], ty) for n, ty in d.telescope.modal),
+                         tuple((ren[n], ty) for n, ty in d.telescope.ordinary))
+        if isinstance(d, CheckDirective):
+            out.append(dataclasses.replace(d, telescope=tele,
+                                           term=_rename_term(d.term, ren)))
+        else:
+            out.append(dataclasses.replace(d, telescope=tele,
+                                           left=_rename_term(d.left, ren),
+                                           right=_rename_term(d.right, ren)))
+    renamed = Module(mod.signature, tuple(out))
+    check_module(renamed)
+    assert renamed != mod
+    return renamed
+
+
+def _checked(source):
+    mod = parse(SOURCES[source])
+    check_module(mod)
+    return mod
+
+
+UP_TO_RENAMING = pytest.mark.parametrize("source,model", [
+    (source, model) for source in SOURCES for model in ["one", "two", "chain3"]])
+
+
+@UP_TO_RENAMING
+@pytest.mark.parametrize("renamed", [False, True], ids=["as-written", "renamed"])
+def test_a_target_per_directive_gives_the_shared_report(source, model, renamed):
+    """Each directive interpreted alone in a fresh target gets the entry
+    and the sections it gets among the others in one shared target, whose
+    caches serve it the contexts earlier directives built."""
+    mod = _checked(source)
+    if renamed:
+        mod = _renamed(mod)
+    comonad = load_model(model).comonad
+    tgt = SemanticTarget(comonad, model)
+    shared = soundness_harness(tgt, mod)
+    notes, near_misses = set(), 0
+    for d, entry in zip(mod.directives, shared["directives"], strict=True):
+        fresh = SemanticTarget(comonad, model)
+        alone = soundness_harness(fresh, Module(mod.signature, (d,)))
+        assert alone["directives"] == [entry]
+        assert interpret(fresh, mod.signature, d).value == \
+            interpret(tgt, mod.signature, d).value
+        notes.update(alone["notes"])
+        near_misses += alone["near_misses"]
+    assert shared["ok"] and sorted(notes) == shared["notes"]
+    assert near_misses == shared["near_misses"]
+
+
+@UP_TO_RENAMING
+def test_renamed_directives_share_their_originals_contexts(source, model):
+    """A renamed module gets the report of the module as written, in a
+    fresh target and in one that already interpreted the original, where
+    every renamed directive finds its context as the same object and
+    gets equal sections."""
+    mod = _checked(source)
+    renamed = _renamed(mod)
+    comonad = load_model(model).comonad
+    tgt = SemanticTarget(comonad, model)
+    report = soundness_harness(tgt, mod)
+    assert soundness_harness(SemanticTarget(comonad, model), renamed) == report
+    sig = mod.signature
+    for d, r in zip(mod.directives, renamed.directives, strict=True):
+        assert tgt.context(r.telescope) is tgt.context(d.telescope)
+        got, want = interpret(tgt, sig, r), interpret(tgt, sig, d)
+        assert got.defined and got.notes == want.notes and got.value == want.value
+    assert soundness_harness(tgt, renamed) == report
+
+
+def test_a_gap_names_the_variable_as_written(flagship, corpus):
+    """A variable found in neither zone fails under the name it is
+    written with."""
+    for name in ["q", "r"]:
+        res = interpret(flagship, corpus.signature,
+                        Judgment("term", Telescope(), Var(name), A))
+        assert not res.defined and res.reason == f"variable {name!r} not in the context"
+
+
+def test_a_section_in_the_wrong_type_is_refused_over_a_shared_context(flagship, corpus):
+    """Over a context shared up to renaming, the check that a section
+    lands in the expected type still runs."""
+    tele, renamed = Telescope((("u", A),)), Telescope((("p3", A),))
+    section, _ = flagship.term(corpus.signature, tele, Var("u"), A)
+    assert flagship.context(renamed) is flagship.context(tele)
+    assert flagship.term(corpus.signature, renamed, Var("p3"), A)[0] == section
+    with pytest.raises(InterpretationGap, match="landed in the wrong type"):
+        flagship.term(corpus.signature, renamed, Var("p3"), BoxType(A))
+
+
+def test_each_context_is_validated_once(corpus, monkeypatch):
+    """The harness validates each context presheaf once however many
+    directives share it, and still reports every directive over it."""
+    tgt = _model_target("two")
+    real, calls = Presheaf.validate, Counter()
+
+    def validate(p):
+        calls[id(p)] += 1
+        return real(p)
+
+    monkeypatch.setattr(Presheaf, "validate", validate)
+    report = soundness_harness(tgt, corpus)
+    contexts = {id(tgt.context(d.telescope).presheaf) for d in corpus.directives}
+    assert report["ok"] and all(e["context_ok"] for e in report["directives"])
+    assert {k: calls[k] for k in contexts} == dict.fromkeys(contexts, 1)
