@@ -438,7 +438,6 @@ def soundness_harness(tgt: SemanticTarget, mod: Module) -> dict:
             entry["defined"] = res.defined
             if res.defined:
                 t = res.value
-                ci = tgt.context(d.telescope)
                 entry["section_ok"] = not t.validate()
                 entry["typing_ok"] = t.type == tgt.type_over(ci, d.type)
                 entry["ok"] = entry["section_ok"] and entry["typing_ok"]

@@ -30,8 +30,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .fincat import FinCat, Slice, slice_category
 from .presheaf import (FamilyTable, Presheaf, PresheafMap, _components, _elements_shape,
                        _fibers_within, _flat_maps, _functor_errors, _functors, _identity,
-                       _NaturalMap, _natural_errors, _point, _product, _projections, _sections,
-                       _shape, _subfunctor, compose_maps, hom_maps, mono_maps, yoneda, yoneda_map)
+                       _NaturalMap, _natural_errors, _Plan, _plan, _point, _product, _projections,
+                       _sections, _shape, _subfunctor, compose_maps, hom_maps, mono_maps, yoneda,
+                       yoneda_map)
 
 
 class BoundExceeded(Exception):
@@ -58,6 +59,7 @@ class TypeOverContext:
     # subst_type results, keyed by the id of the substitution (held weakly)
     _subst: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _comp: "Comprehension | None" = field(default=None, init=False, repr=False, compare=False)
+    _plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fiber", dict(self.fiber))
@@ -590,9 +592,8 @@ def all_display_maps_into(model: NaturalModel, gamma: Presheaf, size_bound: int)
 
 
 def _block_starts(a: TypeOverContext, cb: Comprehension) -> tuple[int, ...]:
-    """Where ``Gamma.B`` numbers ``(k, 0)``, per flat slot ``(k, x)`` out of ``a``."""
-    return tuple(cb.offsets[k] for k in _elements_shape(a.context).keys
-                 for _ in range(a.fiber[k]))
+    """Where ``Gamma.B`` numbers ``(k, 0)``, per flat slot of ``a``'s plan."""
+    return tuple(map(cb.offsets.__getitem__, _plan(a).keys))
 
 
 def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = None) -> dict:
@@ -609,8 +610,10 @@ def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = 
     indices ``offsets[(I, g)] + range(B(I, g))``.  Narrowing each slot to
     its block drops exactly the maps ``h`` with ``p_B . h != p_A``, and
     keeps the rest in order.
-    ``Gamma.A`` is numbered g-major, so a type map's flat family plus
-    :func:`_block_starts` is the flat family of the map it induces.
+    ``Gamma.A`` is numbered g-major, so its flat slots are those of ``A``
+    in order, and a type map's flat family plus :func:`_block_starts` is
+    the flat family of the map it induces.  A pair binds ``B``'s tables
+    and blocks to the plans of ``A`` and ``Gamma.A``, built once each.
     """
     if size_bound is None:
         size_bound = model.bound * max(1, max(gamma.sizes.values(), default=1))
@@ -626,14 +629,14 @@ def typing_check(model: NaturalModel, gamma: Presheaf, size_bound: int | None = 
             return report
     types = all_types_over(model, gamma, model.bound)
     comps = [comprehension(t) for t in types]
-    keys = _elements_shape(gamma).keys
+    blocks = [{k: range(s, s + b.fiber[k]) for k, s in cb.offsets.items()}
+              for b, cb in zip(types, comps)]
     for a, ca in zip(types, comps):
-        for b, cb in zip(types, comps):
+        slots = _plan(a).keys
+        for b, cb, block in zip(types, comps, blocks):
             report["type_pairs"] += 1
             _, tms = _flat_maps(a, b)
-            blocks = {(k[0], ca.offsets[k] + x): range(s, s + b.fiber[k])
-                      for k in keys for s in (cb.offsets[k],) for x in range(a.fiber[k])}
-            _, over = _flat_maps(ca.presheaf, cb.presheaf, blocks)
+            _, over = _flat_maps(ca.presheaf, cb.presheaf, [*map(block.__getitem__, slots)])
             starts = _block_starts(a, cb)
             induced = {tuple(map(add, starts, fam)) for fam in tms}
             if induced != set(over) or len(induced) != len(tms):

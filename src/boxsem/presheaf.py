@@ -314,31 +314,41 @@ def _subfunctor(shape: _Shape, tables: Mapping, sel: Mapping,
     return {k: len(v) for k, v in keep.items()}, out, keep
 
 
-def _natural_families(shape: _Shape, sizes: Mapping, tables: Mapping, tgt_sizes: Mapping,
-                      tgt_tables: Mapping,
-                      domains: Mapping[tuple, Sequence[int]] | None = None,
-                      rules: Iterable[tuple[tuple, tuple, Sequence[int]]] = ()
-                      ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Every natural map between two functors on ``shape``, as the flat
-    families of :func:`enumerate_families` in canonical order, with the
-    ``ends`` that cut them into components: slot ``(k, x)``, the value at
-    ``x < sizes[k]``, sits at ``ends[n] + x`` for ``k`` the ``n``-th key.
+class _Plan(NamedTuple):
+    """How the natural maps out of one functor are enumerated, whatever
+    their target: the key of each flat slot, the ``ends`` that cut a flat
+    family into components (slot ``(k, x)`` sits at ``at[k] + x``) and a
+    naturality rule ``(slot, slot, arrow name)`` per proper arrow and
+    element.  A plan holds no target data, so one serves every target."""
 
-    Each proper arrow asks naturality at each ``x``.  ``domains`` may
-    narrow a slot to a sorted sequence drawn from ``range(tgt_sizes[k])``,
-    and a rule ``(s, t, table)`` on slots asks ``m[t] == table[m[s]]``.
-    Narrowing only drops families, so those left keep their order.
-    """
+    keys: tuple
+    ends: list[int]
+    at: dict
+    rules: tuple
+
+    def families(self, sizes: Mapping, tables: Mapping, doms: Sequence | None = None,
+                 checks: Sequence = ()) -> list[tuple[int, ...]]:
+        """The families into a functor with these sizes and tables, by the
+        module global :func:`enumerate_families`, with ``checks`` added."""
+        if doms is None:
+            doms = [range(sizes[k]) for k in self.keys]
+        return enumerate_families(self.ends[-1], doms, [
+            *checks, *[(i, j, tables[name]) for i, j, name in self.rules]])
+
+
+def _new_plan(shape: _Shape, sizes: Mapping, tables: Mapping) -> _Plan:
     ends = list(accumulate((sizes[k] for k in shape.keys), initial=0))
     at = dict(zip(shape.keys, ends))
-    doms = [range(tgt_sizes[k]) for k in shape.keys for _ in range(sizes[k])]
-    for (k, x), dom in (domains or {}).items():
-        doms[at[k] + x] = dom
-    checks = [(at[s[0]] + s[1], at[t[0]] + t[1], table) for (s, t, table) in rules]
-    for name, dst, src in shape.proper:
-        a, b, t2 = at[dst], at[src], tgt_tables[name]
-        checks += [(a + x, b + y, t2) for x, y in enumerate(tables[name])]
-    return ends, enumerate_families(ends[-1], doms, checks)
+    return _Plan(tuple(k for k in shape.keys for _ in range(sizes[k])), ends, at,
+                 tuple((at[dst] + x, at[src] + y, name) for name, dst, src in shape.proper
+                       for x, y in enumerate(tables[name])))
+
+
+def _plan(source) -> _Plan:
+    """The plan of a presheaf or a type, built on first use and kept on it."""
+    if source._plan is None:
+        object.__setattr__(source, "_plan", _new_plan(*source._tables()[1:]))
+    return source._plan
 
 
 def _components(keys: Sequence, ends: Sequence[int], fam: tuple[int, ...]) -> dict:
@@ -352,18 +362,32 @@ def _fibers_within(ends: Sequence[int], fam: tuple[int, ...], bound: int) -> boo
                for a, b in zip(ends, ends[1:]))
 
 
-def _flat_maps(source, target, domains: Mapping | None = None,
+def _flat_maps(source, target, domains: dict | Sequence | None = None,
                rules: Iterable = ()) -> tuple[list[int], list[tuple[int, ...]]]:
-    """:func:`_natural_families` between two presheaves, or two types."""
-    _, shape, sizes, tables = source._tables()
-    return _natural_families(shape, sizes, tables, *target._tables()[2:], domains, rules)
+    """Every natural map between two presheaves, or two types, as the flat
+    families of the source's plan in canonical order, with its ``ends``;
+    a call binds only the target's sizes and tables.  ``domains`` may
+    narrow slots to sorted sequences of target values, as a dict on slots
+    ``(k, x)`` or one sequence per flat slot, and a rule ``(s, t, table)``
+    on slots asks ``m[t] == table[m[s]]``.  Narrowing only drops families,
+    so those left keep their order."""
+    plan = _plan(source)
+    _, _, sizes, tables = target._tables()
+    at = plan.at
+    doms = domains
+    if isinstance(domains, dict):
+        doms = [range(sizes[k]) for k in plan.keys]
+        for (k, x), dom in domains.items():
+            doms[at[k] + x] = dom
+    return plan.ends, plan.families(sizes, tables, doms, [
+        (at[s[0]] + s[1], at[t[0]] + t[1], table) for (s, t, table) in rules])
 
 
 def _sections(shape: _Shape, sizes: Mapping, tables: Mapping) -> list[dict]:
     """Every natural choice of one element per key: the maps from the
     one-point functor, one slot per key, canonically ordered."""
     return [dict(zip(shape.keys, fam))
-            for fam in _natural_families(shape, *_point(shape), sizes, tables)[1]]
+            for fam in _new_plan(shape, *_point(shape)).families(sizes, tables)]
 
 
 @dataclass(frozen=True)
@@ -380,6 +404,7 @@ class Presheaf:
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
     # the shape of types over this presheaf as a context
     _shape: _Shape | None = field(default=None, init=False, repr=False, compare=False)
+    _plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", dict(self.sizes))
@@ -577,7 +602,7 @@ def hom_maps(p: Presheaf, q: Presheaf,
              ) -> list[PresheafMap]:
     """Every natural transformation ``p -> q``, canonically ordered.
     ``domains`` and ``rules`` on the slots ``(o, x)`` narrow the
-    enumeration and keep its order (:func:`_natural_families`)."""
+    enumeration and keep its order (:func:`_flat_maps`)."""
     ends, families = _flat_maps(p, q, domains, rules)
     return [PresheafMap(p, q, _components(p.base.objects, ends, f)) for f in families]
 
