@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -222,8 +222,15 @@ class Comprehension:
     type: TypeOverContext
     presheaf: Presheaf
     p: PresheafMap
-    v: TermOverContext
     offsets: Mapping[tuple[str, int], int]
+
+    @cached_property
+    def v(self) -> TermOverContext:
+        """The generic term of ``A[p]``, picking ``a`` at ``(g, a)``; built
+        on first read, as most readers of a comprehension need only ``p``."""
+        fiber = self.type.fiber
+        return TermOverContext(subst_type(self.type, self.p), {
+            (i, n + x): x for (i, g), n in self.offsets.items() for x in range(fiber[(i, g)])})
 
     def encode(self, obj: str, g: int, a: int) -> int:
         return self.offsets[(obj, g)] + a
@@ -246,10 +253,8 @@ def comprehension(a: TypeOverContext) -> Comprehension:
     for (f, g), _, k2 in sh.arrows:
         action[f] += [offsets[k2] + y for y in a.restriction[(f, g)]]
     ext = Presheaf(gamma.base, {i: len(col) for i, col in proj.items()}, action)
-    p = PresheafMap(ext, gamma, proj)
-    v = TermOverContext(subst_type(a, p), {(i, offsets[(i, g)] + x): x for i, g in sh.keys
-                                           for x in range(a.fiber[(i, g)])})
-    object.__setattr__(a, "_comp", Comprehension(gamma, a, ext, p, v, offsets))
+    object.__setattr__(a, "_comp", Comprehension(gamma, a, ext, PresheafMap(ext, gamma, proj),
+                                                 offsets))
     return a._comp
 
 

@@ -28,6 +28,9 @@ RUNS = (
     + [(f"model_universe_{m}.json", ["model", "universe", m]) for m in MODELS]
     + [(f"model_coalgebras_{m}.json", ["model", "coalgebras", m]) for m in WITH_COMONAD]
     + [("model_coalgebras_chain3.json", ["model", "coalgebras", "chain3", "--bound", "1"]),
+       ("model_coalgebras_two_bound3.json", ["model", "coalgebras", "two", "--bound", "3"]),
+       ("model_coalgebras_chain3_bound2.json",
+        ["model", "coalgebras", "chain3", "--bound", "2"]),
        ("check_t4.json", ["check", "corpus/t4.s4"])]
     + [(f"interpret_t4_{m}.json", ["interpret", "corpus/t4.s4", "--model", m])
        for m in ["two", "one", "disc2", "arrow", "chain3"]]
