@@ -720,13 +720,14 @@ def _with_points_in(holds: Mapping, read: Callable[[object], tuple]) -> dict:
     return out
 
 
-def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> list[Mapping[str, frozenset[int]]]:
-    """Subpresheaves of the carrier closed under the structure map: the
-    box acts pointwise, so the structure of ``x`` lies in the box of a
-    subpresheaf exactly when its box points do."""
-    half = _halves(w, cg)
-    return [sel for sel in subpresheaves(cg.carrier)
-            if _with_points_in(sel, half.__getitem__) == sel]
+def sub_coalgebras(w: NaturalModelComonad, cg: Coalgebra) -> tuple[list[dict], list[dict]]:
+    """The subpresheaves of the carrier closed under the structure map, and the rest: the box
+    acts pointwise, so the structure of ``x`` lies in the box of a subpresheaf exactly when its
+    box points do."""
+    half, closed, others = _halves(w, cg), [], []
+    for sel in subpresheaves(cg.carrier):
+        (closed if _with_points_in(sel, half.__getitem__) == sel else others).append(sel)
+    return closed, others
 
 
 def enumerate_coalgebras(w: NaturalModelComonad, size_bound: int,
@@ -1779,7 +1780,7 @@ def kock_wraith_report(w: NaturalModelComonad, kw: KockWraithClassifier,
     witnesses = []
     instances = []
     for cg in enumerate_coalgebras(w, size_bound):
-        subs = sub_coalgebras(w, cg)
+        subs, others = sub_coalgebras(w, cg)
         maps = coalgebra_maps(w, cg, kw.coalgebra)
         members = set(maps)
         if len(subs) != len(maps):
@@ -1802,9 +1803,7 @@ def kock_wraith_report(w: NaturalModelComonad, kw: KockWraithClassifier,
             if h not in seen:
                 witnesses.append("a point classifies no sub-coalgebra")
         rejected = 0
-        for sel in subpresheaves(cg.carrier):
-            if sel in subs:
-                continue
+        for sel in others:
             try:
                 kw.classify(cg, sel)
                 witnesses.append("a non-closed selection was classified")

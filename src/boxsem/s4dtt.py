@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Iterator, Mapping, Union
+from itertools import accumulate, compress, count
+from operator import itemgetter
+from typing import Iterator, Mapping, NamedTuple, Union
 
 
 class ParseError(Exception):
@@ -97,9 +98,9 @@ class LetBox:
 TermExpr = Union[Var, Const, Shut, LetBox]
 
 
-@dataclass(frozen=True)
-class Telescope:
-    """A two-zone context: modal entries first, ordinary entries after."""
+class Telescope(NamedTuple):
+    """A two-zone context: modal entries first, ordinary entries after.  A named tuple, as are
+    judgments and derivations; term and type nodes are not, as ``Var("a0") == Const("a0")``."""
 
     modal: tuple[tuple[str, TypeExpr], ...] = ()
     ordinary: tuple[tuple[str, TypeExpr], ...] = ()
@@ -169,19 +170,24 @@ class Module:
 
 
 _KEYWORDS = {"type", "const", "check", "equal", "box", "let", "in", "Box"}
+_PUNCT = ("|-", "::", ":=", "==", ",", ";", ":", "|", "(", ")")  # longest first
+_NOT_NAMES = frozenset({*_KEYWORDS, *_PUNCT, ""})
+_PUNCT_RE = "|".join(map(re.escape, _PUNCT))
 
 # One lexeme per match, tried in this order: a line break, blanks, a
 # comment, a punctuation mark (longest first), a word, and any other
 # character, which is an error.  ``[^\W\d]`` also admits non-decimal
 # digits such as a superscript two, so a word's first character is
-# checked again.
-_LEXEME = re.compile(r"(\n)|[ \t\r]+|(--[^\n]*)|(\|-|::|:=|==|[,;:|()])"
-                     r"|([^\W\d][\w']*)|(.)")
+# checked again.  ``_ASCII_LEXEME`` is the same without groups or errors
+# and with ASCII words only; its lexemes that start in ``_TOKEN_START`` are tokens.
+_LEXEME = re.compile(rf"(\n)|[ \t\r]+|(--[^\n]*)|({_PUNCT_RE})|([^\W\d][\w']*)|(.)")
+_ASCII_LEXEME = re.compile(rf"\n|[ \t\r]+|--[^\n]*|{_PUNCT_RE}|[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN_START = frozenset(map(chr, range(128))) - set(" \t\r\n-")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """The tokens of ``text`` as ``(kind, text, line, col)``, the last of
-    kind ``eof``; columns count characters from 1."""
+    """The ``(kind, text, line, col)`` tokens of ``text``, the last of kind ``eof``; columns count
+    characters from 1.  The parser reads them where ``_read`` gives None and locates errors here."""
     toks = []
     line, bol = 1, 0  # bol: the offset at which the current line begins
     eof = len(text)
@@ -212,27 +218,43 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     return toks
 
 
+def _read(text: str) -> tuple[list[str], list[int]] | None:
+    """The token texts of ``text``, ending in ``""``, and their lines, from
+    one ``findall``; None where a character is not in ``_ASCII_LEXEME``."""
+    lexemes = _ASCII_LEXEME.findall(text)
+    if sum(map(len, lexemes)) != len(text):
+        return None
+    keep = [*map(_TOKEN_START.__contains__, map(itemgetter(0), lexemes)), True]
+    lexemes.append("")
+    lines = accumulate(map("\n".__eq__, lexemes), initial=1)
+    return list(compress(lexemes, keep)), list(compress(lines, keep))
+
+
 class _Parser:
+    """Recursive descent over the token texts of ``_read``, or of ``_tokenize`` where ``_read``
+    gives None; a kind is read off a text, and ``_tokenize`` locates each error raised."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.text, self.pos = text, 0
+        self.toks, self.lines = _read(text) or zip(*(t[1:3] for t in _tokenize(text)))
+
+    def error(self, msg: str) -> ParseError:
+        return ParseError(msg, *_tokenize(self.text)[self.pos][2:])
 
     def peek(self) -> str:
         """The text of the next token."""
-        return self.toks[self.pos][1]
+        return self.toks[self.pos]
 
     def expect(self, text: str) -> None:
-        kind, found, line, col = self.toks[self.pos]
-        if found != text or kind == "eof":
-            raise ParseError(f"expected {text!r}, found {found or 'end of input'!r}",
-                             line, col)
+        found = self.toks[self.pos]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found or 'end of input'!r}")
         self.pos += 1
 
     def ident(self) -> str:
-        kind, found, line, col = self.toks[self.pos]
-        if kind != "ident":
-            raise ParseError(f"expected a name, found {found or 'end of input'!r}",
-                             line, col)
+        found = self.toks[self.pos]
+        if found in _NOT_NAMES:
+            raise self.error(f"expected a name, found {found or 'end of input'!r}")
         self.pos += 1
         return found
 
@@ -297,9 +319,12 @@ class _Parser:
     def module(self) -> Module:
         bases, consts, directives = [], [], []
         while True:
-            kind, t, line, col = self.toks[self.pos]
-            if kind == "eof":
+            t = self.toks[self.pos]
+            if not t:
                 break
+            if t not in ("type", "const", "check", "equal"):
+                raise self.error(f"expected a declaration, found {t!r}")
+            line = self.lines[self.pos]
             self.pos += 1
             if t == "type":
                 bases.append(self.ident())
@@ -317,7 +342,7 @@ class _Parser:
                 ty = self.type_expr()
                 self.expect(";")
                 directives.append(CheckDirective(tele, tm, ty, line))
-            elif t == "equal":
+            else:
                 tele = self.telescope()
                 self.expect("|-")
                 left = self.term()
@@ -327,8 +352,6 @@ class _Parser:
                 ty = self.type_expr()
                 self.expect(";")
                 directives.append(EqualDirective(tele, left, right, ty, line))
-            else:
-                raise ParseError(f"expected a declaration, found {t!r}", line, col)
         return Module(Signature(tuple(bases), tuple(consts)), tuple(directives))
 
 
@@ -432,10 +455,9 @@ def canonicalize(tm: TermExpr, depth: int = 0,
 # Judgments and derivations
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     """One checkable statement: a context prefix, a type formation, or a
-    typing of a term."""
+    typing of a term (a named tuple, as ``Telescope`` says)."""
 
     flavor: str
     telescope: Telescope
@@ -451,8 +473,7 @@ class Judgment:
         return f"{tele} |- {format_term(self.term)} : {format_type(self.type)}"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     judgment: Judgment
     rule: str
     premises: tuple["Derivation", ...] = ()

@@ -5,7 +5,7 @@ The dependent product and both classifiers carve their carrier out of a
 cofree box with one body, ``_Level.carve``: it keeps the elements of a
 stage-wise set ``holds`` whose points of ``delta`` all lie in ``holds``,
 reading those points without building the box of the box, and equips
-the result with its structure.  ``sub_coalgebras`` keeps the
+the result with its structure.  ``sub_coalgebras`` splits off the
 subpresheaves that hold the box points of their elements' structure.
 The ``_ref_*`` versions below are the earlier ones:
 
@@ -23,7 +23,8 @@ The ``_ref_*`` versions below are the earlier ones:
   until neither removes anything: the largest sub-coalgebra inside the
   members;
 * ``_ref_sub_coalgebras`` builds the sub-coalgebra on every subpresheaf
-  and keeps those whose construction raises no ``ComonadError``.
+  and keeps those whose construction raises no ``ComonadError`` apart
+  from the rest.
 
 Each carving must give the same carrier, structure and inclusion.
 """
@@ -184,14 +185,15 @@ def _ref_largest_sub_coalgebra(w, cg, members):
 
 
 def _ref_sub_coalgebras(w, cg):
-    out = []
+    out, rest = [], []
     for sel in subpresheaves(cg.carrier):
         try:
             _ref_sub_coalgebra(w, cg, sel)
         except ComonadError:
+            rest.append(sel)
             continue
         out.append(sel)
-    return out
+    return out, rest
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ RUNS = (
        ("model_coalgebras_two_bound3.json", ["model", "coalgebras", "two", "--bound", "3"]),
        ("model_coalgebras_chain3_bound2.json",
         ["model", "coalgebras", "chain3", "--bound", "2"]),
-       ("check_t4.json", ["check", "corpus/t4.s4"])]
+       ("check_t4.json", ["check", "corpus/t4.s4"]),
+       ("check_depth2.json", ["check", "corpus/depth2.s4"])]
     + [(f"interpret_t4_{m}.json", ["interpret", "corpus/t4.s4", "--model", m])
        for m in ["two", "one", "disc2", "arrow", "chain3"]]
     + [(f"interpret_depth2_{m}.json", ["interpret", "corpus/depth2.s4", "--model", m])

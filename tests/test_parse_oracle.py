@@ -6,7 +6,8 @@ each punctuation mark with ``str.startswith``, and built a token object
 per lexeme.  The compiled-regex lexer must give the same tokens, the same
 ``Module`` and the same ``ParseError`` (message, line and column) on
 every input, including the placement of the end-of-input token at the
-start of a trailing comment.
+start of a trailing comment.  The parser's own reader, ``_read``, must
+either decline a text or give the texts and lines of ``_tokenize``.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from boxsem.s4dtt import (
     Signature,
     Telescope,
     Var,
+    _read,
     _resolve,
     _tokenize,
     parse,
@@ -246,6 +248,9 @@ def _outcome(fn, text):
 def _agree(text):
     assert _outcome(_tokenize, text) == _outcome(_ref_tokenize, text)
     assert _outcome(parse, text) == _outcome(_ref_parse, text)
+    read = _read(text)
+    if read is not None:
+        assert list(zip(*read)) == [(t[1], t[2]) for t in _tokenize(text)]
 
 
 # Lexemes that sit on the edges of the lexer: keywords and words next to
